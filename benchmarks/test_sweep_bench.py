@@ -1,26 +1,25 @@
-"""Sweep-scale throughput: gang engine vs the per-run macro path.
+"""Sweep-scale throughput: the epoch-trace memo vs cold per-run jobs.
 
-Guards the tentpole win of the gang engine (:mod:`repro.gpu.gang`) on
-the Fig. 10 sweep — every registry workload under the full five-policy
-evaluation matrix, executed the way the job service executes sweeps:
+Guards the win of the process-wide trace memo
+(:func:`repro.workloads.base.launch_for`) on the Fig. 10 sweep — every
+registry workload under the full five-policy evaluation matrix, executed
+the way the job service executes sweeps, one
+:func:`~repro.service.handlers.run_simulation_job` per (workload, policy)
+cell:
 
-- **per-run leg** — one ``simulation`` job per (workload, policy) cell,
-  each re-running :func:`~repro.service.handlers.run_simulation_job`
-  exactly as a sweep worker would (fresh system, fresh epoch-trace
-  generation per run).
-- **gang leg** — one ``gang_sweep`` job per workload
-  (:func:`~repro.service.handlers.run_gang_sweep_job`): the trace is
-  generated once and the policy lanes march in lockstep through the
-  shared reduced thermal basis.
+- **cold leg** — the memo is cleared before every job, so each run
+  generates its own epoch trace (the per-run cost without reuse).
+- **memo leg** — the same jobs with the memo: each workload's trace is
+  generated once and the other four policies replay it.
 
-``test_gang_sweep_speedup`` pins the gang at >=4x aggregate wall clock
-over the per-run leg at the calibrated full scale (>=1.5x under
+``test_trace_memo_sweep_speedup`` pins the memo leg at >=4x aggregate
+wall clock over the cold leg at the calibrated full scale (>=1.5x under
 ``REPRO_BENCH_QUICK=1``, where the small graph shrinks the trace
-generation the gang amortizes), while re-asserting member results are
-*bit-identical* to per-run payloads across every cell of the sweep.
+generation the memo amortizes), while asserting every cell's result is
+*bit-identical* between the legs.
 
-Each run's measurements are appended to ``BENCH_sweep.json`` (written to
-the working directory); ``benchmarks/baselines.json`` registers the
+Each run's measurements are written to ``BENCH_sweep.json`` (in the
+working directory); ``benchmarks/baselines.json`` registers the
 aggregate for the ``repro bench-trend`` gate.
 """
 
@@ -30,21 +29,17 @@ import time
 from pathlib import Path
 
 from repro.core.policies import POLICY_NAMES
-from repro.service.handlers import (
-    gang_sweep_spec,
-    run_gang_sweep_job,
-    run_simulation_job,
-    simulation_spec,
-)
+from repro.service.handlers import run_simulation_job, simulation_spec
 from repro.workloads import list_workloads
+from repro.workloads.base import clear_cache
 
 #: The Fig. 10 evaluation matrix: the four policy curves plus the
 #: non-offloading baseline they are normalized to.
 POLICIES = list(POLICY_NAMES)
 
-#: Aggregate wall-clock floor, gang over per-run, at full scale. The
-#: quick floor is lower: the smoke graph makes trace generation — the
-#: dominant per-run cost the gang amortizes — nearly free.
+#: Aggregate wall-clock floor, memo over cold, at full scale. The quick
+#: floor is lower: the smoke graph makes trace generation — the dominant
+#: per-run cost the memo amortizes — nearly free.
 SPEEDUP_FLOOR_FULL = 4.0
 SPEEDUP_FLOOR_QUICK = 1.5
 
@@ -68,7 +63,24 @@ def _result_of(payload):
     return result
 
 
-def test_gang_sweep_speedup():
+def _leg(workloads, dataset, scale, cold):
+    """Run every cell once; ``cold`` clears the trace memo before each job."""
+    payloads, per_wl = {}, {}
+    clear_cache()
+    t_leg = time.perf_counter()
+    for wl in workloads:
+        t0 = time.perf_counter()
+        for policy in POLICIES:
+            if cold:
+                clear_cache()
+            payloads[wl, policy] = run_simulation_job(simulation_spec(
+                wl, dataset=dataset, policy=policy, workload_scale=scale,
+            ))
+        per_wl[wl] = time.perf_counter() - t0
+    return payloads, per_wl, time.perf_counter() - t_leg
+
+
+def test_trace_memo_sweep_speedup():
     dataset, scale, floor = _config()
     workloads = list_workloads()
 
@@ -79,53 +91,25 @@ def test_gang_sweep_speedup():
         workload_scale=scale,
     ))
 
-    per_run_payloads = {}
-    per_run_s = {}
-    t_leg = time.perf_counter()
-    for wl in workloads:
-        t0 = time.perf_counter()
-        for policy in POLICIES:
-            spec = simulation_spec(
-                wl, dataset=dataset, policy=policy, workload_scale=scale,
-            )
-            per_run_payloads[wl, policy] = run_simulation_job(spec)
-        per_run_s[wl] = time.perf_counter() - t0
-    per_run_total = time.perf_counter() - t_leg
+    cold_payloads, cold_s, cold_total = _leg(workloads, dataset, scale, True)
+    memo_payloads, memo_s, memo_total = _leg(workloads, dataset, scale, False)
 
-    gang_payloads = {}
-    gang_s = {}
-    t_leg = time.perf_counter()
-    for wl in workloads:
-        t0 = time.perf_counter()
-        gang_payloads[wl] = run_gang_sweep_job(gang_sweep_spec(
-            wl, POLICIES, dataset=dataset, workload_scale=scale,
-        ))
-        gang_s[wl] = time.perf_counter() - t0
-    gang_total = time.perf_counter() - t_leg
+    # Correctness rides along with the timing: every cell must be
+    # bit-identical whether its trace was generated or replayed.
+    for cell, payload in memo_payloads.items():
+        assert _result_of(payload) == _result_of(cold_payloads[cell]), cell
 
-    # Correctness rides along with the timing: every member of every
-    # gang must be bit-identical to its per-run payload (the full
-    # contract lives in tests/gpu/test_gang_equivalence.py).
-    for wl in workloads:
-        members = gang_payloads[wl]["members"]
-        assert [m["payload"]["policy"] for m in members] == POLICIES, wl
-        for member in members:
-            policy = member["payload"]["policy"]
-            assert _result_of(member["payload"]) == _result_of(
-                per_run_payloads[wl, policy]
-            ), (wl, policy)
-
-    aggregate = per_run_total / gang_total
+    aggregate = cold_total / memo_total
     rows = {
         wl: {
-            "per_run_s": per_run_s[wl],
-            "gang_s": gang_s[wl],
-            "speedup": per_run_s[wl] / gang_s[wl],
+            "per_run_s": cold_s[wl],
+            "trace_memo_s": memo_s[wl],
+            "speedup": cold_s[wl] / memo_s[wl],
         }
         for wl in workloads
     }
     ARTIFACT.write_text(json.dumps({
-        "benchmark": "sweep_gang_vs_per_run",
+        "benchmark": "sweep_trace_memo_vs_per_run",
         "config": {
             "dataset": dataset,
             "workload_scale": scale,
@@ -133,14 +117,14 @@ def test_gang_sweep_speedup():
             "workloads": workloads,
             "quick": _quick(),
         },
-        "per_run_s": per_run_total,
-        "gang_s": gang_total,
+        "per_run_s": cold_total,
+        "trace_memo_s": memo_total,
         "aggregate_speedup": aggregate,
         "workloads_detail": rows,
     }, indent=2) + "\n")
 
     per_wl = ", ".join(f"{wl}={r['speedup']:.1f}x" for wl, r in rows.items())
     assert aggregate >= floor, (
-        f"gang engine only {aggregate:.2f}x over the per-run sweep "
+        f"trace memo only {aggregate:.2f}x over the cold per-run sweep "
         f"(floor {floor}x; {per_wl})"
     )

@@ -21,7 +21,7 @@ from __future__ import annotations
 import re
 from typing import Any, Dict, FrozenSet, List, Mapping, Optional
 
-from repro.service.handlers import gang_sweep_spec, simulation_spec
+from repro.service.handlers import simulation_spec
 from repro.service.jobs import JobSpec
 
 #: Upper bound on jobs a single ``POST /sweeps`` may expand to.
@@ -44,7 +44,7 @@ _SWEEP_FIELDS = {
 _CUSTOM_FIELDS = {"kind", "name", "params", "seed", "timeout_s", "tenant"}
 _CUSTOM_SWEEP_FIELDS = {"kind", "items", "tenant"}
 
-_ENGINES = ("macro", "stepped", "gang")
+_ENGINES = ("macro", "stepped")
 
 
 class ValidationError(ValueError):
@@ -356,21 +356,6 @@ def validate_sweep_request(
         raise ValidationError(
             f"sweep expands to {total} jobs (limit {max_jobs})"
         )
-    if engine == "gang" and scenario is None and len(pol) > 1:
-        # Gang-eligible shape: same workload+dataset+scale per gang,
-        # varying only the policy axis (which carries the static-<f>
-        # offload fractions), no fault scenario. One gang job per
-        # (workload, dataset) cell; member results still land in the
-        # store under their per-run simulation keys.
-        return [
-            gang_sweep_spec(
-                workload=w, policies=pol, dataset=d, cooling=cooling,
-                seed=seed, workload_scale=scale, trace=trace,
-                timeout_s=timeout_s,
-            )
-            for w in wl
-            for d in ds
-        ]
     return [
         simulation_spec(
             workload=w, dataset=d, policy=p, cooling=cooling, seed=seed,

@@ -170,8 +170,6 @@ def cmd_batch(args) -> int:
         argv.append("--no-cache")
     if args.out:
         argv.extend(["--out", args.out])
-    if args.engine:
-        argv.extend(["--engine", args.engine])
     return runner.main(argv)
 
 
@@ -473,11 +471,9 @@ def build_parser() -> argparse.ArgumentParser:
                        choices=list(COOLING_SOLUTIONS))
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--engine", default="macro",
-                       choices=["macro", "stepped", "gang"],
+                       choices=["macro", "stepped"],
                        help="simulation engine (macro: vectorized burst "
-                            "fast path; stepped: scalar reference loop; "
-                            "gang: lockstep multi-config sweeps, bit-equal "
-                            "to macro — single runs fall back to macro)")
+                            "fast path; stepped: scalar reference loop)")
         p.add_argument("--scenario", default=None, choices=SCENARIO_NAMES,
                        help="inject a seeded fault scenario (degraded "
                             "cooling, sensor faults, ...; see repro list)")
@@ -515,10 +511,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="re-execute everything, ignoring cached results")
     batch_p.add_argument("--out", default=None, metavar="DIR",
                          help="also write each experiment's output to DIR")
-    batch_p.add_argument("--engine", default=None,
-                         choices=["macro", "gang"],
-                         help="evaluation-sweep engine (gang: lockstep "
-                              "policy gangs, bit-equal to macro)")
 
     cache_p = sub.add_parser("cache", help="inspect or clear the result cache")
     cache_p.add_argument(

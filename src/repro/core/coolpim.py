@@ -30,7 +30,7 @@ from repro.hmc.flow import HmcFlowModel
 from repro.thermal.cooling import COMMODITY_SERVER, CoolingSolution
 from repro.thermal.model import HmcThermalModel
 from repro.thermal.sensor import ThermalSensor
-from repro.workloads.base import GraphWorkload
+from repro.workloads.base import GraphWorkload, launch_for
 
 
 class CoolPimSystem:
@@ -38,7 +38,9 @@ class CoolPimSystem:
 
     The thermal model (the expensive part) is built once and shared across
     runs; each :meth:`run` builds a fresh flow model and sensor so policy
-    runs are independent.
+    runs are independent. Epoch traces come from the process-wide memo
+    (:func:`repro.workloads.base.launch_for`), so every system in the
+    process replays one generated trace per distinct workload input.
     """
 
     def __init__(
@@ -64,16 +66,9 @@ class CoolPimSystem:
         #: derating; pass a conservative_shutdown policy for the Sec. III-C
         #: all-or-nothing prototype behaviour).
         self.phase_policy = phase_policy
-        self._launch_cache: Dict[tuple, object] = {}
         #: Stat registry of the most recent :meth:`run` (``sim.*`` scope),
         #: exportable via ``StatRegistry.snapshot(structured=True)``.
         self.last_stats: Optional[StatRegistry] = None
-
-    def _launch_for(self, workload: GraphWorkload, graph: CSRGraph):
-        key = (workload.name, workload.seed, id(graph))
-        if key not in self._launch_cache:
-            self._launch_cache[key] = workload.launch(graph, self.gpu)
-        return self._launch_cache[key]
 
     def run(
         self,
@@ -99,7 +94,7 @@ class CoolPimSystem:
             from repro.scenarios import make_scenario
 
             scenario = make_scenario(scenario)
-        launch = self._launch_for(workload, graph)
+        launch = launch_for(workload, graph, self.gpu)
         sim = SystemSimulator(
             gpu=self.gpu,
             hmc_config=self.hmc,
@@ -124,49 +119,6 @@ class CoolPimSystem:
         self.last_stats = sim.stats
         return result
 
-    def run_gang(
-        self,
-        workload: GraphWorkload,
-        graph: CSRGraph,
-        members: Iterable,
-        stats: Optional[list] = None,
-    ) -> list:
-        """Run one workload under several configurations in lockstep.
-
-        ``members`` entries are policies (names or instances) or
-        ``(policy, cooling)`` pairs; see :func:`repro.gpu.gang.run_gang`.
-        Results come back in member order, bit-equal to what per-run
-        :meth:`run` calls would produce. ``last_stats`` holds the final
-        member's registry, matching the sequential path; pass a list as
-        ``stats`` to collect every member's registry in member order.
-        """
-        from repro.gpu.gang import run_gang
-
-        members = list(members)
-        tracer = get_tracer()
-        t0 = _time.perf_counter()
-        if stats is None:
-            stats = []
-        results = run_gang(
-            workload,
-            graph,
-            members,
-            gpu=self.gpu,
-            hmc=self.hmc,
-            cooling=self.cooling,
-            ambient_c=self.ambient_c,
-            control_dt_s=self.control_dt_s,
-            phase_policy=self.phase_policy,
-            launch=self._launch_for(workload, graph),
-            stats=stats,
-        )
-        self.last_stats = stats[-1] if stats else None
-        tracer.complete(
-            "core.run_gang", t0, _time.perf_counter(), cat="core",
-            workload=workload.name, lanes=len(members),
-        )
-        return results
-
     def run_all_policies(
         self,
         workload: GraphWorkload,
@@ -176,14 +128,12 @@ class CoolPimSystem:
     ) -> Dict[str, SimulationResult]:
         """Run the standard evaluation matrix for one workload.
 
-        Returns ``{policy_name: result}`` in evaluation order; the epoch
-        trace is generated once and replayed for every policy. Under
-        ``engine="gang"`` the policies run as one lockstep gang (see
-        :mod:`repro.gpu.gang`) — same results, one shared thermal march.
+        Returns ``{policy_name: result}`` in evaluation order. The epoch
+        trace is generated at most once: the first policy's run fills the
+        process-wide trace memo and every later policy replays the same
+        batches through its own cursor.
         """
         names = list(policies) if policies is not None else list(POLICY_NAMES)
-        if self.engine == "gang" and scenario is None and len(names) > 1:
-            return dict(zip(names, self.run_gang(workload, graph, names)))
         return {
             name: self.run(workload, graph, name, scenario=scenario)
             for name in names

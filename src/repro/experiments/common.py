@@ -73,8 +73,10 @@ class RunScale:
 def apply_workload_scale(workload, factor: float):
     """Scale a workload's run-length knobs (sources/repeats/iterations)
     in place by ``factor``; returns the workload for chaining."""
+    from repro.workloads.base import RUN_LENGTH_KNOBS
+
     if factor != 1.0:
-        for attr in ("num_sources", "repeats", "iterations"):
+        for attr in RUN_LENGTH_KNOBS:
             if hasattr(workload, attr):
                 value = getattr(workload, attr)
                 setattr(workload, attr, max(1, int(round(value * factor))))

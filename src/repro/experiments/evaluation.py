@@ -9,7 +9,6 @@ ideal-thermal bound.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
@@ -50,31 +49,13 @@ class EvaluationMatrix:
 _CACHE: Dict[tuple, EvaluationMatrix] = {}
 
 
-def default_engine() -> str:
-    """The engine evaluation sweeps run on unless told otherwise.
-
-    ``repro batch --engine gang`` (and ``repro experiments``) export
-    ``REPRO_SWEEP_ENGINE`` so forked sweep workers inherit the choice
-    without it entering any job cache key — macro and gang produce
-    bit-equal results, so the engine is a throughput knob, never part
-    of a result's identity.
-    """
-    return os.environ.get("REPRO_SWEEP_ENGINE", "macro")
-
-
 def run_matrix(
     scale: Optional[RunScale] = None,
     workloads: Optional[Sequence[str]] = None,
     policies: Optional[Sequence[str]] = None,
     use_cache: bool = True,
-    engine: Optional[str] = None,
 ) -> EvaluationMatrix:
-    """Run (and cache) the evaluation matrix at the requested scale.
-
-    ``engine`` deliberately stays out of the memo key: ``"gang"`` runs
-    the per-workload policy sweep in lockstep (see :mod:`repro.gpu.gang`)
-    but returns the same floats the default per-run macro path would.
-    """
+    """Run (and cache) the evaluation matrix at the requested scale."""
     scale = scale or RunScale.full()
     wl_names = list(workloads) if workloads is not None else list_workloads()
     pol_names = list(policies) if policies is not None else list(POLICY_NAMES)
@@ -83,7 +64,7 @@ def run_matrix(
         return _CACHE[key]
 
     graph = get_dataset(scale.dataset)
-    system = CoolPimSystem(engine=engine or default_engine())
+    system = CoolPimSystem()
     matrix = EvaluationMatrix(scale=scale)
     for name in wl_names:
         workload = scaled_workload(name, scale)

@@ -92,9 +92,6 @@ class MacroEngine:
     mutable state as attributes so the burst/scalar paths share it.
     """
 
-    #: Engine name stamped on traces and live-telemetry samples.
-    engine_label = "macro"
-
     def __init__(self, sim: "SystemSimulator") -> None:
         self.sim = sim
         # Interval-model constants hoisted for the speculation loop. Each
@@ -127,8 +124,7 @@ class MacroEngine:
         self._prop_bad = False
         #: Per-run certified peak readout (created with the propagator).
         #: Per-run on purpose: its mode/candidate state depends on the
-        #: burst history, which is the determinism contract that lets a
-        #: gang lane reproduce a solo run's floats call for call.
+        #: burst history, so a run's floats never depend on other runs.
         self._reader = None
         # Reduced-state cache: eigen-coordinates of the thermal state and
         # its peak DRAM temperature, valid while no exact solver step has
@@ -137,21 +133,6 @@ class MacroEngine:
         # reconstruction; the node state is materialized lazily.
         self._z = None
         self._z_peak = 0.0
-        #: Optional shared ``{id(batch): MemoryTraffic}`` memo. The cache
-        #: filter is a pure function of the batch and the (immutable)
-        #: cache-model parameters, so gang lanes replaying the same trace
-        #: under identical cache configs share one memo — same values,
-        #: computed once.
-        self._filter_memo = None
-
-    def _filter(self, batch: OpBatch):
-        memo = self._filter_memo
-        if memo is None:
-            return self.sim.cache.filter(batch)
-        traffic = memo.get(id(batch))
-        if traffic is None:
-            traffic = memo[id(batch)] = self.sim.cache.filter(batch)
-        return traffic
 
     # -- epoch bookkeeping -------------------------------------------------
 
@@ -160,7 +141,7 @@ class MacroEngine:
         self.batch = batch
         self.atomics_total += batch.atomics
         if traffic is None:
-            traffic = self._filter(batch)
+            traffic = sim.cache.filter(batch)
         from repro.gpu.simulator import _EpochState
 
         self.state = _EpochState(batch, traffic)
@@ -229,11 +210,9 @@ class MacroEngine:
 
     # -- main entry --------------------------------------------------------
     #
-    # The run is split into begin / round / finish so the gang engine can
-    # drive many engines in lockstep: each round advances one engine by
-    # one burst attempt (or one scalar step). ``run`` itself is just the
-    # solo driver — one engine, rounds back to back — so the solo and
-    # gang paths execute the identical per-run code.
+    # The run is split into begin / round / finish: each round advances
+    # the engine by one burst attempt (or one scalar step), and ``run``
+    # drives the rounds back to back.
 
     def run(self, launch: KernelLaunch, policy: "OffloadPolicy"):
         self._run_begin(launch, policy)
@@ -375,7 +354,7 @@ class MacroEngine:
                     if self.now_s > 0 else 0.0
                 ),
                 "phase": self.sim.flow.phase.name,
-                "engine": self.engine_label,
+                "engine": "macro",
             })
 
     def _run_finish(self):
@@ -407,7 +386,7 @@ class MacroEngine:
                 workload=launch.name, policy=policy.name,
                 epochs=self.epochs, control_steps=self.control_steps,
                 warnings=self.warnings, shutdowns=self.shutdowns,
-                sim_runtime_s=self.now_s, engine=self.engine_label,
+                sim_runtime_s=self.now_s, engine="macro",
             )
 
         return SimulationResult(
@@ -580,12 +559,9 @@ class MacroEngine:
 
     # -- burst path --------------------------------------------------------
     #
-    # One burst = begin → speculate → march → validate → commit. Each
-    # stage is a method so the gang engine can reuse the pipeline: lanes
-    # inherit begin/validate/commit verbatim (bit-identical semantics),
-    # override ``_speculate`` with a vectorized equivalent, and let the
-    # gang driver batch the march across lanes. ``_Burst`` carries one
-    # burst's inputs and outputs between the stages.
+    # One burst = begin → speculate → march → validate → commit, one
+    # method per stage. ``_Burst`` carries one burst's inputs and outputs
+    # between the stages.
 
     def _spec_begin(self) -> "Optional[_Burst]":
         """Resolve burst preconditions and hoist the burst-scoped inputs.
@@ -670,8 +646,8 @@ class MacroEngine:
         """Scalar speculation: replay the control loop into ``b.steps``.
 
         Pure-Python, bit-identical arithmetic to the reference loop —
-        the per-step 31-tuples are the contract every other stage (and
-        the gang engine's vectorized override) builds on.
+        the per-step 31-tuples are the contract every other stage builds
+        on.
         """
         sim = self.sim
         exempt = self.exempt
@@ -738,7 +714,7 @@ class MacroEngine:
                     break
                 if scen is not None:
                     nb = scen.transform_batch(nb)
-                ntraffic = self._filter(nb)
+                ntraffic = sim.cache.filter(nb)
                 entries.append((len(steps), nb, ntraffic))
                 sr = float(ntraffic.reads)
                 sw_ = float(ntraffic.writes)
@@ -1153,8 +1129,7 @@ class MacroEngine:
         """Begin + speculate + assemble march inputs; ``None`` → no burst.
 
         Returns ``(b, cols, z0, t0_peak, coeffs)`` ready for the thermal
-        march. The gang engine collects these across lanes and batches
-        the march; the solo path marches immediately.
+        march (:meth:`_march`).
         """
         b = self._spec_begin()
         if b is None:

@@ -7,6 +7,7 @@ immutable after construction; algorithms allocate their own property arrays.
 
 from __future__ import annotations
 
+import hashlib
 from typing import Optional, Tuple
 
 import numpy as np
@@ -60,6 +61,7 @@ class CSRGraph:
         self.indices.setflags(write=False)
         if self.weights is not None:
             self.weights.setflags(write=False)
+        self._fingerprint: Optional[str] = None
 
     # -- basic properties ---------------------------------------------------
 
@@ -180,6 +182,26 @@ class CSRGraph:
                 raise ValueError("graph is unweighted")
             weights = self.weights[positions]
         return sources, targets, weights
+
+    # -- identity -------------------------------------------------------------
+
+    def fingerprint(self) -> str:
+        """Content digest of the CSR arrays (blake2b, hex).
+
+        Equal graphs share a fingerprint whatever object holds them, so
+        caches keyed on it survive reloads and never alias two graphs the
+        way ``id()`` can after garbage collection. The arrays are
+        read-only, so the digest is computed once per graph object.
+        """
+        if self._fingerprint is None:
+            h = hashlib.blake2b(digest_size=16)
+            h.update(b"weighted" if self.weights is not None else b"unweighted")
+            for arr in (self.indptr, self.indices, self.weights):
+                if arr is not None:
+                    h.update(np.int64(arr.size).tobytes())
+                    h.update(arr.tobytes())
+            self._fingerprint = h.hexdigest()
+        return self._fingerprint
 
     # -- analysis helpers ---------------------------------------------------
 

@@ -80,11 +80,9 @@ def simulation_spec(
     ``workload_scale`` shrinks the run length (``repro trace --quick``
     and smoke runs); it only enters the params — and therefore the cache
     key — when it differs from 1.0, so existing full-scale cache entries
-    keep their keys. Likewise ``engine`` enters the params only for
-    engines outside the bit-equal family (``macro`` and ``gang`` produce
-    identical results by the gang-engine correctness contract, so runs
-    under either share one cache entry; the stepped oracle reproduces
-    the same aggregates but keys separately for A/B auditing), and
+    keep their keys. Likewise ``engine`` enters the params only when it
+    is not the default ``macro`` (the stepped oracle reproduces the same
+    aggregates but keys separately for A/B auditing), and
     ``trace`` — which makes the payload carry the sampled timeline so
     trace artifacts can be rendered later — only when set. A fault
     injection ``scenario`` (preset name + ``scenario_seed``, see
@@ -100,7 +98,7 @@ def simulation_spec(
     }
     if workload_scale != 1.0:
         params["workload_scale"] = workload_scale
-    if engine not in ("macro", "gang"):
+    if engine != "macro":
         params["engine"] = engine
     if trace:
         params["trace"] = True
@@ -136,7 +134,10 @@ def run_simulation_job(spec: JobSpec) -> Dict[str, Any]:
     metrics snapshot (``sim.*`` counters/histograms, see
     :mod:`repro.obs.metrics`); when tracing is enabled the sampled
     timeline rides along too, so ``repro trace`` can replay it through
-    the event engine.
+    the event engine. The system is fresh per job, but the epoch trace
+    comes from the process-wide memo
+    (:func:`repro.workloads.base.launch_for`): jobs in one process that
+    differ only in policy or cooling generate it once.
     """
     from repro.core.coolpim import CoolPimSystem
     from repro.experiments.common import apply_workload_scale
@@ -179,114 +180,3 @@ def run_simulation_job(spec: JobSpec) -> Dict[str, Any]:
     if system.last_stats is not None:
         payload["metrics"] = system.last_stats.snapshot(structured=True)
     return payload
-
-
-def gang_sweep_spec(
-    workload: str,
-    policies: list,
-    dataset: str = "ldbc",
-    cooling: str = "commodity",
-    seed: int = 0,
-    workload_scale: float = 1.0,
-    trace: bool = False,
-    timeout_s: Optional[float] = None,
-    max_retries: int = 0,
-) -> JobSpec:
-    """Spec for one workload ganged across several policy configurations.
-
-    The eligible sweep shape (see :mod:`repro.gpu.gang`): one workload ×
-    dataset × scale × cooling, varying policy (including ``static-<f>``
-    offload fractions), no fault scenario. One gang ships to one worker
-    instead of ``len(policies)`` independent runs, so the epoch trace is
-    generated once and the lanes' thermal marches fuse.
-
-    The spec keys on the full member list; the *member* results fan out
-    to the result store under their individual ``simulation`` keys (see
-    ``JobScheduler``), which are the same keys a per-run macro sweep
-    would have written — the gang is a throughput optimization, not a
-    new cache namespace.
-    """
-    params = {
-        "workload": workload,
-        "dataset": dataset,
-        "policies": list(policies),
-        "cooling": cooling,
-    }
-    if workload_scale != 1.0:
-        params["workload_scale"] = workload_scale
-    if trace:
-        params["trace"] = True
-    return JobSpec(
-        kind="gang_sweep",
-        name=f"{workload}/gang[{len(policies)}]@{dataset}",
-        params=params,
-        seed=seed,
-        timeout_s=timeout_s,
-        max_retries=max_retries,
-        tags=("simulation", "gang"),
-    )
-
-
-def run_gang_sweep_job(spec: JobSpec) -> Dict[str, Any]:
-    """Execute one gang sweep; payload carries one result per member.
-
-    Each member entry holds the member's own ``simulation`` spec (the
-    cache identity a per-run execution would have) next to a payload
-    bit-identical in shape *and floats* to what
-    :func:`run_simulation_job` would have produced for it.
-    """
-    from repro.core.coolpim import CoolPimSystem
-    from repro.experiments.common import apply_workload_scale
-    from repro.graph.datasets import get_dataset
-    from repro.obs.tracer import get_tracer
-    from repro.thermal.cooling import COOLING_SOLUTIONS
-    from repro.workloads.registry import get_workload
-
-    params = spec.params
-    dataset = params.get("dataset", "ldbc")
-    cooling = params.get("cooling", "commodity")
-    policies = list(params["policies"])
-    workload_scale = params.get("workload_scale", 1.0)
-    trace = bool(params.get("trace"))
-    system = CoolPimSystem(
-        cooling=COOLING_SOLUTIONS[cooling], engine="gang"
-    )
-    graph = get_dataset(dataset)
-    workload = get_workload(params["workload"], seed=spec.seed)
-    apply_workload_scale(workload, workload_scale)
-    stats: list = []
-    results = system.run_gang(workload, graph, policies, stats=stats)
-    include_timeline = get_tracer().enabled or trace
-    members = []
-    for policy, result, member_stats in zip(policies, results, stats):
-        member_spec = simulation_spec(
-            workload=params["workload"],
-            dataset=dataset,
-            policy=policy,
-            cooling=cooling,
-            seed=spec.seed,
-            workload_scale=workload_scale,
-            engine="gang",
-            trace=trace,
-        )
-        member_payload = {
-            "workload": params["workload"],
-            "dataset": dataset,
-            "policy": policy,
-            "cooling": cooling,
-            "seed": spec.seed,
-            "result": result.to_dict(include_timeline=include_timeline),
-            "metrics": member_stats.snapshot(structured=True),
-        }
-        members.append(
-            {"spec": member_spec.to_dict(), "payload": member_payload}
-        )
-    return {
-        "workload": params["workload"],
-        "dataset": dataset,
-        "cooling": cooling,
-        "seed": spec.seed,
-        "engine": "gang",
-        "policies": policies,
-        "members": members,
-    }

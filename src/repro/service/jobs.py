@@ -46,7 +46,6 @@ _HANDLER_REGISTRY: Dict[str, JobHandler] = {}
 _BUILTIN_KINDS: Dict[str, str] = {
     "experiment": "repro.service.handlers:run_experiment_job",
     "simulation": "repro.service.handlers:run_simulation_job",
-    "gang_sweep": "repro.service.handlers:run_gang_sweep_job",
 }
 
 

@@ -394,35 +394,6 @@ class JobScheduler:
 
     # -- shared bookkeeping -----------------------------------------------
 
-    def _fanout_members(self, spec: JobSpec, result: JobResult) -> None:
-        """Write a gang sweep's member results under their own keys.
-
-        A ``gang_sweep`` payload carries one entry per member
-        configuration, each tagged with the ``simulation`` spec identity
-        a per-run execution of that configuration would have had. Storing
-        them individually keeps the per-config cache contract: a later
-        per-run submission of any member is a plain cache hit, and
-        store-derived views (leaderboard, ``repro cache ls``) see the
-        same records a per-run sweep would have produced.
-        """
-        if spec.kind != "gang_sweep":
-            return
-        members = result.payload.get("members") or ()
-        per_member_s = result.elapsed_s / max(1, len(members))
-        for member in members:
-            try:
-                member_spec = JobSpec.from_dict(member["spec"])
-                payload = member["payload"]
-            except (KeyError, TypeError):
-                continue
-            self.store.put(member_spec, payload, elapsed_s=per_member_s)
-            self._log(
-                "member_cached",
-                key=member_spec.key,
-                name=member_spec.name,
-                gang=spec.key,
-            )
-
     def _record_success(
         self, report: SweepReport, spec: JobSpec, out: Dict[str, Any], attempt: int
     ) -> None:
@@ -459,7 +430,6 @@ class JobScheduler:
         self._job_metric("completed", spec, result.elapsed_s)
         if self.store is not None:
             self.store.put(spec, result.payload, elapsed_s=result.elapsed_s)
-            self._fanout_members(spec, result)
         # Store write precedes the publish: a woken follower (or anyone
         # racing the cache) already sees the persisted record.
         self._publish(spec.key, result)

@@ -101,8 +101,8 @@ class HmcThermalModel:
         if not hasattr(self, "_basis_cache"):
             # The basis is a pure function of the power-model constants
             # and the shared floorplan/network, so instances over the
-            # same operators (gang lanes, sweep systems) reuse one
-            # assembly instead of re-running the per-vault map walks.
+            # same operators (sweep systems) reuse one assembly instead
+            # of re-running the per-vault map walks.
             if self._shared_ops is not None:
                 shared = getattr(self._shared_ops, "_basis_cache", None)
                 if shared is None:

@@ -265,75 +265,15 @@ class ReducedPropagator:
         Z = self.march(z0, coeffs)
         return self.reconstruct(Z[:, -1]), self.dram_peaks(Z)
 
-    def march_many(
-        self, z0s: List[np.ndarray], coeffs_list: List[np.ndarray]
-    ) -> List[np.ndarray]:
-        """Advance several independent trajectories in one lockstep loop.
-
-        Batched counterpart of :meth:`march` for a gang of lanes sharing
-        this basis: lane ``l`` starts at ``z0s[l]`` and marches
-        ``coeffs_list[l].shape[1]`` quanta. The diagonal recurrence runs
-        once over an ``(L, r)`` state matrix instead of once per lane, so
-        the Python-level step loop is paid a single time for the longest
-        lane. Elementwise multiply/add are shape-independent bitwise, and
-        the forcing GEMM ``proj_in @ coeffs`` is issued per lane with the
-        same operand shapes as :meth:`march`, so every returned trajectory
-        is bit-identical to a solo march of that lane.
-        """
-        L = len(z0s)
-        if L == 0:
-            return []
-        lengths = [c.shape[1] for c in coeffs_list]
-        k_max = max(lengths)
-        lam = self._lam
-        r = lam.size
-        # Per-lane forcing, same GEMM shape as the solo march (a fused
-        # wide GEMM would not be bitwise equal column-block by block).
-        # Step-major layout keeps each quantum's (L, r) slice contiguous
-        # for the recurrence; lanes shorter than ``k_max`` coast on zero
-        # forcing past their end (their surplus columns are discarded).
-        # Callers batching lanes of very different lengths should group
-        # them by magnitude — the loop is paid to the longest lane.
-        H = np.zeros((k_max, L, r))
-        for l, coeffs in enumerate(coeffs_list):
-            if coeffs.shape[1]:
-                H[: coeffs.shape[1], l, :] = (self._proj_in @ coeffs).T
-        Z_all = np.empty((k_max, L, r))
-        z = np.array(z0s)
-        for k in range(k_max):
-            z = lam * z + H[k]
-            Z_all[k] = z
-        return [np.ascontiguousarray(Z_all[:n, l, :].T) for l, n in
-                enumerate(lengths)]
-
     def dram_peaks(self, Z: np.ndarray) -> np.ndarray:
         """Per-step peak DRAM temperature (°C) of a marched trajectory.
 
         The plain full readout. Hot-path callers that issue many readouts
-        per run (the macro and gang engines) should hold a
+        per run (the macro engine) should hold a
         :class:`PeakReader` instead — same values for the same call
         sequence, at a fraction of the flops.
         """
         return (self._out @ Z).max(axis=0)
-
-    def dram_peaks_many(
-        self,
-        Zs: List[np.ndarray],
-        readers: Optional[List["PeakReader"]] = None,
-    ) -> List[np.ndarray]:
-        """Peak readout for a gang of trajectories.
-
-        A per-lane loop on purpose: fusing lanes into one wide GEMM would
-        change the BLAS kernel's reduction blocking, and a column-block of
-        a wider GEMM is not bitwise equal to the narrow GEMM a solo run
-        performs — which would break the gang's bit-equality contract.
-        With ``readers`` (one per lane, in lane order) each lane's
-        certified low-rank reader is used, matching what a solo macro run
-        of that lane computes call-for-call.
-        """
-        if readers is None:
-            return [self.dram_peaks(Z) for Z in Zs]
-        return [rd.peaks(Z) for rd, Z in zip(readers, Zs)]
 
     def peak_reader(self) -> "PeakReader":
         """A fresh per-run certified peak readout over this basis."""
@@ -376,12 +316,12 @@ class PeakReader:
     The candidate max equals the full-readout max *as a real number* —
     the bounds are exact — but a row-subset GEMM is not bitwise equal to
     the same rows of a full GEMM, and the mode-set/box state depends on
-    the run's burst history. Both are why the reader is per-run and
-    shared by engines: a gang lane replaying a macro run's burst sequence
-    through its own reader sees the identical mode sets, boxes, candidate
-    sets, and output floats, call for call. Selection error is covered by
-    the certified bounds plus ``SLACK_C`` of float headroom, far below
-    the 1e-6 °C decision margins.
+    the run's burst history. Both are why the reader is per-run: a run
+    replaying the same burst sequence through its own reader sees the
+    identical mode sets, boxes, candidate sets, and output floats, call
+    for call. Selection error is covered by the certified bounds plus
+    ``SLACK_C`` of float headroom, far below the 1e-6 °C decision
+    margins.
     """
 
     #: Certification budget (°C): worst-case readout error of the
@@ -484,7 +424,7 @@ class PeakReader:
         """Per-step peak DRAM °C; same values as the run's full readouts.
 
         Deterministic given the sequence of trajectories this reader has
-        served — the contract the gang engine's bit-equality rests on.
+        served.
         """
         prop = self._prop
         out = prop._out

@@ -11,13 +11,21 @@ scattered accesses and heavy divergence.
 The coefficients are the calibration surface of the reproduction: they are
 chosen per benchmark so the simulated baseline bandwidth, naive PIM rates,
 and speedup pattern land on the paper's evaluation (DESIGN.md §5).
+
+Generating a trace is the dominant cost of a run, and the paper replays
+every trace under all five offloading policies, so :func:`launch_for`
+keeps generated traces in one process-wide memo under a content key
+(:func:`trace_key`).
 """
 
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass
-from typing import Iterator, Optional
+import threading
+import time as _time
+from collections import OrderedDict
+from dataclasses import dataclass, replace
+from typing import Iterator, Optional, Tuple
 
 import numpy as np
 
@@ -25,7 +33,12 @@ from repro.gpu.caches import CacheModel
 from repro.gpu.config import GPU_DEFAULT, GpuConfig
 from repro.gpu.kernel import KernelLaunch
 from repro.graph.csr import CSRGraph
+from repro.obs.tracer import get_tracer
 from repro.sim.trace import OpBatch, TraceCursor
+
+#: Run-length knobs a workload may carry (traversal sources, query
+#: repeats, solver iterations); ``apply_workload_scale`` rescales them.
+RUN_LENGTH_KNOBS = ("num_sources", "repeats", "iterations")
 
 
 @dataclass(frozen=True)
@@ -188,3 +201,83 @@ class GraphWorkload(abc.ABC):
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"{type(self).__name__}(name={self.name!r})"
+
+
+# -- process-wide epoch-trace memo ---------------------------------------------
+
+#: Traces the memo keeps, least recently used evicted first. A full-scale
+#: trace is at most ~0.26 MB (BFS on ``ldbc``).
+TRACE_MEMO_ENTRIES = 32
+
+_MEMO: "OrderedDict[tuple, Tuple[KernelLaunch, Tuple[OpBatch, ...]]]" = OrderedDict()
+_MEMO_LOCK = threading.Lock()
+
+
+def trace_key(
+    workload: GraphWorkload, graph: CSRGraph, gpu: GpuConfig = GPU_DEFAULT
+) -> tuple:
+    """Content key of the launch ``workload.launch(graph, gpu)`` builds.
+
+    Covers every input of trace generation: the workload type and name,
+    seed, run-length knobs, traffic coefficients, any attribute set on
+    the instance, the graph's content fingerprint and the GPU config.
+    Class-level settings (atomic mode, chunk sizes) come with the type.
+    """
+    return (
+        type(workload),
+        workload.name,
+        workload.seed,
+        tuple(getattr(workload, knob, None) for knob in RUN_LENGTH_KNOBS),
+        workload.coeffs,
+        tuple(sorted(vars(workload).items())),
+        graph.fingerprint(),
+        gpu,
+    )
+
+
+def launch_for(
+    workload: GraphWorkload, graph: CSRGraph, gpu: GpuConfig = GPU_DEFAULT
+) -> KernelLaunch:
+    """``workload.launch(graph, gpu)``, generated once per :func:`trace_key`.
+
+    A miss calls :meth:`GraphWorkload.launch` and keeps its immutable
+    batch tuple. Every call, hit or miss, returns its own launch with a
+    fresh :class:`TraceCursor` over those batches, so runs on different
+    threads never share a cursor position. Two threads missing the same
+    key at once both generate it; the traces are equal, so either entry
+    serves.
+    """
+    from repro.telemetry import get_registry
+
+    key = trace_key(workload, graph, gpu)
+    t0 = _time.perf_counter()
+    with _MEMO_LOCK:
+        entry = _MEMO.get(key)
+        if entry is not None:
+            _MEMO.move_to_end(key)
+    outcome, generated = "hit", {}
+    if entry is None:
+        launch = workload.launch(graph, gpu)
+        entry = (launch, tuple(launch.trace))
+        with _MEMO_LOCK:
+            _MEMO[key] = entry
+            while len(_MEMO) > TRACE_MEMO_ENTRIES:
+                _MEMO.popitem(last=False)
+        outcome = "miss"
+        generated["generate_s"] = _time.perf_counter() - t0
+    get_tracer().complete(
+        "workloads.trace", t0, _time.perf_counter(), cat="workloads",
+        workload=workload.name, memo=outcome, epochs=len(entry[1]),
+        **generated,
+    )
+    get_registry().counter(
+        "repro_trace_memo_total", "Epoch-trace memo lookups", ("outcome",)
+    ).labels(outcome=outcome).inc()
+    template, batches = entry
+    return replace(template, trace=TraceCursor(batches))
+
+
+def clear_cache() -> None:
+    """Drop every memoized trace (tests and cold-path benchmarks)."""
+    with _MEMO_LOCK:
+        _MEMO.clear()

@@ -182,42 +182,28 @@ class TestSweepRequest:
             assert spec.params["scenario_seed"] == 2
         assert specs[1].params["policy"] == "static-0.5"
 
-    def test_gang_engine_groups_per_workload_dataset(self):
-        specs = validate_sweep_request({
-            "workloads": ["pagerank", "kcore"],
-            "datasets": ["ldbc-tiny"],
-            "policies": ["non-offloading", "coolpim-hw", "static-0.5"],
-            "engine": "gang",
-        })
-        assert len(specs) == 2  # one gang per (workload, dataset) cell
-        for spec in specs:
-            assert spec.kind == "gang_sweep"
-            assert spec.params["policies"] == [
-                "non-offloading", "coolpim-hw", "static-0.5"
-            ]
+    @pytest.mark.parametrize("engine", ["batched", "event", "turbo"])
+    def test_sweep_rejects_engine_outside_enum(self, engine):
+        with pytest.raises(ValidationError) as exc:
+            validate_sweep_request({
+                "workloads": ["pagerank"],
+                "policies": ["non-offloading", "coolpim-hw"],
+                "engine": engine,
+            })
+        assert exc.value.field == "engine"
 
-    def test_gang_engine_falls_back_per_run(self):
-        # A scenario (per-run fault injection) and a single-policy sweep
-        # are not gang-eligible: both degrade to per-run simulation
-        # specs, cache-key identical to a macro submission.
-        with_scenario = validate_sweep_request({
-            "workloads": ["pagerank"],
-            "policies": ["non-offloading", "coolpim-hw"],
-            "engine": "gang",
-            "scenario": "heatwave",
-        })
-        assert [s.kind for s in with_scenario] == ["simulation"] * 2
-        single = validate_sweep_request({
-            "workloads": ["pagerank"],
-            "policies": ["coolpim-hw"],
-            "engine": "gang",
-        })
-        assert single[0].kind == "simulation"
+    def test_sweep_macro_engine_keeps_per_run_keys(self):
         macro = validate_sweep_request({
             "workloads": ["pagerank"],
-            "policies": ["coolpim-hw"],
+            "policies": ["non-offloading", "coolpim-hw"],
+            "engine": "macro",
         })
-        assert single[0].key == macro[0].key
+        default = validate_sweep_request({
+            "workloads": ["pagerank"],
+            "policies": ["non-offloading", "coolpim-hw"],
+        })
+        assert [s.kind for s in macro] == ["simulation"] * 2
+        assert [s.key for s in macro] == [s.key for s in default]
 
     def test_sweep_rejects_bad_policy_entry(self):
         with pytest.raises(ValidationError) as exc:

@@ -3,8 +3,11 @@
 import pytest
 
 from repro.core import CoolPimSystem
+from repro.experiments.common import apply_workload_scale
 from repro.graph import get_dataset
+from repro.graph.csr import CSRGraph
 from repro.workloads import get_workload
+from repro.workloads.base import clear_cache, launch_for, trace_key
 
 
 @pytest.fixture(scope="module")
@@ -34,7 +37,10 @@ class TestRun:
         w = get_workload("dc")
         r1 = system.run(w, graph, "non-offloading")
         r2 = system.run(w, graph, "non-offloading")
-        assert r1.runtime_s == pytest.approx(r2.runtime_s)
+        assert r1 == r2
+        first, second = launch_for(w, graph), launch_for(w, graph)
+        assert first.trace is not second.trace
+        assert all(a is b for a, b in zip(first.trace, second.trace))
 
     def test_run_all_policies_keys(self, system, graph):
         res = system.run_all_policies(get_workload("kcore"), graph)
@@ -57,3 +63,39 @@ class TestRun:
         su_ideal = res["ideal-thermal"].speedup_over(base)
         su_hw = res["coolpim-hw"].speedup_over(base)
         assert su_ideal >= su_hw >= 0.99
+
+
+def _bfs_ta(scale):
+    return apply_workload_scale(get_workload("bfs-ta"), scale)
+
+
+class TestTraceMemo:
+    """Traces are keyed on content, never on a stale per-system entry."""
+
+    @pytest.mark.parametrize("order", [(0.25, 1.0), (1.0, 0.25)])
+    def test_scale_change_on_long_lived_system(self, graph, order):
+        fresh = {}
+        for scale in order:
+            clear_cache()
+            fresh[scale] = CoolPimSystem().run(_bfs_ta(scale), graph, "coolpim-hw")
+        assert fresh[0.25].runtime_s < fresh[1.0].runtime_s
+        clear_cache()
+        system = CoolPimSystem()
+        for scale in order:
+            assert system.run(_bfs_ta(scale), graph, "coolpim-hw") == fresh[scale]
+
+    def test_equal_content_graphs_share_a_key(self, graph):
+        twin = CSRGraph(graph.indptr.copy(), graph.indices.copy(),
+                        None if graph.weights is None else graph.weights.copy())
+        assert twin is not graph
+        w = get_workload("kcore")
+        assert trace_key(w, twin) == trace_key(w, graph)
+
+    def test_different_graphs_do_not_share_a_key(self, graph):
+        w = get_workload("kcore")
+        other = get_dataset("ldbc-small")
+        assert trace_key(w, other) != trace_key(w, graph)
+        indices = graph.indices.copy()
+        indices[0] = (indices[0] + 1) % graph.num_vertices
+        one_edge_moved = CSRGraph(graph.indptr, indices, graph.weights)
+        assert trace_key(w, one_edge_moved) != trace_key(w, graph)
