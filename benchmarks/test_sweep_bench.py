@@ -12,7 +12,7 @@ cell:
 - **memo leg** — the same jobs with the memo: each workload's trace is
   generated once and the other four policies replay it.
 
-``test_trace_memo_sweep_speedup`` pins the memo leg at >=4x aggregate
+``test_trace_memo_sweep_speedup`` pins the memo leg at >=2.9x aggregate
 wall clock over the cold leg at the calibrated full scale (>=1.5x under
 ``REPRO_BENCH_QUICK=1``, where the small graph shrinks the trace
 generation the memo amortizes), while asserting every cell's result is
@@ -37,10 +37,12 @@ from repro.workloads.base import clear_cache
 #: non-offloading baseline they are normalized to.
 POLICIES = list(POLICY_NAMES)
 
-#: Aggregate wall-clock floor, memo over cold, at full scale. The quick
-#: floor is lower: the smoke graph makes trace generation — the dominant
-#: per-run cost the memo amortizes — nearly free.
-SPEEDUP_FLOOR_FULL = 4.0
+#: Aggregate wall-clock floor, memo over cold, at full scale (measured
+#: 3.34x). The quick floor is lower: the smoke graph makes trace
+#: generation — the per-run cost the memo amortizes — nearly free. Both
+#: legs shrink as generation gets faster, so this ratio is not a
+#: generation-time guard; ``benchmarks/test_trace_gen_bench.py`` is.
+SPEEDUP_FLOOR_FULL = 2.9
 SPEEDUP_FLOOR_QUICK = 1.5
 
 ARTIFACT = Path("BENCH_sweep.json")

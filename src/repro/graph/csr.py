@@ -148,6 +148,26 @@ class CSRGraph:
 
     # -- vectorized frontier expansion ---------------------------------------
 
+    def out_edges(self, vertices: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Out-degrees of ``vertices`` and the positions of their out-edges.
+
+        Returns ``(counts, positions)``: ``counts[i]`` is the out-degree
+        of ``vertices[i]`` and ``positions`` indexes ``indices``/``weights``
+        with every vertex's edges as one contiguous run, in vertex order.
+        Per-vertex values spread over the edges with
+        ``np.repeat(values, counts)``.
+        """
+        vertices = np.asarray(vertices, dtype=np.int64)
+        starts = self.indptr[vertices]
+        counts = self.indptr[vertices + 1] - starts
+        run_ends = np.cumsum(counts)
+        total = int(run_ends[-1]) if run_ends.size else 0
+        # Edge j of the run owned by vertex i sits at
+        # starts[i] + (j - run_start[i]): one ramp plus one shifted repeat.
+        positions = np.arange(total, dtype=np.int64)
+        positions += np.repeat(starts - (run_ends - counts), counts)
+        return counts, positions
+
     def expand(
         self, vertices: np.ndarray, with_weights: bool = False
     ) -> Tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
@@ -157,30 +177,13 @@ class CSRGraph:
         entry per edge; ``sources[i]`` repeats the owning vertex. This is
         the building block of every frontier-based kernel.
         """
+        if with_weights and self.weights is None:
+            raise ValueError("graph is unweighted")
         vertices = np.asarray(vertices, dtype=np.int64)
-        if vertices.size == 0:
-            empty = np.empty(0, dtype=np.int64)
-            w = np.empty(0, dtype=np.float64) if with_weights else None
-            return empty, empty, w
-        starts = self.indptr[vertices]
-        counts = self.indptr[vertices + 1] - starts
-        total = int(counts.sum())
-        if total == 0:
-            empty = np.empty(0, dtype=np.int64)
-            w = np.empty(0, dtype=np.float64) if with_weights else None
-            return np.repeat(vertices, counts), empty, w
-        # Edge positions: for each vertex, a contiguous run starting at
-        # indptr[v]; build with a cumulative-offset ramp.
-        run_ends = np.cumsum(counts)
-        ramp = np.arange(total, dtype=np.int64) - np.repeat(run_ends - counts, counts)
-        positions = np.repeat(starts, counts) + ramp
+        counts, positions = self.out_edges(vertices)
         sources = np.repeat(vertices, counts)
         targets = self.indices[positions]
-        weights = None
-        if with_weights:
-            if self.weights is None:
-                raise ValueError("graph is unweighted")
-            weights = self.weights[positions]
+        weights = self.weights[positions] if with_weights else None
         return sources, targets, weights
 
     # -- identity -------------------------------------------------------------

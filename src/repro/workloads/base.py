@@ -131,6 +131,14 @@ class GraphWorkload(abc.ABC):
     def epochs(self, graph: CSRGraph) -> Iterator[EpochCounts]:
         """Execute the algorithm, yielding per-epoch work counts."""
 
+    def reference_epochs(self, graph: CSRGraph) -> Iterator[EpochCounts]:
+        """The straightforward generator :meth:`epochs` must equal exactly.
+
+        Kernels with a batched fast path (BFS, SSSP) return their
+        per-source oracle; the others are their own reference.
+        """
+        return self.epochs(graph)
+
     @abc.abstractmethod
     def reference(self, graph: CSRGraph) -> np.ndarray:
         """The algorithm's result (for correctness tests)."""
@@ -270,9 +278,15 @@ def launch_for(
         workload=workload.name, memo=outcome, epochs=len(entry[1]),
         **generated,
     )
-    get_registry().counter(
+    registry = get_registry()
+    registry.counter(
         "repro_trace_memo_total", "Epoch-trace memo lookups", ("outcome",)
     ).labels(outcome=outcome).inc()
+    if generated:
+        registry.histogram(
+            "repro_trace_generate_seconds",
+            "Epoch-trace generation time on a memo miss", ("workload",),
+        ).labels(workload=workload.name).observe(generated["generate_s"])
     template, batches = entry
     return replace(template, trace=TraceCursor(batches))
 

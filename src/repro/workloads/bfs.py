@@ -6,12 +6,13 @@ threads, which changes traffic and divergence:
 - ``bfs-ta`` — topology-driven, atomic per inspected edge: every level
   scans all vertices and issues a depth-CAS for every edge of active ones.
 - ``bfs-ttc`` — topology-driven thread-centric: one thread per vertex,
-  scattered adjacency reads, high divergence; atomics only on unvisited
-  targets.
+  scattered adjacency reads, high divergence.
 - ``bfs-twc`` — topology-driven warp-centric: a warp cooperates per
   vertex, coalescing adjacency reads and erasing divergence.
 - ``bfs-dwc`` — data-driven (frontier queue) warp-centric: only frontier
   vertices are touched.
+
+Every variant issues one depth-CAS atomic per inspected edge.
 
 Each workload runs ``num_sources`` traversals back to back (the evaluation
 drives BFS as a query stream — single-source runs on the LDBC graph are
@@ -20,7 +21,7 @@ too short to exercise thermal behaviour, Sec. V).
 
 from __future__ import annotations
 
-from typing import Iterator, List
+from typing import Iterator, Sequence, Tuple
 
 import numpy as np
 
@@ -53,24 +54,91 @@ def pick_sources(graph: CSRGraph, count: int, seed: int) -> np.ndarray:
     return rng.choice(candidates, size=min(count, candidates.size), replace=False)
 
 
-class _BfsBase(GraphWorkload):
-    """Shared level-synchronous engine; subclasses set the mapping."""
+#: Sources one bit-parallel pass carries: bit ``i`` of a vertex's
+#: ``uint64`` word says whether the pass's ``i``-th source has reached it.
+WORD_BITS = 64
 
-    #: Topology-driven kernels scan the full vertex set every level.
-    topological: bool = False
-    #: "edge" → CAS per inspected edge; "unvisited" → CAS only on
-    #: not-yet-visited targets (check-then-atomic mapping).
-    atomic_mode: str = "unvisited"
-    num_sources: int = 128
 
-    def epochs(self, graph: CSRGraph) -> Iterator[EpochCounts]:
-        sources = pick_sources(graph, self.num_sources, self.seed)
-        for q, src in enumerate(sources):
-            yield from self._one_traversal(graph, int(src), q)
+def bfs_epochs(
+    graph: CSRGraph, sources: Sequence[int], topological: bool
+) -> Iterator[EpochCounts]:
+    """Per-source, per-level epoch counts of ``sources``' traversals.
 
-    def _one_traversal(
-        self, graph: CSRGraph, source: int, query: int
-    ) -> Iterator[EpochCounts]:
+    Equal to :func:`bfs_epochs_reference` but computed for
+    :data:`WORD_BITS` sources at a time (multi-source BFS, one bit per
+    source): each level costs a few whole-array passes over the union of
+    the group's frontiers instead of one round per source. Epochs come out
+    in the reference's order — every level of source 0, then source 1, …
+    """
+    scanned = graph.num_vertices if topological else 0
+    for first in range(0, len(sources), WORD_BITS):
+        group = sources[first:first + WORD_BITS]
+        frontier, edges = _bfs_group_levels(graph, group)
+        updated = np.vstack([frontier[1:], np.zeros_like(frontier[:1])])
+        depth = np.count_nonzero(frontier, axis=0)
+        for i in range(len(group)):
+            for level in range(depth[i]):
+                yield EpochCounts(
+                    label=f"q{first + i}-level{level}",
+                    frontier_vertices=int(frontier[level, i]),
+                    scanned_vertices=scanned,
+                    edges_inspected=int(edges[level, i]),
+                    atomics=int(edges[level, i]),
+                    updated_vertices=int(updated[level, i]),
+                )
+
+
+def _bfs_group_levels(
+    graph: CSRGraph, sources: Sequence[int]
+) -> Tuple[np.ndarray, np.ndarray]:
+    """``(frontier, edges)``, each ``int64[levels, len(sources)]``: the
+    frontier size and the out-edges it inspects, per level and source.
+
+    A source's level sets do not depend on the order its vertices are
+    visited in, so pushing all sources' frontiers together reaches the
+    same sets as one traversal each.
+    """
+    n, width = graph.num_vertices, len(sources)
+    bits = np.left_shift(np.uint64(1), np.arange(width, dtype=np.uint64))
+    words = np.zeros(n, dtype=np.uint64)
+    np.bitwise_or.at(words, np.asarray(sources, dtype=np.int64), bits)
+    seen = words.copy()
+    active = np.flatnonzero(words)
+    frontier, edges = [], []
+    while active.size:
+        front = words[active]
+        counts, positions = graph.out_edges(active)
+        # Bit columns of the active words, one row per active vertex;
+        # [1, deg] @ columns counts each source's frontier and its edges
+        # in one float64 product, exact while the sums stay below 2**53.
+        columns = np.unpackbits(
+            front.astype("<u8").view(np.uint8).reshape(-1, 8),
+            axis=1, count=width, bitorder="little",
+        )
+        per_source = np.vstack([np.ones(active.size), counts]) @ columns
+        frontier.append(per_source[0])
+        edges.append(per_source[1])
+        targets = graph.indices[positions]
+        pushed = np.repeat(front, counts) & ~seen[targets]
+        live = np.flatnonzero(pushed)
+        words = np.zeros(n, dtype=np.uint64)
+        np.bitwise_or.at(words, targets[live], pushed[live])
+        seen |= words
+        active = np.flatnonzero(words)
+    return (np.array(frontier, dtype=np.int64).reshape(-1, width),
+            np.array(edges, dtype=np.int64).reshape(-1, width))
+
+
+def bfs_epochs_reference(
+    graph: CSRGraph, sources: Sequence[int], topological: bool
+) -> Iterator[EpochCounts]:
+    """One traversal per source — the readable specification.
+
+    Retained for the equivalence tests and the trace-generation
+    benchmark; :class:`_BfsBase` uses the bit-parallel :func:`bfs_epochs`.
+    """
+    scanned = graph.num_vertices if topological else 0
+    for query, source in enumerate(sources):
         depth = np.full(graph.num_vertices, -1, dtype=np.int64)
         depth[source] = 0
         frontier = np.array([source], dtype=np.int64)
@@ -78,24 +146,34 @@ class _BfsBase(GraphWorkload):
         while frontier.size:
             _, targets, _ = graph.expand(frontier)
             edges = int(targets.size)
-            unvisited_mask = depth[targets] == -1
-            if self.atomic_mode == "edge":
-                atomics = edges
-            else:
-                atomics = int(unvisited_mask.sum())
-            next_frontier = np.unique(targets[unvisited_mask])
+            next_frontier = np.unique(targets[depth[targets] == -1])
             depth[next_frontier] = level + 1
-            scanned = graph.num_vertices if self.topological else 0
             yield EpochCounts(
                 label=f"q{query}-level{level}",
                 frontier_vertices=int(frontier.size),
                 scanned_vertices=scanned,
                 edges_inspected=edges,
-                atomics=atomics,
+                atomics=edges,
                 updated_vertices=int(next_frontier.size),
             )
             frontier = next_frontier
             level += 1
+
+
+class _BfsBase(GraphWorkload):
+    """Shared level-synchronous engine; subclasses set the mapping."""
+
+    #: Topology-driven kernels scan the full vertex set every level.
+    topological: bool = False
+    num_sources: int = 128
+
+    def epochs(self, graph: CSRGraph) -> Iterator[EpochCounts]:
+        sources = pick_sources(graph, self.num_sources, self.seed)
+        return bfs_epochs(graph, sources, self.topological)
+
+    def reference_epochs(self, graph: CSRGraph) -> Iterator[EpochCounts]:
+        sources = pick_sources(graph, self.num_sources, self.seed)
+        return bfs_epochs_reference(graph, sources, self.topological)
 
     def reference(self, graph: CSRGraph) -> np.ndarray:
         sources = pick_sources(graph, self.num_sources, self.seed)
@@ -107,7 +185,6 @@ class BfsTa(_BfsBase):
 
     name = "bfs-ta"
     topological = True
-    atomic_mode = "edge"
     coeffs = TrafficCoefficients(
         lines_per_edge=1.667,
         write_lines_per_edge=1.334,
@@ -123,7 +200,6 @@ class BfsTtc(_BfsBase):
 
     name = "bfs-ttc"
     topological = True
-    atomic_mode = "edge"
     coeffs = TrafficCoefficients(
         lines_per_edge=1.053,
         write_lines_per_edge=0.764,
@@ -139,7 +215,6 @@ class BfsTwc(_BfsBase):
 
     name = "bfs-twc"
     topological = True
-    atomic_mode = "edge"
     coeffs = TrafficCoefficients(
         lines_per_edge=0.94,
         write_lines_per_edge=0.44,
@@ -155,7 +230,6 @@ class BfsDwc(_BfsBase):
 
     name = "bfs-dwc"
     topological = False
-    atomic_mode = "edge"
     coeffs = TrafficCoefficients(
         lines_per_edge=0.94,
         write_lines_per_edge=0.44,

@@ -13,7 +13,7 @@ class (Table III). Variants:
 
 from __future__ import annotations
 
-from typing import Iterator
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -41,43 +41,188 @@ def sssp_distances(graph: CSRGraph, source: int) -> np.ndarray:
     return dist
 
 
-class _SsspDataDriven(GraphWorkload):
-    """Frontier-based relaxation engine."""
+def sssp_epochs(graph: CSRGraph, sources: Sequence[int]) -> Iterator[EpochCounts]:
+    """Per-source frontier relaxation counts of ``sources``' searches.
+
+    Equal to :func:`sssp_epochs_reference`. The next frontier is read off
+    a reusable boolean mark array (sorted, like ``np.unique``, without a
+    sort), and source distances spread over the edges with one
+    ``np.repeat``; every float ``+`` and ``min`` sees the reference's
+    operands, so the distances and counts are the same.
+    """
+    if not graph.is_weighted:
+        raise ValueError("SSSP requires a weighted graph")
+    n = graph.num_vertices
+    dist = np.empty(n)
+    mark = np.zeros(n, dtype=bool)
+    for q, source in enumerate(sources):
+        dist.fill(np.inf)
+        dist[source] = 0.0
+        frontier = np.array([source], dtype=np.int64)
+        it = 0
+        while frontier.size:
+            counts, positions = graph.out_edges(frontier)
+            dst = graph.indices[positions]
+            cand = np.repeat(dist[frontier], counts) + graph.weights[positions]
+            improved = np.flatnonzero(cand < dist[dst])
+            tgt = dst[improved]
+            np.minimum.at(dist, tgt, cand[improved])
+            mark[tgt] = True
+            nxt = np.flatnonzero(mark)
+            mark[nxt] = False
+            # Every inspected edge attempts an atomicMin on its target.
+            yield EpochCounts(
+                label=f"q{q}-iter{it}",
+                frontier_vertices=int(frontier.size),
+                edges_inspected=int(dst.size),
+                atomics=int(dst.size),
+                updated_vertices=int(nxt.size),
+            )
+            frontier = nxt
+            it += 1
+
+
+def sssp_epochs_reference(
+    graph: CSRGraph, sources: Sequence[int]
+) -> Iterator[EpochCounts]:
+    """Frontier relaxation with ``np.unique`` — the readable specification.
+
+    Retained for the equivalence tests and the trace-generation
+    benchmark; :class:`_SsspDataDriven` uses :func:`sssp_epochs`.
+    """
+    if not graph.is_weighted:
+        raise ValueError("SSSP requires a weighted graph")
+    for q, source in enumerate(sources):
+        dist = np.full(graph.num_vertices, np.inf)
+        dist[int(source)] = 0.0
+        frontier = np.array([int(source)], dtype=np.int64)
+        it = 0
+        while frontier.size:
+            src, dst, w = graph.expand(frontier, with_weights=True)
+            cand = dist[src] + w
+            improved = cand < dist[dst]
+            # Every inspected edge attempts an atomicMin on the target
+            # distance (the kernel cannot know it won't improve until
+            # the atomic resolves).
+            atomics = int(dst.size)
+            np.minimum.at(dist, dst[improved], cand[improved])
+            nxt = np.unique(dst[improved])
+            yield EpochCounts(
+                label=f"q{q}-iter{it}",
+                frontier_vertices=int(frontier.size),
+                edges_inspected=int(dst.size),
+                atomics=atomics,
+                updated_vertices=int(nxt.size),
+            )
+            frontier = nxt
+            it += 1
+
+
+def sssp_sweep_epochs(
+    graph: CSRGraph, sources: Sequence[int]
+) -> Iterator[EpochCounts]:
+    """Per-source Bellman-Ford sweep counts of ``sources``' searches.
+
+    Equal to :func:`sssp_sweep_epochs_reference`. The all-edge expansion
+    is built once, and a sweep relaxes every edge: an edge whose source
+    distance is infinite yields an infinite candidate, which never
+    improves a target, so only the atomics count needs the finite mask —
+    taken per vertex, weighted by out-degree.
+    """
+    if not graph.is_weighted:
+        raise ValueError("SSSP requires a weighted graph")
+    n = graph.num_vertices
+    deg = np.diff(graph.indptr)
+    src = np.repeat(np.arange(n, dtype=np.int64), deg)
+    dst, w = graph.indices, graph.weights
+    dist = np.empty(n)
+    for q, source in enumerate(sources):
+        dist.fill(np.inf)
+        dist[source] = 0.0
+        it = 0
+        while True:
+            # Relaxations only issue for edges whose source has a finite
+            # distance (the kernel checks before the atomic).
+            atomics = int(deg[np.isfinite(dist)].sum())
+            cand = dist[src] + w
+            improved = np.flatnonzero(cand < dist[dst])
+            changed = int(improved.size)
+            np.minimum.at(dist, dst[improved], cand[improved])
+            yield EpochCounts(
+                label=f"q{q}-sweep{it}",
+                frontier_vertices=n,
+                scanned_vertices=n,
+                edges_inspected=int(dst.size),
+                atomics=atomics,
+                updated_vertices=changed,
+            )
+            it += 1
+            if changed == 0:
+                break
+
+
+def sssp_sweep_epochs_reference(
+    graph: CSRGraph, sources: Sequence[int]
+) -> Iterator[EpochCounts]:
+    """Bellman-Ford sweeps re-expanding every vertex — the readable
+    specification, retained for the equivalence tests and the
+    trace-generation benchmark; :class:`SsspTwc` uses
+    :func:`sssp_sweep_epochs`."""
+    if not graph.is_weighted:
+        raise ValueError("SSSP requires a weighted graph")
+    n = graph.num_vertices
+    all_vertices = np.arange(n, dtype=np.int64)
+    for q, source in enumerate(sources):
+        dist = np.full(n, np.inf)
+        dist[int(source)] = 0.0
+        it = 0
+        while True:
+            src, dst, w = graph.expand(all_vertices, with_weights=True)
+            finite = np.isfinite(dist[src])
+            cand = dist[src[finite]] + w[finite]
+            tgt = dst[finite]
+            improved = cand < dist[tgt]
+            # Relaxations only issue for edges whose source has a
+            # finite distance (the kernel checks before the atomic).
+            atomics = int(finite.sum())
+            changed = int(improved.sum())
+            np.minimum.at(dist, tgt[improved], cand[improved])
+            yield EpochCounts(
+                label=f"q{q}-sweep{it}",
+                frontier_vertices=n,
+                scanned_vertices=n,
+                edges_inspected=int(dst.size),
+                atomics=atomics,
+                updated_vertices=changed,
+            )
+            it += 1
+            if changed == 0:
+                break
+
+
+class _SsspBase(GraphWorkload):
+    """Shared query stream and correctness reference."""
 
     num_sources: int = 32
 
-    def epochs(self, graph: CSRGraph) -> Iterator[EpochCounts]:
+    def _sources(self, graph: CSRGraph) -> np.ndarray:
         if not graph.is_weighted:
             raise ValueError(f"{self.name} requires a weighted graph")
-        sources = pick_sources(graph, self.num_sources, self.seed)
-        for q, source in enumerate(sources):
-            dist = np.full(graph.num_vertices, np.inf)
-            dist[int(source)] = 0.0
-            frontier = np.array([int(source)], dtype=np.int64)
-            it = 0
-            while frontier.size:
-                src, dst, w = graph.expand(frontier, with_weights=True)
-                cand = dist[src] + w
-                improved = cand < dist[dst]
-                # Every inspected edge attempts an atomicMin on the target
-                # distance (the kernel cannot know it won't improve until
-                # the atomic resolves).
-                atomics = int(dst.size)
-                np.minimum.at(dist, dst[improved], cand[improved])
-                nxt = np.unique(dst[improved])
-                yield EpochCounts(
-                    label=f"q{q}-iter{it}",
-                    frontier_vertices=int(frontier.size),
-                    edges_inspected=int(dst.size),
-                    atomics=atomics,
-                    updated_vertices=int(nxt.size),
-                )
-                frontier = nxt
-                it += 1
+        return pick_sources(graph, self.num_sources, self.seed)
 
     def reference(self, graph: CSRGraph) -> np.ndarray:
         sources = pick_sources(graph, self.num_sources, self.seed)
         return sssp_distances(graph, int(sources[0]))
+
+
+class _SsspDataDriven(_SsspBase):
+    """Frontier-based relaxation engine."""
+
+    def epochs(self, graph: CSRGraph) -> Iterator[EpochCounts]:
+        return sssp_epochs(graph, self._sources(graph))
+
+    def reference_epochs(self, graph: CSRGraph) -> Iterator[EpochCounts]:
+        return sssp_epochs_reference(graph, self._sources(graph))
 
 
 class SsspDtc(_SsspDataDriven):
@@ -114,7 +259,7 @@ class SsspDwc(_SsspDataDriven):
     )
 
 
-class SsspTwc(GraphWorkload):
+class SsspTwc(_SsspBase):
     """Topology-driven warp-centric Bellman-Ford sweeps."""
 
     name = "sssp-twc"
@@ -130,38 +275,7 @@ class SsspTwc(GraphWorkload):
     )
 
     def epochs(self, graph: CSRGraph) -> Iterator[EpochCounts]:
-        if not graph.is_weighted:
-            raise ValueError(f"{self.name} requires a weighted graph")
-        n = graph.num_vertices
-        all_vertices = np.arange(n, dtype=np.int64)
-        sources = pick_sources(graph, self.num_sources, self.seed)
-        for q, source in enumerate(sources):
-            dist = np.full(n, np.inf)
-            dist[int(source)] = 0.0
-            it = 0
-            while True:
-                src, dst, w = graph.expand(all_vertices, with_weights=True)
-                finite = np.isfinite(dist[src])
-                cand = dist[src[finite]] + w[finite]
-                tgt = dst[finite]
-                improved = cand < dist[tgt]
-                # Relaxations only issue for edges whose source has a
-                # finite distance (the kernel checks before the atomic).
-                atomics = int(finite.sum())
-                changed = int(improved.sum())
-                np.minimum.at(dist, tgt[improved], cand[improved])
-                yield EpochCounts(
-                    label=f"q{q}-sweep{it}",
-                    frontier_vertices=n,
-                    scanned_vertices=n,
-                    edges_inspected=int(dst.size),
-                    atomics=atomics,
-                    updated_vertices=changed,
-                )
-                it += 1
-                if changed == 0:
-                    break
+        return sssp_sweep_epochs(graph, self._sources(graph))
 
-    def reference(self, graph: CSRGraph) -> np.ndarray:
-        sources = pick_sources(graph, self.num_sources, self.seed)
-        return sssp_distances(graph, int(sources[0]))
+    def reference_epochs(self, graph: CSRGraph) -> Iterator[EpochCounts]:
+        return sssp_sweep_epochs_reference(graph, self._sources(graph))

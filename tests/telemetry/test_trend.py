@@ -1,6 +1,7 @@
 """Perf-trend gate: baselines, tolerance bands, exit codes."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -159,30 +160,52 @@ class TestRunTrend:
         assert "0.50x" in report
 
 
-class TestCommittedBaselines:
-    def test_repo_baselines_are_valid_and_cover_bench_artifact(self):
-        """The committed baselines must load and match the committed
-        BENCH_simulator.json on a green tree."""
-        from pathlib import Path
+REPO_BASELINES = (
+    Path(__file__).resolve().parents[2] / "benchmarks" / "baselines.json"
+)
 
-        root = Path(__file__).resolve().parents[2]
-        doc = load_baselines(root / "benchmarks" / "baselines.json")
-        rows = evaluate(doc, root)
+
+def artifacts_at_baseline(doc, bench_dir):
+    """Write every bench artifact ``doc`` reads, each metric set to its
+    committed baseline value (a tree exactly on its baselines)."""
+    artifacts = {}
+    for entry in doc["benchmarks"].values():
+        artifact = artifacts.setdefault(entry["source"], {})
+        for metric, spec in entry["metrics"].items():
+            *parents, leaf = metric.split(".")
+            node = artifact
+            for part in parents:
+                node = node.setdefault(part, {})
+            node[leaf] = spec["baseline"]
+    for source, artifact in artifacts.items():
+        write_json(bench_dir / source, artifact)
+    return artifacts
+
+
+class TestCommittedBaselines:
+    """The committed baselines file, checked against artifacts built from
+    its own values; comparing real bench numbers is CI's
+    ``repro bench-trend --check`` step."""
+
+    def test_repo_baselines_are_valid_and_cover_bench_artifact(self, tmp_path):
+        doc = load_baselines(REPO_BASELINES)
+        artifacts_at_baseline(doc, tmp_path)
+        rows = evaluate(doc, tmp_path)
         assert rows, "baselines cover no metrics"
+        assert len(rows) == sum(
+            len(entry["metrics"]) for entry in doc["benchmarks"].values()
+        )
         bad = [r for r in rows if r.status != "ok"]
         assert not bad, render_trend_report(rows)
 
     def test_synthetic_regression_trips_gate(self, tmp_path):
         """Injecting a 10x slowdown into the bench artifact must fail
         the --check gate (the CI criterion)."""
-        from pathlib import Path
-
-        root = Path(__file__).resolve().parents[2]
-        bench = json.loads((root / "BENCH_simulator.json").read_text())
+        artifacts = artifacts_at_baseline(load_baselines(REPO_BASELINES),
+                                          tmp_path)
+        bench = artifacts["BENCH_simulator.json"]
         bench["aggregate_speedup"] = bench["aggregate_speedup"] / 10.0
         write_json(tmp_path / "BENCH_simulator.json", bench)
-        code, report = run_trend(
-            tmp_path, root / "benchmarks" / "baselines.json", check=True
-        )
+        code, report = run_trend(tmp_path, REPO_BASELINES, check=True)
         assert code == 1
         assert "regression" in report

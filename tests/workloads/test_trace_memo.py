@@ -167,6 +167,24 @@ class TestMemo:
         assert spans[0]["args"]["generate_s"] > 0
         assert "generate_s" not in spans[1]["args"]
 
+    def test_generation_histogram_observes_misses_only(self):
+        graph = _graph()
+        registry = TelemetryRegistry()
+        previous = set_registry(registry)
+        try:
+            with tracing() as tr:
+                for name in ("kcore", "kcore", "bfs-ta"):
+                    launch_for(get_workload(name), graph)
+        finally:
+            set_registry(previous)
+        hist = registry.histogram(
+            "repro_trace_generate_seconds", labelnames=("workload",)
+        )
+        kcore, bfs = hist.labels(workload="kcore"), hist.labels(workload="bfs-ta")
+        assert (kcore.count, bfs.count) == (1, 1)
+        spans = [r for r in tr.records if r["name"] == "workloads.trace"]
+        assert kcore.sum == spans[0]["args"]["generate_s"]
+
 
 class TestThreads:
     """Concurrent runs of one trace each read it through their own cursor."""
