@@ -4,7 +4,9 @@
 Boots a real ``repro serve`` subprocess on a free port, submits one tiny
 simulation over HTTP, follows its JSONL event stream, re-submits the
 identical body and asserts the second submission is served from the
-cache without re-executing, checks the leaderboard and admin endpoints,
+cache without re-executing, submits two identical uncached bodies back
+to back and asserts the second attaches to the first (``coalesced_into``)
+and the job executes once, checks the leaderboard and admin endpoints,
 then shuts the server down gracefully and verifies the journal recorded
 the whole story.
 
@@ -27,11 +29,30 @@ RUN_BODY = {
     "workload_scale": 0.25,
 }
 BASELINE_BODY = dict(RUN_BODY, policy="non-offloading")
+#: Slow enough (~0.6 s cold: full ``ldbc`` load plus trace generation)
+#: that the second of two back-to-back POSTs lands while the first runs.
+TWIN_BODY = dict(
+    RUN_BODY, dataset="ldbc", policy="coolpim-sw", workload_scale=1.0
+)
 
 
 def fail(message):
     print(f"FAIL: {message}", file=sys.stderr)
     sys.exit(1)
+
+
+def completed_jobs(client):
+    """``repro_jobs_total{status="completed"}`` summed over job kinds."""
+    from repro.telemetry import parse_exposition
+
+    status, text = client.request("GET", "/metrics")
+    if status != 200:
+        fail(f"/metrics → HTTP {status}")
+    return sum(
+        value
+        for name, labels, value in parse_exposition(text)["samples"]
+        if name == "repro_jobs_total" and labels.get("status") == "completed"
+    )
 
 
 def main():
@@ -100,6 +121,36 @@ def main():
         print(f"cache entries: {cache['entries']}")
         if cache["entries"] != 2:
             fail(f"expected 2 cached results, saw {cache['entries']}")
+
+        # --- identical in-flight submissions: one execution -----------
+        executed_before = completed_jobs(client)
+        leader = client.submit_run(**TWIN_BODY)
+        twin = client.submit_run(**TWIN_BODY)
+        print(
+            f"twin submissions {leader['run_id']} / {twin['run_id']} "
+            f"(coalesced_into={twin['coalesced_into']})"
+        )
+        if leader["cached"] or leader["coalesced_into"] is not None:
+            fail(f"first twin must execute: {leader}")
+        if twin["coalesced_into"] != leader["run_id"]:
+            fail(f"second twin did not attach to the first: {twin}")
+        done = [
+            client.wait_for_run(r["run_id"], timeout_s=120.0)
+            for r in (leader, twin)
+        ]
+        if [d["status"] for d in done] != ["completed", "completed"]:
+            fail(f"twins did not complete: {[d['status'] for d in done]}")
+        if done[0]["result"] != done[1]["result"]:
+            fail("coalesced twin's result differs from its leader's")
+        executed = completed_jobs(client) - executed_before
+        entries = client.admin_cache()["entries"]
+        print(
+            f"twins executed {executed:g} job(s) "
+            f"({done[0]['elapsed_s']:.2f} s), cache entries: {entries}"
+        )
+        if executed != 1 or entries != 3:
+            fail(f"twins must execute once (executed={executed:g}, "
+                 f"cache entries={entries})")
     finally:
         proc.send_signal(signal.SIGINT)
         try:
@@ -121,7 +172,7 @@ def main():
             except (json.JSONDecodeError, KeyError):
                 continue
     for required in ("api_start", "api_submitted", "api_completed",
-                     "api_cache_hit", "api_stop"):
+                     "api_cache_hit", "api_coalesced", "api_stop"):
         if required not in events:
             fail(f"journal missing {required!r} (saw {sorted(events)})")
     print("journal audit ok:", ", ".join(sorted(events)))

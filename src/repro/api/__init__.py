@@ -11,7 +11,7 @@ subsystem so many concurrent clients share one worker fleet:
 - :mod:`repro.api.fairness` — per-tenant weighted queues with priority
   aging and quotas between the HTTP layer and the scheduler.
 - :mod:`repro.api.service` — the async run registry: cache dedupe,
-  in-flight coalescing (single-flight), dispatch, event streams.
+  in-flight coalescing of identical submissions, dispatch, event streams.
 - :mod:`repro.api.leaderboard` — throttling-policy ranking over the
   cached scenario suite.
 - :mod:`repro.api.app` — endpoint wiring + server runtime

@@ -8,15 +8,16 @@ owns:
   event log;
 - **dedupe** — a submission whose content key is already in the
   :class:`~repro.service.store.ResultStore` completes immediately from
-  cache; one whose key is currently executing attaches to the in-flight
-  leader (API-level single-flight) and shares its outcome;
+  cache; one whose key is already queued or executing attaches to that
+  leader (``coalesced_into``), never enters the queue, and shares its
+  outcome. This is the only in-process coalescing layer; across
+  processes the store dedupes;
 - the **fairness layer** — leaders enter the
   :class:`~repro.api.fairness.FairQueue`; the dispatcher coroutine pulls
   tenant-fairly whenever a worker slot frees up;
 - **execution** — each dispatched run executes on a thread of the worker
   pool via a :class:`~repro.service.scheduler.JobScheduler` sharing the
-  service's store/journal (and the process-wide scheduler single-flight
-  group, which protects CLI/API races too);
+  service's store/journal;
 - **event streams** — every state transition appends a seq-numbered
   event; ``GET /runs/{id}/events`` replays the log and then follows live
   appends, so a subscriber always sees ``queued → started → completed``
@@ -484,14 +485,17 @@ class ApiService:
         )
 
     def _execute(self, rec: RunRecord) -> Any:
-        """Worker-thread body: run one spec through the job scheduler.
+        """Worker-thread body: run one leader's spec through a fresh
+        :class:`~repro.service.scheduler.JobScheduler`.
 
-        In serial mode (the default) the handler executes on *this*
-        thread, so a thread-local :class:`RunTelemetrySink` routes the
-        engine's in-flight samples back onto the event loop as
-        ``telemetry`` events. Pool mode forks the actual work into child
-        processes — no live channel there; fleet metrics still arrive via
-        the scheduler's delta pipe.
+        Only leaders get here (followers attach in :meth:`submit`), so no
+        two worker threads run one key at once; the scheduler still checks
+        the store first and writes the result back. In serial mode (the
+        default) the handler executes on *this* thread, so a thread-local
+        :class:`RunTelemetrySink` routes the engine's in-flight samples
+        back onto the event loop as ``telemetry`` events. Pool mode forks
+        the actual work into child processes — no live channel there;
+        fleet metrics still arrive via the scheduler's delta pipe.
         """
         spec = rec.spec
         loop = self._loop
@@ -615,6 +619,7 @@ class ApiService:
                 frec.finished_unix = time.time()
                 frec.error = leader.error
                 self.counters["drained"] += 1
+                self._metric_run_done(DRAINED, None)
                 self._emit(frec, DRAINED, status=DRAINED)
 
     # -- event streaming ---------------------------------------------------

@@ -18,7 +18,6 @@ step; a controller that reacts faster than the loop delay over-reduces
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Tuple
 
 
 @dataclass(frozen=True)
@@ -46,30 +45,3 @@ class FeedbackDelays:
     def hardware(cls) -> "FeedbackDelays":
         """HW-DynT: PCU update takes tens of cycles."""
         return cls(throttle_s=0.1e-6)
-
-
-class DelayLine:
-    """Delivers events after a fixed delay (in-order).
-
-    Models the path from the HMC raising ERRSTAT to the throttle actually
-    taking effect at the source.
-    """
-
-    def __init__(self, delay_s: float) -> None:
-        if delay_s < 0:
-            raise ValueError(f"delay cannot be negative: {delay_s}")
-        self.delay_s = delay_s
-        self._pending: List[Tuple[float, object]] = []
-
-    def push(self, now_s: float, event: object) -> None:
-        """Enqueue an event observed at ``now_s``."""
-        self._pending.append((now_s + self.delay_s, event))
-
-    def pop_ready(self, now_s: float) -> List[object]:
-        """Events whose delay has elapsed by ``now_s``."""
-        ready = [e for t, e in self._pending if t <= now_s]
-        self._pending = [(t, e) for t, e in self._pending if t > now_s]
-        return ready
-
-    def __len__(self) -> int:
-        return len(self._pending)

@@ -209,25 +209,14 @@ class MacroEngine:
         return t1, t2
 
     # -- main entry --------------------------------------------------------
-    #
-    # The run is split into begin / round / finish: each round advances
-    # the engine by one burst attempt (or one scalar step), and ``run``
-    # drives the rounds back to back.
 
     def run(self, launch: KernelLaunch, policy: "OffloadPolicy"):
-        self._run_begin(launch, policy)
-        while self._round_open():
-            if self.skip > 0:
-                self.skip -= 1
-                self._scalar_step()
-            elif self._try_burst() == 0:
-                self._scalar_step()
-            self._sink_sample()
-        return self._run_finish()
+        from repro.gpu.simulator import SimulationResult
+        from repro.telemetry.live import get_run_sink
 
-    def _run_begin(self, launch: KernelLaunch, policy: "OffloadPolicy") -> None:
         sim = self.sim
-        launch.trace.rewind()
+        trace = launch.trace
+        trace.rewind()
         sim.sensor.reset()
         # Scenario injection mirrors the stepped loop exactly: one driver
         # per run, events applied at control-step granularity, and (see
@@ -298,43 +287,79 @@ class MacroEngine:
         )
 
         self.state = None
-        trace = launch.trace
         self.launch_trace = trace
         # Live telemetry: sampled only between committed steps or
         # bursts — the speculative march never emits, so attaching a
         # sink cannot perturb the bit-equality contract.
-        from repro.telemetry.live import get_run_sink
-
         self._sink = get_run_sink()
         self._total_epochs = max(1, len(trace))
-        self._launch = launch
-        self._wall_t0 = wall_t0
-        self._stats_scope = stats
-        self._fan_power_w = fan_power_w
 
-    def _round_open(self) -> bool:
-        """Advance the trace to a runnable epoch; False when the run is done.
-
-        One call per round: opens (and skips empty) epochs, then applies
-        any scenario events due at the current instant — exactly the top
-        of the reference loop's iteration.
-        """
-        scen = self.scen
-        trace = self.launch_trace
-        while self.state is None:
-            batch = trace.next()
-            if batch is None:
-                return False
+        while True:
+            # Top of the reference loop's iteration: open (and skip
+            # empty) epochs, then apply any scenario events due now.
+            while self.state is None:
+                batch = trace.next()
+                if batch is None:
+                    break
+                if scen is not None:
+                    batch = scen.transform_batch(batch)
+                self._open_epoch(batch, self.now_s)
+                if not self._epoch_pending():
+                    self._close_epoch(self.now_s)
+            if self.state is None:
+                break
             if scen is not None:
-                batch = scen.transform_batch(batch)
-            self._open_epoch(batch, self.now_s)
-            if not self._epoch_pending():
-                self._close_epoch(self.now_s)
+                # Stepped applies due events at the top of every control
+                # step — i.e. after the epoch open at the same instant.
+                scen.apply_due(self.now_s)
+            if self.skip > 0:
+                self.skip -= 1
+                self._scalar_step()
+            elif self._try_burst() == 0:
+                self._scalar_step()
+            self._sink_sample()
+
+        self._materialize()
         if scen is not None:
-            # Stepped applies due events at the top of every control
-            # step — i.e. after the epoch open at the same instant.
-            scen.apply_due(self.now_s)
-        return True
+            # Restore the shared thermal/flow/sensor models to nominal:
+            # CoolPimSystem reuses them across runs.
+            scen.finish()
+        if self.now_s > 0.0:
+            self.frac_tw.update(self.frac_tw.value, self.now_s)
+        stats.counter("epochs").add(self.epochs)
+        stats.counter("control_steps").add(self.control_steps)
+        stats.counter("thermal_solver_steps").add(self.thermal_steps)
+        stats.counter("thermal_warnings").add(self.warnings)
+        stats.counter("shutdowns").add(self.shutdowns)
+        stats.counter("pim_ops").add(self.pim_ops_total)
+        stats.counter("host_atomics").add(self.host_atomics_total)
+        stats.counter("host_atomics_assigned").add(self.host_assigned_total)
+        if self.traced:
+            self.tracer.complete(
+                "sim.run", wall_t0, _time.perf_counter(), cat="sim",
+                workload=launch.name, policy=policy.name,
+                epochs=self.epochs, control_steps=self.control_steps,
+                warnings=self.warnings, shutdowns=self.shutdowns,
+                sim_runtime_s=self.now_s, engine="macro",
+            )
+
+        return SimulationResult(
+            workload=launch.name,
+            policy=policy.name,
+            runtime_s=self.now_s,
+            link_bytes=self.link_bytes,
+            data_bytes=self.data_bytes,
+            pim_ops=self.pim_ops_total,
+            host_atomics=self.host_atomics_total,
+            total_atomics=self.atomics_total,
+            peak_dram_temp_c=self.peak_temp,
+            thermal_warnings=self.warnings,
+            shutdowns=self.shutdowns,
+            phase_time_s=self.phase_time,
+            package_energy_j=self.package_energy_j,
+            fan_energy_j=fan_power_w * self.now_s,
+            timeline=self.timeline,
+        )
 
     def _sink_sample(self) -> None:
         sink = self._sink
@@ -356,56 +381,6 @@ class MacroEngine:
                 "phase": self.sim.flow.phase.name,
                 "engine": "macro",
             })
-
-    def _run_finish(self):
-        from repro.gpu.simulator import SimulationResult
-
-        sim = self.sim
-        scen = self.scen
-        launch = self._launch
-        policy = self.policy
-        stats = self._stats_scope
-        self._materialize()
-        if scen is not None:
-            # Restore the shared thermal/flow/sensor models to nominal:
-            # CoolPimSystem reuses them across runs.
-            scen.finish()
-        if self.now_s > 0.0:
-            self.frac_tw.update(self.frac_tw.value, self.now_s)
-        stats.counter("epochs").add(self.epochs)
-        stats.counter("control_steps").add(self.control_steps)
-        stats.counter("thermal_solver_steps").add(self.thermal_steps)
-        stats.counter("thermal_warnings").add(self.warnings)
-        stats.counter("shutdowns").add(self.shutdowns)
-        stats.counter("pim_ops").add(self.pim_ops_total)
-        stats.counter("host_atomics").add(self.host_atomics_total)
-        stats.counter("host_atomics_assigned").add(self.host_assigned_total)
-        if self.traced:
-            self.tracer.complete(
-                "sim.run", self._wall_t0, _time.perf_counter(), cat="sim",
-                workload=launch.name, policy=policy.name,
-                epochs=self.epochs, control_steps=self.control_steps,
-                warnings=self.warnings, shutdowns=self.shutdowns,
-                sim_runtime_s=self.now_s, engine="macro",
-            )
-
-        return SimulationResult(
-            workload=launch.name,
-            policy=policy.name,
-            runtime_s=self.now_s,
-            link_bytes=self.link_bytes,
-            data_bytes=self.data_bytes,
-            pim_ops=self.pim_ops_total,
-            host_atomics=self.host_atomics_total,
-            total_atomics=self.atomics_total,
-            peak_dram_temp_c=self.peak_temp,
-            thermal_warnings=self.warnings,
-            shutdowns=self.shutdowns,
-            phase_time_s=self.phase_time,
-            package_energy_j=self.package_energy_j,
-            fan_energy_j=self._fan_power_w * self.now_s,
-            timeline=self.timeline,
-        )
 
     # -- scalar fallback ---------------------------------------------------
 
@@ -1125,42 +1100,38 @@ class MacroEngine:
                 self.spec_cap = max(SPEC_CAP_NEAR, min(SPEC_CAP_MIN, 2 * j))
         return j
 
-    def _burst_prepare(self) -> Optional[tuple]:
-        """Begin + speculate + assemble march inputs; ``None`` → no burst.
-
-        Returns ``(b, cols, z0, t0_peak, coeffs)`` ready for the thermal
-        march (:meth:`_march`).
-        """
+    def _try_burst(self) -> int:
+        """Speculate/march/validate/commit one burst; returns committed
+        quanta (0 → the caller takes a scalar step)."""
         b = self._spec_begin()
         if b is None:
-            return None
+            return 0
         self._speculate(b)
         if not b.steps:
             self.launch_trace.seek(b.pos0)
-            return None
+            return 0
         cols = list(zip(*b.steps))
-        if self.exempt:
-            return b, cols, None, None, None
-        mc = self._march_coeffs(b, cols)
-        if mc is None:
-            self._prop_bad = True
-            self.launch_trace.seek(b.pos0)
-            return None
-        z0, t0_peak, coeffs = mc
-        return b, cols, z0, t0_peak, coeffs
-
-    def _burst_finish(self, pending: tuple, Z, peaks) -> int:
-        """Validate the marched burst and commit its provable prefix."""
-        b, cols, _z0, t0_peak, _coeffs = pending
         K = len(b.steps)
-        if not self.exempt:
-            temps = self._temps_of(b, cols, peaks, t0_peak)
-            j, flip_stop, phase_stop = self._validate(b, temps)
-        else:
+        if self.exempt:
+            Z, peaks = None, np.empty(0)
             temps = np.full(K, self.sim.thermal.ambient_c)
             j = K
             flip_stop = False
             phase_stop = None
+        else:
+            mc = self._march_coeffs(b, cols)
+            if mc is None:
+                self._prop_bad = True
+                self.launch_trace.seek(b.pos0)
+                return 0
+            z0, t0_peak, coeffs = mc
+            if coeffs is None:
+                Z, peaks = None, np.empty(0)
+            else:
+                Z = self._prop.march(z0, coeffs)
+                peaks = self._reader.peaks(Z)
+            temps = self._temps_of(b, cols, peaks, t0_peak)
+            j, flip_stop, phase_stop = self._validate(b, temps)
 
         if j < MIN_BURST:
             self.launch_trace.seek(b.pos0)
@@ -1175,22 +1146,6 @@ class MacroEngine:
         return self._commit(
             b, cols, j, flip_stop, phase_stop, Z, peaks, temps
         )
-
-    def _march(self, pending: tuple):
-        """Solo thermal march for one prepared burst: ``(Z, peaks)``."""
-        _b, _cols, z0, _t0_peak, coeffs = pending
-        if coeffs is None:
-            return None, np.empty(0)
-        Z = self._prop.march(z0, coeffs)
-        return Z, self._reader.peaks(Z)
-
-    def _try_burst(self) -> int:
-        """Speculate/validate/commit one burst; returns committed quanta."""
-        pending = self._burst_prepare()
-        if pending is None:
-            return 0
-        Z, peaks = self._march(pending)
-        return self._burst_finish(pending, Z, peaks)
 
 
 class _Burst:

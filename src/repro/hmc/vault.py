@@ -171,7 +171,3 @@ class VaultController:
         self.stats.reads += reads
         self.stats.writes += writes
         self.stats.pim_ops += pim_ops
-
-    def busiest_bank_ready(self) -> float:
-        """Latest ready-time across banks (drain horizon)."""
-        return max(bank.ready_at for bank in self.banks)

@@ -83,11 +83,6 @@ class Scenario:
         if times != sorted(times):
             raise ValueError("scenario events must be sorted by time")
 
-    @property
-    def horizon_s(self) -> float:
-        """Time of the last event (0 for an empty stream)."""
-        return self.events[-1].t_s if self.events else 0.0
-
     def to_dict(self) -> Dict[str, Any]:
         return {
             "name": self.name,

@@ -48,7 +48,6 @@ from repro.service.jobs import (
 )
 from repro.service.journal import JobJournal
 from repro.service.scheduler import JobScheduler, SweepReport, run_jobs
-from repro.service.singleflight import Flight, SingleFlight
 from repro.service.store import (
     CachedResult,
     ResultStore,
@@ -60,7 +59,6 @@ from repro.service.store import (
 __all__ = [
     "SPEC_VERSION",
     "CachedResult",
-    "Flight",
     "JobFailure",
     "JobJournal",
     "JobResult",
@@ -68,7 +66,6 @@ __all__ = [
     "JobSpec",
     "JobTimeoutError",
     "ResultStore",
-    "SingleFlight",
     "StoreStats",
     "SweepReport",
     "UnknownJobKindError",

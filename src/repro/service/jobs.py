@@ -167,9 +167,6 @@ class JobResult:
     elapsed_s: float
     attempts: int = 1
     cached: bool = False
-    #: Served by another concurrent execution of the same key (see
-    #: :mod:`repro.service.singleflight`) — this submission never ran.
-    coalesced: bool = False
     worker_pid: Optional[int] = None
 
     def to_dict(self) -> Dict[str, Any]:
@@ -180,7 +177,6 @@ class JobResult:
             "elapsed_s": self.elapsed_s,
             "attempts": self.attempts,
             "cached": self.cached,
-            "coalesced": self.coalesced,
             "worker_pid": self.worker_pid,
         }
 

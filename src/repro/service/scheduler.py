@@ -55,13 +55,7 @@ from repro.service.jobs import (
     resolve_handler,
 )
 from repro.service.journal import JobJournal
-from repro.service.singleflight import Flight, SingleFlight
 from repro.service.store import ResultStore
-
-#: Process-wide single-flight group: concurrent schedulers (threads of the
-#: HTTP service, parallel batch invocations) coalesce identical specs on
-#: their content key, so a job racing its twin executes exactly once.
-_SINGLE_FLIGHT = SingleFlight()
 
 #: First-retry backoff; attempt ``n`` waits ``backoff * 2**(n-1)`` seconds.
 DEFAULT_BACKOFF_S = 0.05
@@ -151,10 +145,6 @@ class SweepReport:
     elapsed_s: float = 0.0
     cache_hits: int = 0
     executed: int = 0
-    #: Jobs served by a concurrent execution in another scheduler
-    #: (single-flight followers) — counted in neither ``cache_hits``
-    #: nor ``executed``.
-    coalesced: int = 0
 
     @property
     def ok(self) -> bool:
@@ -167,10 +157,9 @@ class SweepReport:
         return self.failures.get(spec.key)
 
     def summary_line(self) -> str:
-        coalesced = f", {self.coalesced} coalesced" if self.coalesced else ""
         return (
             f"{len(self.results)} ok ({self.cache_hits} cached, "
-            f"{self.executed} executed{coalesced}), "
+            f"{self.executed} executed), "
             f"{len(self.failures)} failed in {self.elapsed_s:.1f} s"
         )
 
@@ -212,9 +201,7 @@ class JobScheduler:
         serial: bool = False,
         use_cache: bool = True,
         backoff_s: float = DEFAULT_BACKOFF_S,
-        mp_start_method: Optional[str] = None,
         worker_initializer: Optional[Any] = None,
-        single_flight: bool = True,
     ) -> None:
         self.store = store
         self.journal = journal
@@ -222,15 +209,10 @@ class JobScheduler:
         self.serial = serial
         self.use_cache = use_cache
         self.backoff_s = backoff_s
-        self.mp_start_method = mp_start_method
         self.worker_initializer = worker_initializer
-        self.single_flight = single_flight
         # queued_at[key] = perf_counter at submission; lets completion
         # spans cover the full queue→start→done lifecycle.
         self._queued_at: Dict[str, float] = {}
-        # Keys this run leads in the process-wide single-flight group;
-        # each must be published exactly once (outcome or abort).
-        self._claimed: set = set()
 
     # -- journal helper ---------------------------------------------------
 
@@ -304,38 +286,10 @@ class JobScheduler:
                 self._log("submitted", key=spec.key, name=spec.name)
 
         if pending:
-            leaders: List[JobSpec] = []
-            followers: List[Tuple[JobSpec, Flight]] = []
-            if self.single_flight:
-                for spec in pending:
-                    flight = _SINGLE_FLIGHT.claim(spec.key)
-                    if flight is None:
-                        self._claimed.add(spec.key)
-                        leaders.append(spec)
-                    else:
-                        followers.append((spec, flight))
-                        self._job_metric("coalesced", spec)
-                        self._log("coalesced", key=spec.key, name=spec.name)
-                        tracer.instant(
-                            "scheduler.coalesced", cat="scheduler", job=spec.name
-                        )
+            if self.serial:
+                self._run_serial(pending, report)
             else:
-                leaders = list(pending)
-            try:
-                if leaders:
-                    if self.serial:
-                        self._run_serial(leaders, report)
-                    else:
-                        self._run_pool(leaders, report)
-            finally:
-                # A leader key still claimed here means we aborted before
-                # recording an outcome (interrupt, internal error): wake
-                # followers with an abort signal so they re-claim instead
-                # of hanging on a flight nobody will resolve.
-                for key in list(self._claimed):
-                    _SINGLE_FLIGHT.publish(key, None)
-                    self._claimed.discard(key)
-            self._resolve_followers(followers, report)
+                self._run_pool(pending, report)
 
         report.elapsed_s = time.perf_counter() - t0
         self._log(
@@ -352,45 +306,6 @@ class JobScheduler:
             executed=report.executed, failed=len(report.failures),
         )
         return report
-
-    # -- single-flight ----------------------------------------------------
-
-    def _publish(self, key: str, outcome: Any) -> None:
-        """Resolve our single-flight claim on ``key`` (idempotent)."""
-        if key in self._claimed:
-            _SINGLE_FLIGHT.publish(key, outcome)
-            self._claimed.discard(key)
-
-    def _resolve_followers(
-        self,
-        followers: Sequence[Tuple[JobSpec, Flight]],
-        report: SweepReport,
-    ) -> None:
-        """Adopt each concurrent leader's outcome (or run ourselves if it
-        aborted without one)."""
-        from dataclasses import replace
-
-        for spec, flight in followers:
-            while True:
-                outcome = flight.wait()
-                if isinstance(outcome, JobResult):
-                    report.results[spec.key] = replace(outcome, coalesced=True)
-                    report.coalesced += 1
-                    break
-                if isinstance(outcome, JobFailure):
-                    report.failures[spec.key] = outcome
-                    report.coalesced += 1
-                    break
-                # Leader aborted: try to take over; if yet another thread
-                # beat us to the claim, wait on its flight instead.
-                flight = _SINGLE_FLIGHT.claim(spec.key)
-                if flight is None:
-                    self._claimed.add(spec.key)
-                    try:
-                        self._run_serial([spec], report)
-                    finally:
-                        self._publish(spec.key, None)
-                    break
 
     # -- shared bookkeeping -----------------------------------------------
 
@@ -430,9 +345,6 @@ class JobScheduler:
         self._job_metric("completed", spec, result.elapsed_s)
         if self.store is not None:
             self.store.put(spec, result.payload, elapsed_s=result.elapsed_s)
-        # Store write precedes the publish: a woken follower (or anyone
-        # racing the cache) already sees the persisted record.
-        self._publish(spec.key, result)
         self._log(
             "completed",
             key=spec.key,
@@ -476,7 +388,6 @@ class JobScheduler:
         )
         report.failures[spec.key] = failure
         self._job_metric("failed", spec)
-        self._publish(spec.key, failure)
         self._log(
             "failed",
             key=spec.key,
@@ -537,11 +448,9 @@ class JobScheduler:
     # -- pooled execution -------------------------------------------------
 
     def _mp_context(self):
-        method = self.mp_start_method
-        if method is None:
-            methods = multiprocessing.get_all_start_methods()
-            method = "fork" if "fork" in methods else None
-        return multiprocessing.get_context(method) if method else None
+        if "fork" in multiprocessing.get_all_start_methods():
+            return multiprocessing.get_context("fork")
+        return None
 
     def _new_executor(self, ctx, n_jobs: int) -> ProcessPoolExecutor:
         workers = self.max_workers or min(os.cpu_count() or 2, max(n_jobs, 1))

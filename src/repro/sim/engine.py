@@ -14,7 +14,7 @@ from __future__ import annotations
 import heapq
 import time as _time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Optional
+from typing import Callable, Optional
 
 from repro.obs.tracer import Tracer, get_tracer
 
@@ -209,44 +209,3 @@ class EventEngine:
         self._now = 0.0
         self._seq = 0
         self._live = 0
-
-
-class Ticker:
-    """Fixed-period recurring event helper.
-
-    Invokes ``callback(now)`` every ``period`` ns until :meth:`stop`.
-    """
-
-    def __init__(
-        self,
-        engine: EventEngine,
-        period: float,
-        callback: Callable[[float], None],
-        start: Optional[float] = None,
-        priority: int = 0,
-    ) -> None:
-        if period <= 0:
-            raise ValueError(f"period must be positive, got {period}")
-        self._engine = engine
-        self._period = period
-        self._callback = callback
-        self._priority = priority
-        self._stopped = False
-        first = engine.now + period if start is None else start
-        self._event: Optional[Event] = engine.schedule(first, self._fire, priority)
-
-    def _fire(self) -> None:
-        if self._stopped:
-            return
-        self._callback(self._engine.now)
-        if not self._stopped:
-            self._event = self._engine.schedule(
-                self._engine.now + self._period, self._fire, self._priority
-            )
-
-    def stop(self) -> None:
-        """Cancel future firings."""
-        self._stopped = True
-        if self._event is not None:
-            self._event.cancel()
-            self._event = None

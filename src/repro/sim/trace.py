@@ -13,7 +13,7 @@ read/write traffic, the number of offloadable atomics, and warp divergence.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Iterable, Iterator, List, Optional, Sequence
 
 
@@ -161,52 +161,3 @@ class TraceCursor:
     def totals(self) -> OpBatch:
         """Aggregate over the full trace (ignores cursor position)."""
         return merge_batches(self._batches, label="totals")
-
-    # -- persistence ----------------------------------------------------------
-
-    def save(self, path) -> None:
-        """Write the trace as a compressed NumPy archive."""
-        import numpy as np
-
-        cols = {
-            "reads": [b.reads for b in self._batches],
-            "writes": [b.writes for b in self._batches],
-            "atomics": [b.atomics for b in self._batches],
-            "atomics_with_return": [b.atomics_with_return for b in self._batches],
-            "compute_cycles": [b.compute_cycles for b in self._batches],
-            "threads": [b.threads for b in self._batches],
-        }
-        arrays = {k: np.asarray(v, dtype=np.int64) for k, v in cols.items()}
-        arrays["divergence"] = np.asarray(
-            [b.divergent_warp_ratio for b in self._batches], dtype=np.float64
-        )
-        # Unicode dtype (not object) so the archive needs no pickling; and
-        # no stray keywords — np.savez_compressed treats *every* kwarg as
-        # an array to save, so `allow_pickle=True` here would silently
-        # write a bogus 0-d array named "allow_pickle" into the archive.
-        arrays["labels"] = np.asarray(
-            [b.label for b in self._batches], dtype=np.str_
-        )
-        np.savez_compressed(path, **arrays)
-
-    @classmethod
-    def load(cls, path) -> "TraceCursor":
-        """Load a trace written by :meth:`save`."""
-        import numpy as np
-
-        with np.load(path, allow_pickle=True) as data:
-            n = data["reads"].size
-            batches = [
-                OpBatch(
-                    reads=int(data["reads"][i]),
-                    writes=int(data["writes"][i]),
-                    atomics=int(data["atomics"][i]),
-                    atomics_with_return=int(data["atomics_with_return"][i]),
-                    compute_cycles=int(data["compute_cycles"][i]),
-                    threads=int(data["threads"][i]),
-                    divergent_warp_ratio=float(data["divergence"][i]),
-                    label=str(data["labels"][i]),
-                )
-                for i in range(n)
-            ]
-        return cls(batches)

@@ -49,24 +49,6 @@ DEFAULT_MAX_RANK = 480
 _DROP_TOL = 1e-10
 
 
-def first_crossing(series: np.ndarray, threshold: float) -> Optional[int]:
-    """Index of the first element of ``series`` at/above ``threshold``.
-
-    The temperature-threshold crossing search of the macro engine: given a
-    per-quantum peak-temperature trajectory, returns the exact quantum at
-    which a phase boundary (85/95/105 °C) or sensor threshold is reached,
-    or ``None`` if the trajectory stays below it throughout.
-    """
-    mask = series >= threshold
-    if not mask.size:
-        return None
-    # ``argmax`` on a boolean array short-circuits at the first True,
-    # unlike ``nonzero`` which scans the whole series and materializes
-    # every index after the crossing.
-    hit = int(mask.argmax())
-    return hit if mask[hit] else None
-
-
 class ReducedPropagator:
     """Shared reduced-order propagator for one (network, LU, dt) triple.
 
@@ -249,21 +231,6 @@ class ReducedPropagator:
             z = lam * z + H[:, k]
             Z[:, k] = z
         return Z
-
-    def multi_step(
-        self, T0: np.ndarray, coeffs: np.ndarray
-    ) -> Tuple[Optional[np.ndarray], Optional[np.ndarray]]:
-        """K steps from a full state: ``(T_K, per-step peak DRAM °C)``.
-
-        Convenience wrapper over project/march/peaks for callers that
-        think in node space; returns ``(None, None)`` when the state
-        cannot be represented (unhealthy basis).
-        """
-        z0, _ = self.project(T0)
-        if z0 is None:
-            return None, None
-        Z = self.march(z0, coeffs)
-        return self.reconstruct(Z[:, -1]), self.dram_peaks(Z)
 
     def dram_peaks(self, Z: np.ndarray) -> np.ndarray:
         """Per-step peak DRAM temperature (°C) of a marched trajectory.

@@ -65,20 +65,6 @@ class ThermalSensor:
         """Most recent accepted reading; ``None`` before the first sample."""
         return self._last_temp
 
-    @property
-    def next_sample_s(self) -> float:
-        """Earliest time at which :meth:`observe` will take a new sample.
-
-        ``-inf`` before the first observation (the first call always
-        samples). The macro-step engine uses this to place sensor horizon
-        events without re-deriving the sampling rule.
-        """
-        return self._last_sample_time + self.sample_period_s
-
-    def sample_due(self, now_s: float) -> bool:
-        """Whether an :meth:`observe` call at ``now_s`` would take a sample."""
-        return now_s - self._last_sample_time >= self.sample_period_s
-
     def observe(self, temp_c: float, now_s: float) -> bool:
         """Offer a temperature reading; takes effect only at sample times.
 

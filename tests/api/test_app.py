@@ -17,6 +17,8 @@ from repro.api.fairness import FairQueue, TenantPolicy
 from repro.service.journal import JobJournal
 from repro.service.jobs import register_handler
 from repro.service.store import ResultStore
+from repro.telemetry import parse_exposition, render_exposition
+from repro.telemetry.registry import TelemetryRegistry, set_registry
 
 _CALLS = []
 _GATE = threading.Event()
@@ -317,3 +319,41 @@ class TestShutdownDrain:
         assert [e["run_id"] for e in drained] == [queued["run_id"]]
         # The full spec rides along so an operator can resubmit it.
         assert drained[0]["spec"]["params"]["value"] == 99
+
+    def test_drained_follower_counts_in_metrics(self, tmp_path):
+        # A follower drained with its queued leader is a terminal run
+        # like any other: /metrics must count it, not only the journal.
+        _CALLS.clear()
+        _GATE.clear()
+        registry = TelemetryRegistry()
+        previous = set_registry(registry)
+        journal = JobJournal(tmp_path / "drain.jsonl")
+        try:
+            service = ApiService(
+                store=ResultStore(tmp_path / "cache"),
+                journal=journal,
+                workers=1,
+                allow_kinds=("apitest",),
+            )
+            handle = start_server_thread(service)
+            client = ApiClient(handle.host, handle.port)
+            running = client.submit_run(kind="apitest", params={"gate": True})
+            wait_until_running(client, running["run_id"])
+            leader = client.submit_run(kind="apitest", params={"value": 7})
+            follower = client.submit_run(kind="apitest", params={"value": 7})
+            assert follower["coalesced_into"] == leader["run_id"]
+            threading.Timer(0.3, _GATE.set).start()
+            handle.stop()
+        finally:
+            set_registry(previous)
+            journal.close()
+        assert service.counters["drained"] == 2
+        drained = [
+            value
+            for name, labels, value in parse_exposition(
+                render_exposition(registry)
+            )["samples"]
+            if name == "repro_api_runs_total"
+            and labels.get("status") == "drained"
+        ]
+        assert drained == [2.0]

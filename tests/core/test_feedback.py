@@ -1,8 +1,8 @@
-"""Feedback delays and the delay line."""
+"""Feedback delays (Fig. 8)."""
 
 import pytest
 
-from repro.core.feedback import DelayLine, FeedbackDelays
+from repro.core.feedback import FeedbackDelays
 
 
 class TestDelays:
@@ -27,29 +27,3 @@ class TestDelays:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             FeedbackDelays(throttle_s=-1.0)
-
-
-class TestDelayLine:
-    def test_delivers_after_delay(self):
-        line = DelayLine(delay_s=1.0)
-        line.push(0.0, "a")
-        assert line.pop_ready(0.5) == []
-        assert line.pop_ready(1.0) == ["a"]
-        assert line.pop_ready(2.0) == []
-
-    def test_preserves_order(self):
-        line = DelayLine(delay_s=0.5)
-        line.push(0.0, "first")
-        line.push(0.1, "second")
-        assert line.pop_ready(1.0) == ["first", "second"]
-
-    def test_partial_delivery(self):
-        line = DelayLine(delay_s=1.0)
-        line.push(0.0, "early")
-        line.push(5.0, "late")
-        assert line.pop_ready(1.0) == ["early"]
-        assert len(line) == 1
-
-    def test_negative_delay(self):
-        with pytest.raises(ValueError):
-            DelayLine(delay_s=-0.1)

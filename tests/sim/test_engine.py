@@ -1,8 +1,8 @@
-"""Event engine: ordering, cancellation, run-until, tickers."""
+"""Event engine: ordering, cancellation, run-until."""
 
 import pytest
 
-from repro.sim.engine import Event, EventEngine, Ticker
+from repro.sim.engine import Event, EventEngine
 
 
 class TestScheduling:
@@ -206,32 +206,3 @@ class TestRunControl:
         eng.run()
         eng.reset()
         assert eng.now == 0.0 and len(eng) == 0
-
-
-class TestTicker:
-    def test_fires_at_fixed_period(self):
-        eng = EventEngine()
-        times = []
-        Ticker(eng, period=2.0, callback=times.append)
-        eng.run(until=9.0)
-        assert times == [2.0, 4.0, 6.0, 8.0]
-
-    def test_stop_halts_firings(self):
-        eng = EventEngine()
-        times = []
-        ticker = Ticker(eng, period=1.0, callback=times.append)
-        eng.run(until=3.5)
-        ticker.stop()
-        eng.run(until=10.0)
-        assert times == [1.0, 2.0, 3.0]
-
-    def test_invalid_period_raises(self):
-        with pytest.raises(ValueError):
-            Ticker(EventEngine(), period=0.0, callback=lambda t: None)
-
-    def test_explicit_start_time(self):
-        eng = EventEngine()
-        times = []
-        Ticker(eng, period=5.0, callback=times.append, start=1.0)
-        eng.run(until=12.0)
-        assert times == [1.0, 6.0, 11.0]

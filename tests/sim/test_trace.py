@@ -90,48 +90,3 @@ class TestCursor:
 
     def test_len(self):
         assert len(self._cursor()) == 3
-
-
-class TestPersistence:
-    def test_save_load_roundtrip(self, tmp_path):
-        batches = [
-            OpBatch(reads=i * 10, writes=i, atomics=i * 3,
-                    atomics_with_return=i, compute_cycles=i * 7,
-                    threads=64, divergent_warp_ratio=0.25,
-                    label=f"epoch-{i}")
-            for i in range(1, 6)
-        ]
-        cur = TraceCursor(batches)
-        path = tmp_path / "trace.npz"
-        cur.save(path)
-        loaded = TraceCursor.load(path)
-        assert len(loaded) == len(cur)
-        for a, b in zip(cur, loaded):
-            assert a == b
-
-    def test_empty_trace_roundtrip(self, tmp_path):
-        path = tmp_path / "empty.npz"
-        TraceCursor([]).save(path)
-        assert len(TraceCursor.load(path)) == 0
-
-    def test_archive_contains_exactly_the_field_arrays(self, tmp_path):
-        # Regression: ``savez_compressed(path, allow_pickle=True, **arrays)``
-        # silently saved a bogus array named "allow_pickle" (every kwarg
-        # becomes an archive member), polluting the archive.
-        import numpy as np
-
-        path = tmp_path / "trace.npz"
-        TraceCursor([OpBatch(reads=1, writes=2, atomics=3, label="x")]).save(path)
-        with np.load(path, allow_pickle=False) as archive:
-            assert sorted(archive.files) == sorted([
-                "reads", "writes", "atomics", "atomics_with_return",
-                "compute_cycles", "threads", "divergence", "labels",
-            ])
-
-    def test_labels_load_without_pickle(self, tmp_path):
-        # str_ dtype arrays need no pickling, so a fresh archive must be
-        # readable even with allow_pickle=False.
-        path = tmp_path / "trace.npz"
-        TraceCursor([OpBatch(1, 1, 1, label="epoch-0")]).save(path)
-        loaded = TraceCursor.load(path)
-        assert loaded.next().label == "epoch-0"

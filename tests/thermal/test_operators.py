@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.hmc.config import HMC_1_1, HMC_2_0
+from repro.service.handlers import run_simulation_job, simulation_spec
 from repro.thermal import operators
 from repro.thermal.cooling import COMMODITY_SERVER, PASSIVE
 from repro.thermal.model import HmcThermalModel
@@ -92,3 +93,45 @@ class TestModelSharing:
         t = TrafficPoint.streaming(240.0)
         settled = model.settle(t, dt_s=1e-3, tol_c=1e-6)
         assert settled == pytest.approx(model.steady_peak_dram_c(t), abs=0.1)
+
+
+def _simulate(workload, policy, cooling):
+    return run_simulation_job(simulation_spec(
+        workload, dataset="ldbc-tiny", policy=policy, cooling=cooling,
+        workload_scale=0.25,
+    ))
+
+
+class TestPropagatorReuse:
+    """A run's result must not depend on what earlier runs did to the
+    shared propagator (basis extensions, cached projections): the
+    reduced basis is part of the value, so reuse is only safe if it is
+    bit-identical to a fresh build."""
+
+    TARGETS = [
+        ("pagerank", "coolpim-hw", "commodity"),
+        ("kcore", "coolpim-sw", "passive"),
+    ]
+    #: Other workload×policy pairs that use the same two bundles first.
+    WARMERS = [
+        ("dc", "naive-offloading", "commodity"),
+        ("kcore", "coolpim-hw", "commodity"),
+        ("pagerank", "naive-offloading", "passive"),
+        ("dc", "coolpim-sw", "passive"),
+    ]
+
+    def test_result_identical_on_fresh_and_used_propagators(self):
+        fresh = {}
+        for target in self.TARGETS:
+            operators.clear_cache()
+            fresh[target] = _simulate(*target)
+
+        operators.clear_cache()
+        for warmer in self.WARMERS:
+            _simulate(*warmer)
+        built = operators.cache_stats()["propagators"]
+        assert built == 2  # one per cooling bundle
+        for target in self.TARGETS:
+            assert _simulate(*target) == fresh[target], target
+        # The targets ran on the warmers' propagators, not new ones.
+        assert operators.cache_stats()["propagators"] == built

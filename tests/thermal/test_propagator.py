@@ -12,7 +12,6 @@ import pytest
 from repro.hmc.config import HMC_2_0
 from repro.thermal.model import HmcThermalModel
 from repro.thermal.power import TrafficPoint
-from repro.thermal.propagator import first_crossing
 
 DT_S = 25e-6
 
@@ -35,6 +34,14 @@ def coeff_columns(tp: TrafficPoint, ambient_c: float, k: int,
     return np.tile(col[:, None], (1, k))
 
 
+def march_from(prop, T0: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+    """Project a node state and march it: the eigen-coordinate
+    trajectory ``Z`` (one column per quantum), as the macro engine does."""
+    z0, _ = prop.project(T0)
+    assert z0 is not None
+    return prop.march(z0, coeffs)
+
+
 class TestAgainstExactStepper:
     def test_constant_traffic_trajectory(self):
         model = HmcThermalModel(HMC_2_0)
@@ -48,12 +55,10 @@ class TestAgainstExactStepper:
 
         K = 48
         exact = np.array([model.step(tp, DT_S) for _ in range(K)])
-        T_end, peaks = prop.multi_step(
-            T0, coeff_columns(tp, model.ambient_c, K)
-        )
-        assert peaks is not None
-        np.testing.assert_allclose(peaks, exact, atol=1e-6)
+        Z = march_from(prop, T0, coeff_columns(tp, model.ambient_c, K))
+        np.testing.assert_allclose(prop.dram_peaks(Z), exact, atol=1e-6)
         # The reconstructed end state matches the exact node state too.
+        T_end = prop.reconstruct(Z[:, -1])
         assert float(np.abs(T_end - model.state).max()) < 1e-6
 
     def test_derated_energy_scale(self):
@@ -72,10 +77,10 @@ class TestAgainstExactStepper:
         exact = np.array([
             model.step(tp, DT_S, dram_energy_scale=scale) for _ in range(K)
         ])
-        _, peaks = prop.multi_step(
-            T0, coeff_columns(tp, model.ambient_c, K, scale=scale)
+        Z = march_from(
+            prop, T0, coeff_columns(tp, model.ambient_c, K, scale=scale)
         )
-        np.testing.assert_allclose(peaks, exact, atol=1e-6)
+        np.testing.assert_allclose(prop.dram_peaks(Z), exact, atol=1e-6)
 
     def test_project_round_trip(self):
         model = HmcThermalModel(HMC_2_0)
@@ -89,15 +94,3 @@ class TestAgainstExactStepper:
         assert prop.dram_peak_of(z) == pytest.approx(
             model.peak_dram_c(), abs=1e-6
         )
-
-
-class TestFirstCrossing:
-    def test_finds_first_index(self):
-        series = np.array([80.0, 82.0, 84.9, 85.0, 90.0, 84.0])
-        assert first_crossing(series, 85.0) == 3
-
-    def test_none_when_below(self):
-        assert first_crossing(np.array([80.0, 81.0]), 85.0) is None
-
-    def test_empty_series(self):
-        assert first_crossing(np.empty(0), 85.0) is None
