@@ -305,8 +305,13 @@ class HmcThermalModel:
     # -- reduced propagation -----------------------------------------------------
 
     def _power_fingerprint(self) -> tuple:
+        """Every :class:`PowerModel` input of :meth:`_basis` — the key of
+        the shared power-basis memo and of the propagators built on it.
+        ``config`` is in it because the power maps read its vault and
+        DRAM-die counts."""
         pm = self.power
         return (
+            pm.config,
             pm.dram_energy_per_bit, pm.logic_energy_per_bit,
             pm.fu_energy_per_bit, pm.static_logic_w, pm.static_dram_total_w,
         )

@@ -60,8 +60,10 @@ class ThermalOperators:
     network: RcNetwork
     steady: SteadySolver
     step_lus: StepLuCache
-    #: Reduced K-step propagators keyed by (quantized dt, ambient,
-    #: power-basis fingerprint) — see :func:`get_propagator`.
+    #: Reduced K-step propagators keyed by (quantized dt, power
+    #: fingerprint) — see :func:`get_propagator`. Ambient is not in the
+    #: key: it is part of the bundle's own key, and enters a march only
+    #: as a forcing coefficient.
     propagators: Dict[Tuple, ReducedPropagator] = field(default_factory=dict)
 
 
@@ -75,8 +77,9 @@ def get_propagator(
 
     ``inputs`` are the forcing basis columns (the thermal model's power
     basis plus the ambient boundary vector); ``fingerprint`` must identify
-    their provenance (power-model constants, ambient) so models with
-    altered calibration don't share a basis built for different vectors.
+    their provenance (every power-model input, see
+    ``HmcThermalModel._power_fingerprint``) so models with altered
+    calibration don't share a basis built for different vectors.
     """
     key = (_dt_key(dt_s), fingerprint)
     prop = ops.propagators.get(key)

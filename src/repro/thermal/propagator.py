@@ -23,7 +23,7 @@ arithmetic in a small invariant subspace:
 
 States outside the span (a warm-start steady point after a shutdown,
 altered power constants) are detected by the projection residual and
-healed by extending the basis with a Krylov chain seeded at the residual;
+healed by extending the basis with the state's own Krylov chain;
 callers see ``project`` fail closed, never a silently wrong trajectory.
 """
 
@@ -43,6 +43,20 @@ DEFAULT_PROJECT_TOL_C = 1e-7
 #: Default cap on the reduced rank; extensions beyond it mark the
 #: propagator unhealthy so callers fall back to exact stepping.
 DEFAULT_MAX_RANK = 480
+
+#: Krylov blocks grown from the forcing seeds at build time (rank is at
+#: most ``CHAIN_DEPTH × (n_inputs + 1)``). Chosen by the depth study in
+#: docs/ARCHITECTURE.md: the smallest depth with no basis extension on
+#: the benchmark workloads, unchanged benchmark digests, and a
+#: macro − stepped deviation on the same rounding floor as deeper chains.
+CHAIN_DEPTH = 12
+
+#: Krylov chain length grown from an out-of-span state per extension.
+#: Measured on skewed-vault steady states and rough perturbations at
+#: ``CHAIN_DEPTH`` 12: marches of up to 2,000 quanta from the absorbed
+#: state stay within 4e-7 °C of exact stepping (a 16-step chain: up to
+#: 1e-3 °C).
+EXTEND_DEPTH = 32
 
 #: Relative column-norm threshold below which a candidate Krylov
 #: direction is considered numerically contained in the basis.
@@ -67,8 +81,6 @@ class ReducedPropagator:
         dram_index: np.ndarray,
         project_tol_c: float = DEFAULT_PROJECT_TOL_C,
         max_rank: int = DEFAULT_MAX_RANK,
-        chain_depth: int = 48,
-        extend_depth: int = 16,
     ) -> None:
         if inputs.ndim != 2 or inputs.shape[0] != network.num_nodes:
             raise ValueError(
@@ -79,7 +91,6 @@ class ReducedPropagator:
         self.dt_s = float(dt_s)
         self.project_tol_c = project_tol_c
         self.max_rank = max_rank
-        self.extend_depth = extend_depth
         self.healthy = True
         self.extensions = 0
         self._d = network.C / self.dt_s
@@ -92,8 +103,9 @@ class ReducedPropagator:
             nodes=network.num_nodes, n_inputs=inputs.shape[1],
         ) as span:
             seeds = np.column_stack([self._forcing, self._sd])
-            self._W = self._grow_basis(np.empty((network.num_nodes, 0)), seeds,
-                                       chain_depth)
+            empty = np.empty((network.num_nodes, 0))
+            self._W, self._SW = self._grow_basis(empty, empty, seeds,
+                                                 CHAIN_DEPTH)
             self._finalize()
             span.set(rank=self.rank)
 
@@ -131,12 +143,18 @@ class ReducedPropagator:
         return q[:, cols]
 
     def _grow_basis(
-        self, W: np.ndarray, seeds: np.ndarray, depth: int
-    ) -> np.ndarray:
+        self, W: np.ndarray, SW: np.ndarray, seeds: np.ndarray, depth: int
+    ) -> Tuple[np.ndarray, np.ndarray]:
         """Block-Krylov growth: append chains S^k·seeds until directions
-        converge, ``depth`` is reached, or the rank cap binds."""
+        converge, ``depth`` is reached, or the rank cap binds.
+
+        Returns the grown ``(W, S·W)``. Each appended block's image is
+        both its columns of ``S·W`` and the seed of the next block, so
+        ``S·W`` is carried along rather than recomputed.
+        """
         block = self._orthonormalize(W, seeds)
         parts: List[np.ndarray] = [W] if W.shape[1] else []
+        images: List[np.ndarray] = [SW] if SW.shape[1] else []
         rank = W.shape[1]
         for _ in range(depth):
             if block.shape[1] == 0 or rank >= self.max_rank:
@@ -144,21 +162,18 @@ class ReducedPropagator:
             room = self.max_rank - rank
             block = block[:, :room]
             parts.append(block)
+            images.append(self._apply_s(block))
             rank += block.shape[1]
-            Wcur = np.column_stack(parts)
-            block = self._orthonormalize(Wcur, self._apply_s(block))
-        return np.column_stack(parts) if parts else W
+            block = self._orthonormalize(np.column_stack(parts), images[-1])
+        if not parts:
+            return W, SW
+        return np.column_stack(parts), np.column_stack(images)
 
     def _finalize(self) -> None:
         """Reduced operator, eigenbasis, and projected I/O maps."""
         W = self._W
-        SW = self._apply_s(W)
-        S_r = W.T @ SW
+        S_r = W.T @ self._SW
         S_r = 0.5 * (S_r + S_r.T)
-        #: Invariance defect of the basis (x-space, per-column inf bound).
-        self.invariance_residual = float(
-            np.abs(SW - W @ S_r).max()
-        ) if W.shape[1] else 0.0
         lam, V = np.linalg.eigh(S_r)
         self._lam = lam
         #: n×r map straight between node space and eigen-coordinates.
@@ -172,12 +187,18 @@ class ReducedPropagator:
         #: truncation against these.
         self._out_colnorms = np.linalg.norm(self._out, axis=0)
 
-    def _extend(self, residual_x: np.ndarray) -> None:
-        """Self-heal: absorb an out-of-span state into the basis."""
+    def _extend(self, x: np.ndarray) -> None:
+        """Self-heal: absorb an out-of-span state into the basis.
+
+        The basis gains the Krylov chain of the state itself, so
+        ``S^k x`` lies in it for ``k < EXTEND_DEPTH``. A chain seeded at
+        the projection residual alone would not do: the basis is not
+        S-invariant, so the image of the state's in-span part leaves it.
+        """
         before = self.rank
-        self._W = self._grow_basis(
-            self._W, residual_x[:, None], self.extend_depth
-        )
+        empty = np.empty((self._W.shape[0], 0))
+        chain, _ = self._grow_basis(empty, empty, x[:, None], EXTEND_DEPTH)
+        self._W, self._SW = self._grow_basis(self._W, self._SW, chain, 1)
         if self.rank == before:
             self.healthy = False
             return
@@ -208,7 +229,7 @@ class ReducedPropagator:
                 return z, resid_c
             if not self.healthy:
                 break
-            self._extend(resid_x)
+            self._extend(x)
         return None, resid_c
 
     def reconstruct(self, z: np.ndarray) -> np.ndarray:
@@ -259,8 +280,9 @@ class PeakReader:
     The macro engine's dominant GEMM is the per-burst peak readout
     ``(out @ Z).max(axis=0)`` — ``(n_dram, r) @ (r, K)`` with
     ``n_dram ≈ 1024`` rows of which only the hottest plateau of nodes can
-    ever win the max, and ``r ≈ 192`` eigenmodes of which only a few
-    dozen carry any readout weight along a real trajectory. The reader
+    ever win the max, and ``r = 48`` eigenmodes (at ``CHAIN_DEPTH``) of
+    which only a few dozen carry any readout weight along a real
+    trajectory. The reader
     exploits both axes, with every shortcut *certified* so the returned
     floats are exact row readouts, never approximations:
 

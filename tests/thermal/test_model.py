@@ -1,12 +1,17 @@
 """Thermal model facade: paper calibration points and transient behaviour."""
 
+import inspect
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.hmc.config import HMC_2_0
 from repro.thermal.cooling import COOLING_SOLUTIONS, HIGH_END_ACTIVE, PASSIVE
 from repro.thermal.model import HmcThermalModel
-from repro.thermal.power import TrafficPoint
+from repro.thermal.power import PowerModel, TrafficPoint
 
 
 @pytest.fixture(scope="module")
@@ -139,3 +144,65 @@ class TestBasisConsistency:
     def test_junction_estimate(self):
         m = HmcThermalModel()
         assert m.junction_from_surface_c(50.0, 20.0) == pytest.approx(57.0)
+
+
+#: Every constructor input of PowerModel; a new one must reach the
+#: fingerprint or the property below fails.
+POWER_FIELDS = list(inspect.signature(PowerModel).parameters)
+#: A config the power maps read differently (half the DRAM dies powered).
+HALF_STACK = replace(HMC_2_0, num_dram_dies=HMC_2_0.num_dram_dies // 2)
+
+
+def power_inputs(pm: PowerModel) -> dict:
+    return {name: getattr(pm, name) for name in POWER_FIELDS}
+
+
+@st.composite
+def power_models(draw) -> PowerModel:
+    """Default constants or twice them, on the full or the half stack."""
+    inputs = power_inputs(PowerModel(HMC_2_0))
+    inputs["config"] = draw(st.sampled_from([HMC_2_0, HALF_STACK]))
+    for name in POWER_FIELDS[1:]:
+        inputs[name] *= draw(st.sampled_from([1.0, 2.0]))
+    return PowerModel(**inputs)
+
+
+class TestPowerFingerprint:
+    """The fingerprint keys the shared power-basis memo and the shared
+    propagators, so it must cover every input of ``_basis``."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(pm=power_models(), field=st.sampled_from(POWER_FIELDS),
+           factor=st.floats(1.01, 4.0))
+    def test_perturbing_any_input_changes_fingerprint(self, pm, field,
+                                                      factor):
+        inputs = power_inputs(pm)
+        if field == "config":
+            inputs["config"] = HMC_2_0 if pm.config == HALF_STACK else HALF_STACK
+        else:
+            inputs[field] *= factor
+        a = HmcThermalModel(power_model=pm)
+        b = HmcThermalModel(power_model=PowerModel(**inputs))
+        assert a._power_fingerprint() != b._power_fingerprint()
+
+    @settings(max_examples=10, deadline=None)
+    @given(a=power_models(), b=power_models())
+    def test_equal_fingerprints_give_equal_basis(self, a, b):
+        """What the memo serves is the basis computed without it."""
+        HmcThermalModel(power_model=a)._basis()  # memoize a's basis
+        served = HmcThermalModel(power_model=b)
+        own = {
+            name: HmcThermalModel(power_model=pm, share_operators=False)
+            for name, pm in (("a", a), ("b", b))
+        }
+        for got, want in zip(served._basis(), own["b"]._basis()):
+            assert np.array_equal(got, want)
+        if own["a"]._power_fingerprint() == own["b"]._power_fingerprint():
+            for got, want in zip(own["a"]._basis(), own["b"]._basis()):
+                assert np.array_equal(got, want)
+
+    def test_config_separates_basis_and_propagator(self):
+        full = HmcThermalModel()
+        half = HmcThermalModel(power_model=PowerModel(HALF_STACK))
+        assert not np.array_equal(full._basis()[1], half._basis()[1])
+        assert full.propagator(25e-6) is not half.propagator(25e-6)

@@ -94,3 +94,65 @@ class TestAgainstExactStepper:
         assert prop.dram_peak_of(z) == pytest.approx(
             model.peak_dram_c(), abs=1e-6
         )
+
+
+def out_of_span_state(model: HmcThermalModel) -> np.ndarray:
+    """Steady state with all traffic on four vaults: the basis grows from
+    uniform-vault power inputs, so it does not span this hot spot."""
+    weights = np.zeros(model.config.num_vaults)
+    weights[:4] = 0.25
+    return model.steady_state(
+        TrafficPoint.streaming(200.0), vault_weights=weights
+    )
+
+
+def assert_carried_image(prop) -> None:
+    """The S·W carried through basis growth is the image of the basis.
+
+    Not compared bit-for-bit: SuperLU's multi-RHS solve rounds a column
+    differently depending on how many columns share the call (one per
+    block when carried, all at once here) and on the BLAS thread count,
+    by ~1e-17. A misaligned or stale column would be off by O(0.01).
+    """
+    np.testing.assert_allclose(
+        prop._SW, prop._apply_s(prop._W), rtol=0, atol=1e-14
+    )
+
+
+class TestExtension:
+    """The self-healing and fail-closed paths of ``project``. Private
+    operators keep the extended basis out of the process-wide cache."""
+
+    def test_out_of_span_state_extends_and_marches(self):
+        model = HmcThermalModel(HMC_2_0, share_operators=False)
+        prop = model.propagator(DT_S)
+        assert_carried_image(prop)
+        T0 = out_of_span_state(model)
+        rank = prop.rank
+
+        z0, resid = prop.project(T0)
+        assert z0 is not None and resid <= prop.project_tol_c
+        assert prop.extensions == 1 and prop.rank > rank
+        assert prop.healthy
+        assert_carried_image(prop)
+
+        tp = TrafficPoint(
+            external_gbs=80.0, internal_dram_gbs=120.0, pim_rate_ops_ns=0.4
+        )
+        K = 48
+        model.set_transient_state(T0)
+        exact = np.array([model.step(tp, DT_S) for _ in range(K)])
+        Z = prop.march(z0, coeff_columns(tp, model.ambient_c, K))
+        np.testing.assert_allclose(prop.dram_peaks(Z), exact, atol=1e-6)
+        T_end = prop.reconstruct(Z[:, -1])
+        assert float(np.abs(T_end - model.state).max()) < 1e-6
+
+    def test_rank_cap_fails_closed(self):
+        model = HmcThermalModel(HMC_2_0, share_operators=False)
+        prop = model.propagator(DT_S)
+        prop.max_rank = prop.rank
+        z, resid = prop.project(out_of_span_state(model))
+        assert z is None
+        assert resid > prop.project_tol_c
+        assert not prop.healthy
+        assert prop.extensions == 0
