@@ -107,7 +107,7 @@ class HillClimbAgent(Agent):
     def fraction_horizon(self, now_s: float) -> float:
         """A step observation is a guaranteed no-op before the recovery
         deadline (the warning-latched early return holds the fraction,
-        and warnings themselves end macro bursts)."""
+        and a warning that cuts the fraction ends the macro burst)."""
         return max(now_s, self._last_action_s + self.recover_period_s)
 
     def warning_noop_until(self, now_s: float, temp_c=None) -> float:

@@ -144,9 +144,13 @@ class HwDynT(OffloadPolicy):
     # -- macro-engine horizon hints --------------------------------------------
 
     def fraction_horizon(self, now_s: float) -> float:
-        """Next scheduled fraction change: the pending warp-count apply."""
-        if self._pending_apply_at is not None and now_s < self._pending_apply_at:
-            return self._pending_apply_at
+        """Next scheduled fraction change: the pending warp-count apply.
+
+        A pending apply that is already due is reported as ``now_s``: the
+        next :meth:`pim_fraction` call applies it, so no call is pure.
+        """
+        if self._pending_apply_at is not None:
+            return max(now_s, self._pending_apply_at)
         return float("inf")
 
     def warning_noop_until(self, now_s: float, temp_c: Optional[float] = None) -> float:

@@ -77,7 +77,9 @@ class OffloadPolicy:
         The macro-step engine uses this to size vectorized bursts: calls
         to :meth:`pim_fraction` strictly before the horizon are guaranteed
         pure (no state change, same return value). Feedback policies
-        override it with their next scheduled token/warp update.
+        override it with their next scheduled token/warp update — or
+        ``now_s`` itself once that update is due, since the next
+        :meth:`pim_fraction` call applies it.
         """
         return float("inf")
 

@@ -129,9 +129,14 @@ class SwDynT(OffloadPolicy):
     # -- macro-engine horizon hints --------------------------------------------
 
     def fraction_horizon(self, now_s: float) -> float:
-        """Next scheduled fraction change: the pending pool application."""
-        if self._pending_size is not None and now_s < self._pending_apply_at:
-            return self._pending_apply_at
+        """Next scheduled fraction change: the pending pool application.
+
+        A pending application that is already due is reported as
+        ``now_s``: the next :meth:`pim_fraction` call applies it, so no
+        call is pure.
+        """
+        if self._pending_size is not None:
+            return max(now_s, self._pending_apply_at)
         return float("inf")
 
     def warning_noop_until(self, now_s: float, temp_c=None) -> float:

@@ -12,8 +12,10 @@ sample points. This engine exploits that:
    up to a few thousand quanta, recording every per-step quantity. The
    replica performs *bit-identical arithmetic* (same operations, same
    order, same rounding) as the scalar loop, so committed integers and
-   times are exactly what the reference engine would produce. Epoch
-   boundaries are crossed freely; the trace cursor is restored with
+   times are exactly what the reference engine would produce. Its
+   per-quantum served-traffic block is memoized per run on the epoch
+   fluid state and the burst constants. Epoch boundaries are crossed
+   freely; the trace cursor is restored with
    :meth:`~repro.sim.trace.TraceCursor.seek` on abort.
 2. **March** — advance the thermal state for all speculated quanta at once
    in the reduced eigenbasis (:mod:`repro.thermal.propagator`): one small
@@ -23,18 +25,21 @@ sample points. This engine exploits that:
    phase, sensor thresholds, and warning state unchanged, with a
    ``MARGIN_C`` guard band (the reduced trajectory is accurate to ~1e-9 °C,
    the margin is 1e-6 °C). The first violating quantum truncates the burst.
-4. **Commit** — apply the validated prefix: bulk integer aggregates,
-   pre-accumulated float totals (energy, busy time, phase time — simulated
-   with the same sequential adds the scalar loop performs), the rare
-   events (sensor samples, timeline points, warning instants), and one
-   reconstructed thermal state.
+4. **Commit** — walk the rare events (sensor samples, timeline points,
+   warning instants), delivering each warning sample's policy callback
+   for real and keeping the prefix only while the policy's fresh hints
+   say the burst would start the same; then apply the kept prefix: bulk
+   integer aggregates, pre-accumulated float totals (energy, busy time,
+   phase time — simulated with the same sequential adds the scalar loop
+   performs), and one reduced thermal state.
 
-Steps the burst cannot prove safe — phase/threshold crossings, thermal
-shutdowns, warning deliveries the policy may act on, pending-fraction
-applications — fall back to the scalar step, which is a verbatim replica
-of the reference loop body. Temperatures are reproduced to ~1e-9 °C
-(within the documented 1e-6 °C tolerance); every integer aggregate, event
-count, event instant, and timeline/fraction value is exact.
+Steps the burst cannot prove safe — ambiguous phase/threshold
+crossings, thermal shutdowns, warning callbacks the policy acts on
+outside a sample, pending-fraction applications — fall back to the
+scalar step, which is a verbatim replica of the reference loop body.
+Temperatures are reproduced to ~1e-9 °C (within the documented 1e-6 °C
+tolerance); every integer aggregate, event count, event instant, and
+timeline/fraction value is exact.
 """
 
 from __future__ import annotations
@@ -83,6 +88,11 @@ SPEC_CAP_NEAR = 8
 #: Cap on scalar steps forced after a validation failure (exponential
 #: backoff while the trajectory hugs a threshold).
 MAX_BACKOFF_STEPS = 8
+
+#: Entry bound of the per-run step memo (~1.2 KB an entry). A run that
+#: fills it starts it afresh; values never depend on the memo's history,
+#: so the bound only caps memory on very long runs.
+STEP_MEMO_MAX = 1 << 14
 
 
 class MacroEngine:
@@ -293,6 +303,10 @@ class MacroEngine:
         # sink cannot perturb the bit-equality contract.
         self._sink = get_run_sink()
         self._total_epochs = max(1, len(trace))
+        # Per-run step memo of _speculate (key → served-traffic block).
+        # Its values depend only on the key, but it lives for this run
+        # alone: nothing outside the run can grow or observe it.
+        self._memo = {}
 
         while True:
             # Top of the reference loop's iteration: open (and skip
@@ -319,6 +333,7 @@ class MacroEngine:
                 self._scalar_step()
             self._sink_sample()
 
+        self._memo = None
         self._materialize()
         if scen is not None:
             # Restore the shared thermal/flow/sensor models to nominal:
@@ -591,11 +606,12 @@ class MacroEngine:
             if wn_cur < end_t:
                 end_t = wn_cur
             # A sensor sample inside the burst replaces the temperature the
-            # per-step warning callbacks would carry; that is only safe if
-            # the callbacks are no-ops for *any* temperature to burst end.
-            # Otherwise the burst may still *end on* a sample step: the
-            # commit delivers that one callback for real, with the marched
-            # temperature, reproducing the scalar loop's policy state.
+            # per-step warning callbacks would carry. Skipping those
+            # callbacks is only safe if they are no-ops for *any*
+            # temperature to burst end. Otherwise the burst still runs
+            # through its samples: the commit delivers each sample's
+            # callback for real, with the marched temperature, and keeps
+            # the prefix only as far as the policy's fresh hints allow.
             b.samples_safe = policy.warning_noop_until(t0, None) >= end_t
         b.end_t = end_t
         b.phase0 = flow.phase
@@ -614,23 +630,29 @@ class MacroEngine:
         b.steps = []
         b.entries = []
         b.cum_sub = 0
-        b.sample_stop = False
         return b
 
     def _speculate(self, b: "_Burst") -> None:
         """Scalar speculation: replay the control loop into ``b.steps``.
 
-        Pure-Python, bit-identical arithmetic to the reference loop —
-        the per-step 31-tuples are the contract every other stage builds
-        on.
+        Pure-Python, bit-identical arithmetic to the reference loop. The
+        demand/serve/served-traffic block of a quantum is a pure function
+        of the epoch's fluid state and the burst constants, so it is
+        memoized per run (``self._memo``); the time, debt, sample and
+        energy/busy/phase-time accumulators stay sequential, exactly as
+        the scalar loop adds them. Each step records
+        ``(rec, t_start, t_end, nsub, tidx, sflag, tlf, pkg_acc, busy_acc,
+        pt_acc, debt, next_tl, value)``, where ``value`` is the memo value
+        (its entries 3..10 are the post-step epoch state) and ``rec`` its
+        per-step traffic record ``(dt_ns, reads, writes, host, pim,
+        pim_ret, host_raw, link_bytes, data_bytes, ext_gbs, int_gbs,
+        pim_rate)``.
         """
         sim = self.sim
         exempt = self.exempt
         scen = self.scen
         fraction = b.fraction
         end_t = b.end_t
-        warning = b.warning
-        samples_safe = b.samples_safe
         control_dt_s = sim.control_dt_s
         quantum_ns = self.quantum_ns
         period = sim.sensor.sample_period_s
@@ -653,6 +675,9 @@ class MacroEngine:
         rq_p, rs_p = self.rq_p, self.rs_p
         rq_pr, rs_pr = self.rq_pr, self.rs_pr
         fb = FLIT_BYTES
+        memo = self._memo
+        memo_get = memo.get
+        hits = 0
 
         # Epoch-local speculation state (copies; committed on success).
         st = self.state
@@ -673,19 +698,19 @@ class MacroEngine:
         entries = b.entries
         steps = b.steps
         cum_sub = 0
-        # Set when the burst's final step is a sample whose warning
-        # callback the policy may act on; the commit invokes it for real.
-        sample_stop = False
 
         while True:
             if len(steps) >= cap:
+                b.stop = "cap"
                 break
             if steps and tnow >= end_t:
+                b.stop = "horizon"
                 break
             if not (sr >= 0.5 or sw_ >= 0.5 or sa >= 0.5 or scc >= 1.0
                     or ra > 0 or rr > 0 or rw > 0):
                 nb = trace.next()
                 if nb is None:
+                    b.stop = "trace_end"
                     break
                 if scen is not None:
                     nb = scen.transform_batch(nb)
@@ -704,96 +729,109 @@ class MacroEngine:
                 )
                 continue
 
-            # ---- demand (cache filter + PIM split), exact arithmetic ----
-            atomics_dem = max(0, int(round(sa)))
-            d_reads = max(0, int(round(sr)))
-            d_writes = max(0, int(round(sw_)))
-            awr = min(int(round(sar)), int(round(sa)))
-            pim_total = int(round(atomics_dem * fraction))
-            pim_ret = min(pim_total, int(round(awr * fraction)))
-            pim_plain = pim_total - pim_ret
-            host = atomics_dem - pim_total
-            host_eff = int(round(host * coal))
-            writes_d = d_writes
-            if writeback:
-                writes_d += int(round(pim_total * dirty))
+            key = (sr, sw_, sa, sar, scc, rr, rw, ra, mlp, infl,
+                   fraction, link_gbs, dram_gbs, fu_cap, es)
+            value = memo_get(key)
+            if value is None:
+                # ---- demand (cache filter + PIM split), exact arithmetic
+                atomics_dem = max(0, int(round(sa)))
+                d_reads = max(0, int(round(sr)))
+                d_writes = max(0, int(round(sw_)))
+                awr = min(int(round(sar)), int(round(sa)))
+                pim_total = int(round(atomics_dem * fraction))
+                pim_ret = min(pim_total, int(round(awr * fraction)))
+                pim_plain = pim_total - pim_ret
+                host = atomics_dem - pim_total
+                host_eff = int(round(host * coal))
+                writes_d = d_writes
+                if writeback:
+                    writes_d += int(round(pim_total * dirty))
 
-            # ---- bottleneck service time --------------------------------
-            rf = ((d_reads + host_eff) * rq_r + (writes_d + host_eff) * rq_w
-                  + pim_plain * rq_p + pim_ret * rq_pr)
-            sf = ((d_reads + host_eff) * rs_r + (writes_d + host_eff) * rs_w
-                  + pim_plain * rs_p + pim_ret * rs_pr)
-            t_link = max(rf * fb, sf * fb) / link_gbs
-            idb = (64 * (d_reads + writes_d + 2 * host_eff)
-                   + 32 * (pim_plain + pim_ret))
-            t_dram = idb / dram_gbs
-            tp = pim_plain + pim_ret
-            t_fu = tp / fu_cap if tp else 0.0
-            t_mem = max(t_link, t_dram, t_fu)
-            if mlp > 0.0:
-                t_mem /= mlp
-            cc_i = int(scc)
-            t_cmp = (cc_i * infl) / peak_ipns if cc_i > 0 else 0.0
-            t_atm = host_eff / atomic_rate
-            t_total = max(t_mem, t_cmp, t_atm, 1.0)
+                # ---- bottleneck service time ----------------------------
+                rf = ((d_reads + host_eff) * rq_r
+                      + (writes_d + host_eff) * rq_w
+                      + pim_plain * rq_p + pim_ret * rq_pr)
+                sf = ((d_reads + host_eff) * rs_r
+                      + (writes_d + host_eff) * rs_w
+                      + pim_plain * rs_p + pim_ret * rs_pr)
+                t_link = max(rf * fb, sf * fb) / link_gbs
+                idb = (64 * (d_reads + writes_d + 2 * host_eff)
+                       + 32 * (pim_plain + pim_ret))
+                t_dram = idb / dram_gbs
+                tp = pim_plain + pim_ret
+                t_fu = tp / fu_cap if tp else 0.0
+                t_mem = max(t_link, t_dram, t_fu)
+                if mlp > 0.0:
+                    t_mem /= mlp
+                cc_i = int(scc)
+                t_cmp = (cc_i * infl) / peak_ipns if cc_i > 0 else 0.0
+                t_atm = host_eff / atomic_rate
+                t_total = max(t_mem, t_cmp, t_atm, 1.0)
 
-            # ---- serve the quantum --------------------------------------
-            dt_ns = min(quantum_ns, t_total)
-            share = dt_ns / t_total
-            final_step = share >= 1.0
-            s_reads = min(int(round(d_reads * share)), rr)
-            s_writes = min(int(round(writes_d * share)), rw)
-            s_host = int(round(host_eff * share))
-            s_pim = int(round(pim_plain * share))
-            s_pimr = int(round(pim_ret * share))
-            h_raw = int(round((atomics_dem - tp) * share))
-            over = s_pim + s_pimr + h_raw - ra
-            if over > 0:
-                cut = min(over, h_raw)
-                h_raw -= cut
-                over -= cut
-                cut = min(over, s_pim)
-                s_pim -= cut
-                s_pimr -= over - cut
-            if final_step:
-                s_reads = rr
-                s_writes = rw
-                leftover = ra - (s_pim + s_pimr + h_raw)
-                extra_pim = min(leftover, int(round(leftover * fraction)))
-                extra_host = leftover - extra_pim
-                s_pim += extra_pim
-                h_raw += extra_host
-                s_host += int(round(extra_host * coal))
-            rr -= s_reads
-            rw -= s_writes
-            ra -= s_pim + s_pimr + h_raw
-            keep = 1.0 - share
-            sr *= keep
-            sw_ *= keep
-            sa *= keep
-            sar *= keep
-            scc *= keep
+                # ---- serve the quantum ----------------------------------
+                dt_ns = min(quantum_ns, t_total)
+                share = dt_ns / t_total
+                final_step = share >= 1.0
+                s_reads = min(int(round(d_reads * share)), rr)
+                s_writes = min(int(round(writes_d * share)), rw)
+                s_host = int(round(host_eff * share))
+                s_pim = int(round(pim_plain * share))
+                s_pimr = int(round(pim_ret * share))
+                h_raw = int(round((atomics_dem - tp) * share))
+                over = s_pim + s_pimr + h_raw - ra
+                if over > 0:
+                    cut = min(over, h_raw)
+                    h_raw -= cut
+                    over -= cut
+                    cut = min(over, s_pim)
+                    s_pim -= cut
+                    s_pimr -= over - cut
+                if final_step:
+                    s_reads = rr
+                    s_writes = rw
+                    leftover = ra - (s_pim + s_pimr + h_raw)
+                    extra_pim = min(leftover, int(round(leftover * fraction)))
+                    extra_host = leftover - extra_pim
+                    s_pim += extra_pim
+                    h_raw += extra_host
+                    s_host += int(round(extra_host * coal))
+                keep = 1.0 - share
 
-            # ---- served traffic, rates, power ---------------------------
-            srf = ((s_reads + s_host) * rq_r + (s_writes + s_host) * rq_w
-                   + s_pim * rq_p + s_pimr * rq_pr)
-            ssf = ((s_reads + s_host) * rs_r + (s_writes + s_host) * rs_w
-                   + s_pim * rs_p + s_pimr * rs_pr)
-            lb = (srf + ssf) * fb
-            db = 64 * (s_reads + s_writes + 2 * s_host) + 16 * s_pimr
-            s_idb = (64 * (s_reads + s_writes + 2 * s_host)
-                     + 32 * (s_pim + s_pimr))
-            ext = lb * eq / dt_ns
-            intr = s_idb / dt_ns
-            pim_rate = (s_pim + s_pimr) / dt_ns
+                # ---- served traffic, rates, power -----------------------
+                srf = ((s_reads + s_host) * rq_r + (s_writes + s_host) * rq_w
+                       + s_pim * rq_p + s_pimr * rq_pr)
+                ssf = ((s_reads + s_host) * rs_r + (s_writes + s_host) * rs_w
+                       + s_pim * rs_p + s_pimr * rs_pr)
+                lb = (srf + ssf) * fb
+                db = 64 * (s_reads + s_writes + 2 * s_host) + 16 * s_pimr
+                s_idb = (64 * (s_reads + s_writes + 2 * s_host)
+                         + 32 * (s_pim + s_pimr))
+                ext = lb * eq / dt_ns
+                intr = s_idb / dt_ns
+                pim_rate = (s_pim + s_pimr) / dt_ns
+                pkg = ((sl_w + le * ext * 1e9 * 8)
+                       + es * (fe128 * pim_rate * 1e9
+                               + (sd_w + de * intr * 1e9 * 8)))
+                value = (
+                    dt_ns, dt_ns * 1e-9, pkg * dt_ns * 1e-9,
+                    sr * keep, sw_ * keep, sa * keep, sar * keep, scc * keep,
+                    rr - s_reads, rw - s_writes, ra - (s_pim + s_pimr + h_raw),
+                    (dt_ns, s_reads, s_writes, s_host, s_pim, s_pimr, h_raw,
+                     lb, db, ext, intr, pim_rate),
+                )
+                if len(memo) >= STEP_MEMO_MAX:
+                    memo.clear()
+                memo[key] = value
+            else:
+                hits += 1
+            (dt_ns, dt_s, e_inc, sr, sw_, sa, sar, scc, rr, rw, ra,
+             rec) = value
 
             if not exempt:
                 sflag = tnow - nsamp >= period
                 if sflag:
-                    if warning and not samples_safe:
-                        sample_stop = True
                     nsamp = tnow
-                debt += dt_ns * 1e-9
+                debt += dt_s
                 nsub = 0
                 while debt >= control_dt_s:
                     debt -= control_dt_s
@@ -805,33 +843,24 @@ class MacroEngine:
                 tidx = -1
                 sflag = False
 
-            pkg = ((sl_w + le * ext * 1e9 * 8)
-                   + es * (fe128 * pim_rate * 1e9
-                           + (sd_w + de * intr * 1e9 * 8)))
-            pkg_acc += pkg * dt_ns * 1e-9
+            pkg_acc += e_inc
             busy_acc += dt_ns
-            pt_acc += dt_ns * 1e-9
+            pt_acc += dt_s
             t_start = tnow
-            tnow = tnow + dt_ns * 1e-9
+            tnow = tnow + dt_s
             tlf = tnow >= next_tl
             if tlf:
                 next_tl = (math.floor(tnow / tl_dt) + 1.0) * tl_dt
 
             steps.append((
-                dt_ns, t_start, tnow,
-                s_reads, s_writes, s_host, s_pim, s_pimr, h_raw,
-                lb, db, nsub, tidx, sflag, tlf,
-                ext, intr, pim_rate,
-                pkg_acc, busy_acc, pt_acc, debt, next_tl,
-                sr, sw_, sa, sar, scc, rr, rw, ra,
+                rec, t_start, tnow, nsub, tidx, sflag, tlf,
+                pkg_acc, busy_acc, pt_acc, debt, next_tl, value,
             ))
-            if sample_stop:
-                break
 
         b.cum_sub = cum_sub
-        b.sample_stop = sample_stop
+        b.memo_hits = hits
 
-    def _march_coeffs(self, b: "_Burst", cols) -> Optional[tuple]:
+    def _march_coeffs(self, b: "_Burst", cols, rcols) -> Optional[tuple]:
         """Thermal-march inputs: ``(z0, t0_peak, coeffs)``.
 
         ``coeffs`` is the (6, cum_sub) power-basis weight matrix of the
@@ -851,13 +880,13 @@ class MacroEngine:
         if b.cum_sub == 0:
             return z0, t0_peak, None
         es = b.es
-        nsub_arr = np.asarray(cols[11], dtype=np.int64)
+        nsub_arr = np.asarray(cols[3], dtype=np.int64)
         coeffs = np.empty((6, b.cum_sub))
         coeffs[0] = 1.0
         coeffs[1] = es
-        coeffs[2] = np.repeat(np.asarray(cols[15]), nsub_arr)
-        coeffs[3] = es * np.repeat(np.asarray(cols[16]), nsub_arr)
-        coeffs[4] = es * np.repeat(np.asarray(cols[17]), nsub_arr)
+        coeffs[2] = np.repeat(np.asarray(rcols[9]), nsub_arr)
+        coeffs[3] = es * np.repeat(np.asarray(rcols[10]), nsub_arr)
+        coeffs[4] = es * np.repeat(np.asarray(rcols[11]), nsub_arr)
         coeffs[5] = b.amb_forcing
         return z0, t0_peak, coeffs
 
@@ -867,10 +896,10 @@ class MacroEngine:
         A step with no thermal substep sees the temperature left by the
         last substep before it (or the burst-entry peak).
         """
-        tidx_arr = np.asarray(cols[12], dtype=np.int64)
+        tidx_arr = np.asarray(cols[4], dtype=np.int64)
         return np.concatenate(([t0_peak], peaks))[tidx_arr + 1]
 
-    def _validate(self, b: "_Burst", temps) -> tuple:
+    def _validate(self, b: "_Burst", cols, temps) -> tuple:
         """Longest provable prefix: ``(j, flip_stop, phase_stop)``.
 
         ``j`` is the committed length; ``flip_stop`` marks a decisive
@@ -894,9 +923,7 @@ class MacroEngine:
         if lo is not None:
             bad |= (temps >= lo - MARGIN_C) & (temps < lo + MARGIN_C)
             stop |= temps < lo - MARGIN_C
-        sflag_arr = np.fromiter(
-            (s[13] for s in b.steps), dtype=bool, count=K
-        )
+        sflag_arr = np.fromiter(cols[5], dtype=bool, count=K)
         # Sensor hysteresis: a sample decisively across the warn or
         # clear threshold flips the warning state — again only later
         # quanta (plus the flip step's own callback, delivered at
@@ -941,11 +968,73 @@ class MacroEngine:
                 j = min(j, f)
         return j, flip_stop, phase_stop
 
+    def _deliver(self, b: "_Burst", j: int, flip_stop: bool, temps) -> int:
+        """Walk the validated prefix's rare events; returns the kept length.
+
+        Per step, in the scalar loop's order: the sensor sample, the
+        warning instant, the timeline point, and — at each sample while
+        the warning is set and samples are not provably safe — the real
+        ``on_thermal_warning`` call with the freshly sensed temperature.
+        After such a call the prefix goes on only while a fresh
+        :meth:`_spec_begin` at the next quantum would start this same
+        burst: the fraction must stay pure past the next quantum and
+        unchanged, and the next quantum's repeated callback must be a
+        no-op. Later steps are clipped at the new horizon / no-op end.
+        The first step not kept ends the burst (``stop == "policy"``).
+        """
+        sim = self.sim
+        policy = self.policy
+        sensor = sim.sensor
+        steps = b.steps
+        warning = b.warning
+        fraction = b.fraction
+        traced = self.traced
+        deliver = warning and not b.samples_safe
+        last = j - 1
+        limit = math.inf
+        for k in range(j):
+            stp = steps[k]
+            t_k = stp[1]
+            if t_k >= limit:
+                b.stop = "policy"
+                return k
+            if stp[5]:
+                sensor.observe(float(temps[k]), t_k)
+            flipped = flip_stop and k == last
+            if traced and warning != flipped:
+                self.tracer.instant(
+                    "sim.thermal_warning", cat="sim",
+                    sim_time_ns=t_k * 1e9, clock="sim",
+                    temp_c=sensor.last_temp_c,
+                )
+            if stp[6]:
+                self.timeline.append(
+                    (stp[2], float(temps[k]), stp[0][11], fraction)
+                )
+            if deliver and stp[5] and not flipped:
+                policy.on_thermal_warning(t_k, sensor.last_temp_c)
+                if k == last:
+                    continue
+                t_next = stp[2]
+                # Horizon first: it is what makes pim_fraction pure here.
+                horizon = policy.fraction_horizon(t_k)
+                if horizon > t_next and policy.pim_fraction(t_k) == fraction:
+                    noop = policy.warning_noop_until(
+                        t_next, sensor.last_temp_c
+                    )
+                    if noop > t_next:
+                        limit = min(horizon, noop)
+                        continue
+                b.stop = "policy"
+                return k + 1
+        return j
+
     def _commit(
-        self, b: "_Burst", cols, j: int, flip_stop: bool,
+        self, b: "_Burst", cols, rcols, j: int, flip_stop: bool,
         phase_stop, Z, peaks, temps,
     ) -> int:
-        """Apply the validated prefix of ``j`` quanta; returns ``j``."""
+        """Apply the validated prefix of ``j`` quanta; returns the
+        committed length (shorter when the policy ends the prefix)."""
         sim = self.sim
         flow = sim.flow
         exempt = self.exempt
@@ -954,9 +1043,14 @@ class MacroEngine:
         fraction = b.fraction
         steps = b.steps
         K = len(steps)
+        kept = self._deliver(b, j, flip_stop, temps)
+        if kept < j:
+            j = kept
+            flip_stop = False
+            phase_stop = None
         full = j == K
         if not exempt:
-            committed_sub = sum(cols[11][:j])
+            committed_sub = sum(cols[3][:j])
             if committed_sub > 0:
                 # Keep the state in reduced coordinates; it is
                 # materialized lazily before the next exact solver use.
@@ -982,37 +1076,32 @@ class MacroEngine:
         # recorded post-state to restore — leave it untouched.
         if not (committed_entries and committed_entries[-1][0] == j):
             st = self.state
-            st.reads = cols[23][j - 1]
-            st.writes = cols[24][j - 1]
-            st.atomics = cols[25][j - 1]
-            st.atomics_ret = cols[26][j - 1]
-            st.compute_cycles = cols[27][j - 1]
-            self.rem_reads = cols[28][j - 1]
-            self.rem_writes = cols[29][j - 1]
-            self.rem_atomics = cols[30][j - 1]
+            (st.reads, st.writes, st.atomics, st.atomics_ret,
+             st.compute_cycles, self.rem_reads, self.rem_writes,
+             self.rem_atomics) = cols[12][j - 1][3:11]
 
         self.now_s = end_now
-        self.package_energy_j = cols[18][j - 1]
-        flow.stats.busy_ns = cols[19][j - 1]
+        self.package_energy_j = cols[7][j - 1]
+        flow.stats.busy_ns = cols[8][j - 1]
         if phase_stop is not None:
             # The crossing step's dt accrues to the *new* phase (the
             # oracle bills phase time after updating the phase).
             self.phase_time[b.phase0.name] = (
-                cols[20][j - 2] if j > 1 else b.pt0
+                cols[9][j - 2] if j > 1 else b.pt0
             )
         else:
-            self.phase_time[b.phase0.name] = cols[20][j - 1]
-        self.thermal_debt_s = cols[21][j - 1]
-        self.next_sample = cols[22][j - 1]
+            self.phase_time[b.phase0.name] = cols[9][j - 1]
+        self.thermal_debt_s = cols[10][j - 1]
+        self.next_sample = cols[11][j - 1]
 
-        sh_sum = sum(cols[5][:j])
-        sp_sum = sum(cols[6][:j])
-        spr_sum = sum(cols[7][:j])
-        self.link_bytes += sum(cols[9][:j])
-        self.data_bytes += sum(cols[10][:j])
+        sh_sum = sum(rcols[3][:j])
+        sp_sum = sum(rcols[4][:j])
+        spr_sum = sum(rcols[5][:j])
+        self.link_bytes += sum(rcols[7][:j])
+        self.data_bytes += sum(rcols[8][:j])
         self.pim_ops_total += sp_sum + spr_sum
         self.host_atomics_total += sh_sum
-        self.host_assigned_total += sum(cols[8][:j])
+        self.host_assigned_total += sum(rcols[6][:j])
         self.control_steps += j
         self.thermal_steps += committed_sub
         if flip_stop:
@@ -1025,63 +1114,45 @@ class MacroEngine:
         self.last_temp_c = float(temps[j - 1])
         if fraction != self.frac_tw.value:
             self.frac_tw.update(fraction, b.t0)
-        self.dt_hist.add_many(np.asarray(cols[0][:j]))
+        self.dt_hist.add_many(np.asarray(rcols[0][:j]))
 
         fs = flow.stats
         fs.pim_ops += sp_sum + spr_sum
         fs.host_atomics += sh_sum
         ledger = fs.ledger
-        ledger.record(PacketType.READ64, sum(cols[3][:j]) + sh_sum)
-        ledger.record(PacketType.WRITE64, sum(cols[4][:j]) + sh_sum)
+        ledger.record(PacketType.READ64, sum(rcols[1][:j]) + sh_sum)
+        ledger.record(PacketType.WRITE64, sum(rcols[2][:j]) + sh_sum)
         ledger.record(PacketType.PIM, sp_sum)
         ledger.record(PacketType.PIM_RET, spr_sum)
 
-        # Rare per-quantum events: sensor samples, warning instants,
-        # timeline points.
-        sensor = sim.sensor
-        traced = self.traced
-        for k in range(j):
-            stp = steps[k]
-            if stp[13]:
-                sensor.observe(float(temps[k]), stp[1])
-            if traced and (warning != (flip_stop and k == j - 1)):
-                self.tracer.instant(
-                    "sim.thermal_warning", cat="sim",
-                    sim_time_ns=stp[1] * 1e9, clock="sim",
-                    temp_c=sensor.last_temp_c,
-                )
-            if stp[14]:
-                self.timeline.append(
-                    (stp[2], float(temps[k]), stp[17], fraction)
-                )
         if phase_stop is not None:
             flow.phase = phase_stop
-            self.phase_time[phase_stop.name] += cols[0][j - 1] * 1e-9
+            self.phase_time[phase_stop.name] += rcols[0][j - 1] * 1e-9
         if flip_stop:
             flow.set_thermal_warning(not warning)
             if not warning:
                 # Newly-set warning: deliver the flip step's callback (the
-                # observe above updated the sensor), exactly as the scalar
+                # sample walk updated the sensor), exactly as the scalar
                 # loop would at that step.
-                policy.on_thermal_warning(steps[j - 1][1], sensor.last_temp_c)
-        elif b.sample_stop and full:
-            # The burst ended on a sample whose callback may act: deliver
-            # it now, after the observe above updated the sensor, exactly
-            # as the scalar loop would at that step.
-            policy.on_thermal_warning(steps[j - 1][1], sensor.last_temp_c)
+                policy.on_thermal_warning(steps[j - 1][1], sim.sensor.last_temp_c)
 
         if not self._epoch_pending():
             self._close_epoch(self.now_s)
 
         self.burst_hist.add(float(j))
-        if traced:
+        if self.traced:
             self.tracer.complete(
                 "sim.macro_burst", b.wall_b0, _time.perf_counter(),
                 cat="sim", steps=j, speculated=K,
                 thermal_substeps=committed_sub,
                 sim_start_s=b.t0, sim_end_s=end_now,
+                stop=b.stop, memo_hits=b.memo_hits,
             )
 
+        if b.stop == "policy":
+            # The policy's own reaction ended the prefix: not a
+            # misprediction, so the window stays as it is.
+            return j
         if full and K == b.cap:
             self.spec_cap = min(b.cap * 4, SPEC_CAP_MAX)
         elif not full:
@@ -1111,6 +1182,7 @@ class MacroEngine:
             self.launch_trace.seek(b.pos0)
             return 0
         cols = list(zip(*b.steps))
+        rcols = list(zip(*cols[0]))
         K = len(b.steps)
         if self.exempt:
             Z, peaks = None, np.empty(0)
@@ -1119,7 +1191,7 @@ class MacroEngine:
             flip_stop = False
             phase_stop = None
         else:
-            mc = self._march_coeffs(b, cols)
+            mc = self._march_coeffs(b, cols, rcols)
             if mc is None:
                 self._prop_bad = True
                 self.launch_trace.seek(b.pos0)
@@ -1131,7 +1203,7 @@ class MacroEngine:
                 Z = self._prop.march(z0, coeffs)
                 peaks = self._reader.peaks(Z)
             temps = self._temps_of(b, cols, peaks, t0_peak)
-            j, flip_stop, phase_stop = self._validate(b, temps)
+            j, flip_stop, phase_stop = self._validate(b, cols, temps)
 
         if j < MIN_BURST:
             self.launch_trace.seek(b.pos0)
@@ -1143,17 +1215,30 @@ class MacroEngine:
                 self.spec_cap = SPEC_CAP_NEAR
             return 0
         self.fail_streak = 0
+        if flip_stop:
+            b.stop = "flip"
+        elif phase_stop is not None:
+            b.stop = "phase"
+        elif j < K:
+            b.stop = "validation"
         return self._commit(
-            b, cols, j, flip_stop, phase_stop, Z, peaks, temps
+            b, cols, rcols, j, flip_stop, phase_stop, Z, peaks, temps
         )
 
 
 class _Burst:
-    """One burst's stage-to-stage carrier (see the burst path above)."""
+    """One burst's stage-to-stage carrier (see the burst path above).
+
+    ``stop`` says why the burst ended: ``cap`` (speculation window),
+    ``horizon`` (fraction/no-op/scenario horizon), ``trace_end``,
+    ``validation`` (a quantum too close to a threshold), ``phase``,
+    ``flip`` (sensor hysteresis) or ``policy`` (a delivered warning
+    changed what a fresh burst would do).
+    """
 
     __slots__ = (
         "t0", "fraction", "end_t", "warning", "samples_safe", "phase0",
         "es", "amb_forcing", "link_gbs", "dram_gbs", "fu_cap", "cap",
         "pos0", "pt0", "wall_b0", "steps", "entries", "cum_sub",
-        "sample_stop",
+        "stop", "memo_hits",
     )

@@ -1,0 +1,226 @@
+"""Macro bursts: the per-run step memo, warning delivery inside bursts,
+and the policy horizon contract those bursts rely on.
+
+The macro engine memoizes the per-quantum served-traffic block of its
+speculation replica and runs bursts through the sensor's warning
+samples, delivering each sample's ``on_thermal_warning`` at commit and
+keeping the rest of the prefix only while the policy's fresh hints say
+a new burst would be the same one. These tests pin that to the oracles:
+the memo against a memo that never hits, continuation against the
+stepped engine (including a policy whose warning callback changes the
+fraction on the spot), and ``fraction_horizon`` against ``pim_fraction``.
+"""
+
+import copy
+import math
+
+import pytest
+
+from repro.agents.adapters import AgentPolicy
+from repro.agents.base import ACTION_NONE, Action, Agent
+from repro.core.feedback import FeedbackDelays
+from repro.core.hw_dynt import HwDynT
+from repro.core.policies import make_policy
+from repro.core.sw_dynt import SwDynT
+from repro.gpu.macro import MacroEngine
+from repro.obs.tracer import Tracer, set_tracer
+from repro.thermal.cooling import LOW_END_ACTIVE, PASSIVE
+from tests.gpu.test_macro_equivalence import (
+    POLICY_NAMES,
+    assert_equivalent,
+    build_sim,
+    hot_launch,
+    run_both,
+)
+
+STOP_REASONS = {
+    "cap", "horizon", "policy", "phase", "flip", "validation", "trace_end",
+}
+
+
+class _NeverHit(dict):
+    """A step memo that stores nothing and never hits."""
+
+    def get(self, key, default=None):
+        return default
+
+    def __setitem__(self, key, value):
+        pass
+
+
+def _spy_bursts(monkeypatch, never_hit=False):
+    """Record ``(warning, samples_safe, committed, stop, memo_hits)`` per
+    committed burst; optionally swap in the never-hitting memo."""
+    bursts = []
+    speculate = MacroEngine._speculate
+    commit = MacroEngine._commit
+
+    def spy_speculate(self, b):
+        if never_hit:
+            self._memo = _NeverHit()
+        return speculate(self, b)
+
+    def spy_commit(self, b, *args):
+        j = commit(self, b, *args)
+        bursts.append((b.warning, b.samples_safe, j, b.stop, b.memo_hits))
+        return j
+
+    monkeypatch.setattr(MacroEngine, "_speculate", spy_speculate)
+    monkeypatch.setattr(MacroEngine, "_commit", spy_commit)
+    return bursts
+
+
+def _macro_run(launch, policy, cooling):
+    sim = build_sim("macro", cooling=cooling)
+    result = sim.run(launch, make_policy(policy))
+    return result.to_dict(include_timeline=True), sim.stats.snapshot()
+
+
+class TestStepMemo:
+    @pytest.mark.parametrize("cooling", [LOW_END_ACTIVE, PASSIVE],
+                             ids=["low-end", "passive"])
+    @pytest.mark.parametrize("policy", POLICY_NAMES)
+    def test_memo_is_transparent(self, monkeypatch, policy, cooling):
+        """A run whose memo always misses equals the default run ``==``,
+        timeline and counters included."""
+        launch_epochs = 6 if cooling is PASSIVE else 10
+        with monkeypatch.context() as m:
+            default_bursts = _spy_bursts(m)
+            default = _macro_run(hot_launch(launch_epochs), policy, cooling)
+        with monkeypatch.context() as m:
+            missed_bursts = _spy_bursts(m, never_hit=True)
+            missed = _macro_run(hot_launch(launch_epochs), policy, cooling)
+        assert missed == default
+        assert sum(b[4] for b in default_bursts) > 0
+        assert sum(b[4] for b in missed_bursts) == 0
+
+    def test_memo_does_not_outlive_the_run(self):
+        engine = MacroEngine(build_sim("macro", cooling=LOW_END_ACTIVE))
+        engine.run(hot_launch(), make_policy("coolpim-hw"))
+        assert engine._memo is None
+
+
+class CutOnSample(Agent):
+    """Cuts its fraction on every *new* sensed temperature while warned.
+
+    The callback changes the fraction on the spot, and the hints are as
+    permissive as the agent allows: step observations never act
+    (horizon +inf) and a repeated warning at the same temperature is a
+    no-op forever.
+    """
+
+    name = "cut-on-sample"
+
+    def begin(self, launch, now_s=0.0):
+        self._fraction = 1.0
+        self._last_temp = None
+
+    def observe(self, obs):
+        if obs.kind != "warning" or obs.temp_c == self._last_temp:
+            return ACTION_NONE
+        self._last_temp = obs.temp_c
+        self._fraction = max(0.0, round(self._fraction - 0.05, 10))
+        return Action(fraction=self._fraction)
+
+    def fraction_horizon(self, now_s):
+        return math.inf
+
+    def warning_noop_until(self, now_s, temp_c=None):
+        if temp_c is None or temp_c != self._last_temp:
+            return now_s
+        return math.inf
+
+
+class TestContinuation:
+    def test_immediate_fraction_change_matches_stepped(self, monkeypatch):
+        """The ``pim_fraction(t_k) == fraction`` check ends the prefix
+        when the callback changed the fraction despite +inf hints."""
+        bursts = _spy_bursts(monkeypatch)
+        out = run_both(
+            hot_launch(), lambda: AgentPolicy(CutOnSample()),
+            cooling=LOW_END_ACTIVE,
+        )
+        assert out["stepped"][0].thermal_warnings > 10
+        assert_equivalent(out)
+        assert any(stop == "policy" for _w, _s, _j, stop, _h in bursts)
+
+    def test_hw_bursts_run_through_warning_samples(self, monkeypatch):
+        """coolpim-hw on low-end cooling commits bursts longer than one
+        sample period (4 quanta) while the warning is set."""
+        bursts = _spy_bursts(monkeypatch)
+        out = run_both(hot_launch(), "coolpim-hw", cooling=LOW_END_ACTIVE)
+        assert_equivalent(out)
+        assert any(
+            warning and not safe and j > 4
+            for warning, safe, j, _stop, _hits in bursts
+        )
+
+    def test_burst_spans_name_their_stop(self):
+        """Every ``sim.macro_burst`` span carries ``stop`` and
+        ``memo_hits``; neither leaks into the result."""
+        previous = set_tracer(Tracer(enabled=True))
+        try:
+            sim = build_sim("macro", cooling=LOW_END_ACTIVE)
+            result = sim.run(hot_launch(), make_policy("coolpim-hw"))
+            records = set_tracer(previous).records
+        finally:
+            set_tracer(previous)
+        spans = [r for r in records if r["name"] == "sim.macro_burst"]
+        assert spans
+        assert {s["args"]["stop"] for s in spans} <= STOP_REASONS
+        assert "policy" in {s["args"]["stop"] for s in spans}
+        assert all(s["args"]["memo_hits"] >= 0 for s in spans)
+        flat = repr(result.to_dict(include_timeline=True))
+        assert "memo_hits" not in flat and "stop" not in flat
+
+
+def _hw(throttle_s):
+    return HwDynT(control_factor=10_000,
+                  delays=FeedbackDelays(throttle_s=throttle_s))
+
+
+def _sw(throttle_s):
+    return SwDynT(control_factor=10_000,
+                  delays=FeedbackDelays(throttle_s=throttle_s))
+
+
+class TestHorizonContract:
+    @pytest.mark.parametrize("cls", [HwDynT, SwDynT], ids=["hw", "sw"])
+    def test_stepped_equals_macro_at_zero_throttle(self, cls):
+        """A change applied the instant it is made: bursts continue past a
+        delivered warning only if the horizon says the fraction holds,
+        and the change is applied (and recorded) at the oracle instant."""
+        policies = []
+
+        def factory():
+            policies.append(cls(delays=FeedbackDelays(throttle_s=0.0)))
+            return policies[-1]
+
+        out = run_both(hot_launch(), factory, cooling=LOW_END_ACTIVE)
+        assert out["stepped"][0].thermal_warnings > 0
+        assert_equivalent(out)
+        stepped, macro = policies
+        assert len(stepped.fraction_history) > 1
+        assert macro.fraction_history == stepped.fraction_history
+
+    @pytest.mark.parametrize("throttle_s", [0.0, 1e-7, 1e-4])
+    @pytest.mark.parametrize("make", [_hw, _sw], ids=["hw", "sw"])
+    def test_horizon_bounds_every_fraction_change(self, make, throttle_s):
+        """``fraction_horizon(t) <= t`` whenever ``pim_fraction(t)`` would
+        change the fraction, before, at and after a pending change."""
+        policy = make(throttle_s)
+        policy.begin(hot_launch(), now_s=0.0)
+        t_warn = 1e-3
+        policy.on_thermal_warning(t_warn, 90.0)
+        current = copy.deepcopy(policy).pim_fraction(-math.inf)
+        changed_at = []
+        for t in (0.0, t_warn - 1e-6, t_warn, t_warn + throttle_s / 2,
+                  t_warn + throttle_s, t_warn + 1e-3):
+            if copy.deepcopy(policy).pim_fraction(t) != current:
+                changed_at.append(t)
+                assert policy.fraction_horizon(t) <= t
+            else:
+                assert policy.fraction_horizon(t) > t
+        assert changed_at and min(changed_at) == t_warn + throttle_s
+        policy.pim_fraction(t_warn + throttle_s)
+        assert policy.fraction_horizon(t_warn + 1.0) == math.inf
