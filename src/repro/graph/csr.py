@@ -115,18 +115,21 @@ class CSRGraph:
             or dst.min() < 0 or dst.max() >= num_vertices
         ):
             raise ValueError("edge endpoints out of range")
-        order = np.lexsort((dst, src))
-        src, dst = src[order], dst[order]
+        # One stable sort of the packed (src, dst) key orders edges like a
+        # lexsort on (src, dst), keeping equal pairs in input order.
+        key = src * num_vertices + dst
+        order = np.argsort(key, kind="stable")
+        key, dst = key[order], dst[order]
         w = None if weights is None else np.asarray(weights, dtype=np.float64)[order]
-        if dedup and src.size:
-            keep = np.ones(src.size, dtype=bool)
-            keep[1:] = (src[1:] != src[:-1]) | (dst[1:] != dst[:-1])
-            src, dst = src[keep], dst[keep]
+        if dedup and key.size:
+            keep = np.ones(key.size, dtype=bool)
+            np.not_equal(key[1:], key[:-1], out=keep[1:])
+            key, dst = key[keep], dst[keep]
             if w is not None:
                 w = w[keep]
         indptr = np.zeros(num_vertices + 1, dtype=np.int64)
-        np.add.at(indptr, src + 1, 1)
-        np.cumsum(indptr, out=indptr)
+        np.cumsum(np.bincount(key // num_vertices, minlength=num_vertices),
+                  out=indptr[1:])
         return cls(indptr, dst, w)
 
     def reversed(self) -> "CSRGraph":

@@ -16,6 +16,7 @@ from repro.graph.generators import (
     ldbc_like_graph,
     road_like_graph,
 )
+from repro.obs.tracer import get_tracer
 
 _REGISTRY: Dict[str, Callable[[], CSRGraph]] = {
     # Full evaluation graph: ~16k vertices, power-law, weighted, undirected.
@@ -49,7 +50,10 @@ def get_dataset(name: str) -> CSRGraph:
     if name not in _REGISTRY:
         raise KeyError(f"unknown dataset {name!r}; available: {list_datasets()}")
     if name not in _CACHE:
-        _CACHE[name] = _REGISTRY[name]()
+        with get_tracer().span("graph.load", cat="graph", dataset=name) as span:
+            graph = _REGISTRY[name]()
+            span.set(vertices=graph.num_vertices, edges=graph.num_edges)
+        _CACHE[name] = graph
     return _CACHE[name]
 
 

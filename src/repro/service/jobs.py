@@ -107,6 +107,8 @@ class JobSpec:
 
     Identity = (kind, name, params, seed); execution knobs (timeout,
     retries) are carried along but excluded from :attr:`key`.
+    Construction keeps a canonical copy of ``params`` and hashes it once,
+    so later changes to the caller's mapping reach neither.
     """
 
     kind: str
@@ -116,6 +118,13 @@ class JobSpec:
     timeout_s: Optional[float] = None
     max_retries: int = 0
     tags: Tuple[str, ...] = ()
+    #: Canonical content hash — the job's cache/journal address.
+    key: str = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "params", _canonical(self.params))
+        blob = canonical_json(self.identity()).encode("utf-8")
+        object.__setattr__(self, "key", hashlib.sha256(blob).hexdigest())
 
     def identity(self) -> Dict[str, Any]:
         """The hashed portion of the spec."""
@@ -123,15 +132,9 @@ class JobSpec:
             "version": SPEC_VERSION,
             "kind": self.kind,
             "name": self.name,
-            "params": _canonical(self.params),
+            "params": self.params,
             "seed": self.seed,
         }
-
-    @property
-    def key(self) -> str:
-        """Canonical content hash — the job's cache/journal address."""
-        blob = canonical_json(self.identity()).encode("utf-8")
-        return hashlib.sha256(blob).hexdigest()
 
     def to_dict(self) -> Dict[str, Any]:
         return {

@@ -22,10 +22,13 @@ class JobJournal:
     """Line-buffered JSONL event log.
 
     Usable as a context manager; safe to leave open for the lifetime of a
-    scheduler (each event is flushed to disk immediately, so a killed
-    sweep keeps every event up to the kill). Appends are serialized with
-    a lock, so one journal may be shared by the HTTP service loop and its
-    executor threads.
+    scheduler. Durability contract: every event is written and flushed
+    to the OS as it is appended, so a killed process keeps every event up
+    to the kill; the file is fsynced after each ``sweep_end`` event (once
+    per scheduler sweep: an API job, a whole ``repro batch``) and on
+    :meth:`close`, so a power loss can drop only the events since
+    the last of those. Appends are serialized with a lock, so one journal
+    may be shared by the HTTP service loop and its executor threads.
 
     With ``max_bytes`` set, the journal is size-bounded: when an append
     would push the current file past the limit, the file rotates to
@@ -65,7 +68,8 @@ class JobJournal:
                 self._rotate_locked()
             self._fh.write(line)
             self._fh.flush()
-            os.fsync(self._fh.fileno())
+            if event == "sweep_end":
+                os.fsync(self._fh.fileno())
         return record
 
     def _rotate_locked(self) -> None:
@@ -87,6 +91,7 @@ class JobJournal:
     def close(self) -> None:
         with self._lock:
             if not self._fh.closed:
+                os.fsync(self._fh.fileno())
                 self._fh.close()
 
     def __enter__(self) -> "JobJournal":

@@ -24,8 +24,9 @@ import tempfile
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, Iterator, Optional, Union
+from typing import Any, Dict, Iterator, Optional, Tuple, Union
 
+from repro.obs.tracer import get_tracer
 from repro.service.fingerprint import code_fingerprint
 from repro.service.jobs import JobSpec
 
@@ -86,27 +87,32 @@ class ResultStore:
 
     # -- read path --------------------------------------------------------
 
-    def _load(self, key: str) -> Optional[Dict[str, Any]]:
+    def _load(self, key: str) -> Tuple[Optional[Dict[str, Any]], int]:
+        """``(record, bytes read)``; ``(None, 0)`` if missing or corrupt."""
         path = self.path_for(key)
         try:
             with open(path, "r", encoding="utf-8") as f:
-                return json.load(f)
+                return json.load(f), os.fstat(f.fileno()).st_size
         except FileNotFoundError:
-            return None
+            return None, 0
         except (json.JSONDecodeError, OSError):
             # A corrupt record is worthless; drop it so it re-runs.
             path.unlink(missing_ok=True)
-            return None
+            return None, 0
 
     def get(
         self, spec_or_key: Union[JobSpec, str], check_fingerprint: bool = True
     ) -> Optional[CachedResult]:
         """The cached result for a spec, or ``None`` on miss/stale."""
         key = self._key_of(spec_or_key)
-        record = self._load(key)
-        if record is None:
-            return None
-        if check_fingerprint and record.get("fingerprint") != self.fingerprint:
+        with get_tracer().span("store.get", cat="store") as span:
+            record, size = self._load(key)
+            hit = record is not None and (
+                not check_fingerprint
+                or record.get("fingerprint") == self.fingerprint
+            )
+            span.set(hit=hit, bytes=size)
+        if not hit:
             return None
         return CachedResult(
             key=key,
@@ -141,20 +147,23 @@ class ResultStore:
             "payload": payload,
         }
         path = self.path_for(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(
-            dir=path.parent, prefix=f".{key[:8]}-", suffix=".tmp"
-        )
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as f:
-                json.dump(record, f, separators=(",", ":"))
-            os.replace(tmp, path)
-        except BaseException:
+        with get_tracer().span("store.put", cat="store") as span:
+            text = json.dumps(record, separators=(",", ":"))
+            path.parent.mkdir(parents=True, exist_ok=True)
+            fd, tmp = tempfile.mkstemp(
+                dir=path.parent, prefix=f".{key[:8]}-", suffix=".tmp"
+            )
             try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
+                with os.fdopen(fd, "w", encoding="utf-8") as f:
+                    f.write(text)
+                os.replace(tmp, path)
+            except BaseException:
+                try:
+                    os.unlink(tmp)
+                except OSError:
+                    pass
+                raise
+            span.set(bytes=len(text))
         return path
 
     # -- maintenance ------------------------------------------------------
@@ -198,7 +207,7 @@ class ResultStore:
     def entries(self) -> Iterator[Dict[str, Any]]:
         """Every readable record (fresh and stale alike)."""
         for path in self._record_paths():
-            record = self._load(path.stem)
+            record, _ = self._load(path.stem)
             if record is not None:
                 yield record
 

@@ -10,11 +10,14 @@ Step factorizations are cached per ``dt`` in a bounded, quantized-key
 :class:`StepLuCache`, so fixed-step co-simulation pays one LU per run and
 adaptive stepping cannot leak a factorization per distinct float ``dt``.
 The cache object can be shared between solvers over the same network
-(see :mod:`repro.thermal.operators`).
+(see :mod:`repro.thermal.operators`). The steady solver keeps its last
+few solutions, so every run's warm start from the same operating point
+costs one solve per solver.
 """
 
 from __future__ import annotations
 
+import threading
 from collections import OrderedDict
 from typing import Optional, Tuple
 
@@ -27,6 +30,10 @@ from repro.thermal.rc_network import RcNetwork
 
 #: Default bound on cached step factorizations per solver/cache.
 DEFAULT_MAX_STEP_LUS = 8
+
+#: Steady solutions a :class:`SteadySolver` keeps, least recently used
+#: evicted first (~20 KB each on the HMC 2.0 network).
+STEADY_MEMO_ENTRIES = 8
 
 #: Significant digits kept when keying LUs by dt: steps closer than one
 #: part in 1e9 share a factorization (far below any physical difference).
@@ -82,23 +89,42 @@ class StepLuCache:
 class SteadySolver:
     """Cached-factorization steady-state solver.
 
-    Stateless after construction (the LU depends only on ``G``), so one
-    instance can be shared by any number of thermal models over the same
-    network.
+    Immutable after construction (the LU depends only on ``G``, the
+    forcing only on ``B`` and ``ambient_c``), so one instance can be
+    shared by any number of thermal models over the same network, and a
+    solution depends only on ``P``: :meth:`solve` memoizes its last
+    :data:`STEADY_MEMO_ENTRIES` results under the exact bytes of ``P``.
     """
 
     def __init__(self, network: RcNetwork, ambient_c: float = 25.0) -> None:
         self.network = network
         self.ambient_c = ambient_c
         self._lu = spla.splu(sp.csc_matrix(network.G))
+        self._memo: "OrderedDict[Tuple[str, bytes], np.ndarray]" = OrderedDict()
+        self._memo_lock = threading.Lock()
 
     def solve(self, P: np.ndarray) -> np.ndarray:
-        """Steady temperatures (°C) for node power vector ``P`` (W)."""
+        """Steady temperatures (°C) for node power vector ``P`` (W).
+
+        The returned array is read-only: it may be shared with every
+        other caller that solves the same ``P``.
+        """
         net = self.network
         if P.shape != (net.num_nodes,):
             raise ValueError(f"P has shape {P.shape}, expected ({net.num_nodes},)")
-        rhs = P + net.B * self.ambient_c
-        return self._lu.solve(rhs)
+        key = (P.dtype.str, P.tobytes())
+        with self._memo_lock:
+            T = self._memo.get(key)
+            if T is not None:
+                self._memo.move_to_end(key)
+                return T
+        T = self._lu.solve(P + net.B * self.ambient_c)
+        T.setflags(write=False)
+        with self._memo_lock:
+            self._memo[key] = T
+            while len(self._memo) > STEADY_MEMO_ENTRIES:
+                self._memo.popitem(last=False)
+        return T
 
 
 class TransientSolver:

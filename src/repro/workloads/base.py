@@ -15,7 +15,10 @@ and speedup pattern land on the paper's evaluation (DESIGN.md §5).
 Generating a trace is the dominant cost of a run, and the paper replays
 every trace under all five offloading policies, so :func:`launch_for`
 keeps generated traces in one process-wide memo under a content key
-(:func:`trace_key`).
+(:func:`trace_key`). Kernel variants that do the same graph work (the
+four BFS kernels, the two data-driven SSSP kernels) name a shared
+*family*: the memo also keeps each family *traversal* — the algorithm
+run their epoch counts come from — so one run serves every variant.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ import threading
 import time as _time
 from collections import OrderedDict
 from dataclasses import dataclass, replace
-from typing import Iterator, Optional, Tuple
+from typing import Any, Callable, Iterator, Optional, Tuple
 
 import numpy as np
 
@@ -121,6 +124,10 @@ class GraphWorkload(abc.ABC):
     #: Benchmark name as it appears in the paper's figures.
     name: str = "workload"
     coeffs: TrafficCoefficients = TrafficCoefficients(lines_per_edge=0.5)
+    #: Kernels whose variants run the same algorithm name a family and
+    #: implement :meth:`traverse` / :meth:`epochs_from`; ``None`` means
+    #: the kernel's epochs come only from :meth:`epochs`.
+    family: Optional[str] = None
 
     def __init__(self, seed: int = 0) -> None:
         self.seed = seed
@@ -130,6 +137,27 @@ class GraphWorkload(abc.ABC):
     @abc.abstractmethod
     def epochs(self, graph: CSRGraph) -> Iterator[EpochCounts]:
         """Execute the algorithm, yielding per-epoch work counts."""
+
+    def traversal_key(self, graph: CSRGraph) -> Optional[tuple]:
+        """Memo key of this kernel's family traversal of ``graph``.
+
+        ``None`` for kernels without a family. A family's traversal
+        depends only on the graph and the exact source list, so the key
+        holds those and nothing a variant sets (name, coefficients,
+        mapping).
+        """
+        return None
+
+    def traverse(self, graph: CSRGraph) -> Any:
+        """Run the family's algorithm once; :meth:`epochs_from` reads it."""
+        raise NotImplementedError(f"{self.name} has no family traversal")
+
+    def epochs_from(self, traversal: Any, graph: CSRGraph) -> Iterator[EpochCounts]:
+        """This variant's epoch counts of a :meth:`traverse` result.
+
+        Equal to :meth:`epochs` on the same graph.
+        """
+        raise NotImplementedError(f"{self.name} has no family traversal")
 
     def reference_epochs(self, graph: CSRGraph) -> Iterator[EpochCounts]:
         """The straightforward generator :meth:`epochs` must equal exactly.
@@ -197,12 +225,26 @@ class GraphWorkload(abc.ABC):
         )
 
     def launch(
-        self, graph: CSRGraph, gpu: GpuConfig = GPU_DEFAULT
+        self,
+        graph: CSRGraph,
+        gpu: GpuConfig = GPU_DEFAULT,
+        traversal: Optional[Callable[[], Any]] = None,
     ) -> KernelLaunch:
-        """Kernel launch (one thread per vertex, GraphBIG-style)."""
+        """Kernel launch (one thread per vertex, GraphBIG-style).
+
+        ``traversal`` is a zero-argument callable returning this kernel's
+        family traversal of ``graph``; :func:`launch_for` passes its memo
+        lookup. It is called here, so a launch's time includes the
+        algorithm run it needed.
+        """
+        if traversal is None:
+            trace = self.trace(graph)
+        else:
+            epochs = self.epochs_from(traversal(), graph)
+            trace = TraceCursor(self.batch_for(c) for c in epochs)
         return KernelLaunch(
             name=self.name,
-            trace=self.trace(graph),
+            trace=trace,
             total_threads=max(graph.num_vertices, gpu.threads_per_block),
             config=gpu,
         )
@@ -213,12 +255,28 @@ class GraphWorkload(abc.ABC):
 
 # -- process-wide epoch-trace memo ---------------------------------------------
 
-#: Traces the memo keeps, least recently used evicted first. A full-scale
-#: trace is at most ~0.26 MB (BFS on ``ldbc``).
+#: Memo entries kept, least recently used evicted first: epoch traces and
+#: family traversals alike. A full-scale trace is at most ~0.26 MB (BFS on
+#: ``ldbc``); a traversal is smaller than any trace read off it.
 TRACE_MEMO_ENTRIES = 32
 
-_MEMO: "OrderedDict[tuple, Tuple[KernelLaunch, Tuple[OpBatch, ...]]]" = OrderedDict()
+_MEMO: "OrderedDict[tuple, Any]" = OrderedDict()
 _MEMO_LOCK = threading.Lock()
+
+
+def _memo_get(key: tuple) -> Any:
+    with _MEMO_LOCK:
+        value = _MEMO.get(key)
+        if value is not None:
+            _MEMO.move_to_end(key)
+    return value
+
+
+def _memo_put(key: tuple, value: Any) -> None:
+    with _MEMO_LOCK:
+        _MEMO[key] = value
+        while len(_MEMO) > TRACE_MEMO_ENTRIES:
+            _MEMO.popitem(last=False)
 
 
 def trace_key(
@@ -249,39 +307,54 @@ def launch_for(
     """``workload.launch(graph, gpu)``, generated once per :func:`trace_key`.
 
     A miss calls :meth:`GraphWorkload.launch` and keeps its immutable
-    batch tuple. Every call, hit or miss, returns its own launch with a
-    fresh :class:`TraceCursor` over those batches, so runs on different
-    threads never share a cursor position. Two threads missing the same
-    key at once both generate it; the traces are equal, so either entry
-    serves.
+    batch tuple; for a kernel with a family, the launch reads the
+    family traversal from the memo too (key
+    :meth:`GraphWorkload.traversal_key`), running the algorithm only if
+    no variant has yet. Every call, hit or miss, returns its own launch
+    with a fresh :class:`TraceCursor` over those batches, so runs on
+    different threads never share a cursor position. Two threads missing
+    the same key at once both generate it; the values are equal, so
+    either entry serves.
     """
     from repro.telemetry import get_registry
 
     key = trace_key(workload, graph, gpu)
     t0 = _time.perf_counter()
-    with _MEMO_LOCK:
-        entry = _MEMO.get(key)
-        if entry is not None:
-            _MEMO.move_to_end(key)
-    outcome, generated = "hit", {}
+    entry = _memo_get(key)
+    outcome, traversal, generated = "hit", "none", {}
     if entry is None:
-        launch = workload.launch(graph, gpu)
+        tkey = workload.traversal_key(graph)
+        shared = None
+        if tkey is not None:
+            def shared() -> Any:
+                nonlocal traversal
+                value = _memo_get(tkey)
+                traversal = "miss" if value is None else "hit"
+                if value is None:
+                    value = workload.traverse(graph)
+                    _memo_put(tkey, value)
+                return value
+
+        launch = workload.launch(graph, gpu, shared)
         entry = (launch, tuple(launch.trace))
-        with _MEMO_LOCK:
-            _MEMO[key] = entry
-            while len(_MEMO) > TRACE_MEMO_ENTRIES:
-                _MEMO.popitem(last=False)
+        _memo_put(key, entry)
         outcome = "miss"
         generated["generate_s"] = _time.perf_counter() - t0
     get_tracer().complete(
         "workloads.trace", t0, _time.perf_counter(), cat="workloads",
-        workload=workload.name, memo=outcome, epochs=len(entry[1]),
-        **generated,
+        workload=workload.name, memo=outcome, traversal=traversal,
+        epochs=len(entry[1]), **generated,
     )
     registry = get_registry()
     registry.counter(
         "repro_trace_memo_total", "Epoch-trace memo lookups", ("outcome",)
     ).labels(outcome=outcome).inc()
+    if traversal != "none":
+        registry.counter(
+            "repro_traversal_memo_total",
+            "Family-traversal memo lookups on epoch-trace misses",
+            ("outcome",),
+        ).labels(outcome=traversal).inc()
     if generated:
         registry.histogram(
             "repro_trace_generate_seconds",
@@ -292,6 +365,7 @@ def launch_for(
 
 
 def clear_cache() -> None:
-    """Drop every memoized trace (tests and cold-path benchmarks)."""
+    """Drop every memoized trace and traversal (tests and cold-path
+    benchmarks)."""
     with _MEMO_LOCK:
         _MEMO.clear()

@@ -21,7 +21,7 @@ too short to exercise thermal behaviour, Sec. V).
 
 from __future__ import annotations
 
-from typing import Iterator, Sequence, Tuple
+from typing import Iterable, Iterator, Sequence, Tuple
 
 import numpy as np
 
@@ -70,13 +70,40 @@ def bfs_epochs(
     the group's frontiers instead of one round per source. Epochs come out
     in the reference's order — every level of source 0, then source 1, …
     """
-    scanned = graph.num_vertices if topological else 0
+    return bfs_counts(_bfs_groups(graph, sources),
+                      graph.num_vertices if topological else 0)
+
+
+def bfs_traversal(
+    graph: CSRGraph, sources: Sequence[int]
+) -> Tuple[Tuple[np.ndarray, np.ndarray], ...]:
+    """The read-only ``(frontier, edges)`` level arrays of every
+    :data:`WORD_BITS` group of ``sources``: what every BFS variant's
+    epochs are read off (:func:`bfs_counts`)."""
+    groups = tuple(_bfs_groups(graph, sources))
+    for arrays in groups:
+        for a in arrays:
+            a.setflags(write=False)
+    return groups
+
+
+def _bfs_groups(
+    graph: CSRGraph, sources: Sequence[int]
+) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
     for first in range(0, len(sources), WORD_BITS):
-        group = sources[first:first + WORD_BITS]
-        frontier, edges = _bfs_group_levels(graph, group)
+        yield _bfs_group_levels(graph, sources[first:first + WORD_BITS])
+
+
+def bfs_counts(
+    groups: Iterable[Tuple[np.ndarray, np.ndarray]], scanned: int
+) -> Iterator[EpochCounts]:
+    """Epoch counts of per-group level arrays, ``scanned`` vertices per
+    level (the full vertex set for topology-driven kernels, else 0)."""
+    for g, (frontier, edges) in enumerate(groups):
+        first = g * WORD_BITS
         updated = np.vstack([frontier[1:], np.zeros_like(frontier[:1])])
         depth = np.count_nonzero(frontier, axis=0)
-        for i in range(len(group)):
+        for i in range(frontier.shape[1]):
             for level in range(depth[i]):
                 yield EpochCounts(
                     label=f"q{first + i}-level{level}",
@@ -163,6 +190,7 @@ def bfs_epochs_reference(
 class _BfsBase(GraphWorkload):
     """Shared level-synchronous engine; subclasses set the mapping."""
 
+    family = "bfs"
     #: Topology-driven kernels scan the full vertex set every level.
     topological: bool = False
     num_sources: int = 128
@@ -170,6 +198,20 @@ class _BfsBase(GraphWorkload):
     def epochs(self, graph: CSRGraph) -> Iterator[EpochCounts]:
         sources = pick_sources(graph, self.num_sources, self.seed)
         return bfs_epochs(graph, sources, self.topological)
+
+    def traversal_key(self, graph: CSRGraph) -> tuple:
+        sources = pick_sources(graph, self.num_sources, self.seed)
+        return (self.family, graph.fingerprint(), tuple(sources.tolist()))
+
+    def traverse(self, graph: CSRGraph) -> Tuple[Tuple[np.ndarray, np.ndarray], ...]:
+        return bfs_traversal(
+            graph, pick_sources(graph, self.num_sources, self.seed)
+        )
+
+    def epochs_from(self, traversal, graph: CSRGraph) -> Iterator[EpochCounts]:
+        return bfs_counts(
+            traversal, graph.num_vertices if self.topological else 0
+        )
 
     def reference_epochs(self, graph: CSRGraph) -> Iterator[EpochCounts]:
         sources = pick_sources(graph, self.num_sources, self.seed)

@@ -13,7 +13,7 @@ class (Table III). Variants:
 
 from __future__ import annotations
 
-from typing import Iterator, Sequence
+from typing import Iterator, Sequence, Tuple
 
 import numpy as np
 
@@ -216,10 +216,26 @@ class _SsspBase(GraphWorkload):
 
 
 class _SsspDataDriven(_SsspBase):
-    """Frontier-based relaxation engine."""
+    """Frontier-based relaxation engine.
+
+    Both data-driven variants relax the same frontiers, so they share one
+    traversal: its epoch counts, which neither mapping changes.
+    """
+
+    family = "sssp-data-driven"
 
     def epochs(self, graph: CSRGraph) -> Iterator[EpochCounts]:
         return sssp_epochs(graph, self._sources(graph))
+
+    def traversal_key(self, graph: CSRGraph) -> tuple:
+        sources = self._sources(graph)
+        return (self.family, graph.fingerprint(), tuple(sources.tolist()))
+
+    def traverse(self, graph: CSRGraph) -> Tuple[EpochCounts, ...]:
+        return tuple(sssp_epochs(graph, self._sources(graph)))
+
+    def epochs_from(self, traversal, graph: CSRGraph) -> Iterator[EpochCounts]:
+        return iter(traversal)
 
     def reference_epochs(self, graph: CSRGraph) -> Iterator[EpochCounts]:
         return sssp_epochs_reference(graph, self._sources(graph))

@@ -1,5 +1,8 @@
 """JobSpec identity: canonical hashing, serialization, handler resolution."""
 
+import pickle
+from dataclasses import replace
+
 import pytest
 
 from repro.service.jobs import (
@@ -65,6 +68,30 @@ class TestCacheKey:
     def test_non_json_params_rejected(self):
         with pytest.raises(TypeError):
             spec(params={"bad": object()}).key
+
+    def test_caller_mutation_after_construction_changes_nothing(self):
+        params = {"workload": "pagerank", "scale": {"seed": 1}}
+        s = spec(params=params)
+        key, as_dict = s.key, s.to_dict()
+        params["workload"] = "bfs-ta"
+        params["scale"]["seed"] = 2
+        params["extra"] = [1, 2]
+        assert s.key == key
+        assert s.to_dict() == as_dict
+        assert s.key == spec(params={"workload": "pagerank",
+                                     "scale": {"seed": 1}}).key
+
+    def test_replace_rehashes(self):
+        s = spec()
+        assert replace(s, seed=7).key == spec(seed=7).key
+        assert replace(s, max_retries=2).key == s.key
+
+    def test_pickle_round_trip_keeps_the_key(self):
+        s = spec(timeout_s=1.0, tags=("x",))
+        restored = pickle.loads(pickle.dumps(s))
+        assert restored == s
+        assert restored.key == s.key
+        assert restored.to_dict() == s.to_dict()
 
 
 class TestSerialization:
