@@ -29,6 +29,7 @@ from repro.hmc.config import HMC_2_0, HmcConfig
 from repro.hmc.flow import HmcFlowModel
 from repro.thermal.cooling import COMMODITY_SERVER, CoolingSolution
 from repro.thermal.model import HmcThermalModel
+from repro.thermal.operators import CONTROL_DT_S
 from repro.thermal.sensor import ThermalSensor
 from repro.workloads.base import GraphWorkload, launch_for
 
@@ -49,7 +50,7 @@ class CoolPimSystem:
         hmc: HmcConfig = HMC_2_0,
         cooling: CoolingSolution = COMMODITY_SERVER,
         ambient_c: float = 25.0,
-        control_dt_s: float = 25e-6,
+        control_dt_s: float = CONTROL_DT_S,
         phase_policy=None,
         engine: str = "macro",
     ) -> None:

@@ -3,21 +3,15 @@
 The fluid simulator (:mod:`repro.gpu.simulator`) models traffic as rates;
 this mode expands each epoch's post-cache traffic into *individual
 transactions* against :class:`repro.hmc.cube.HmcCube` — real packets on
-real links, real bank occupancy, functional PIM execution — while
-coupling the same thermal model and temperature-phase management
-(frequency derating, refresh doubling, ERRSTAT warnings).
+real links, real bank occupancy, functional PIM execution — submitted one
+by one through :meth:`HmcCube.submit`, while coupling the same thermal
+model and temperature-phase management (frequency derating, refresh
+doubling, ERRSTAT warnings).
 
-Two interchangeable transaction engines drive the cube:
-
-``engine="batched"`` (default)
-    The struct-of-arrays engine (:mod:`repro.hmc.batch`): each thermal
-    window's worth of transactions is timestamped in one vectorized
-    call. This raises the practical budget to ≥10⁶ transactions
-    (≥10× the scalar path, guarded by ``benchmarks/test_detailed_bench``).
-``engine="event"``
-    The original per-transaction :meth:`HmcCube.submit` loop, kept as
-    the reference oracle — both engines consume the same RNG stream and
-    produce bit-identical results (pinned by the equivalence tests).
+The thermal model steps on the fluid simulator's fixed control quantum
+(:data:`repro.thermal.operators.CONTROL_DT_S`); time between thermal
+updates that does not fill a quantum is carried forward as debt, so a run
+factorizes at most one step LU.
 
 Addresses are synthesized per epoch: streaming reads/writes stride
 across vaults; atomics scatter over a property region sized by the
@@ -41,10 +35,10 @@ from repro.hmc.config import HMC_2_0, HmcConfig
 from repro.hmc.cube import HmcCube
 from repro.hmc.dram_timing import TemperaturePhase, TemperaturePhasePolicy
 from repro.hmc.isa import PimInstruction, PimOpcode
-from repro.hmc.packet import FLIT_BYTES, PTYPE_CODES, PTYPES_BY_CODE, PacketType, Request
-from repro.hmc.scan import seeded_fold
+from repro.hmc.packet import FLIT_BYTES, PacketType, Request
 from repro.sim.stats import StatRegistry
 from repro.thermal.model import HmcThermalModel
+from repro.thermal.operators import CONTROL_DT_S
 from repro.thermal.power import TrafficPoint
 from repro.thermal.sensor import ThermalSensor
 
@@ -52,16 +46,11 @@ from repro.thermal.sensor import ThermalSensor
 STREAM_REGION = 0
 PROPERTY_REGION = 4 << 30  # uncacheable offloading-target data
 
-_CODE_READ = PTYPE_CODES[PacketType.READ64]
-_CODE_WRITE = PTYPE_CODES[PacketType.WRITE64]
-_CODE_PIM = PTYPE_CODES[PacketType.PIM]
+#: Transaction kinds of a synthesized epoch stream.
+_READ, _WRITE, _PIM = 0, 1, 2
 
 #: Shared all-zero write line (streaming writes carry no modelled data).
 _ZERO_LINE = b"\0" * 64
-
-#: The detailed mode's atomic instruction (Sec. VI: graph updates are
-#: dominated by integer add atomics).
-_PIM_TEMPLATE = PimInstruction(PimOpcode.ADD_IMM, address=0, immediate=1)
 
 
 @dataclass
@@ -78,8 +67,6 @@ class DetailedResult:
     thermal_warnings: int
     mean_latency_ns: float
     link_flits: int
-    #: Which transaction engine produced this result.
-    engine: str = "batched"
     #: Achieved external-link bandwidth (all FLITs over the run time).
     ext_bandwidth_gbs: float = 0.0
     #: (time_s, peak_temp_c) thermal samples.
@@ -100,13 +87,10 @@ class DetailedSimulator:
         thermal_update_txns: int = 256,
         max_transactions: int = 1_000_000,
         seed: int = 0,
-        engine: str = "batched",
         stats: Optional[StatRegistry] = None,
     ) -> None:
         if thermal_update_txns <= 0:
             raise ValueError(f"update interval must be positive: {thermal_update_txns}")
-        if engine not in ("batched", "event"):
-            raise ValueError(f"engine must be 'batched' or 'event', got {engine!r}")
         self.gpu = gpu
         self.hmc_config = hmc_config
         self.cache = cache or CacheModel(gpu)
@@ -116,7 +100,6 @@ class DetailedSimulator:
         self.thermal_update_txns = thermal_update_txns
         self.max_transactions = max_transactions
         self.seed = seed
-        self.engine = engine
         #: Per-simulator stat registry (``detailed.*`` scope); each run()
         #: resets and refills it.
         self.stats = stats if stats is not None else StatRegistry()
@@ -135,7 +118,7 @@ class DetailedSimulator:
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Synthesize one epoch's transaction stream as parallel arrays.
 
-        Returns ``(codes, addresses, is_host_member)`` already shuffled
+        Returns ``(kinds, addresses, is_host_member)`` already shuffled
         into issue order. Host atomics appear as read+write pairs; the
         boolean marker tracks their members through the shuffle so
         truncated epochs can account *submitted* host atomics.
@@ -152,18 +135,18 @@ class DetailedSimulator:
                                span, 16)
 
         addrs = np.concatenate((reads, writes, hosts, pims))
-        codes = np.concatenate((
-            np.full(reads.size, _CODE_READ, dtype=np.int64),
-            np.full(writes.size, _CODE_WRITE, dtype=np.int64),
+        kinds = np.concatenate((
+            np.full(reads.size, _READ, dtype=np.int64),
+            np.full(writes.size, _WRITE, dtype=np.int64),
             # host atomic = read + write pair
-            np.tile([_CODE_READ, _CODE_WRITE], hosts.size // 2).astype(np.int64),
-            np.full(pims.size, _CODE_PIM, dtype=np.int64),
+            np.tile([_READ, _WRITE], hosts.size // 2).astype(np.int64),
+            np.full(pims.size, _PIM, dtype=np.int64),
         ))
         is_host = np.zeros(addrs.size, dtype=bool)
         is_host[reads.size + writes.size : reads.size + writes.size + hosts.size] = True
 
         perm = rng.permutation(addrs.size)  # avoid phase-locking with links
-        return codes[perm], addrs[perm], is_host[perm]
+        return kinds[perm], addrs[perm], is_host[perm]
 
     # -- main loop --------------------------------------------------------------
 
@@ -178,7 +161,6 @@ class DetailedSimulator:
 
         policy.begin(launch, now_s=0.0)
         exempt = policy.thermal_exempt
-        batched = self.engine == "batched"
 
         stats = self.stats.scoped("detailed")
         batch_hist = stats.histogram("epoch_batch_txns", 0.0, 65536.0, 64)
@@ -192,11 +174,12 @@ class DetailedSimulator:
         latency_sum = 0.0
         peak_temp = self.thermal.peak_dram_c() if not exempt else self.thermal.ambient_c
         thermal_trace: List[Tuple[float, float]] = []
+        thermal_debt_s = 0.0
         last_update_ns = 0.0
         last_flits = 0
 
         def thermal_update(completed_ns: float) -> None:
-            nonlocal last_update_ns, last_flits, peak_temp, warnings
+            nonlocal last_update_ns, last_flits, peak_temp, warnings, thermal_debt_s
             if exempt:
                 return
             dt_ns = completed_ns - last_update_ns
@@ -206,11 +189,16 @@ class DetailedSimulator:
             ext = (flits - last_flits) * 16 * (2.0 / 3.0) / dt_ns
             internal = ext  # event mode: payload-equivalent approximation
             pim_rate = 0.0  # FU power folded into the internal estimate
-            temp = self.thermal.step(
-                TrafficPoint(external_gbs=ext, internal_dram_gbs=internal,
-                             pim_rate_ops_ns=pim_rate),
-                dt_ns * 1e-9,
-            )
+            traffic = TrafficPoint(external_gbs=ext, internal_dram_gbs=internal,
+                                   pim_rate_ops_ns=pim_rate)
+            # Fixed-quantum stepping (one cached step LU): the interval
+            # joins the debt, and each whole quantum of debt is stepped
+            # with the current traffic point.
+            thermal_debt_s += dt_ns * 1e-9
+            temp = self.thermal.peak_dram_c()
+            while thermal_debt_s >= CONTROL_DT_S:
+                temp = self.thermal.step(traffic, CONTROL_DT_S)
+                thermal_debt_s -= CONTROL_DT_S
             peak_temp = max(peak_temp, temp)
             thermal_trace.append((completed_ns * 1e-9, temp))
             phase = self.phase_policy.phase(temp)
@@ -233,72 +221,36 @@ class DetailedSimulator:
             traffic = self.cache.filter(batch)
             fraction = policy.pim_fraction(now_ns * 1e-9)
             demand = self.cache.demand(traffic, fraction)
-            codes, addrs, is_host = self._epoch_stream(rng, demand, batch.threads)
-            batch_hist.add(float(codes.size))
+            kinds, addrs, is_host = self._epoch_stream(rng, demand, batch.threads)
+            batch_hist.add(float(kinds.size))
 
             # Open-loop issue: the GPU's memory-level parallelism keeps the
             # links fed, so every transaction of the epoch is offered at
             # the epoch start and the cube's queues provide the backpressure.
-            # The stream is consumed in windows that end exactly at the
-            # thermal-update counter boundaries, so both engines couple to
-            # the thermal model at identical points.
             epoch_start = now_ns
             epoch_end = now_ns
-            pos = 0
-            # Thermal-exempt policies never feed back into the cube, so the
-            # whole epoch can go down in one batch; otherwise windows end
-            # at the thermal-update counter boundaries.
-            window = self.thermal_update_txns if not exempt else (1 << 62)
-            while pos < codes.size and txns < self.max_transactions:
-                if cube.is_shutdown:
+            for kind, a, host in zip(kinds.tolist(), addrs.tolist(),
+                                     is_host.tolist()):
+                if txns >= self.max_transactions or cube.is_shutdown:
                     break
-                take = min(
-                    window - txns % window,
-                    codes.size - pos,
-                    self.max_transactions - txns,
-                )
-                sl = slice(pos, pos + take)
-                if batched:
+                if kind == _PIM:
+                    inst = PimInstruction(PimOpcode.ADD_IMM, address=a, immediate=1)
+                    rsp = cube.submit(Request(PacketType.PIM, address=a, pim=inst),
+                                      epoch_start)
+                    pim_total += 1
+                elif kind == _WRITE:
                     # Only host-atomic writes carry (zero) payloads: they
-                    # must functionally clear property-region operands.
-                    # Streaming writes carry no modelled data.
-                    payloads: Optional[List[Optional[bytes]]] = None
-                    host_writes = is_host[sl] & (codes[sl] == _CODE_WRITE)
-                    if np.any(host_writes):
-                        payloads = [
-                            _ZERO_LINE if h else None
-                            for h in host_writes.tolist()
-                        ]
-                    rsp = cube.submit_batch_arrays(
-                        codes[sl], addrs[sl], epoch_start,
-                        pim_template=_PIM_TEMPLATE, payloads=payloads,
-                    )
-                    latency_sum = seeded_fold(latency_sum, rsp.latency_ns)
-                    epoch_end = max(epoch_end, float(rsp.complete_time_ns.max()))
+                    # functionally clear property-region operands.
+                    rsp = cube.submit(Request(PacketType.WRITE64, address=a),
+                                      epoch_start,
+                                      payload=_ZERO_LINE if host else None)
                 else:
-                    for c, a, h in zip(codes[sl].tolist(), addrs[sl].tolist(),
-                                       is_host[sl].tolist()):
-                        ptype = PTYPES_BY_CODE[c]
-                        if c == _CODE_PIM:
-                            inst = PimInstruction(PimOpcode.ADD_IMM, address=a,
-                                                  immediate=1)
-                            rsp1 = cube.submit(
-                                Request(ptype, address=a, pim=inst), epoch_start
-                            )
-                        elif c == _CODE_WRITE:
-                            rsp1 = cube.submit(
-                                Request(ptype, address=a), epoch_start,
-                                payload=_ZERO_LINE if h else None,
-                            )
-                        else:
-                            rsp1 = cube.submit(Request(ptype, address=a),
-                                               epoch_start)
-                        latency_sum += rsp1.latency_ns
-                        epoch_end = max(epoch_end, rsp1.complete_time_ns)
-                pim_total += int(np.count_nonzero(codes[sl] == _CODE_PIM))
-                host_members += int(np.count_nonzero(is_host[sl]))
-                txns += take
-                pos += take
+                    rsp = cube.submit(Request(PacketType.READ64, address=a),
+                                      epoch_start)
+                host_members += host
+                latency_sum += rsp.latency_ns
+                epoch_end = max(epoch_end, rsp.complete_time_ns)
+                txns += 1
                 if txns % self.thermal_update_txns == 0:
                     thermal_update(epoch_end)
             now_ns = max(now_ns, epoch_end)
@@ -319,7 +271,6 @@ class DetailedSimulator:
             thermal_warnings=warnings,
             mean_latency_ns=latency_sum / txns if txns else 0.0,
             link_flits=cube.links.total_flits(),
-            engine=self.engine,
             ext_bandwidth_gbs=(
                 cube.links.total_flits() * FLIT_BYTES / now_ns if now_ns > 0 else 0.0
             ),

@@ -36,6 +36,7 @@ from repro.obs.tracer import get_tracer
 from repro.sim.stats import StatRegistry
 from repro.sim.trace import OpBatch
 from repro.thermal.model import HmcThermalModel
+from repro.thermal.operators import CONTROL_DT_S
 from repro.thermal.power import TrafficPoint
 from repro.thermal.sensor import ThermalSensor
 
@@ -189,7 +190,7 @@ class SystemSimulator:
         flow: Optional[HmcFlowModel] = None,
         thermal: Optional[HmcThermalModel] = None,
         sensor: Optional[ThermalSensor] = None,
-        control_dt_s: float = 25e-6,
+        control_dt_s: float = CONTROL_DT_S,
         timeline_dt_s: float = 250e-6,
         warm_start: Optional[TrafficPoint] = None,
         saturation_threads: int = 1500,

@@ -14,10 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict
 
-import numpy as np
-
-from repro.hmc.packet import FLIT_BYTES, REQUEST_FLITS_BY_CODE
-from repro.hmc.scan import seeded_fold, serial_fifo
+from repro.hmc.packet import FLIT_BYTES
 
 
 @dataclass
@@ -47,14 +44,6 @@ class Crossbar:
             raise ValueError(
                 f"port bandwidth must be positive: {self.port_bandwidth_gbs}"
             )
-        # Per-type-code serialization durations, same float expression as
-        # the scalar path (flits * FLIT_BYTES / bandwidth).
-        self._req_durs = np.array(
-            [
-                flits * FLIT_BYTES / self.port_bandwidth_gbs
-                for flits in REQUEST_FLITS_BY_CODE.tolist()
-            ]
-        )
 
     def forward(self, now: float) -> float:
         """Latency-only traversal (used for responses heading back to the
@@ -77,21 +66,6 @@ class Crossbar:
             self._port_busy_ns.get(vault_id, 0.0) + duration
         )
         return finish
-
-    def forward_to_vault_batch(
-        self, vault_id: int, codes: np.ndarray, arrivals: np.ndarray
-    ) -> np.ndarray:
-        """Batched :meth:`forward_to_vault` for one vault's stream-ordered
-        packets; bit-identical to the scalar call sequence."""
-        d = self._req_durs[codes]
-        ready = self._port_ready.get(vault_id, 0.0)
-        _, finishes = serial_fifo(arrivals + self.traversal_ns, d, ready)
-        if finishes.size:
-            self._port_ready[vault_id] = float(finishes[-1])
-            self._port_busy_ns[vault_id] = seeded_fold(
-                self._port_busy_ns.get(vault_id, 0.0), d
-            )
-        return finishes
 
     def port_utilization(self, vault_id: int, elapsed_ns: float) -> float:
         """Busy fraction of one vault's ingress port."""

@@ -4,29 +4,13 @@ Each HMC link is full duplex: 16 input + 16 output lanes (Sec. II-A). The
 model treats each direction as a serial resource: a packet of N FLITs
 occupies the lane for N × flit_time. Requests are striped across links
 round-robin, approximating the crossbar's link-level load balancing.
-
-Both directions expose scalar (:meth:`SerialLink.send_request`) and
-batched (:meth:`SerialLink.send_request_batch`) entry points; the batched
-ones run the same FIFO recurrence through the exact segmented scans of
-:mod:`repro.hmc.scan`, so a batch produces bit-identical timestamps,
-ready times, busy counters, and FLIT ledgers to the equivalent scalar
-call sequence.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
-from repro.hmc.packet import (
-    FLIT_BYTES,
-    PTYPES_BY_CODE,
-    FlitLedger,
-    PacketType,
-    flit_cost,
-)
-from repro.hmc.scan import seeded_fold, serial_fifo
+from repro.hmc.packet import FLIT_BYTES, FlitLedger, PacketType, flit_cost
 
 
 @dataclass
@@ -49,15 +33,6 @@ class SerialLink:
         self.rsp_ready_at = 0.0
         self.ledger = FlitLedger()
         self.stats = LinkStats()
-        # Per-type-code serialization durations, computed with the same
-        # float expression as the scalar path (flits * flit_time_ns) so
-        # batched lookups reproduce scalar results bitwise.
-        self._req_dur_by_code = np.array(
-            [flit_cost(t)[0] * self.flit_time_ns for t in PTYPES_BY_CODE]
-        )
-        self._rsp_dur_by_code = np.array(
-            [flit_cost(t)[1] * self.flit_time_ns for t in PTYPES_BY_CODE]
-        )
 
     def send_request(self, ptype: PacketType, now: float) -> float:
         """Serialize a request packet; returns arrival time at the cube."""
@@ -82,27 +57,6 @@ class SerialLink:
         self.stats.response_busy_ns += dur
         return start + dur
 
-    def send_request_batch(self, codes: np.ndarray, arrivals: np.ndarray) -> np.ndarray:
-        """Serialize many request packets (stream order); returns arrival
-        times at the cube — bit-identical to the scalar loop."""
-        durs = self._req_dur_by_code[codes]
-        _, finishes = serial_fifo(arrivals, durs, self.req_ready_at)
-        if finishes.size:
-            self.req_ready_at = float(finishes[-1])
-        self.stats.request_busy_ns = seeded_fold(self.stats.request_busy_ns, durs)
-        self.ledger.record_batch(np.bincount(codes, minlength=len(PTYPES_BY_CODE)))
-        return finishes
-
-    def send_response_batch(self, codes: np.ndarray, arrivals: np.ndarray) -> np.ndarray:
-        """Serialize many response packets (stream order); returns arrival
-        times at the host — bit-identical to the scalar loop."""
-        durs = self._rsp_dur_by_code[codes]
-        _, finishes = serial_fifo(arrivals, durs, self.rsp_ready_at)
-        if finishes.size:
-            self.rsp_ready_at = float(finishes[-1])
-        self.stats.response_busy_ns = seeded_fold(self.stats.response_busy_ns, durs)
-        return finishes
-
     def utilization(self, elapsed_ns: float) -> float:
         """Mean of the two directions' busy fractions."""
         if elapsed_ns <= 0:
@@ -126,14 +80,6 @@ class LinkGroup:
         link = self.links[self._next]
         self._next = (self._next + 1) % len(self.links)
         return link
-
-    def assign_batch(self, count: int) -> np.ndarray:
-        """Link index for each of ``count`` stream-ordered requests,
-        advancing the round-robin pointer exactly as ``count`` calls to
-        :meth:`pick` would."""
-        idx = (self._next + np.arange(count, dtype=np.int64)) % len(self.links)
-        self._next = (self._next + count) % len(self.links)
-        return idx
 
     def total_flits(self) -> int:
         return sum(l.ledger.total_flits for l in self.links)

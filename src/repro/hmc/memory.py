@@ -7,10 +7,7 @@ keeps an 8 GB cube cheap to instantiate.
 
 from __future__ import annotations
 
-import sys
 from typing import Dict
-
-import numpy as np
 
 from repro.hmc.isa import (
     PimInstruction,
@@ -74,70 +71,6 @@ class BackingStore:
                 self._pages[page] = buf
             buf[off : off + chunk] = data[pos : pos + chunk]
             pos += chunk
-
-    def bulk_int_add(self, addresses, deltas, nbytes: int) -> None:
-        """Apply wrapping signed integer adds to many operands at once.
-
-        The batched engine's fold of uniform ``ADD_IMM`` streams: each
-        operand at ``addresses[i]`` (already range-checked, aligned to
-        ``nbytes``, so never straddling a page) gets ``deltas[i]`` added
-        with two's-complement wrap at the operand width — byte-for-byte
-        what per-op :meth:`execute_pim` chains would leave behind.
-        """
-        if nbytes not in (4, 8):
-            raise ValueError(f"operand width must be 4 or 8, got {nbytes}")
-        bits = nbytes * 8
-        full = 1 << bits
-        pages = self._pages
-        if sys.byteorder != "little":
-            # Rare big-endian host: scalar reference path.
-            half = 1 << (bits - 1)
-            for addr, delta in zip(addresses, deltas):
-                page, off = addr >> _PAGE_BITS, addr & (_PAGE_SIZE - 1)
-                buf = pages.get(page)
-                if buf is None:
-                    buf = bytearray(_PAGE_SIZE)
-                    pages[page] = buf
-                old = int.from_bytes(buf[off : off + nbytes], "little", signed=True)
-                v = (old + delta) & (full - 1)
-                if v >= half:
-                    v -= full
-                buf[off : off + nbytes] = v.to_bytes(nbytes, "little", signed=True)
-            return
-        # Two's-complement add == unsigned add mod 2**bits, and pages are
-        # stored little-endian, so an unsigned numpy view of each page
-        # buffer produces byte-identical results to the scalar path.
-        # Deltas are masked through Python ints first (they may exceed
-        # the operand range, e.g. folded immediate * count).
-        count = len(addresses)
-        udtype = np.uint32 if nbytes == 4 else np.uint64
-        if isinstance(addresses, np.ndarray) and isinstance(deltas, np.ndarray):
-            addrs = addresses.astype(np.int64, copy=False)
-            # A .view() reinterprets int64 bits, i.e. reduces mod 2**64;
-            # the extra uint64 mask then wraps to the operand width.
-            dl = (deltas.astype(np.int64, copy=False).view(np.uint64)
-                  & np.uint64(full - 1)).astype(udtype, copy=False)
-        else:
-            addrs = np.fromiter((int(a) for a in addresses), dtype=np.int64,
-                                count=count)
-            dl = np.fromiter((int(d) & (full - 1) for d in deltas),
-                             dtype=np.uint64, count=count).astype(udtype)
-        page_ids = addrs >> _PAGE_BITS
-        order = np.argsort(page_ids, kind="stable")
-        page_s = page_ids[order]
-        cut = np.flatnonzero(page_s[1:] != page_s[:-1]) + 1
-        offsets = np.concatenate(([0], cut, [count]))
-        shift = 2 if nbytes == 4 else 3
-        word_offs = ((addrs[order] & (_PAGE_SIZE - 1)) >> shift).astype(np.intp)
-        for k in range(offsets.size - 1):
-            lo, hi = int(offsets[k]), int(offsets[k + 1])
-            page = int(page_s[lo])
-            buf = pages.get(page)
-            if buf is None:
-                buf = bytearray(_PAGE_SIZE)
-                pages[page] = buf
-            view = np.frombuffer(buf, dtype=udtype)
-            np.add.at(view, word_offs[lo:hi], dl[lo:hi])
 
     def execute_pim(self, inst: PimInstruction) -> tuple[bytes, bool]:
         """Atomically apply ``inst``; returns (old raw operand, atomic_flag).

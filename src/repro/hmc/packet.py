@@ -22,8 +22,6 @@ import enum
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
-import numpy as np
-
 from repro.hmc.isa import PimInstruction
 
 #: FLIT size in bytes (128 bits).
@@ -48,20 +46,6 @@ _FLIT_TABLE: Dict[PacketType, Tuple[int, int]] = {
     PacketType.PIM: (2, 1),
     PacketType.PIM_RET: (2, 2),
 }
-
-
-#: Dense integer codes for :class:`PacketType`, used by the batched
-#: engine's struct-of-arrays representation (:mod:`repro.hmc.batch`).
-PTYPE_CODES: Dict[PacketType, int] = {t: i for i, t in enumerate(PacketType)}
-PTYPES_BY_CODE: Tuple[PacketType, ...] = tuple(PacketType)
-
-#: Table I as arrays indexed by packet-type code.
-REQUEST_FLITS_BY_CODE = np.array(
-    [_FLIT_TABLE[t][0] for t in PTYPES_BY_CODE], dtype=np.int64
-)
-RESPONSE_FLITS_BY_CODE = np.array(
-    [_FLIT_TABLE[t][1] for t in PTYPES_BY_CODE], dtype=np.int64
-)
 
 
 def flit_cost(ptype: PacketType) -> Tuple[int, int]:
@@ -173,17 +157,6 @@ class FlitLedger:
         self.request_flits += req * count
         self.response_flits += rsp * count
         self.transactions[ptype] += count
-
-    def record_batch(self, counts_by_code: np.ndarray) -> None:
-        """Record many transactions at once from per-type-code counts.
-
-        ``counts_by_code[c]`` is the number of transactions of the type
-        with code ``c`` (see :data:`PTYPE_CODES`); shorter arrays (from
-        ``np.bincount``) are accepted.
-        """
-        for code, count in enumerate(counts_by_code.tolist()):
-            if count:
-                self.record(PTYPES_BY_CODE[code], int(count))
 
     @property
     def total_flits(self) -> int:

@@ -11,9 +11,7 @@ full read-modify-write).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Tuple
-
-import numpy as np
+from typing import List
 
 from repro.hmc.bank import DramBank
 from repro.hmc.config import HmcConfig
@@ -56,35 +54,6 @@ class AddressMap:
         block //= self.config.banks_per_vault
         local = block * self.granularity + offset
         return vault, bank, local
-
-    def decode_batch(
-        self, addresses: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Vectorized :meth:`decode` over an int64 address array.
-
-        Returns ``(vault_ids, bank_ids, local_addresses)``. Raises on the
-        first out-of-range address (before any decoding), so a batched
-        submit is all-or-nothing.
-        """
-        addresses = np.asarray(addresses, dtype=np.int64)
-        if addresses.size:
-            lo = int(addresses.min())
-            hi = int(addresses.max())
-            if lo < 0 or hi >= self.config.capacity_bytes:
-                bad = lo if lo < 0 else hi
-                raise ValueError(
-                    f"address {bad:#x} outside capacity "
-                    f"{self.config.capacity_bytes:#x}"
-                )
-        block = addresses // self.granularity
-        offset = addresses % self.granularity
-        vault = block % self.config.num_vaults
-        block = block // self.config.num_vaults
-        bank = block % self.config.banks_per_vault
-        block = block // self.config.banks_per_vault
-        local = block * self.granularity + offset
-        return vault, bank, local
-
 
 class VaultController:
     """One vault: banks + FU + in-order-per-bank scheduling."""
@@ -163,11 +132,3 @@ class VaultController:
             )
 
         raise ValueError(f"unhandled packet type {req.ptype}")
-
-    def record_batch(self, reads: int, writes: int, pim_ops: int) -> None:
-        """Bulk stats update from the batched engine (one ``service``
-        equivalent per transaction)."""
-        self.stats.requests += reads + writes + pim_ops
-        self.stats.reads += reads
-        self.stats.writes += writes
-        self.stats.pim_ops += pim_ops

@@ -21,7 +21,7 @@ from repro.hmc.config import HMC_2_0, HmcConfig
 from repro.obs.tracer import get_tracer
 from repro.thermal.cooling import COMMODITY_SERVER, CoolingSolution
 from repro.thermal.floorplan import Floorplan
-from repro.thermal.operators import get_operators, get_propagator
+from repro.thermal.operators import CONTROL_DT_S, get_operators, get_propagator
 from repro.thermal.propagator import ReducedPropagator
 from repro.thermal.power import PowerModel, TrafficPoint
 from repro.thermal.rc_network import DEFAULT_INTERFACE_SCALE, RcNetwork, build_network
@@ -270,7 +270,7 @@ class HmcThermalModel:
     def settle(
         self,
         traffic: TrafficPoint,
-        dt_s: float = 25e-6,
+        dt_s: float = CONTROL_DT_S,
         tol_c: float = 1e-4,
         vault_weights: Optional[np.ndarray] = None,
         dram_energy_scale: float = 1.0,

@@ -41,6 +41,12 @@ from repro.thermal.propagator import ReducedPropagator
 from repro.thermal.solver import StepLuCache, SteadySolver, _dt_key
 from repro.thermal.stack import StackSpec, build_stack
 
+#: Control quantum (s) of both co-simulators (the fluid
+#: :class:`~repro.gpu.simulator.SystemSimulator` and the transaction-level
+#: :class:`~repro.gpu.detailed.DetailedSimulator`): every thermal step of a
+#: run advances by it, so one cached step LU serves the whole run.
+CONTROL_DT_S = 25e-6
+
 #: (config, cooling, sub, interface_scale, ambient, board_resistance)
 OperatorKey = Tuple[HmcConfig, CoolingSolution, int, float, float, float]
 
@@ -152,7 +158,7 @@ def get_operators(
 def prewarm(
     config: HmcConfig,
     cooling: CoolingSolution,
-    control_dt_s: float = 25e-6,
+    control_dt_s: float = CONTROL_DT_S,
     **kwargs,
 ) -> ThermalOperators:
     """Build operators ahead of use, including the control-quantum step LU.

@@ -10,7 +10,7 @@ of the two benchmarks where naïve and CoolPIM coincide).
 
 from __future__ import annotations
 
-from typing import Iterator
+from typing import Iterator, List, Tuple
 
 import numpy as np
 
@@ -18,18 +18,29 @@ from repro.graph.csr import CSRGraph
 from repro.workloads.base import EpochCounts, GraphWorkload, TrafficCoefficients
 
 
-def kcore_mask(graph: CSRGraph, k: int) -> np.ndarray:
-    """Reference: boolean mask of vertices in the k-core."""
+def _peel(graph: CSRGraph, k: int) -> Tuple[np.ndarray, List[Tuple[int, int, int]]]:
+    """Peel ``graph`` down to its k-core.
+
+    Returns the k-core's boolean vertex mask and, per peeling round,
+    ``(removed vertices, edges inspected, live-neighbour decrements)``.
+    """
     deg = np.asarray(graph.out_degree(), dtype=np.int64).copy()
     alive = np.ones(graph.num_vertices, dtype=bool)
+    rounds: List[Tuple[int, int, int]] = []
     while True:
         doomed = np.flatnonzero(alive & (deg < k))
         if doomed.size == 0:
-            return alive
+            return alive, rounds
         alive[doomed] = False
         _, targets, _ = graph.expand(doomed)
-        targets = targets[alive[targets]]
-        np.subtract.at(deg, targets, 1)
+        live_targets = targets[alive[targets]]
+        np.subtract.at(deg, live_targets, 1)
+        rounds.append((int(doomed.size), int(targets.size), int(live_targets.size)))
+
+
+def kcore_mask(graph: CSRGraph, k: int) -> np.ndarray:
+    """Reference: boolean mask of vertices in the k-core."""
+    return _peel(graph, k)[0]
 
 
 class KCore(GraphWorkload):
@@ -52,29 +63,21 @@ class KCore(GraphWorkload):
     )
 
     def epochs(self, graph: CSRGraph) -> Iterator[EpochCounts]:
+        # The peel is deterministic, so every repeat of the k-sweep
+        # replays the same rounds; peel each k once.
         n = graph.num_vertices
+        peels = [(k, _peel(graph, k)[1]) for k in self.k_values]
         for rep in range(self.repeats):
-            for k in self.k_values:
-                deg = np.asarray(graph.out_degree(), dtype=np.int64).copy()
-                alive = np.ones(n, dtype=bool)
-                rnd = 0
-                while True:
-                    doomed = np.flatnonzero(alive & (deg < k))
-                    if doomed.size == 0:
-                        break
-                    alive[doomed] = False
-                    _, targets, _ = graph.expand(doomed)
-                    live_targets = targets[alive[targets]]
-                    np.subtract.at(deg, live_targets, 1)
+            for k, rounds in peels:
+                for rnd, (removed, edges, atomics) in enumerate(rounds):
                     yield EpochCounts(
                         label=f"rep{rep}-k{k}-round{rnd}",
-                        frontier_vertices=int(doomed.size),
+                        frontier_vertices=removed,
                         scanned_vertices=n,
-                        edges_inspected=int(targets.size),
-                        atomics=int(live_targets.size),
-                        updated_vertices=int(doomed.size),
+                        edges_inspected=edges,
+                        atomics=atomics,
+                        updated_vertices=removed,
                     )
-                    rnd += 1
 
     def reference(self, graph: CSRGraph) -> np.ndarray:
         return kcore_mask(graph, self.k)

@@ -49,17 +49,11 @@ class PageRank(GraphWorkload):
     )
 
     def epochs(self, graph: CSRGraph) -> Iterator[EpochCounts]:
+        # Every iteration touches the whole graph, so the counts do not
+        # depend on the rank values; only :meth:`reference` computes them.
         n = graph.num_vertices
         m = graph.num_edges
-        rank = np.full(n, 1.0 / n)
-        deg = np.asarray(graph.out_degree(), dtype=np.float64)
-        src_all = np.repeat(np.arange(n, dtype=np.int64), np.diff(graph.indptr))
         for it in range(self.iterations):
-            contrib = np.zeros(n)
-            share = np.divide(rank, deg, out=np.zeros_like(rank), where=deg > 0)
-            np.add.at(contrib, graph.indices, share[src_all])
-            dangling = rank[deg == 0].sum()
-            rank = (1.0 - DAMPING) / n + DAMPING * (contrib + dangling / n)
             # Scatter phase: one FP atomicAdd per edge; then the apply
             # phase writes every vertex's new rank.
             yield EpochCounts(

@@ -3,10 +3,13 @@
 import pytest
 
 from repro.core.policies import IdealThermal, NaiveOffloading, NonOffloading
+from repro.gpu import detailed
 from repro.gpu.detailed import DetailedSimulator
 from repro.gpu.kernel import KernelLaunch
 from repro.gpu.simulator import SystemSimulator
 from repro.sim.trace import OpBatch, TraceCursor
+from repro.thermal.operators import cache_stats
+from repro.thermal.power import TrafficPoint
 
 
 def launch_of(batches):
@@ -72,6 +75,39 @@ class TestBasics:
         with pytest.raises(ValueError):
             DetailedSimulator(thermal_update_txns=0)
 
+    def test_reports_bandwidth(self):
+        res = DetailedSimulator(seed=1).run(
+            launch_of(small_batches()), NaiveOffloading()
+        )
+        assert res.ext_bandwidth_gbs > 0
+        # flits * 16 B / runtime, in GB/s (ns cancels the 1e9).
+        expected = res.link_flits * 16 / (res.runtime_s * 1e9)
+        assert res.ext_bandwidth_gbs == pytest.approx(expected)
+
+    def test_truncation_counts_submitted_host_atomics(self):
+        """A mid-epoch max_transactions cut must count the host atomics
+        actually submitted, not the epoch's demanded total."""
+        batches = [OpBatch(reads=0, writes=0, atomics=400, threads=4096,
+                           label="atomic-heavy")]
+        full = DetailedSimulator(seed=5).run(launch_of(batches), NonOffloading())
+        # Host atomics expand to read+write pairs; cut half way through.
+        cap = full.transactions // 2
+        truncated = DetailedSimulator(seed=5, max_transactions=cap).run(
+            launch_of(batches), NonOffloading()
+        )
+        assert truncated.transactions == cap
+        assert truncated.host_atomics < full.host_atomics
+        # Submitted member transactions, in atomic pairs.
+        assert truncated.host_atomics == pytest.approx(cap / 2, abs=1)
+
+    def test_batch_size_histogram_recorded(self):
+        sim = DetailedSimulator(seed=1)
+        sim.run(launch_of(small_batches()), NaiveOffloading())
+        hist = sim.stats.scoped("detailed").histogram(
+            "epoch_batch_txns", 0.0, 65536.0, 64
+        )
+        assert hist.count == len(small_batches())
+
 
 class TestCrossFidelity:
     def test_detailed_agrees_with_fluid_on_runtime(self):
@@ -106,70 +142,32 @@ class TestCrossFidelity:
         assert times == sorted(times)
 
 
-class TestEngines:
-    """The batched engine against the scalar event oracle."""
+def step_lus_added(sim, launch, policy):
+    """Run ``sim`` and return (result, step LUs factorized by the run)."""
+    before = cache_stats()["step_lu_misses"]
+    res = sim.run(launch, policy)
+    return res, cache_stats()["step_lu_misses"] - before
 
-    def test_engine_validation(self):
-        with pytest.raises(ValueError, match="engine"):
-            DetailedSimulator(engine="fast")
 
-    def test_result_reports_engine_and_bandwidth(self):
-        for engine in ("batched", "event"):
-            res = DetailedSimulator(seed=1, engine=engine).run(
-                launch_of(small_batches()), NaiveOffloading()
-            )
-            assert res.engine == engine
-            assert res.ext_bandwidth_gbs > 0
-            # flits * 16 B / runtime, in GB/s (ns cancels the 1e9).
-            expected = res.link_flits * 16 / (res.runtime_s * 1e9)
-            assert res.ext_bandwidth_gbs == pytest.approx(expected)
+class TestThermalCoupling:
+    """The thermal model steps on one fixed quantum, so a run reuses one
+    step LU instead of factorizing one per thermal update."""
 
-    @pytest.mark.parametrize(
-        "policy_cls", [NaiveOffloading, NonOffloading, IdealThermal]
-    )
-    def test_engines_agree_exactly(self, policy_cls):
-        """Same seed, same trace: every result field and the thermal
-        trace must match bit for bit across engines."""
-        results = {}
-        for engine in ("batched", "event"):
-            results[engine] = DetailedSimulator(
-                seed=7, engine=engine, thermal_update_txns=128
-            ).run(launch_of(small_batches()), policy_cls())
-        batched, event = results["batched"], results["event"]
-        assert batched.runtime_s == event.runtime_s
-        assert batched.transactions == event.transactions
-        assert batched.pim_ops == event.pim_ops
-        assert batched.host_atomics == event.host_atomics
-        assert batched.mean_latency_ns == event.mean_latency_ns
-        assert batched.link_flits == event.link_flits
-        assert batched.ext_bandwidth_gbs == event.ext_bandwidth_gbs
-        assert batched.peak_dram_temp_c == event.peak_dram_temp_c
-        assert batched.thermal_warnings == event.thermal_warnings
-        assert batched.thermal_trace == event.thermal_trace
+    def test_coupled_run_factorizes_at_most_one_step_lu(self):
+        launch = launch_of(small_batches(n=2, reads=8000, writes=8000, atomics=0))
+        sim = DetailedSimulator(seed=3, max_transactions=40_000)
+        _, lus = step_lus_added(sim, launch, NonOffloading())
+        assert lus <= 1
 
-    @pytest.mark.parametrize("engine", ["batched", "event"])
-    def test_truncation_counts_submitted_host_atomics(self, engine):
-        """A mid-epoch max_transactions cut must count the host atomics
-        actually submitted, not the epoch's demanded total."""
-        batches = [OpBatch(reads=0, writes=0, atomics=400, threads=4096,
-                           label="atomic-heavy")]
-        full = DetailedSimulator(seed=5, engine=engine).run(
-            launch_of(batches), NonOffloading()
-        )
-        # Host atomics expand to read+write pairs; cut half way through.
-        cap = full.transactions // 2
-        truncated = DetailedSimulator(
-            seed=5, engine=engine, max_transactions=cap
-        ).run(launch_of(batches), NonOffloading())
-        assert truncated.transactions == cap
-        assert truncated.host_atomics < full.host_atomics
-        # Submitted member transactions, in atomic pairs.
-        assert truncated.host_atomics == pytest.approx(cap / 2, abs=1)
-
-    def test_batch_size_histogram_recorded(self):
-        sim = DetailedSimulator(seed=1)
-        sim.run(launch_of(small_batches()), NaiveOffloading())
-        hist = sim.stats.scoped("detailed").histogram(
-            "epoch_batch_txns", 0.0, 65536.0, 64
-        )
-        assert hist.count == len(small_batches())
+    def test_run_longer_than_a_quantum_moves_temperature(self, monkeypatch):
+        # A short quantum makes this microsecond-scale run span many.
+        monkeypatch.setattr(detailed, "CONTROL_DT_S", 0.25e-6)
+        sim = DetailedSimulator(seed=1, thermal_update_txns=64)
+        sim.thermal.warm_start(TrafficPoint.streaming(240.0))
+        warm_c = sim.thermal.peak_dram_c()
+        res, lus = step_lus_added(sim, launch_of(small_batches()),
+                                  NaiveOffloading())
+        assert res.runtime_s > 4 * detailed.CONTROL_DT_S
+        assert lus <= 1
+        temps = [t for _, t in res.thermal_trace]
+        assert max(abs(t - warm_c) for t in temps) > 1e-6

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from repro.graph.generators import ldbc_like_graph
+from repro.workloads.base import EpochCounts
 from repro.workloads.pagerank import DAMPING, PageRank, pagerank_scores
 
 
@@ -60,6 +61,17 @@ class TestTrace:
         w.iterations = 1
         c = next(iter(w.epochs(graph)))
         assert c.updated_vertices == graph.num_vertices
+
+    def test_epochs_are_constant_whole_graph_counts(self, graph):
+        w = PageRank()
+        w.iterations = 6
+        n, m = graph.num_vertices, graph.num_edges
+        assert list(w.epochs(graph)) == [
+            EpochCounts(label=f"iter{i}", frontier_vertices=n,
+                        scanned_vertices=n, edges_inspected=m, atomics=m,
+                        updated_vertices=n)
+            for i in range(6)
+        ]
 
     def test_reference_matches_direct(self, graph):
         w = PageRank()
