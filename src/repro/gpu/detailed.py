@@ -69,6 +69,10 @@ class DetailedResult:
     link_flits: int
     #: Achieved external-link bandwidth (all FLITs over the run time).
     ext_bandwidth_gbs: float = 0.0
+    #: Thermal steps of :data:`CONTROL_DT_S` the run took: 0 when its
+    #: device time is shorter than one quantum (the thermal state then
+    #: stays at the warm start).
+    thermal_steps: int = 0
     #: (time_s, peak_temp_c) thermal samples.
     thermal_trace: List[Tuple[float, float]] = field(default_factory=list)
 
@@ -175,11 +179,13 @@ class DetailedSimulator:
         peak_temp = self.thermal.peak_dram_c() if not exempt else self.thermal.ambient_c
         thermal_trace: List[Tuple[float, float]] = []
         thermal_debt_s = 0.0
+        thermal_steps = 0
         last_update_ns = 0.0
         last_flits = 0
 
         def thermal_update(completed_ns: float) -> None:
-            nonlocal last_update_ns, last_flits, peak_temp, warnings, thermal_debt_s
+            nonlocal last_update_ns, last_flits, peak_temp, warnings
+            nonlocal thermal_debt_s, thermal_steps
             if exempt:
                 return
             dt_ns = completed_ns - last_update_ns
@@ -199,6 +205,7 @@ class DetailedSimulator:
             while thermal_debt_s >= CONTROL_DT_S:
                 temp = self.thermal.step(traffic, CONTROL_DT_S)
                 thermal_debt_s -= CONTROL_DT_S
+                thermal_steps += 1
             peak_temp = max(peak_temp, temp)
             thermal_trace.append((completed_ns * 1e-9, temp))
             phase = self.phase_policy.phase(temp)
@@ -274,5 +281,6 @@ class DetailedSimulator:
             ext_bandwidth_gbs=(
                 cube.links.total_flits() * FLIT_BYTES / now_ns if now_ns > 0 else 0.0
             ),
+            thermal_steps=thermal_steps,
             thermal_trace=thermal_trace,
         )

@@ -47,7 +47,9 @@ from repro.thermal.stack import StackSpec, build_stack
 #: run advances by it, so one cached step LU serves the whole run.
 CONTROL_DT_S = 25e-6
 
-#: (config, cooling, sub, interface_scale, ambient, board_resistance)
+#: (config, cooling, sub, interface_scale, ambient, board_resistance).
+#: The SuperLU options are not in it: they are one module constant,
+#: :data:`repro.thermal.solver.SPLU_OPTIONS`, the same for every bundle.
 OperatorKey = Tuple[HmcConfig, CoolingSolution, int, float, float, float]
 
 

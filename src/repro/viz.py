@@ -11,17 +11,30 @@ CI output.
 
 from __future__ import annotations
 
+import math
 from typing import Dict, List, Optional, Sequence
 
 _MARKERS = "*o+x#@%&"
 _SPARK = "▁▂▃▄▅▆▇█"
 
 
+#: Decimals a canvas position is snapped to before rounding, so a point
+#: that lies on a half-cell tie up to last-bit float noise always lands
+#: in the same cell.
+_SNAP_DECIMALS = 9
+
+
 def _scale(value: float, lo: float, hi: float, steps: int) -> int:
+    """Cell index of ``value`` on ``steps`` cells spanning ``[lo, hi]``.
+
+    The position is snapped to :data:`_SNAP_DECIMALS` decimals and an
+    exact half rounds up, so a tie goes to the higher cell whichever side
+    of it the computed value fell.
+    """
     if hi <= lo:
         return 0
-    frac = (value - lo) / (hi - lo)
-    return min(steps - 1, max(0, int(round(frac * (steps - 1)))))
+    pos = round((value - lo) / (hi - lo) * (steps - 1), _SNAP_DECIMALS)
+    return min(steps - 1, max(0, math.floor(pos + 0.5)))
 
 
 def sparkline(values: Sequence[float]) -> str:
@@ -71,7 +84,9 @@ def line_chart(
         marker = _MARKERS[idx % len(_MARKERS)]
         for x, y in zip(xs, ys):
             col = _scale(x, x_lo, x_hi, width)
-            row = height - 1 - _scale(y, y_lo, y_hi, height)
+            # Rows count down from the top, so scale on the flipped axis:
+            # a tie goes right in x and down in y.
+            row = _scale(-y, -y_hi, -y_lo, height)
             canvas[row][col] = marker
 
     lines: List[str] = []

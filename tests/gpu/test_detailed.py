@@ -171,3 +171,23 @@ class TestThermalCoupling:
         assert lus <= 1
         temps = [t for _, t in res.thermal_trace]
         assert max(abs(t - warm_c) for t in temps) > 1e-6
+
+    def test_run_shorter_than_a_quantum_takes_no_thermal_step(self):
+        # 40,000 transactions cover ~10 us of device time, under one
+        # 25 us quantum: the thermal state stays at the warm start.
+        launch = launch_of(small_batches(n=13, reads=2000, writes=1500,
+                                         atomics=1500))
+        sim = DetailedSimulator(seed=5, max_transactions=40_000)
+        res = sim.run(launch, NaiveOffloading())
+        assert res.transactions == 40_000
+        assert res.runtime_s < detailed.CONTROL_DT_S
+        assert res.thermal_steps == 0
+
+    def test_thermal_steps_count_whole_quanta(self, monkeypatch):
+        monkeypatch.setattr(detailed, "CONTROL_DT_S", 0.25e-6)
+        res = DetailedSimulator(seed=1).run(launch_of(small_batches()),
+                                            NaiveOffloading())
+        quanta = res.runtime_s / detailed.CONTROL_DT_S
+        assert quanta > 1
+        assert res.thermal_steps > 0
+        assert abs(res.thermal_steps - quanta) <= 1

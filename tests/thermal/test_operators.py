@@ -1,5 +1,7 @@
 """Process-level shared thermal operators: reuse, isolation, keying."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from repro.service.handlers import run_simulation_job, simulation_spec
 from repro.thermal import operators
 from repro.thermal.cooling import COMMODITY_SERVER, PASSIVE
 from repro.thermal.model import HmcThermalModel
+from repro.thermal.rc_network import BOARD_RESISTANCE_C_W, DEFAULT_INTERFACE_SCALE
 from repro.thermal.power import TrafficPoint
 
 
@@ -58,6 +61,47 @@ class TestOperatorCache:
         model.step(TrafficPoint.streaming(100.0), 25e-6)
         assert ops.step_lus.misses == 1
         assert ops.step_lus.hits >= 1
+
+
+def _uniform_steady(ops):
+    """Steady temperatures of the bundle under 10 W spread over all nodes."""
+    n = ops.network.num_nodes
+    return ops.steady.solve(np.full(n, 10.0 / n))
+
+
+class TestOperatorKeyAudit:
+    """Every input of the bundle is in its key: changing any one of them
+    gives a distinct bundle whose steady solution differs."""
+
+    BASE = dict(config=HMC_2_0, cooling=COMMODITY_SERVER, sub=2,
+                interface_scale=DEFAULT_INTERFACE_SCALE, ambient_c=25.0,
+                board_resistance_c_w=BOARD_RESISTANCE_C_W)
+    CHANGED = {
+        "config": HMC_1_1,
+        # Same name, different sink: the whole solution is in the key.
+        "cooling": dataclasses.replace(COMMODITY_SERVER,
+                                       thermal_resistance_c_w=0.6),
+        "sub": 3,
+        "interface_scale": 1.0,
+        "ambient_c": 30.0,
+        "board_resistance_c_w": 50.0,
+    }
+
+    def test_base_is_the_default_bundle(self):
+        assert operators.get_operators(**self.BASE) is operators.get_operators(
+            HMC_2_0, COMMODITY_SERVER
+        )
+
+    @pytest.mark.parametrize("field", sorted(CHANGED))
+    def test_each_input_changes_bundle_and_solution(self, field):
+        base = operators.get_operators(**self.BASE)
+        changed = operators.get_operators(
+            **dict(self.BASE, **{field: self.CHANGED[field]})
+        )
+        assert changed is not base
+        a, b = _uniform_steady(base), _uniform_steady(changed)
+        assert a.shape != b.shape or not np.array_equal(a, b)
+        assert operators.cache_stats()["entries"] == 2
 
 
 class TestModelSharing:

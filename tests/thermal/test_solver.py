@@ -6,7 +6,12 @@ import pytest
 from repro.hmc.config import HMC_2_0
 from repro.thermal.floorplan import Floorplan
 from repro.thermal.rc_network import build_network
-from repro.thermal.solver import StepLuCache, SteadySolver, TransientSolver
+from repro.thermal.solver import (
+    StepLuCache,
+    SteadySolver,
+    TransientSolver,
+    _dt_key,
+)
 from repro.thermal.stack import build_stack
 
 
@@ -187,6 +192,32 @@ class TestStepLuCache:
         a.step(P, 1e-3)
         b.step(P, 1e-3)
         assert cache.misses == 1 and cache.hits == 1
+
+    # Keys keep 9 significant digits, so a key bin is 1e-9 (leading
+    # digit 9) to 1e-8 (leading digit 1) of the step size wide.
+    SIZES = (1e-7, 2.5e-6, 25e-6, 3.3e-5, 1e-3, 9.7e-3, 0.1)
+
+    @pytest.mark.parametrize("dt_s", SIZES)
+    def test_sizes_beyond_one_key_bin_get_distinct_lus(self, network, dt_s):
+        cache = StepLuCache(network)
+        lu = cache.get(dt_s)
+        for rel in (1.01e-8, 1e-6, 1e-3):
+            assert cache.get(dt_s * (1 + rel)) is not lu
+            assert cache.get(dt_s * (1 - rel)) is not lu
+
+    @pytest.mark.parametrize("dt_s", SIZES)
+    def test_sizes_within_half_a_bin_share_one_lu(self, network, dt_s):
+        cache = StepLuCache(network)
+        lu = cache.get(_dt_key(dt_s))
+        for rel in (1e-15, 1e-12, 4.9e-10):
+            assert cache.get(dt_s * (1 + rel)) is lu
+            assert cache.get(dt_s * (1 - rel)) is lu
+        assert cache.misses == 1
+
+    def test_shared_lu_is_factorized_within_5e_9_of_every_size(self):
+        rng = np.random.default_rng(3)
+        for dt_s in 10.0 ** rng.uniform(-7, -1, 2000):
+            assert abs(_dt_key(dt_s) - dt_s) <= 5e-9 * dt_s
 
     def test_max_entries_validated(self, network):
         with pytest.raises(ValueError):

@@ -13,7 +13,7 @@ from repro.thermal import operators
 from repro.thermal.cooling import COMMODITY_SERVER
 from repro.thermal.floorplan import Floorplan
 from repro.thermal.rc_network import build_network
-from repro.thermal.solver import STEADY_MEMO_ENTRIES, SteadySolver
+from repro.thermal.solver import SPLU_OPTIONS, STEADY_MEMO_ENTRIES, SteadySolver
 from repro.thermal.stack import build_stack
 from repro.workloads import get_workload
 from repro.workloads.base import clear_cache
@@ -45,9 +45,11 @@ class TestSolveMemo:
 
     def test_value_equals_a_direct_factorized_solve(self, network):
         P = _power(network, 2.5)
-        direct = spla.splu(sp.csc_matrix(network.G)).solve(
-            P + network.B * 40.0
-        )
+        # The program's own factorization, so this checks the memo and
+        # not the choice of ordering.
+        direct = spla.splu(
+            sp.csc_matrix(network.G), **SPLU_OPTIONS
+        ).solve(P + network.B * 40.0)
         solver = SteadySolver(network, ambient_c=40.0)
         solver.solve(P)
         assert np.array_equal(solver.solve(P), direct)
