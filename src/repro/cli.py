@@ -303,6 +303,7 @@ def cmd_trace(args) -> int:
         cooling=args.cooling,
         seed=args.seed,
         workload_scale=0.25 if args.quick else 1.0,
+        engine=args.engine,
         scenario=getattr(args, "scenario", None),
         scenario_seed=getattr(args, "scenario_seed", 0),
     )
@@ -344,6 +345,7 @@ def cmd_trace(args) -> int:
         "dataset": args.dataset,
         "policy": args.policy,
         "cooling": args.cooling,
+        "engine": args.engine,
         "quick": bool(args.quick),
     }
     export_metrics(stats, metrics_path, meta=dict(config, seed=args.seed))

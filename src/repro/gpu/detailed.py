@@ -36,7 +36,7 @@ from repro.hmc.cube import HmcCube
 from repro.hmc.dram_timing import TemperaturePhase, TemperaturePhasePolicy
 from repro.hmc.isa import PimInstruction, PimOpcode
 from repro.hmc.packet import FLIT_BYTES, PacketType, Request
-from repro.sim.stats import StatRegistry
+from repro.sim.stats import StatRegistry, linear_bounds
 from repro.thermal.model import HmcThermalModel
 from repro.thermal.operators import CONTROL_DT_S
 from repro.thermal.power import TrafficPoint
@@ -91,7 +91,6 @@ class DetailedSimulator:
         thermal_update_txns: int = 256,
         max_transactions: int = 1_000_000,
         seed: int = 0,
-        stats: Optional[StatRegistry] = None,
     ) -> None:
         if thermal_update_txns <= 0:
             raise ValueError(f"update interval must be positive: {thermal_update_txns}")
@@ -106,7 +105,7 @@ class DetailedSimulator:
         self.seed = seed
         #: Per-simulator stat registry (``detailed.*`` scope); each run()
         #: resets and refills it.
-        self.stats = stats if stats is not None else StatRegistry()
+        self.stats = StatRegistry()
 
     # -- address synthesis ----------------------------------------------------
 
@@ -167,7 +166,9 @@ class DetailedSimulator:
         exempt = policy.thermal_exempt
 
         stats = self.stats.scoped("detailed")
-        batch_hist = stats.histogram("epoch_batch_txns", 0.0, 65536.0, 64)
+        batch_hist = stats.histogram(
+            "epoch_batch_txns", linear_bounds(0.0, 65536.0, 64)
+        )
         batch_hist.reset()
 
         now_ns = 0.0
@@ -229,7 +230,7 @@ class DetailedSimulator:
             fraction = policy.pim_fraction(now_ns * 1e-9)
             demand = self.cache.demand(traffic, fraction)
             kinds, addrs, is_host = self._epoch_stream(rng, demand, batch.threads)
-            batch_hist.add(float(kinds.size))
+            batch_hist.observe(kinds.size)
 
             # Open-loop issue: the GPU's memory-level parallelism keeps the
             # links fed, so every transaction of the epoch is offered at

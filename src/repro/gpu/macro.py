@@ -74,6 +74,11 @@ MIN_BURST = 1
 SPEC_CAP_MIN = 64
 SPEC_CAP_MAX = 4096
 
+#: ``sim.macro_burst_steps`` bucket bounds: powers of two up to the
+#: largest speculation window, so a burst's length is resolved to
+#: within a factor of two at every scale.
+BURST_BOUNDS = tuple(float(1 << k) for k in range(SPEC_CAP_MAX.bit_length()))
+
 #: Guard band (°C) between a marched temperature and any decision
 #: threshold (phase boundary, sensor warn/clear). The reduced trajectory
 #: tracks the exact solver to ~1e-9 °C, so a quantum within the band is
@@ -221,7 +226,7 @@ class MacroEngine:
     # -- main entry --------------------------------------------------------
 
     def run(self, launch: KernelLaunch, policy: "OffloadPolicy"):
-        from repro.gpu.simulator import SimulationResult
+        from repro.gpu.simulator import RunStats, SimulationResult
         from repro.telemetry.live import get_run_sink
 
         sim = self.sim
@@ -249,23 +254,13 @@ class MacroEngine:
         self.tracer = get_tracer()
         self.traced = self.tracer.enabled
         wall_t0 = _time.perf_counter()
-        stats = sim.stats.scoped("sim")
-        self.dt_hist = stats.histogram(
-            "control_dt_ns", 0.0, sim.control_dt_s * 1e9 * 1.01, 64
-        )
-        self.dt_hist.reset()
-        self.burst_hist = stats.histogram(
-            "macro_burst_steps", 0.0, SPEC_CAP_MAX * 1.01, 64
+        run_stats = RunStats(sim)
+        self.dt_hist = run_stats.dt_hist
+        self.frac_tw = run_stats.frac_tw
+        self.burst_hist = run_stats.scope.histogram(
+            "macro_burst_steps", BURST_BOUNDS
         )
         self.burst_hist.reset()
-        self.frac_tw = stats.time_weighted("pim_fraction")
-        self.frac_tw.reset(initial=0.0, start_time=0.0)
-        for name in (
-            "epochs", "control_steps", "thermal_solver_steps",
-            "thermal_warnings", "shutdowns", "pim_ops", "host_atomics",
-            "host_atomics_assigned",
-        ):
-            stats.counter(name).reset()
 
         self.epochs = 0
         self.control_steps = 0
@@ -339,16 +334,13 @@ class MacroEngine:
             # Restore the shared thermal/flow/sensor models to nominal:
             # CoolPimSystem reuses them across runs.
             scen.finish()
-        if self.now_s > 0.0:
-            self.frac_tw.update(self.frac_tw.value, self.now_s)
-        stats.counter("epochs").add(self.epochs)
-        stats.counter("control_steps").add(self.control_steps)
-        stats.counter("thermal_solver_steps").add(self.thermal_steps)
-        stats.counter("thermal_warnings").add(self.warnings)
-        stats.counter("shutdowns").add(self.shutdowns)
-        stats.counter("pim_ops").add(self.pim_ops_total)
-        stats.counter("host_atomics").add(self.host_atomics_total)
-        stats.counter("host_atomics_assigned").add(self.host_assigned_total)
+        run_stats.finish(
+            self.now_s, epochs=self.epochs, control_steps=self.control_steps,
+            thermal_solver_steps=self.thermal_steps,
+            thermal_warnings=self.warnings, shutdowns=self.shutdowns,
+            pim_ops=self.pim_ops_total, host_atomics=self.host_atomics_total,
+            host_atomics_assigned=self.host_assigned_total,
+        )
         if self.traced:
             self.tracer.complete(
                 "sim.run", wall_t0, _time.perf_counter(), cat="sim",
@@ -536,7 +528,7 @@ class MacroEngine:
         self.phase_time[phase.name] += dt_ns * 1e-9
         self.now_s += dt_ns * 1e-9
         self.control_steps += 1
-        self.dt_hist.add(dt_ns)
+        self.dt_hist.observe(dt_ns)
 
         if self.now_s >= self.next_sample:
             self.timeline.append((self.now_s, temp_c, pim_rate, fraction))
@@ -1114,7 +1106,7 @@ class MacroEngine:
         self.last_temp_c = float(temps[j - 1])
         if fraction != self.frac_tw.value:
             self.frac_tw.update(fraction, b.t0)
-        self.dt_hist.add_many(np.asarray(rcols[0][:j]))
+        self.dt_hist.observe_many(rcols[0][:j])
 
         fs = flow.stats
         fs.pim_ops += sp_sum + spr_sum
@@ -1139,7 +1131,7 @@ class MacroEngine:
         if not self._epoch_pending():
             self._close_epoch(self.now_s)
 
-        self.burst_hist.add(float(j))
+        self.burst_hist.observe(j)
         if self.traced:
             self.tracer.complete(
                 "sim.macro_burst", b.wall_b0, _time.perf_counter(),

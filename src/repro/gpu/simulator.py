@@ -33,7 +33,7 @@ from repro.hmc.config import HMC_2_0, HmcConfig
 from repro.hmc.dram_timing import TemperaturePhase
 from repro.hmc.flow import HmcFlowModel, TrafficDemand
 from repro.obs.tracer import get_tracer
-from repro.sim.stats import StatRegistry
+from repro.sim.stats import Counter, StatRegistry, linear_bounds
 from repro.sim.trace import OpBatch
 from repro.thermal.model import HmcThermalModel
 from repro.thermal.operators import CONTROL_DT_S
@@ -179,6 +179,44 @@ class _EpochState:
         self.compute_cycles *= keep
 
 
+#: Per-run ``sim.<name>`` counters both engines fill; each is summed
+#: into the ``/metrics`` series ``repro_sim_<name>_total{engine}``.
+RUN_COUNTERS = (
+    "epochs", "control_steps", "thermal_solver_steps", "thermal_warnings",
+    "shutdowns", "pim_ops", "host_atomics", "host_atomics_assigned",
+)
+
+
+class RunStats:
+    """The ``sim.*`` stats of one run, shared by both engines.
+
+    Construction registers and resets them. The engine observes each
+    control step's length into :attr:`dt_hist` and every PIM-fraction
+    change into :attr:`frac_tw`; :meth:`finish` folds its end-of-run
+    totals into the :data:`RUN_COUNTERS`.
+    """
+
+    def __init__(self, sim: "SystemSimulator") -> None:
+        self.scope = sim.stats.scoped("sim")
+        self.dt_hist = self.scope.histogram(
+            "control_dt_ns", linear_bounds(0.0, sim.control_dt_s * 1e9 * 1.01, 64)
+        )
+        self.dt_hist.reset()
+        self.frac_tw = self.scope.time_weighted("pim_fraction")
+        self.frac_tw.reset(initial=0.0, start_time=0.0)
+        self.counters = [self.scope.counter(name) for name in RUN_COUNTERS]
+        for counter in self.counters:
+            counter.reset()
+
+    def finish(self, now_s: float, **totals: int) -> None:
+        # Tail of the last fraction level, so the time-weighted mean
+        # covers the full run.
+        if now_s > 0.0:
+            self.frac_tw.update(self.frac_tw.value, now_s)
+        for name, counter in zip(RUN_COUNTERS, self.counters):
+            counter.inc(totals[name])
+
+
 class SystemSimulator:
     """Co-simulation engine for one GPU + one HMC 2.0 cube."""
 
@@ -194,7 +232,6 @@ class SystemSimulator:
         timeline_dt_s: float = 250e-6,
         warm_start: Optional[TrafficPoint] = None,
         saturation_threads: int = 1500,
-        stats: Optional[StatRegistry] = None,
         engine: str = "macro",
         scenario=None,
     ) -> None:
@@ -229,7 +266,7 @@ class SystemSimulator:
         self.warm_start = warm_start or TrafficPoint.streaming(240.0)
         #: Per-simulator stat registry; each run() resets and refills the
         #: ``sim.*`` stats, so the last run's numbers are always current.
-        self.stats = stats if stats is not None else StatRegistry()
+        self.stats = StatRegistry()
         #: Execution engine: ``"macro"`` (vectorized bursts between
         #: horizon events, the default) or ``"stepped"`` (the scalar
         #: reference loop, kept as the equivalence oracle).
@@ -280,12 +317,10 @@ class SystemSimulator:
             result = MacroEngine(self).run(launch, policy)
         else:
             result = self._run_stepped(launch, policy)
-        self._record_run_telemetry(result, _time.perf_counter() - wall_t0)
+        self._record_run_telemetry(_time.perf_counter() - wall_t0)
         return result
 
-    def _record_run_telemetry(
-        self, result: SimulationResult, wall_s: float
-    ) -> None:
+    def _record_run_telemetry(self, wall_s: float) -> None:
         """Fold run aggregates into the process-wide telemetry registry.
 
         One handful of counter bumps per *run* (never per step), so the
@@ -294,26 +329,21 @@ class SystemSimulator:
         nothing measurable against the control loop.
         """
         from repro.telemetry import get_registry
+        from repro.telemetry.registry import counter_series
 
         reg = get_registry()
         labels = {"engine": self.engine}
         reg.counter(
             "repro_sim_runs_total", "Completed simulator runs", ("engine",)
         ).labels(**labels).inc()
-        reg.counter(
-            "repro_sim_control_steps_total",
-            "Control quanta executed across all runs", ("engine",),
-        ).labels(**labels).inc(
-            self.stats.scoped("sim").counter("control_steps").value
-        )
-        reg.counter(
-            "repro_sim_thermal_warnings_total",
-            "Thermal warnings delivered across all runs", ("engine",),
-        ).labels(**labels).inc(result.thermal_warnings)
-        reg.counter(
-            "repro_sim_shutdowns_total",
-            "Overheat shutdowns across all runs", ("engine",),
-        ).labels(**labels).inc(result.shutdowns)
+        # One naming rule: every per-run sim.<name> counter is summed
+        # into repro_sim_<name>_total{engine}.
+        for name, stat in self.stats.scoped("sim").items():
+            if isinstance(stat, Counter):
+                reg.counter(
+                    counter_series(name),
+                    f"Per-run {name} summed over runs", ("engine",),
+                ).labels(**labels).inc(stat.value)
         reg.histogram(
             "repro_sim_run_wall_seconds",
             "Wall-clock duration of simulator runs", ("engine",),
@@ -350,19 +380,9 @@ class SystemSimulator:
         sink = get_run_sink()
         total_epochs = max(1, len(launch.trace))
         wall_t0 = _time.perf_counter()
-        stats = self.stats.scoped("sim")
-        dt_hist = stats.histogram(
-            "control_dt_ns", 0.0, self.control_dt_s * 1e9 * 1.01, 64
-        )
-        dt_hist.reset()
-        frac_tw = stats.time_weighted("pim_fraction")
-        frac_tw.reset(initial=0.0, start_time=0.0)
-        for name in (
-            "epochs", "control_steps", "thermal_solver_steps",
-            "thermal_warnings", "shutdowns", "pim_ops", "host_atomics",
-            "host_atomics_assigned",
-        ):
-            stats.counter(name).reset()
+        run_stats = RunStats(self)
+        dt_hist = run_stats.dt_hist
+        frac_tw = run_stats.frac_tw
         epochs = 0
         control_steps = 0
         thermal_steps = 0
@@ -549,7 +569,7 @@ class SystemSimulator:
                 phase_time[phase.name] += dt_ns * 1e-9
                 now_s += dt_ns * 1e-9
                 control_steps += 1
-                dt_hist.add(dt_ns)
+                dt_hist.observe(dt_ns)
 
                 if now_s >= next_sample:
                     timeline.append((now_s, temp_c, pim_rate, fraction))
@@ -589,18 +609,13 @@ class SystemSimulator:
             # Restore the shared thermal/flow/sensor models to nominal:
             # CoolPimSystem reuses them across runs.
             scen.finish()
-        # Tail of the last fraction level, so the time-weighted mean
-        # covers the full run.
-        if now_s > 0.0:
-            frac_tw.update(frac_tw.value, now_s)
-        stats.counter("epochs").add(epochs)
-        stats.counter("control_steps").add(control_steps)
-        stats.counter("thermal_solver_steps").add(thermal_steps)
-        stats.counter("thermal_warnings").add(warnings)
-        stats.counter("shutdowns").add(shutdowns)
-        stats.counter("pim_ops").add(pim_ops_total)
-        stats.counter("host_atomics").add(host_atomics_total)
-        stats.counter("host_atomics_assigned").add(host_assigned_total)
+        run_stats.finish(
+            now_s, epochs=epochs, control_steps=control_steps,
+            thermal_solver_steps=thermal_steps, thermal_warnings=warnings,
+            shutdowns=shutdowns, pim_ops=pim_ops_total,
+            host_atomics=host_atomics_total,
+            host_atomics_assigned=host_assigned_total,
+        )
         if traced:
             tracer.complete(
                 "sim.run", wall_t0, _time.perf_counter(), cat="sim",

@@ -64,6 +64,22 @@ DEFAULT_BACKOFF_S = 0.05
 _TICK_S = 0.02
 
 
+def _worker_start(initializer: Optional[Any] = None) -> None:
+    """Pool worker start-up, before any job.
+
+    A forked worker inherits the parent's telemetry series, and those
+    belong to the parent: advance the flush watermarks past them so a
+    worker's deltas carry only its own increments (else every worker
+    would re-ship the parent's counts). Then run the scheduler's
+    ``worker_initializer``, if any.
+    """
+    from repro.telemetry import get_registry
+
+    get_registry().flush_deltas()
+    if initializer is not None:
+        initializer()
+
+
 def _worker_run(
     spec_dict: Dict[str, Any],
     attempt: int = 1,
@@ -461,11 +477,10 @@ class JobScheduler:
             method = ctx.get_start_method() if ctx else multiprocessing.get_start_method()
             if method == "fork":
                 self.worker_initializer()
-            return ProcessPoolExecutor(
-                max_workers=workers, mp_context=ctx,
-                initializer=self.worker_initializer,
-            )
-        return ProcessPoolExecutor(max_workers=workers, mp_context=ctx)
+        return ProcessPoolExecutor(
+            max_workers=workers, mp_context=ctx,
+            initializer=_worker_start, initargs=(self.worker_initializer,),
+        )
 
     def _run_pool(self, pending: Sequence[JobSpec], report: SweepReport) -> None:
         ctx = self._mp_context()
@@ -518,7 +533,9 @@ class JobScheduler:
                 job=spec.name, attempt=attempt,
             )
             while True:
-                qexec = ProcessPoolExecutor(max_workers=1, mp_context=ctx)
+                qexec = ProcessPoolExecutor(
+                    max_workers=1, mp_context=ctx, initializer=_worker_start,
+                )
                 try:
                     fut = qexec.submit(
                         _worker_run, spec.to_dict(), attempt, scratch,

@@ -7,8 +7,8 @@ model (:mod:`repro.hmc.cube`) and the time-stepped full-system co-simulation
 - :class:`~repro.sim.engine.EventEngine` — a priority-queue discrete-event
   scheduler with deterministic tie-breaking.
 - :class:`~repro.sim.clock.Clock` — a frequency-aware cycle/time converter.
-- :class:`~repro.sim.stats.StatRegistry` — hierarchical counters, running
-  means, and time-weighted averages.
+- :class:`~repro.sim.stats.StatRegistry` — hierarchical per-run counters,
+  histograms, and time-weighted averages on the metrics core.
 - :mod:`~repro.sim.trace` — operation-batch records emitted by workloads and
   consumed by the GPU interval model.
 """

@@ -1,71 +1,29 @@
-"""Statistics collection: counters, histograms, and time-weighted averages.
+"""Per-run statistics: the metrics core, scoped by dotted names.
 
-Simulators in this repo register their statistics in a
-:class:`StatRegistry`, which supports hierarchical naming
-(``"hmc.vault3.read_requests"``) and snapshot/diff for interval reporting.
+Simulators register their stats in a :class:`StatRegistry`
+(``"sim.control_steps"``, ``"detailed.epoch_batch_txns"``) and reset
+them at the start of each run. Counters and histograms are the
+:mod:`repro.telemetry.registry` primitives that ``GET /metrics``
+renders, so a run's ``sim.<name>`` counter and its fleet series
+``repro_sim_<name>_total`` (:func:`~repro.telemetry.registry.
+counter_series`) are one type under one naming rule.
+:class:`TimeWeightedStat` is per-run only.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, Optional, Sequence, Tuple
 
+from repro.telemetry.registry import Counter, Histogram, linear_bounds
 
-class Counter:
-    """Monotonic (or signed) accumulator."""
-
-    def __init__(self, name: str = "") -> None:
-        self.name = name
-        self.value = 0.0
-
-    def add(self, amount: float = 1.0) -> None:
-        self.value += amount
-
-    def reset(self) -> None:
-        self.value = 0.0
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Counter({self.name}={self.value})"
-
-
-class RunningMean:
-    """Streaming mean/variance via Welford's algorithm."""
-
-    def __init__(self, name: str = "") -> None:
-        self.name = name
-        self.n = 0
-        self._mean = 0.0
-        self._m2 = 0.0
-        self.min = math.inf
-        self.max = -math.inf
-
-    def add(self, x: float) -> None:
-        self.n += 1
-        delta = x - self._mean
-        self._mean += delta / self.n
-        self._m2 += delta * (x - self._mean)
-        self.min = min(self.min, x)
-        self.max = max(self.max, x)
-
-    @property
-    def mean(self) -> float:
-        return self._mean if self.n else 0.0
-
-    @property
-    def variance(self) -> float:
-        return self._m2 / (self.n - 1) if self.n > 1 else 0.0
-
-    @property
-    def stddev(self) -> float:
-        return math.sqrt(self.variance)
-
-    def reset(self) -> None:
-        self.n = 0
-        self._mean = 0.0
-        self._m2 = 0.0
-        self.min = math.inf
-        self.max = -math.inf
+__all__ = [
+    "Counter",
+    "Histogram",
+    "StatRegistry",
+    "TimeWeightedStat",
+    "linear_bounds",
+]
 
 
 class TimeWeightedStat:
@@ -134,104 +92,6 @@ class TimeWeightedStat:
         self.max = self.initial
 
 
-class Histogram:
-    """Fixed-bin histogram over [lo, hi) with under/overflow buckets."""
-
-    def __init__(self, name: str, lo: float, hi: float, nbins: int) -> None:
-        if hi <= lo:
-            raise ValueError(f"hi must exceed lo: [{lo}, {hi})")
-        if nbins <= 0:
-            raise ValueError(f"nbins must be positive, got {nbins}")
-        self.name = name
-        self.lo = lo
-        self.hi = hi
-        self.nbins = nbins
-        self.bins = [0] * nbins
-        self.underflow = 0
-        self.overflow = 0
-        self.count = 0
-        self.total = 0.0
-
-    def add(self, x: float) -> None:
-        self.count += 1
-        self.total += x
-        if x < self.lo:
-            self.underflow += 1
-        elif x >= self.hi:
-            self.overflow += 1
-        else:
-            idx = int((x - self.lo) / (self.hi - self.lo) * self.nbins)
-            self.bins[min(idx, self.nbins - 1)] += 1
-
-    def add_many(self, xs) -> None:
-        """Bulk-add a sequence of samples (vectorized fill).
-
-        Equivalent to calling :meth:`add` per sample except that ``total``
-        accumulates via a vectorized sum, so its float rounding may differ
-        from the sequential order by ULPs. Batch writers (the macro-step
-        simulator engine) use this to fill thousands of samples per burst.
-        """
-        import numpy as np
-
-        xs = np.asarray(xs, dtype=float)
-        if xs.size == 0:
-            return
-        self.count += int(xs.size)
-        self.total += float(xs.sum())
-        under = xs < self.lo
-        over = xs >= self.hi
-        self.underflow += int(under.sum())
-        self.overflow += int(over.sum())
-        mid = xs[~(under | over)]
-        if mid.size:
-            idx = ((mid - self.lo) / (self.hi - self.lo) * self.nbins).astype(int)
-            np.minimum(idx, self.nbins - 1, out=idx)
-            counts = np.bincount(idx, minlength=self.nbins)
-            for i in np.nonzero(counts)[0]:
-                self.bins[int(i)] += int(counts[i])
-
-    @property
-    def mean(self) -> float:
-        return self.total / self.count if self.count else 0.0
-
-    def reset(self) -> None:
-        self.bins = [0] * self.nbins
-        self.underflow = 0
-        self.overflow = 0
-        self.count = 0
-        self.total = 0.0
-
-    def bin_edges(self) -> List[float]:
-        w = (self.hi - self.lo) / self.nbins
-        return [self.lo + i * w for i in range(self.nbins + 1)]
-
-    def percentile(self, q: float) -> Optional[float]:
-        """Estimate the ``q``-th percentile (``0 <= q <= 100``).
-
-        Walks the cumulative bin counts and interpolates linearly within
-        the containing bin. Samples in the underflow bucket are treated
-        as sitting at ``lo``, overflow at ``hi`` — the estimate is
-        clamped to the histogram range by construction. Returns ``None``
-        for an empty histogram (degenerate series render as ``n=0``
-        downstream, they never raise); raises :class:`ValueError` only
-        for ``q`` out of range.
-        """
-        if not 0.0 <= q <= 100.0:
-            raise ValueError(f"percentile out of [0, 100]: {q}")
-        if self.count == 0:
-            return None
-        target = q / 100.0 * self.count
-        cum = self.underflow
-        if target <= cum:
-            return self.lo
-        w = (self.hi - self.lo) / self.nbins
-        for i, n in enumerate(self.bins):
-            if n and target <= cum + n:
-                frac = (target - cum) / n
-                return self.lo + (i + frac) * w
-            cum += n
-        return self.hi
-
 
 @dataclass
 class StatRegistry:
@@ -255,46 +115,31 @@ class StatRegistry:
     def counter(self, name: str) -> Counter:
         return self._get_or_create(name, Counter)
 
-    def running_mean(self, name: str) -> RunningMean:
-        return self._get_or_create(name, RunningMean)
-
     def time_weighted(self, name: str, initial: float = 0.0) -> TimeWeightedStat:
-        full = self._full(name)
-        stat = self._stats.get(full)
-        if stat is None:
-            stat = TimeWeightedStat(full, initial=initial)
-            self._stats[full] = stat
-        if not isinstance(stat, TimeWeightedStat):
-            raise TypeError(f"stat {full!r} already registered as {type(stat).__name__}")
+        stat = self._get_or_create(name, TimeWeightedStat, initial=initial)
         if stat.initial != initial:
             raise ValueError(
-                f"stat {full!r} already registered with initial="
+                f"stat {stat.name!r} already registered with initial="
                 f"{stat.initial}, conflicting with initial={initial}"
             )
         return stat
 
-    def histogram(self, name: str, lo: float, hi: float, nbins: int) -> Histogram:
-        full = self._full(name)
-        stat = self._stats.get(full)
-        if stat is None:
-            stat = Histogram(full, lo, hi, nbins)
-            self._stats[full] = stat
-        if not isinstance(stat, Histogram):
-            raise TypeError(f"stat {full!r} already registered as {type(stat).__name__}")
-        if (stat.lo, stat.hi, stat.nbins) != (lo, hi, nbins):
+    def histogram(self, name: str, buckets: Sequence[float]) -> Histogram:
+        """Histogram over the upper ``buckets`` bounds (see
+        :func:`linear_bounds` for equal-width ones)."""
+        stat = self._get_or_create(name, Histogram, bounds=buckets)
+        if stat.bounds != tuple(map(float, buckets)):
             raise ValueError(
-                f"stat {full!r} already registered with bins "
-                f"[{stat.lo}, {stat.hi})x{stat.nbins}, conflicting with "
-                f"[{lo}, {hi})x{nbins}"
+                f"stat {stat.name!r} already registered with bucket bounds "
+                f"{stat.bounds}, conflicting with {tuple(buckets)}"
             )
         return stat
 
-    def _get_or_create(self, name: str, cls):
+    def _get_or_create(self, name: str, cls, **kwargs):
         full = self._full(name)
         stat = self._stats.get(full)
         if stat is None:
-            stat = cls(full)
-            self._stats[full] = stat
+            stat = self._stats[full] = cls(full, **kwargs)
         if not isinstance(stat, cls):
             raise TypeError(f"stat {full!r} already registered as {type(stat).__name__}")
         return stat
@@ -311,23 +156,19 @@ class StatRegistry:
     def snapshot(self, structured: bool = False) -> Dict[str, object]:
         """Snapshot every registered stat.
 
-        Flat mode (default, backward compatible): one scalar per stat.
-        Structured mode: one JSON-serializable dict per stat, typed by a
-        ``"type"`` field — the contract consumed by
-        :func:`repro.obs.metrics.export_metrics`. Non-finite sentinels
-        (an empty :class:`RunningMean`'s ±inf min/max) become ``None``
-        so the snapshot always survives ``json.dumps``.
+        Flat mode (default): one scalar per stat — a counter's value, a
+        histogram's or time-weighted stat's mean. Structured mode: one
+        JSON-serializable dict per stat, typed by a ``"type"`` field —
+        the contract consumed by :func:`repro.obs.metrics.export_metrics`.
         """
         if not structured:
             out: Dict[str, object] = {}
             for k, v in self.items():
                 if isinstance(v, Counter):
                     out[k] = v.value
-                elif isinstance(v, RunningMean):
-                    out[k] = v.mean
                 elif isinstance(v, TimeWeightedStat):
                     out[k] = v.mean()
-                elif isinstance(v, Histogram):
+                else:
                     out[k] = v.mean
             return out
         return {k: _describe(v) for k, v in self.items()}
@@ -337,15 +178,6 @@ def _describe(stat: object) -> Dict[str, object]:
     """One stat → JSON-serializable typed dict (see ``snapshot``)."""
     if isinstance(stat, Counter):
         return {"type": "counter", "value": stat.value}
-    if isinstance(stat, RunningMean):
-        return {
-            "type": "mean",
-            "n": stat.n,
-            "mean": stat.mean,
-            "stddev": stat.stddev,
-            "min": stat.min if stat.n else None,
-            "max": stat.max if stat.n else None,
-        }
     if isinstance(stat, TimeWeightedStat):
         return {
             "type": "time_weighted",
@@ -358,14 +190,16 @@ def _describe(stat: object) -> Dict[str, object]:
     if isinstance(stat, Histogram):
         # percentile() is None-safe on empty histograms, so degenerate
         # series describe as n=0 with null quantiles instead of raising.
+        # underflow/overflow are the buckets at or below the first bound
+        # and past the last one.
         return {
             "type": "histogram",
             "count": stat.count,
             "mean": stat.mean,
-            "lo": stat.lo,
-            "hi": stat.hi,
-            "underflow": stat.underflow,
-            "overflow": stat.overflow,
+            "lo": stat.bounds[0],
+            "hi": stat.bounds[-1],
+            "underflow": stat.counts[0],
+            "overflow": stat.counts[-1],
             "p50": stat.percentile(50),
             "p90": stat.percentile(90),
             "p99": stat.percentile(99),

@@ -1,10 +1,12 @@
 """repro.telemetry — the live telemetry plane.
 
-Three layers, one package:
+Four modules, one package:
 
-- :mod:`repro.telemetry.registry` — label-aware process-wide time-series
-  metrics (counters, gauges, histograms with bounded sample rings) with
-  a worker→parent delta pipe for forked job pools.
+- :mod:`repro.telemetry.registry` — the metrics core (one counter,
+  gauge and histogram, shared with the per-run
+  :class:`~repro.sim.stats.StatRegistry`) and its label-aware
+  process-wide families, with a worker→parent delta pipe for forked
+  job pools.
 - :mod:`repro.telemetry.exposition` — Prometheus text exposition
   encoder + validating parser (the ``GET /metrics`` scrape format).
 - :mod:`repro.telemetry.live` — bounded in-flight run telemetry: the

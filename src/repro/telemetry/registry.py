@@ -1,11 +1,22 @@
-"""Label-aware time-series metric registry.
+"""The metrics core: one Counter, one Gauge, one Histogram.
 
-The fleet-level counterpart of :class:`repro.sim.stats.StatRegistry`:
-where the sim registry describes *one run* and is reset per run, this
-registry accumulates **process-wide** series — submissions per tenant,
-job latency histograms, simulator run counters — and renders them in
-Prometheus text exposition (:mod:`repro.telemetry.exposition`) for the
-``GET /metrics`` scrape surface.
+The same primitives carry both views of the simulator's numbers:
+
+- **Per run.** :class:`repro.sim.stats.StatRegistry` scopes them under
+  dotted names (``sim.control_steps``), resets them at the start of a
+  run, and snapshots them into the ``repro.metrics/1`` document.
+- **Process-wide.** :class:`TelemetryRegistry` groups them into
+  label-aware families that ``GET /metrics`` renders in Prometheus text
+  exposition (:mod:`repro.telemetry.exposition`).
+
+One naming rule links the two: the per-run counter ``a.b`` is summed
+into the series :func:`counter_series` gives, ``repro_a_b_total``.
+
+Histograms have explicit, strictly increasing upper bounds and the
+Prometheus ``le`` rule: a sample lands in the first bucket whose bound
+is ``>=`` it, and one implicit ``+Inf`` bucket catches the rest. Their
+one :meth:`Histogram.percentile` interpolates within the bucket that
+holds the target rank.
 
 Design constraints, in the spirit of the tracer's NULL_SPAN fast path
 (:mod:`repro.obs.tracer`):
@@ -23,17 +34,13 @@ Design constraints, in the spirit of the tracer's NULL_SPAN fast path
   result pipe (:meth:`TelemetryRegistry.flush_deltas`); the parent folds
   them into its own series (:meth:`TelemetryRegistry.merge`), so
   ``/metrics`` covers the whole worker fleet.
-
-Histograms keep both Prometheus-style cumulative bucket counts *and* a
-bounded ring buffer of recent raw samples, so quantile estimates
-(:meth:`Histogram.percentile`) stay sharp without unbounded memory.
 """
 
 from __future__ import annotations
 
 import threading
-from collections import deque
-from typing import Any, Deque, Dict, Iterable, List, Mapping, Optional, Tuple
+from bisect import bisect_left
+from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 #: Schema identifier stamped on flushed delta documents.
 DELTA_SCHEMA_ID = "repro.telemetry-delta/1"
@@ -44,8 +51,27 @@ DEFAULT_BUCKETS: Tuple[float, ...] = (
     0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0, 30.0, 60.0,
 )
 
-#: Bound on the raw-sample ring buffer per histogram child.
-DEFAULT_SAMPLE_WINDOW = 256
+
+def linear_bounds(lo: float, hi: float, nbins: int) -> Tuple[float, ...]:
+    """``nbins`` equal-width buckets over ``(lo, hi]``.
+
+    The first bound is ``lo`` itself, so its bucket holds the samples at
+    or below the range and the ``+Inf`` bucket those above it.
+    """
+    if hi <= lo:
+        raise ValueError(f"hi must exceed lo: ({lo}, {hi}]")
+    if nbins <= 0:
+        raise ValueError(f"nbins must be positive, got {nbins}")
+    width = (hi - lo) / nbins
+    return tuple(lo + i * width for i in range(nbins)) + (float(hi),)
+
+
+def counter_series(stat_name: str) -> str:
+    """The ``/metrics`` series a per-run counter is summed into.
+
+    ``sim.control_steps`` → ``repro_sim_control_steps_total``.
+    """
+    return "repro_" + stat_name.replace(".", "_") + "_total"
 
 
 def _label_items(
@@ -60,7 +86,7 @@ def _label_items(
 
 
 class Counter:
-    """Monotonic counter (one labelled child)."""
+    """Monotonic counter (one labelled child, or one per-run stat)."""
 
     kind = "counter"
 
@@ -74,6 +100,10 @@ class Counter:
         if amount < 0:
             raise ValueError(f"counter increments must be >= 0: {amount}")
         self.value += amount
+
+    def reset(self) -> None:
+        self.value = 0.0
+        self._flushed = 0.0
 
     def _delta(self) -> float:
         delta = self.value - self._flushed
@@ -102,13 +132,11 @@ class Gauge:
 
 
 class Histogram:
-    """Cumulative-bucket histogram plus a bounded sample ring.
+    """Bucket counts over explicit upper bounds, Prometheus ``le`` rule.
 
     ``bounds`` are the inclusive upper edges of the finite buckets; one
-    implicit ``+Inf`` bucket catches the overflow. ``percentile`` is
-    estimated from the raw-sample ring (the most recent
-    ``sample_window`` observations) and returns ``None`` on an empty
-    histogram — degenerate series render as ``n=0``, they never raise.
+    implicit ``+Inf`` bucket catches the overflow. ``counts`` are
+    per-bucket (non-cumulative); the exposition cumulates them.
     """
 
     kind = "histogram"
@@ -117,46 +145,84 @@ class Histogram:
         self,
         name: str,
         labels: Tuple[Tuple[str, str], ...] = (),
-        bounds: Tuple[float, ...] = DEFAULT_BUCKETS,
-        sample_window: int = DEFAULT_SAMPLE_WINDOW,
+        bounds: Sequence[float] = DEFAULT_BUCKETS,
     ):
-        if not bounds or list(bounds) != sorted(bounds):
-            raise ValueError(f"bucket bounds must be sorted and non-empty: {bounds}")
+        bounds = tuple(map(float, bounds))
+        if not bounds or any(a >= b for a, b in zip(bounds, bounds[1:])):
+            raise ValueError(
+                f"bucket bounds must be non-empty and sorted strictly "
+                f"increasing: {bounds}"
+            )
         self.name = name
         self.labels = labels
-        self.bounds = tuple(float(b) for b in bounds)
-        # Per-bucket (non-cumulative) counts; exposition cumulates them.
+        self.bounds = bounds
+        self.reset()
+
+    def reset(self) -> None:
         self.counts = [0] * (len(self.bounds) + 1)
         self.sum = 0.0
         self.count = 0
-        self.samples: Deque[float] = deque(maxlen=sample_window)
         self._flushed_counts = [0] * (len(self.bounds) + 1)
         self._flushed_sum = 0.0
 
     def observe(self, value: float) -> None:
         value = float(value)
-        idx = len(self.bounds)
-        for i, bound in enumerate(self.bounds):
-            if value <= bound:
-                idx = i
-                break
-        self.counts[idx] += 1
+        self.counts[bisect_left(self.bounds, value)] += 1
         self.sum += value
         self.count += 1
-        self.samples.append(value)
+
+    def observe_many(self, values) -> None:
+        """Observe every sample of ``values`` (one vectorized fill).
+
+        Equal to calling :meth:`observe` per sample, ``sum`` included:
+        it accumulates left to right from the running total rather than
+        through numpy's pairwise ``sum()``, so a bulk writer (the
+        macro-step engine) and a per-sample writer (the stepped engine)
+        agree to the last bit.
+        """
+        import numpy as np
+
+        xs = np.asarray(values, dtype=float)
+        if xs.size == 0:
+            return
+        # searchsorted's default side="left" is the ``le`` rule.
+        hits = np.bincount(np.searchsorted(self.bounds, xs))
+        for i in np.flatnonzero(hits).tolist():
+            self.counts[i] += int(hits[i])
+        self.sum = float(np.add.accumulate(np.concatenate(([self.sum], xs)))[-1])
+        self.count += int(xs.size)
+
+    @property
+    def mean(self) -> float:
+        return self.sum / self.count if self.count else 0.0
 
     def percentile(self, q: float) -> Optional[float]:
-        """q-th percentile (0..100) of the ring samples; None when empty."""
+        """Estimate the ``q``-th percentile (``0 <= q <= 100``).
+
+        Walks the cumulative bucket counts to rank ``q/100 * count`` and
+        interpolates linearly within the bucket that holds it. Samples
+        at or below the first bound count as sitting on it and samples
+        past the last bound as sitting on that one, so the estimate is
+        clamped to ``[bounds[0], bounds[-1]]``. Returns ``None`` for an
+        empty histogram (degenerate series render as ``n=0``, they never
+        raise); raises :class:`ValueError` only for ``q`` out of range.
+        """
         if not 0.0 <= q <= 100.0:
-            raise ValueError(f"percentile must be in [0, 100]: {q}")
-        if not self.samples:
+            raise ValueError(f"percentile out of [0, 100]: {q}")
+        if self.count == 0:
             return None
-        ordered = sorted(self.samples)
-        rank = q / 100.0 * (len(ordered) - 1)
-        lo = int(rank)
-        hi = min(lo + 1, len(ordered) - 1)
-        frac = rank - lo
-        return ordered[lo] * (1.0 - frac) + ordered[hi] * frac
+        target = q / 100.0 * self.count
+        cum = self.counts[0]
+        if target <= cum:
+            return self.bounds[0]
+        for lower, upper, n in zip(self.bounds, self.bounds[1:], self.counts[1:]):
+            if n and target <= cum + n:
+                width = upper - lower
+                # In bucket-width units: on equal-width bounds from 0 this
+                # is the bin-index form (i + frac) * width, bit for bit.
+                return (lower / width + (target - cum) / n) * width
+            cum += n
+        return self.bounds[-1]
 
     def cumulative_counts(self) -> List[int]:
         """Prometheus ``le`` buckets: running totals incl. ``+Inf``."""
@@ -175,7 +241,6 @@ class Histogram:
             "bounds": list(self.bounds),
             "counts": counts,
             "sum": self.sum - self._flushed_sum,
-            "samples": list(self.samples)[-sum(counts):],
         }
         self._flushed_counts = list(self.counts)
         self._flushed_sum = self.sum
@@ -190,8 +255,6 @@ class Histogram:
             self.counts[i] += int(c)
         self.sum += float(delta["sum"])
         self.count += int(sum(delta["counts"]))
-        for s in delta.get("samples", ()):
-            self.samples.append(float(s))
 
 
 _CHILD_TYPES = {"counter": Counter, "gauge": Gauge, "histogram": Histogram}
@@ -248,9 +311,6 @@ class MetricFamily:
     def observe(self, value: float) -> None:
         self._default.observe(value)
 
-    def percentile(self, q: float) -> Optional[float]:
-        return self._default.percentile(q)
-
     @property
     def value(self) -> float:
         return self._default.value
@@ -292,12 +352,10 @@ class TelemetryRegistry:
         name: str,
         help: str = "",
         labelnames: Iterable[str] = (),
-        buckets: Tuple[float, ...] = DEFAULT_BUCKETS,
-        sample_window: int = DEFAULT_SAMPLE_WINDOW,
+        buckets: Sequence[float] = DEFAULT_BUCKETS,
     ) -> MetricFamily:
         return self._family(
-            "histogram", name, help, labelnames,
-            bounds=tuple(buckets), sample_window=sample_window,
+            "histogram", name, help, labelnames, bounds=tuple(buckets)
         )
 
     def families(self) -> List[MetricFamily]:
@@ -308,27 +366,6 @@ class TelemetryRegistry:
         """Drop every family (test isolation)."""
         with self._lock:
             self._families.clear()
-
-    # -- snapshots ---------------------------------------------------------
-
-    def snapshot(self) -> Dict[str, Any]:
-        """JSON-friendly dump of every series (admin/debug surface)."""
-        out: Dict[str, Any] = {}
-        for fam in self.families():
-            series = []
-            for child in fam.children():
-                entry: Dict[str, Any] = {"labels": dict(child.labels)}
-                if fam.kind == "histogram":
-                    entry.update(
-                        count=child.count, sum=child.sum,
-                        p50=child.percentile(50), p99=child.percentile(99),
-                    )
-                else:
-                    entry["value"] = child.value
-                series.append(entry)
-            out[fam.name] = {"type": fam.kind, "help": fam.help,
-                             "series": series}
-        return out
 
     # -- worker → parent delta pipe ---------------------------------------
 

@@ -11,6 +11,7 @@ stepped engine (including a policy whose warning callback changes the
 fraction on the spot), and ``fraction_horizon`` against ``pim_fraction``.
 """
 
+import bisect
 import copy
 import math
 
@@ -22,7 +23,7 @@ from repro.core.feedback import FeedbackDelays
 from repro.core.hw_dynt import HwDynT
 from repro.core.policies import make_policy
 from repro.core.sw_dynt import SwDynT
-from repro.gpu.macro import MacroEngine
+from repro.gpu.macro import BURST_BOUNDS, MacroEngine
 from repro.obs.tracer import Tracer, set_tracer
 from repro.thermal.cooling import LOW_END_ACTIVE, PASSIVE
 from tests.gpu.test_macro_equivalence import (
@@ -224,3 +225,28 @@ class TestHorizonContract:
         assert changed_at and min(changed_at) == t_warn + throttle_s
         policy.pim_fraction(t_warn + throttle_s)
         assert policy.fraction_horizon(t_warn + 1.0) == math.inf
+
+
+class TestBurstHistogram:
+    @pytest.mark.parametrize("workload,policy", [
+        ("pagerank", "coolpim-sw"),
+        ("pagerank", "naive-offloading"),
+        ("kcore", "coolpim-hw"),
+    ])
+    def test_p50_lands_in_the_median_bucket(self, monkeypatch, workload,
+                                            policy):
+        """``sim.macro_burst_steps`` resolves real burst lengths: its p50
+        sits in the power-of-two bucket holding the true median."""
+        from repro.service.handlers import run_simulation_job, simulation_spec
+
+        bursts = _spy_bursts(monkeypatch)
+        payload = run_simulation_job(simulation_spec(
+            workload=workload, policy=policy, workload_scale=0.25,
+        ))
+        lengths = sorted(j for *_, j, _stop, _hits in bursts)
+        hist = payload["metrics"]["sim.macro_burst_steps"]
+        assert hist["count"] == len(lengths) > 1
+        # p50 reads rank count/2: the lower median on an even count.
+        median = lengths[(len(lengths) - 1) // 2]
+        bucket = bisect.bisect_left(BURST_BOUNDS, median)
+        assert bisect.bisect_left(BURST_BOUNDS, hist["p50"]) == bucket

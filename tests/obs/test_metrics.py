@@ -10,15 +10,15 @@ from repro.obs.metrics import (
     load_metrics,
     render_report,
 )
-from repro.sim.stats import StatRegistry
+from repro.sim.stats import StatRegistry, linear_bounds
 
 
 def _registry():
     reg = StatRegistry()
-    reg.counter("sim.epochs").add(4)
-    h = reg.histogram("sim.dt_ns", 0.0, 100.0, 10)
+    reg.counter("sim.epochs").inc(4)
+    h = reg.histogram("sim.dt_ns", linear_bounds(0.0, 100.0, 10))
     for x in (10.0, 20.0, 30.0):
-        h.add(x)
+        h.observe(x)
     tw = reg.time_weighted("sim.frac", initial=0.0)
     tw.update(1.0, now=2.0)
     return reg
@@ -65,7 +65,7 @@ class TestReport:
 
     def test_none_renders_as_dash(self):
         reg = StatRegistry()
-        reg.histogram("empty", 0.0, 1.0, 2)
+        reg.histogram("empty", linear_bounds(0.0, 1.0, 2))
         text = render_report(export_metrics(reg.snapshot(structured=True)))
         assert "empty.p50" in text and "  -" in text
 

@@ -1,53 +1,28 @@
-"""Statistics: counters, running means, time-weighted stats, histograms."""
-
-import math
+"""Per-run statistics: counters, time-weighted stats, histograms."""
 
 import pytest
 
 from repro.sim.stats import (
     Counter,
     Histogram,
-    RunningMean,
     StatRegistry,
     TimeWeightedStat,
+    linear_bounds,
 )
 
 
 class TestCounter:
     def test_accumulates(self):
         c = Counter("x")
-        c.add()
-        c.add(4.0)
+        c.inc()
+        c.inc(4.0)
         assert c.value == 5.0
 
     def test_reset(self):
-        c = Counter()
-        c.add(3)
+        c = Counter("x")
+        c.inc(3)
         c.reset()
         assert c.value == 0.0
-
-
-class TestRunningMean:
-    def test_mean_and_extremes(self):
-        rm = RunningMean()
-        for x in [1.0, 2.0, 3.0, 4.0]:
-            rm.add(x)
-        assert rm.mean == pytest.approx(2.5)
-        assert rm.min == 1.0 and rm.max == 4.0
-
-    def test_variance_matches_sample_variance(self):
-        rm = RunningMean()
-        data = [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0]
-        for x in data:
-            rm.add(x)
-        mean = sum(data) / len(data)
-        var = sum((x - mean) ** 2 for x in data) / (len(data) - 1)
-        assert rm.variance == pytest.approx(var)
-        assert rm.stddev == pytest.approx(math.sqrt(var))
-
-    def test_empty_mean_is_zero(self):
-        assert RunningMean().mean == 0.0
-        assert RunningMean().variance == 0.0
 
 
 class TestTimeWeighted:
@@ -100,83 +75,112 @@ class TestTimeWeighted:
         assert tw.value == 5.0 and tw.min == 5.0 and tw.max == 5.0
 
 
+def linear(lo, hi, nbins):
+    return Histogram("h", bounds=linear_bounds(lo, hi, nbins))
+
+
 class TestHistogram:
+    # Buckets follow the Prometheus ``le`` rule: counts[0] holds samples
+    # at or below the first bound, counts[i] those in (b[i-1], b[i]],
+    # counts[-1] those past the last bound.
+
     def test_bin_placement(self):
-        h = Histogram("h", lo=0.0, hi=10.0, nbins=10)
+        h = linear(0.0, 10.0, 10)
         for x in [0.5, 1.5, 9.9]:
-            h.add(x)
-        assert h.bins[0] == 1 and h.bins[1] == 1 and h.bins[9] == 1
+            h.observe(x)
+        assert h.counts[1] == 1 and h.counts[2] == 1 and h.counts[10] == 1
 
     def test_under_and_overflow(self):
-        h = Histogram("h", 0.0, 1.0, 4)
-        h.add(-0.1)
-        h.add(1.0)  # hi is exclusive
-        assert h.underflow == 1 and h.overflow == 1
+        h = linear(0.0, 1.0, 4)
+        h.observe(-0.1)
+        h.observe(0.0)  # lo is the first upper bound: at-or-below
+        h.observe(1.0)  # hi is inclusive
+        h.observe(1.5)
+        assert h.counts[0] == 2 and h.counts[-1] == 1
+        assert h.counts[-2] == 1
 
     def test_mean(self):
-        h = Histogram("h", 0.0, 10.0, 5)
-        h.add(2.0)
-        h.add(4.0)
+        h = linear(0.0, 10.0, 5)
+        h.observe(2.0)
+        h.observe(4.0)
         assert h.mean == pytest.approx(3.0)
 
     def test_bin_edges(self):
-        h = Histogram("h", 0.0, 1.0, 2)
-        assert h.bin_edges() == pytest.approx([0.0, 0.5, 1.0])
+        assert linear_bounds(0.0, 1.0, 2) == (0.0, 0.5, 1.0)
 
     def test_invalid_ranges(self):
         with pytest.raises(ValueError):
-            Histogram("h", 1.0, 1.0, 4)
+            linear_bounds(1.0, 1.0, 4)
         with pytest.raises(ValueError):
-            Histogram("h", 0.0, 1.0, 0)
+            linear_bounds(0.0, 1.0, 0)
+        with pytest.raises(ValueError):
+            Histogram("h", bounds=())
+        with pytest.raises(ValueError):
+            Histogram("h", bounds=(1.0, 1.0))
 
     def test_reset_clears_all_buckets(self):
-        h = Histogram("h", 0.0, 1.0, 4)
-        h.add(-1.0)
-        h.add(0.5)
-        h.add(2.0)
+        h = linear(0.0, 1.0, 4)
+        h.observe(-1.0)
+        h.observe(0.5)
+        h.observe(2.0)
         h.reset()
-        assert h.count == 0 and h.total == 0.0
-        assert h.underflow == 0 and h.overflow == 0
-        assert h.bins == [0, 0, 0, 0]
+        assert h.count == 0 and h.sum == 0.0
+        assert h.counts == [0] * 6
 
     def test_percentile_uniform_fill(self):
-        h = Histogram("h", 0.0, 10.0, 10)
-        for i in range(100):
-            h.add(i / 10.0)  # 0.0, 0.1, ..., 9.9 — 10 per bin
+        h = linear(0.0, 10.0, 10)
+        for i in range(1, 101):
+            h.observe(i / 10.0)  # 0.1, ..., 10.0 — 10 per (k, k+1]
         assert h.percentile(50) == pytest.approx(5.0)
         assert h.percentile(99) == pytest.approx(9.9)
         assert h.percentile(0) == 0.0
         assert h.percentile(100) == pytest.approx(10.0)
 
     def test_percentile_underflow_maps_to_lo(self):
-        h = Histogram("h", 0.0, 10.0, 10)
-        h.add(-5.0)
-        h.add(-3.0)
-        h.add(5.0)
+        h = linear(0.0, 10.0, 10)
+        h.observe(-5.0)
+        h.observe(-3.0)
+        h.observe(5.0)
         assert h.percentile(10) == 0.0
 
     def test_percentile_overflow_maps_to_hi(self):
-        h = Histogram("h", 0.0, 10.0, 10)
-        h.add(5.0)
-        h.add(50.0)
+        h = linear(0.0, 10.0, 10)
+        h.observe(5.0)
+        h.observe(50.0)
         assert h.percentile(99) == 10.0
 
     def test_percentile_empty_returns_none(self):
-        h = Histogram("h", 0.0, 1.0, 2)
+        h = linear(0.0, 1.0, 2)
         assert h.percentile(50) is None
         assert h.percentile(0) is None
-        h.add(0.5)
+        h.observe(0.5)
         assert h.percentile(50) is not None
         h.reset()
         assert h.percentile(99) is None
 
     def test_percentile_errors(self):
-        h = Histogram("h", 0.0, 1.0, 2)
-        h.add(0.5)
+        h = linear(0.0, 1.0, 2)
+        h.observe(0.5)
         with pytest.raises(ValueError, match="out of"):
             h.percentile(-1)
         with pytest.raises(ValueError, match="out of"):
             h.percentile(101)
+
+    def test_percentile_matches_bin_index_form_on_linear_bounds(self):
+        # Equal-width bounds from 0 reproduce the (i + frac) * width
+        # estimate the per-run histograms have always reported.
+        width = 25250.0 / 64
+        h = Histogram("h", bounds=linear_bounds(0.0, 25250.0, 64))
+        for x in (24990.0, 25000.0, 25010.0, 25100.0, 25240.0, 1000.0):
+            h.observe(x)
+        for q in (10, 50, 90, 99):
+            target = q / 100.0 * h.count
+            cum = h.counts[0]
+            for k, n in enumerate(h.counts[1:-1]):
+                if n and target <= cum + n:
+                    break
+                cum += n
+            assert h.percentile(q) == (k + (target - cum) / n) * width
 
 
 class TestRegistry:
@@ -184,7 +188,7 @@ class TestRegistry:
         reg = StatRegistry()
         vault = reg.scoped("hmc").scoped("vault0")
         c = vault.counter("reads")
-        c.add(3)
+        c.inc(3)
         assert reg.get("hmc.vault0.reads") is c
 
     def test_get_or_create_idempotent(self):
@@ -195,11 +199,9 @@ class TestRegistry:
         reg = StatRegistry()
         reg.counter("x")
         with pytest.raises(TypeError):
-            reg.running_mean("x")
-        with pytest.raises(TypeError):
             reg.time_weighted("x")
         with pytest.raises(TypeError):
-            reg.histogram("x", 0, 1, 2)
+            reg.histogram("x", linear_bounds(0, 1, 2))
 
     def test_time_weighted_reregistration_same_params_ok(self):
         reg = StatRegistry()
@@ -217,61 +219,61 @@ class TestRegistry:
 
     def test_histogram_reregistration_same_params_ok(self):
         reg = StatRegistry()
-        h = reg.histogram("h", 0.0, 10.0, 5)
-        assert reg.histogram("h", 0.0, 10.0, 5) is h
+        h = reg.histogram("h", linear_bounds(0.0, 10.0, 5))
+        assert reg.histogram("h", linear_bounds(0.0, 10.0, 5)) is h
 
     def test_histogram_conflicting_bins_raise(self):
-        # Regression: mismatched lo/hi/nbins were silently ignored, so
+        # Regression: mismatched bucket bounds were silently ignored, so
         # samples landed in someone else's binning.
         reg = StatRegistry()
-        reg.histogram("h", 0.0, 10.0, 5)
-        with pytest.raises(ValueError, match="bins"):
-            reg.histogram("h", 0.0, 20.0, 5)
-        with pytest.raises(ValueError, match="bins"):
-            reg.histogram("h", 0.0, 10.0, 8)
-        with pytest.raises(ValueError, match="bins"):
-            reg.histogram("h", 1.0, 10.0, 5)
+        reg.histogram("h", linear_bounds(0.0, 10.0, 5))
+        with pytest.raises(ValueError, match="bounds"):
+            reg.histogram("h", linear_bounds(0.0, 20.0, 5))
+        with pytest.raises(ValueError, match="bounds"):
+            reg.histogram("h", linear_bounds(0.0, 10.0, 8))
+        with pytest.raises(ValueError, match="bounds"):
+            reg.histogram("h", (1.0, 2.0, 4.0))
 
     def test_snapshot_flattens_scalars(self):
         reg = StatRegistry()
-        reg.counter("c").add(2)
-        reg.running_mean("m").add(4.0)
+        reg.counter("c").inc(2)
+        h = reg.histogram("h", linear_bounds(0.0, 10.0, 5))
+        h.observe(3.0)
+        h.observe(5.0)
         snap = reg.snapshot()
-        assert snap == {"c": 2.0, "m": 4.0}
+        assert snap == {"c": 2.0, "h": 4.0}
 
     def test_structured_snapshot_types_every_stat(self):
         import json
 
         reg = StatRegistry()
-        reg.counter("c").add(3)
-        reg.running_mean("m").add(2.0)
+        reg.counter("c").inc(3)
         tw = reg.time_weighted("tw", initial=1.0)
         tw.update(3.0, now=2.0)
-        h = reg.histogram("h", 0.0, 10.0, 10)
-        h.add(5.0)
+        h = reg.histogram("h", linear_bounds(0.0, 10.0, 10))
+        h.observe(5.0)
         snap = reg.snapshot(structured=True)
         assert snap["c"] == {"type": "counter", "value": 3.0}
-        assert snap["m"]["type"] == "mean" and snap["m"]["n"] == 1
         assert snap["tw"]["type"] == "time_weighted"
         assert snap["tw"]["mean"] == pytest.approx(1.0)
         assert snap["h"]["type"] == "histogram" and snap["h"]["count"] == 1
-        assert snap["h"]["p50"] == pytest.approx(5.5)
+        # 5.0 sits in the (4, 5] bucket: its midpoint is the median.
+        assert snap["h"]["p50"] == pytest.approx(4.5)
+        assert (snap["h"]["lo"], snap["h"]["hi"]) == (0.0, 10.0)
         json.dumps(snap)  # must always be JSON-serializable
 
     def test_structured_snapshot_empty_stats_are_json_safe(self):
         import json
 
         reg = StatRegistry()
-        reg.running_mean("m")  # min/max are ±inf internally
-        reg.histogram("h", 0.0, 1.0, 2)
+        reg.histogram("h", linear_bounds(0.0, 1.0, 2))
         snap = reg.snapshot(structured=True)
-        assert snap["m"]["min"] is None and snap["m"]["max"] is None
-        assert snap["h"]["p50"] is None
+        assert snap["h"]["p50"] is None and snap["h"]["mean"] == 0.0
         json.dumps(snap)
 
     def test_flat_snapshot_unchanged_by_structured_mode(self):
         reg = StatRegistry()
-        reg.counter("c").add(2)
+        reg.counter("c").inc(2)
         assert reg.snapshot() == {"c": 2.0}
 
     def test_items_filters_by_scope(self):

@@ -2,11 +2,14 @@
 
 import threading
 
+import numpy as np
 import pytest
 
 from repro.telemetry.registry import (
     DELTA_SCHEMA_ID,
+    Histogram,
     TelemetryRegistry,
+    counter_series,
     get_registry,
     set_registry,
 )
@@ -77,21 +80,44 @@ class TestHistograms:
         assert child.sum == pytest.approx(5.55)
 
     def test_percentile_empty_returns_none(self, reg):
-        h = reg.histogram("lat")
+        h = reg.histogram("lat")._default
         assert h.percentile(50) is None
         h.observe(1.0)
-        assert h.percentile(50) == pytest.approx(1.0)
+        # Interpolated within the (0.5, 1.0] bucket that holds it.
+        assert h.percentile(50) == pytest.approx(0.75)
 
     def test_percentile_out_of_range_raises(self, reg):
-        h = reg.histogram("lat")
+        h = reg.histogram("lat")._default
         with pytest.raises(ValueError):
             h.percentile(101)
 
-    def test_sample_ring_is_bounded(self, reg):
-        h = reg.histogram("lat", sample_window=4)
-        for i in range(10):
-            h.observe(float(i))
-        assert list(h._default.samples) == [6.0, 7.0, 8.0, 9.0]
+    def test_bounds_are_inclusive_upper_edges(self, reg):
+        h = reg.histogram("lat", buckets=(1.0, 2.0))._default
+        for v in (1.0, 1.0000001, 2.0, 2.5):
+            h.observe(v)
+        assert h.counts == [1, 2, 1]
+
+    def test_observe_many_equals_observe_per_sample(self):
+        rng = np.random.default_rng(7)
+        xs = rng.uniform(-1.0, 30.0, size=4096)
+        bulk = Histogram("h", bounds=(0.0, 1.0, 2.0, 4.0, 8.0, 16.0))
+        single = Histogram("h", bounds=bulk.bounds)
+        bulk.observe(0.1)
+        single.observe(0.1)
+        bulk.observe_many(xs)
+        for x in xs.tolist():
+            single.observe(x)
+        assert bulk.counts == single.counts
+        assert bulk.count == single.count
+        # Summed in sample order: equal to the last bit.
+        assert bulk.sum == single.sum
+        bulk.observe_many([])
+        assert bulk.count == single.count
+
+    def test_counter_series_naming_rule(self):
+        assert counter_series("sim.control_steps") == (
+            "repro_sim_control_steps_total"
+        )
 
     def test_unsorted_bounds_rejected(self, reg):
         with pytest.raises(ValueError, match="sorted"):
@@ -142,12 +168,15 @@ class TestDeltaPipe:
         h.observe(5.0)
         parent.merge(reg.flush_deltas())
         h.observe(20.0)
-        parent.merge(reg.flush_deltas())
+        doc = reg.flush_deltas()
+        # Buckets and sum are the whole delta: no raw samples ride along.
+        assert set(doc["histograms"][0][2]) == {"bounds", "counts", "sum"}
+        parent.merge(doc)
         merged = parent.histogram("lat", buckets=(1.0, 10.0))._default
         assert merged.counts == [1, 1, 1]
         assert merged.count == 3
         assert merged.sum == pytest.approx(25.5)
-        assert merged.percentile(50) == pytest.approx(5.0)
+        assert merged.percentile(50) == pytest.approx(5.5)
 
     def test_histogram_bounds_mismatch_raises(self, reg):
         parent = TelemetryRegistry()
@@ -177,14 +206,6 @@ class TestDefaults:
             assert get_registry() is fresh
         finally:
             set_registry(previous)
-
-    def test_snapshot_is_json_friendly(self, reg):
-        import json
-
-        reg.counter("c").inc()
-        reg.gauge("g").set(2)
-        reg.histogram("h").observe(0.5)
-        json.dumps(reg.snapshot())
 
     def test_concurrent_label_creation_is_safe(self, reg):
         fam = reg.counter("c", labelnames=("i",))

@@ -187,6 +187,20 @@ class TestTraceDispatch:
         manifest = json.loads((tmp_path / "trace.manifest.json").read_text())
         assert manifest["command"] == "repro trace"
 
+    @pytest.mark.parametrize("engine", ["stepped", "macro"])
+    def test_trace_runs_the_requested_engine(self, engine, tmp_path, capsys):
+        import json
+
+        out = tmp_path / "trace.json"
+        assert main(["trace", "kcore", "--dataset", "ldbc-tiny", "--quick",
+                     "--engine", engine, "-o", str(out)]) == 0
+        names = {e.get("name") for e in json.loads(out.read_text())["traceEvents"]}
+        metrics = json.loads((tmp_path / "trace.metrics.json").read_text())
+        macro = engine == "macro"
+        assert ("sim.macro_burst" in names) is macro
+        assert ("sim.macro_burst_steps" in metrics["stats"]) is macro
+        assert metrics["meta"]["engine"] == engine
+
     def test_report_validates_and_requires_layers(self, tmp_path, capsys):
         out = tmp_path / "trace.json"
         assert main(["trace", "kcore", "--dataset", "ldbc-tiny", "--quick",
