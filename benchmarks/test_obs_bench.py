@@ -10,6 +10,8 @@ Interleaved best-of-N minima are compared, so scheduler noise and cache
 warm-up hit both variants symmetrically.
 """
 
+import gc
+import statistics
 import time
 
 import pytest
@@ -83,15 +85,24 @@ def test_disabled_tracer_overhead_below_5_percent():
 
 # --- live-telemetry control-loop overhead --------------------------------
 #
-# The engines check for a run sink inline (stepped: every control step;
-# macro: every commit boundary). With a sink attached the per-step cost
-# is one attribute comparison; detached it is one `is not None` test.
-# Either way the control loop must stay within 5% of the
-# telemetry-disabled time on BOTH engines. A small absolute epsilon
-# absorbs timer granularity on these ~100 ms runs.
+# The shared run driver checks for a run sink after every loop
+# iteration (stepped: every control step; macro: every scalar step or
+# burst commit). With a sink attached the per-step cost is one attribute
+# comparison; detached it is one `is not None` test. Either way the
+# control loop must stay within 5% of the telemetry-disabled time on
+# BOTH engines. A small absolute epsilon absorbs timer granularity; each
+# engine's launch is sized so its telemetry-off run takes >= 50 ms on a
+# 2-vCPU host, which keeps the epsilon under 4 % of the run so the 5 %
+# bound can fail. Host load on
+# a shared machine shifts for seconds at a time, so the gate reads the
+# median over rounds of each adjacent (on, off) pair's excess: a busy
+# spell slows both runs of a pair, where it can skew a min-vs-min
+# comparison by 20 % or more.
 
-TELEMETRY_ROUNDS = 7
+TELEMETRY_ROUNDS = 11
 TELEMETRY_ABS_EPS_S = 0.002
+#: Epochs per launch, per engine: bursts make a macro epoch ~50x cheaper.
+TELEMETRY_EPOCHS = {"stepped": 64, "macro": 3072}
 
 
 def _sim_once(engine, sink):
@@ -111,7 +122,7 @@ def _sim_once(engine, sink):
         trace=TraceCursor([
             OpBatch(reads=120_000, writes=60_000, atomics=250_000,
                     compute_cycles=15_000, threads=4096, label=f"e{i}")
-            for i in range(8)
+            for i in range(TELEMETRY_EPOCHS[engine])
         ]),
         total_threads=4096,
     )
@@ -122,13 +133,20 @@ def _sim_once(engine, sink):
         engine=engine,
     )
     policy = make_policy("coolpim-hw")
-    t0 = time.perf_counter()
-    if sink is not None:
-        with run_telemetry(sink):
+    # As timeit does: no cyclic GC pass inside the timed region, where a
+    # full collection would add ~15 ms to whichever variant it lands in.
+    gc.collect()
+    gc.disable()
+    try:
+        t0 = time.perf_counter()
+        if sink is not None:
+            with run_telemetry(sink):
+                sim.run(launch, policy)
+        else:
             sim.run(launch, policy)
-    else:
-        sim.run(launch, policy)
-    return time.perf_counter() - t0
+        return time.perf_counter() - t0
+    finally:
+        gc.enable()
 
 
 @pytest.mark.parametrize("engine", ["stepped", "macro"])
@@ -141,16 +159,25 @@ def test_telemetry_enabled_overhead_below_5_percent(engine):
     _sim_once(engine, None)  # warm-up
     _sim_once(engine, make_sink())
     enabled, disabled = [], []
-    for _ in range(TELEMETRY_ROUNDS):
+    for i in range(TELEMETRY_ROUNDS):
+        # Alternate which variant runs first, so neither systematically
+        # inherits the other's cache or scheduler state.
+        if i % 2:
+            disabled.append(_sim_once(engine, None))
         enabled.append(_sim_once(engine, make_sink()))
-        disabled.append(_sim_once(engine, None))
-    best_on, best_off = min(enabled), min(disabled)
-    overhead = best_on / best_off - 1.0
-    print(
-        f"\n  {engine}: telemetry on {best_on * 1e3:.2f} ms, "
-        f"off {best_off * 1e3:.2f} ms, overhead {overhead * 100:+.2f}%"
+        if not i % 2:
+            disabled.append(_sim_once(engine, None))
+    pairs = list(zip(enabled, disabled))
+    overhead = statistics.median(on / off for on, off in pairs) - 1.0
+    excess = statistics.median(
+        on - off * (1 + OVERHEAD_LIMIT) for on, off in pairs
     )
-    assert best_on < best_off * (1 + OVERHEAD_LIMIT) + TELEMETRY_ABS_EPS_S, (
+    print(
+        f"\n  {engine}: telemetry on {statistics.median(enabled) * 1e3:.2f} ms, "
+        f"off {statistics.median(disabled) * 1e3:.2f} ms, "
+        f"paired overhead {overhead * 100:+.2f}%"
+    )
+    assert excess < TELEMETRY_ABS_EPS_S, (
         f"{engine}: telemetry-enabled control loop is "
         f"{overhead * 100:.1f}% slower than disabled "
         f"(budget {OVERHEAD_LIMIT * 100:.0f}%)"

@@ -401,6 +401,8 @@ class ApiService:
 
         if len(specs) > self.queue.capacity_for(tenant):
             self.counters["rejected"] += 1
+            self._metric_count("rejected", tenant)
+            self._journal("api_rejected", tenant=tenant, jobs=len(specs))
             raise QuotaExceeded(
                 tenant, self.queue.policy_for(tenant).max_queued
             )

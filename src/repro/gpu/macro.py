@@ -36,7 +36,10 @@ sample points. This engine exploits that:
 Steps the burst cannot prove safe — ambiguous phase/threshold
 crossings, thermal shutdowns, warning callbacks the policy acts on
 outside a sample, pending-fraction applications — fall back to the
-scalar step, which is a verbatim replica of the reference loop body.
+scalar step. That step is not a copy: :class:`MacroEngine` subclasses
+the stepped engine's run driver
+(:class:`~repro.gpu.simulator.SteppedEngine`) and takes its
+``_scalar_step`` as is, after installing any cached reduced state.
 Temperatures are reproduced to ~1e-9 °C (within the documented 1e-6 °C
 tolerance); every integer aggregate, event count, event instant, and
 timeline/fraction value is exact.
@@ -46,22 +49,19 @@ from __future__ import annotations
 
 import math
 import time as _time
-from typing import TYPE_CHECKING, List, Optional, Tuple
+from typing import TYPE_CHECKING, Optional, Tuple
 
 import numpy as np
 
 if TYPE_CHECKING:
     from repro.core.policies import OffloadPolicy
-    from repro.gpu.simulator import SystemSimulator
 
 from repro.gpu.kernel import KernelLaunch
+from repro.gpu.simulator import SimulationResult, SteppedEngine, SystemSimulator
 from repro.gpu.sm import DIVERGENCE_SERIALIZATION
 from repro.hmc.dram_timing import TemperaturePhase
-from repro.hmc.flow import TrafficDemand
 from repro.hmc.packet import FLIT_BYTES, PacketType, flit_cost
-from repro.obs.tracer import get_tracer
-from repro.sim.trace import OpBatch
-from repro.thermal.power import FU_WIDTH_BITS, TrafficPoint
+from repro.thermal.power import FU_WIDTH_BITS
 
 #: Minimum quanta worth committing as a burst; a zero-length validated
 #: prefix (the very next quantum crosses a threshold) falls back to the
@@ -100,15 +100,19 @@ MAX_BACKOFF_STEPS = 8
 STEP_MEMO_MAX = 1 << 14
 
 
-class MacroEngine:
-    """One-shot macro-step executor bound to a :class:`SystemSimulator`.
+class MacroEngine(SteppedEngine):
+    """The stepped run driver plus vectorized bursts.
 
-    Constructed per :meth:`SystemSimulator.run` call; holds the run's
-    mutable state as attributes so the burst/scalar paths share it.
+    Constructed per :meth:`SystemSimulator.run` call. It inherits the run
+    set-up, epoch bookkeeping, scalar step, live sample and result from
+    :class:`~repro.gpu.simulator.SteppedEngine`, and adds only what
+    belongs to bursts.
     """
 
-    def __init__(self, sim: "SystemSimulator") -> None:
-        self.sim = sim
+    name = "macro"
+
+    def __init__(self, sim: SystemSimulator) -> None:
+        super().__init__(sim)
         # Interval-model constants hoisted for the speculation loop. Each
         # is the same expression the scalar loop evaluates per step, so
         # the hoisted value is bit-identical.
@@ -149,47 +153,33 @@ class MacroEngine:
         self._z = None
         self._z_peak = 0.0
 
-    # -- epoch bookkeeping -------------------------------------------------
+    # -- run driver overrides ----------------------------------------------
 
-    def _open_epoch(self, batch: OpBatch, sim0: float, traffic=None) -> None:
-        sim = self.sim
-        self.batch = batch
-        self.atomics_total += batch.atomics
-        if traffic is None:
-            traffic = sim.cache.filter(batch)
-        from repro.gpu.simulator import _EpochState
-
-        self.state = _EpochState(batch, traffic)
-        self.rem_reads = traffic.reads
-        self.rem_writes = traffic.writes
-        self.rem_atomics = traffic.atomics
-        self.epochs += 1
-        self.epoch_sim0 = sim0
-        self.epoch_wall0 = _time.perf_counter() if self.traced else 0.0
-        # Per-epoch hoists (constant across the epoch's control steps).
-        self.mlp = min(1.0, self.state.threads / sim.saturation_threads)
-        self.inflation = (
-            1.0 + (DIVERGENCE_SERIALIZATION - 1.0) * self.state.divergence
+    def run(self, launch: KernelLaunch, policy: "OffloadPolicy") -> SimulationResult:
+        self.burst_hist = self.sim.stats.scoped("sim").histogram(
+            "macro_burst_steps", BURST_BOUNDS
         )
+        self.burst_hist.reset()
+        # Per-run step memo of _speculate (key → served-traffic block).
+        # Its values depend only on the key, but it lives for this run
+        # alone: nothing outside the run can grow or observe it.
+        self._memo = {}
+        result = super().run(launch, policy)
+        self._memo = None
+        self._materialize()
+        return result
 
-    def _close_epoch(self, end_s: float) -> None:
-        if self.traced:
-            self.tracer.complete(
-                "gpu.epoch", self.epoch_wall0, _time.perf_counter(),
-                cat="gpu", label=self.batch.label,
-                atomics=self.batch.atomics, threads=self.batch.threads,
-                sim_start_s=self.epoch_sim0, sim_end_s=end_s,
-            )
-        self.state = None
+    def _advance(self) -> None:
+        """A burst where one is provably equal to scalar steps, else one
+        scalar step on the materialized thermal state."""
+        if self.skip > 0:
+            self.skip -= 1
+        elif self._try_burst():
+            return
+        self._materialize()
+        self._scalar_step()
 
-    def _epoch_pending(self) -> bool:
-        s = self.state
-        return (
-            not s.drained
-            or self.rem_atomics > 0
-            or self.rem_reads > 0
-            or self.rem_writes > 0
-        )
+    # -- burst helpers ------------------------------------------------------
 
     def _materialize(self) -> None:
         """Install the cached reduced state into the thermal model.
@@ -222,322 +212,6 @@ class MacroEngine:
         if phase is TemperaturePhase.EXTENDED:
             return t0, t1
         return t1, t2
-
-    # -- main entry --------------------------------------------------------
-
-    def run(self, launch: KernelLaunch, policy: "OffloadPolicy"):
-        from repro.gpu.simulator import RunStats, SimulationResult
-        from repro.telemetry.live import get_run_sink
-
-        sim = self.sim
-        trace = launch.trace
-        trace.rewind()
-        sim.sensor.reset()
-        # Scenario injection mirrors the stepped loop exactly: one driver
-        # per run, events applied at control-step granularity, and (see
-        # _try_burst) every injection instant a hard commit boundary.
-        scen = sim._scenario_driver()
-        self.scen = scen
-        if scen is not None:
-            scen.begin()
-        self.policy = policy
-        self.exempt = policy.thermal_exempt
-
-        if not self.exempt:
-            sim.thermal.warm_start(sim.warm_start)
-        sim.flow.phase = TemperaturePhase.NORMAL
-        sim.flow.set_thermal_warning(False)
-
-        policy.bind(sim)
-        policy.begin(launch, now_s=0.0)
-
-        self.tracer = get_tracer()
-        self.traced = self.tracer.enabled
-        wall_t0 = _time.perf_counter()
-        run_stats = RunStats(sim)
-        self.dt_hist = run_stats.dt_hist
-        self.frac_tw = run_stats.frac_tw
-        self.burst_hist = run_stats.scope.histogram(
-            "macro_burst_steps", BURST_BOUNDS
-        )
-        self.burst_hist.reset()
-
-        self.epochs = 0
-        self.control_steps = 0
-        self.thermal_steps = 0
-        self.now_s = 0.0
-        self.link_bytes = 0
-        self.data_bytes = 0
-        self.pim_ops_total = 0
-        self.host_atomics_total = 0
-        self.host_assigned_total = 0
-        self.atomics_total = 0
-        self.warnings = 0
-        self.shutdowns = 0
-        self.peak_temp = (
-            sim.thermal.peak_dram_c() if not self.exempt
-            else sim.thermal.ambient_c
-        )
-        #: Last *committed* DRAM peak (°C) — the live-telemetry readout.
-        #: Updated only at scalar steps and burst commits, so emission
-        #: never observes speculative state.
-        self.last_temp_c = self.peak_temp
-        self.phase_time = {p.name: 0.0 for p in TemperaturePhase}
-        self.timeline: List[Tuple[float, float, float, float]] = []
-        self.next_sample = 0.0
-        self.thermal_debt_s = 0.0
-        self.package_energy_j = 0.0
-        fan_power_w = (
-            sim.thermal.cooling.fan_power_w() if not self.exempt else 0.0
-        )
-
-        self.state = None
-        self.launch_trace = trace
-        # Live telemetry: sampled only between committed steps or
-        # bursts — the speculative march never emits, so attaching a
-        # sink cannot perturb the bit-equality contract.
-        self._sink = get_run_sink()
-        self._total_epochs = max(1, len(trace))
-        # Per-run step memo of _speculate (key → served-traffic block).
-        # Its values depend only on the key, but it lives for this run
-        # alone: nothing outside the run can grow or observe it.
-        self._memo = {}
-
-        while True:
-            # Top of the reference loop's iteration: open (and skip
-            # empty) epochs, then apply any scenario events due now.
-            while self.state is None:
-                batch = trace.next()
-                if batch is None:
-                    break
-                if scen is not None:
-                    batch = scen.transform_batch(batch)
-                self._open_epoch(batch, self.now_s)
-                if not self._epoch_pending():
-                    self._close_epoch(self.now_s)
-            if self.state is None:
-                break
-            if scen is not None:
-                # Stepped applies due events at the top of every control
-                # step — i.e. after the epoch open at the same instant.
-                scen.apply_due(self.now_s)
-            if self.skip > 0:
-                self.skip -= 1
-                self._scalar_step()
-            elif self._try_burst() == 0:
-                self._scalar_step()
-            self._sink_sample()
-
-        self._memo = None
-        self._materialize()
-        if scen is not None:
-            # Restore the shared thermal/flow/sensor models to nominal:
-            # CoolPimSystem reuses them across runs.
-            scen.finish()
-        run_stats.finish(
-            self.now_s, epochs=self.epochs, control_steps=self.control_steps,
-            thermal_solver_steps=self.thermal_steps,
-            thermal_warnings=self.warnings, shutdowns=self.shutdowns,
-            pim_ops=self.pim_ops_total, host_atomics=self.host_atomics_total,
-            host_atomics_assigned=self.host_assigned_total,
-        )
-        if self.traced:
-            self.tracer.complete(
-                "sim.run", wall_t0, _time.perf_counter(), cat="sim",
-                workload=launch.name, policy=policy.name,
-                epochs=self.epochs, control_steps=self.control_steps,
-                warnings=self.warnings, shutdowns=self.shutdowns,
-                sim_runtime_s=self.now_s, engine="macro",
-            )
-
-        return SimulationResult(
-            workload=launch.name,
-            policy=policy.name,
-            runtime_s=self.now_s,
-            link_bytes=self.link_bytes,
-            data_bytes=self.data_bytes,
-            pim_ops=self.pim_ops_total,
-            host_atomics=self.host_atomics_total,
-            total_atomics=self.atomics_total,
-            peak_dram_temp_c=self.peak_temp,
-            thermal_warnings=self.warnings,
-            shutdowns=self.shutdowns,
-            phase_time_s=self.phase_time,
-            package_energy_j=self.package_energy_j,
-            fan_energy_j=fan_power_w * self.now_s,
-            timeline=self.timeline,
-        )
-
-    def _sink_sample(self) -> None:
-        sink = self._sink
-        if sink is not None and self.now_s >= sink.next_due_s:
-            policy = self.policy
-            pool = getattr(policy, "pool", None)
-            sink.emit_sample({
-                "t_s": self.now_s,
-                "progress": self.launch_trace.position / self._total_epochs,
-                "dram_c": self.last_temp_c,
-                "pim_fraction": self.frac_tw.value,
-                "tokens": pool.size if pool is not None else None,
-                "warnings": self.warnings,
-                "shutdowns": self.shutdowns,
-                "avg_link_gbs": (
-                    self.link_bytes / self.now_s / 1e9
-                    if self.now_s > 0 else 0.0
-                ),
-                "phase": self.sim.flow.phase.name,
-                "engine": "macro",
-            })
-
-    # -- scalar fallback ---------------------------------------------------
-
-    def _scalar_step(self) -> None:
-        """One control quantum, verbatim reference-loop semantics."""
-        sim = self.sim
-        state = self.state
-        policy = self.policy
-        exempt = self.exempt
-        traced = self.traced
-        from repro.gpu.simulator import SHUTDOWN_RECOVERY_S
-
-        if not exempt:
-            self._materialize()
-        fraction = policy.pim_fraction(self.now_s)
-        if fraction != self.frac_tw.value:
-            self.frac_tw.update(fraction, self.now_s)
-        demand, atomics_dem = sim._mem_demand(state, fraction)
-        t_mem_ns = sim.flow.service_time_ns(demand)
-        mlp = min(1.0, state.threads / sim.saturation_threads)
-        if mlp > 0.0:
-            t_mem_ns /= mlp
-        t_cmp_ns = sim.sm.compute_time_ns(state.as_batch())
-        t_atm_ns = demand.host_atomics / sim.gpu.host_atomic_ops_per_ns
-        t_total_ns = max(t_mem_ns, t_cmp_ns, t_atm_ns, 1.0)
-
-        dt_ns = min(sim.control_dt_s * 1e9, t_total_ns)
-        share = dt_ns / t_total_ns
-        final_step = share >= 1.0
-        served_reads = min(int(round(demand.reads * share)), self.rem_reads)
-        served_writes = min(int(round(demand.writes * share)), self.rem_writes)
-        served_host = int(round(demand.host_atomics * share))
-        served_pim = int(round(demand.pim_ops * share))
-        served_pim_ret = int(round(demand.pim_ops_ret * share))
-        host_raw = int(round((atomics_dem - demand.total_pim) * share))
-        over = served_pim + served_pim_ret + host_raw - self.rem_atomics
-        if over > 0:
-            cut = min(over, host_raw)
-            host_raw -= cut
-            over -= cut
-            cut = min(over, served_pim)
-            served_pim -= cut
-            served_pim_ret -= over - cut
-        if final_step:
-            served_reads = self.rem_reads
-            served_writes = self.rem_writes
-            leftover = self.rem_atomics - (served_pim + served_pim_ret
-                                           + host_raw)
-            extra_pim = min(leftover, int(round(leftover * fraction)))
-            extra_host = leftover - extra_pim
-            served_pim += extra_pim
-            host_raw += extra_host
-            served_host += int(round(
-                extra_host * sim.cache.host_atomic_coalescing
-            ))
-        self.rem_reads -= served_reads
-        self.rem_writes -= served_writes
-        self.rem_atomics -= served_pim + served_pim_ret + host_raw
-        self.host_assigned_total += host_raw
-        served = TrafficDemand(
-            reads=served_reads,
-            writes=served_writes,
-            host_atomics=served_host,
-            pim_ops=served_pim,
-            pim_ops_ret=served_pim_ret,
-        )
-        state.drain(share)
-
-        ext_gbs, int_gbs, pim_rate = sim.flow.traffic_rates(served, dt_ns)
-        if not exempt:
-            traffic_point = TrafficPoint(
-                external_gbs=ext_gbs,
-                internal_dram_gbs=int_gbs,
-                pim_rate_ops_ns=pim_rate,
-            )
-            self.thermal_debt_s += dt_ns * 1e-9
-            temp_c = sim.thermal.peak_dram_c()
-            energy_scale = sim.flow.policy.dram_energy_scale(sim.flow.phase)
-            while self.thermal_debt_s >= sim.control_dt_s:
-                temp_c = sim.thermal.step(
-                    traffic_point,
-                    sim.control_dt_s,
-                    dram_energy_scale=energy_scale,
-                )
-                self.thermal_debt_s -= sim.control_dt_s
-                self.thermal_steps += 1
-                self._z = None
-            self.peak_temp = max(self.peak_temp, temp_c)
-            phase = sim.flow.update_phase(temp_c)
-            warning = sim.sensor.observe(temp_c, self.now_s)
-            sim.flow.set_thermal_warning(warning)
-            if warning:
-                self.warnings += 1
-                if traced:
-                    self.tracer.instant(
-                        "sim.thermal_warning", cat="sim",
-                        sim_time_ns=self.now_s * 1e9, clock="sim",
-                        temp_c=sim.sensor.last_temp_c,
-                    )
-                policy.on_thermal_warning(self.now_s, sim.sensor.last_temp_c)
-            if phase is TemperaturePhase.SHUTDOWN:
-                self.shutdowns += 1
-                if traced:
-                    self.tracer.instant(
-                        "sim.shutdown", cat="sim",
-                        sim_time_ns=self.now_s * 1e9, clock="sim",
-                        temp_c=temp_c,
-                    )
-                self.now_s += SHUTDOWN_RECOVERY_S
-                self.phase_time[TemperaturePhase.SHUTDOWN.name] += (
-                    SHUTDOWN_RECOVERY_S
-                )
-                sim.thermal.warm_start(TrafficPoint.idle())
-                self._z = None
-                sim.flow.phase = TemperaturePhase.NORMAL
-                sim.sensor.reset()
-                sim.flow.set_thermal_warning(False)
-            self.last_temp_c = temp_c
-        else:
-            phase = TemperaturePhase.NORMAL
-            temp_c = sim.thermal.ambient_c
-            traffic_point = TrafficPoint(
-                external_gbs=ext_gbs,
-                internal_dram_gbs=int_gbs,
-                pim_rate_ops_ns=pim_rate,
-            )
-            energy_scale = 1.0
-
-        self.package_energy_j += (
-            sim.thermal.power.package_total_w(traffic_point, energy_scale)
-            * dt_ns * 1e-9
-        )
-        sim.flow.record(served, dt_ns)
-        self.link_bytes += served.link_bytes()
-        self.data_bytes += served.external_data_bytes()
-        self.pim_ops_total += served.total_pim
-        self.host_atomics_total += served.host_atomics
-        self.phase_time[phase.name] += dt_ns * 1e-9
-        self.now_s += dt_ns * 1e-9
-        self.control_steps += 1
-        self.dt_hist.observe(dt_ns)
-
-        if self.now_s >= self.next_sample:
-            self.timeline.append((self.now_s, temp_c, pim_rate, fraction))
-            self.next_sample = (
-                math.floor(self.now_s / sim.timeline_dt_s) + 1.0
-            ) * sim.timeline_dt_s
-
-        if not self._epoch_pending():
-            self._close_epoch(self.now_s)
 
     # -- burst path --------------------------------------------------------
     #
@@ -676,7 +350,8 @@ class MacroEngine:
         sr, sw_, sa = st.reads, st.writes, st.atomics
         sar, scc = st.atomics_ret, st.compute_cycles
         rr, rw, ra = self.rem_reads, self.rem_writes, self.rem_atomics
-        mlp, infl = self.mlp, self.inflation
+        mlp = min(1.0, st.threads / sat_threads)
+        infl = 1.0 + (DIVERGENCE_SERIALIZATION - 1.0) * st.divergence
         tnow = b.t0
         debt = self.thermal_debt_s
         # Replicates the sensor's own `now - last >= period` comparison.
@@ -1091,17 +766,17 @@ class MacroEngine:
         spr_sum = sum(rcols[5][:j])
         self.link_bytes += sum(rcols[7][:j])
         self.data_bytes += sum(rcols[8][:j])
-        self.pim_ops_total += sp_sum + spr_sum
-        self.host_atomics_total += sh_sum
-        self.host_assigned_total += sum(rcols[6][:j])
+        self.pim_ops += sp_sum + spr_sum
+        self.host_atomics += sh_sum
+        self.host_atomics_assigned += sum(rcols[6][:j])
         self.control_steps += j
-        self.thermal_steps += committed_sub
+        self.thermal_solver_steps += committed_sub
         if flip_stop:
             # The final step's sample flipped the warning: the oracle
             # counts that step under the *new* state.
-            self.warnings += (j - 1) if warning else 1
+            self.thermal_warnings += (j - 1) if warning else 1
         elif warning:
-            self.warnings += j
+            self.thermal_warnings += j
         self.peak_temp = max(self.peak_temp, float(temps[:j].max()))
         self.last_temp_c = float(temps[j - 1])
         if fraction != self.frac_tw.value:

@@ -35,6 +35,7 @@ from repro.hmc.flow import HmcFlowModel, TrafficDemand
 from repro.obs.tracer import get_tracer
 from repro.sim.stats import Counter, StatRegistry, linear_bounds
 from repro.sim.trace import OpBatch
+from repro.telemetry.live import get_run_sink
 from repro.thermal.model import HmcThermalModel
 from repro.thermal.operators import CONTROL_DT_S
 from repro.thermal.power import TrafficPoint
@@ -179,42 +180,393 @@ class _EpochState:
         self.compute_cycles *= keep
 
 
-#: Per-run ``sim.<name>`` counters both engines fill; each is summed
-#: into the ``/metrics`` series ``repro_sim_<name>_total{engine}``.
+#: Per-run ``sim.<name>`` counters both engines fill; each is a run total
+#: of :class:`SteppedEngine` under the same name, and each is summed into
+#: the ``/metrics`` series ``repro_sim_<name>_total{engine}``.
 RUN_COUNTERS = (
     "epochs", "control_steps", "thermal_solver_steps", "thermal_warnings",
     "shutdowns", "pim_ops", "host_atomics", "host_atomics_assigned",
 )
 
 
-class RunStats:
-    """The ``sim.*`` stats of one run, shared by both engines.
+class SteppedEngine:
+    """Scalar reference engine: one control quantum per loop iteration.
 
-    Construction registers and resets them. The engine observes each
-    control step's length into :attr:`dt_hist` and every PIM-fraction
-    change into :attr:`frac_tw`; :meth:`finish` folds its end-of-run
-    totals into the :data:`RUN_COUNTERS`.
+    Constructed per :meth:`SystemSimulator.run` call; the run's mutable
+    state lives in attributes, so a subclass can advance it by other
+    means. This engine is the oracle:
+    :class:`~repro.gpu.macro.MacroEngine` subclasses it and overrides
+    :meth:`_advance` to commit vectorized bursts, falling back to
+    :meth:`_scalar_step` wherever a burst cannot be proven equal to it.
     """
 
+    #: Engine name carried by live samples and the ``sim.run`` span.
+    name = "stepped"
+
     def __init__(self, sim: "SystemSimulator") -> None:
-        self.scope = sim.stats.scoped("sim")
-        self.dt_hist = self.scope.histogram(
+        self.sim = sim
+
+    # -- run driver --------------------------------------------------------
+
+    def run(self, launch: KernelLaunch, policy: "OffloadPolicy") -> SimulationResult:
+        """Execute the launch under ``policy``; returns run aggregates."""
+        sim = self.sim
+        trace = launch.trace
+        trace.rewind()
+        sim.sensor.reset()
+        # One scenario driver per run: epochs are transformed as they
+        # open, and due events apply at the top of every control step.
+        scen = sim._scenario_driver()
+        self.scen = scen
+        if scen is not None:
+            scen.begin()
+        self.policy = policy
+        self.exempt = exempt = policy.thermal_exempt
+
+        # Device state before the kernel launches (ideal-thermal runs pin
+        # the cube at ambient, so no warm-up is needed).
+        if not exempt:
+            sim.thermal.warm_start(sim.warm_start)
+        sim.flow.phase = TemperaturePhase.NORMAL
+        sim.flow.set_thermal_warning(False)
+
+        policy.bind(sim)
+        policy.begin(launch, now_s=0.0)
+
+        self.tracer = get_tracer()
+        self.traced = self.tracer.enabled
+        wall_t0 = _time.perf_counter()
+        # The run's sim.* stats: each run resets and refills them, so the
+        # last run's numbers are always current.
+        scope = sim.stats.scoped("sim")
+        self.dt_hist = scope.histogram(
             "control_dt_ns", linear_bounds(0.0, sim.control_dt_s * 1e9 * 1.01, 64)
         )
         self.dt_hist.reset()
-        self.frac_tw = self.scope.time_weighted("pim_fraction")
+        self.frac_tw = scope.time_weighted("pim_fraction")
         self.frac_tw.reset(initial=0.0, start_time=0.0)
-        self.counters = [self.scope.counter(name) for name in RUN_COUNTERS]
-        for counter in self.counters:
+        counters = [scope.counter(name) for name in RUN_COUNTERS]
+        for counter in counters:
             counter.reset()
 
-    def finish(self, now_s: float, **totals: int) -> None:
+        self.epochs = 0
+        self.control_steps = 0
+        self.thermal_solver_steps = 0
+        self.thermal_warnings = 0
+        self.shutdowns = 0
+        self.pim_ops = 0
+        self.host_atomics = 0
+        self.host_atomics_assigned = 0
+        self.atomics_total = 0
+        self.now_s = 0.0
+        self.link_bytes = 0
+        self.data_bytes = 0
+        self.peak_temp = (
+            sim.thermal.peak_dram_c() if not exempt else sim.thermal.ambient_c
+        )
+        #: Last *committed* DRAM peak (°C) — the live-telemetry readout.
+        #: A subclass that speculates must update it only on commit, so
+        #: emission never observes speculative state.
+        self.last_temp_c = self.peak_temp
+        self.phase_time = {p.name: 0.0 for p in TemperaturePhase}
+        self.timeline: List[Tuple[float, float, float, float]] = []
+        self.next_sample = 0.0
+        self.thermal_debt_s = 0.0
+        self.package_energy_j = 0.0
+        fan_power_w = sim.thermal.cooling.fan_power_w() if not exempt else 0.0
+
+        self.state: Optional[_EpochState] = None
+        self.launch_trace = trace
+        # Live telemetry: resolved once per run; when no sink is
+        # installed the per-step cost is a single None test (the same
+        # discipline as the tracer's NULL_SPAN fast path).
+        self._sink = get_run_sink()
+        self._total_epochs = max(1, len(trace))
+
+        while True:
+            # Open the next epoch (an empty one closes at once), then
+            # apply the scenario events due at this step.
+            while self.state is None:
+                batch = trace.next()
+                if batch is None:
+                    break
+                if scen is not None:
+                    batch = scen.transform_batch(batch)
+                self._open_epoch(batch, self.now_s)
+                if not self._epoch_pending():
+                    self._close_epoch(self.now_s)
+            if self.state is None:
+                break
+            if scen is not None:
+                scen.apply_due(self.now_s)
+            self._advance()
+            self._sink_sample()
+
+        if scen is not None:
+            # Restore the shared thermal/flow/sensor models to nominal:
+            # CoolPimSystem reuses them across runs.
+            scen.finish()
         # Tail of the last fraction level, so the time-weighted mean
         # covers the full run.
-        if now_s > 0.0:
-            self.frac_tw.update(self.frac_tw.value, now_s)
-        for name, counter in zip(RUN_COUNTERS, self.counters):
-            counter.inc(totals[name])
+        if self.now_s > 0.0:
+            self.frac_tw.update(self.frac_tw.value, self.now_s)
+        for name, counter in zip(RUN_COUNTERS, counters):
+            counter.inc(getattr(self, name))
+        if self.traced:
+            self.tracer.complete(
+                "sim.run", wall_t0, _time.perf_counter(), cat="sim",
+                workload=launch.name, policy=policy.name,
+                epochs=self.epochs, control_steps=self.control_steps,
+                warnings=self.thermal_warnings, shutdowns=self.shutdowns,
+                sim_runtime_s=self.now_s, engine=self.name,
+            )
+
+        return SimulationResult(
+            workload=launch.name,
+            policy=policy.name,
+            runtime_s=self.now_s,
+            link_bytes=self.link_bytes,
+            data_bytes=self.data_bytes,
+            pim_ops=self.pim_ops,
+            host_atomics=self.host_atomics,
+            total_atomics=self.atomics_total,
+            peak_dram_temp_c=self.peak_temp,
+            thermal_warnings=self.thermal_warnings,
+            shutdowns=self.shutdowns,
+            phase_time_s=self.phase_time,
+            package_energy_j=self.package_energy_j,
+            fan_energy_j=fan_power_w * self.now_s,
+            timeline=self.timeline,
+        )
+
+    def _advance(self) -> None:
+        """Advance the open epoch by one loop iteration."""
+        self._scalar_step()
+
+    # -- epoch bookkeeping -------------------------------------------------
+
+    def _open_epoch(
+        self, batch: OpBatch, sim0: float,
+        traffic: Optional[MemoryTraffic] = None,
+    ) -> None:
+        self.batch = batch
+        self.atomics_total += batch.atomics
+        if traffic is None:
+            traffic = self.sim.cache.filter(batch)
+        self.state = _EpochState(batch, traffic)
+        # Integer work ledgers: the fluid drain rounds per step, so its
+        # serving sums can drift from the epoch totals; the final control
+        # step flushes whatever the ledgers still hold.
+        self.rem_reads = traffic.reads
+        self.rem_writes = traffic.writes
+        self.rem_atomics = traffic.atomics
+        self.epochs += 1
+        self.epoch_sim0 = sim0
+        self.epoch_wall0 = _time.perf_counter() if self.traced else 0.0
+
+    def _close_epoch(self, end_s: float) -> None:
+        if self.traced:
+            self.tracer.complete(
+                "gpu.epoch", self.epoch_wall0, _time.perf_counter(),
+                cat="gpu", label=self.batch.label,
+                atomics=self.batch.atomics, threads=self.batch.threads,
+                sim_start_s=self.epoch_sim0, sim_end_s=end_s,
+            )
+        self.state = None
+
+    def _epoch_pending(self) -> bool:
+        s = self.state
+        return (
+            not s.drained
+            or self.rem_atomics > 0
+            or self.rem_reads > 0
+            or self.rem_writes > 0
+        )
+
+    # -- the control quantum -----------------------------------------------
+
+    def _scalar_step(self) -> None:
+        """One control quantum of the paper's loop: offload fraction →
+        HMC traffic → thermal step → sensor sample → warning → throttle."""
+        sim = self.sim
+        state = self.state
+        policy = self.policy
+        exempt = self.exempt
+        traced = self.traced
+
+        fraction = policy.pim_fraction(self.now_s)
+        if fraction != self.frac_tw.value:
+            self.frac_tw.update(fraction, self.now_s)
+        demand, atomics_dem = sim._mem_demand(state, fraction)
+        t_mem_ns = sim.flow.service_time_ns(demand)
+        # Small frontiers can't keep enough requests in flight to
+        # saturate the memory system.
+        mlp = min(1.0, state.threads / sim.saturation_threads)
+        if mlp > 0.0:
+            t_mem_ns /= mlp
+        t_cmp_ns = sim.sm.compute_time_ns(state.as_batch())
+        # Host-executed atomics serialize at the L2 ROP units.
+        t_atm_ns = demand.host_atomics / sim.gpu.host_atomic_ops_per_ns
+        t_total_ns = max(t_mem_ns, t_cmp_ns, t_atm_ns, 1.0)
+
+        dt_ns = min(sim.control_dt_s * 1e9, t_total_ns)
+        share = dt_ns / t_total_ns
+        final_step = share >= 1.0
+        served_reads = min(int(round(demand.reads * share)), self.rem_reads)
+        served_writes = min(int(round(demand.writes * share)), self.rem_writes)
+        served_host = int(round(demand.host_atomics * share))
+        served_pim = int(round(demand.pim_ops * share))
+        served_pim_ret = int(round(demand.pim_ops_ret * share))
+        host_raw = int(round((atomics_dem - demand.total_pim) * share))
+        # Clamp against the ledger (rounding drift), cutting the host
+        # accounting before offloaded traffic.
+        over = served_pim + served_pim_ret + host_raw - self.rem_atomics
+        if over > 0:
+            cut = min(over, host_raw)
+            host_raw -= cut
+            over -= cut
+            cut = min(over, served_pim)
+            served_pim -= cut
+            served_pim_ret -= over - cut
+        if final_step:
+            # Residual flush: whatever the integer ledgers still hold is
+            # served in this last quantum instead of being dropped with
+            # the sub-0.5 fluid remainder.
+            served_reads = self.rem_reads
+            served_writes = self.rem_writes
+            leftover = self.rem_atomics - (served_pim + served_pim_ret
+                                           + host_raw)
+            extra_pim = min(leftover, int(round(leftover * fraction)))
+            extra_host = leftover - extra_pim
+            served_pim += extra_pim
+            host_raw += extra_host
+            served_host += int(round(
+                extra_host * sim.cache.host_atomic_coalescing
+            ))
+        self.rem_reads -= served_reads
+        self.rem_writes -= served_writes
+        self.rem_atomics -= served_pim + served_pim_ret + host_raw
+        self.host_atomics_assigned += host_raw
+        served = TrafficDemand(
+            reads=served_reads,
+            writes=served_writes,
+            host_atomics=served_host,
+            pim_ops=served_pim,
+            pim_ops_ret=served_pim_ret,
+        )
+        state.drain(share)
+
+        # Thermal integration with this interval's traffic power. Steps
+        # run on the fixed control quantum (one cached LU); sub-quantum
+        # intervals accumulate as debt and are flushed with the current
+        # traffic point — at most one quantum of lag versus the 100 µs
+        # sensor period.
+        ext_gbs, int_gbs, pim_rate = sim.flow.traffic_rates(served, dt_ns)
+        if not exempt:
+            traffic_point = TrafficPoint(
+                external_gbs=ext_gbs,
+                internal_dram_gbs=int_gbs,
+                pim_rate_ops_ns=pim_rate,
+            )
+            self.thermal_debt_s += dt_ns * 1e-9
+            temp_c = sim.thermal.peak_dram_c()
+            energy_scale = sim.flow.policy.dram_energy_scale(sim.flow.phase)
+            while self.thermal_debt_s >= sim.control_dt_s:
+                temp_c = sim.thermal.step(
+                    traffic_point,
+                    sim.control_dt_s,
+                    dram_energy_scale=energy_scale,
+                )
+                self.thermal_debt_s -= sim.control_dt_s
+                self.thermal_solver_steps += 1
+            self.peak_temp = max(self.peak_temp, temp_c)
+            phase = sim.flow.update_phase(temp_c)
+            warning = sim.sensor.observe(temp_c, self.now_s)
+            sim.flow.set_thermal_warning(warning)
+            if warning:
+                self.thermal_warnings += 1
+                if traced:
+                    self.tracer.instant(
+                        "sim.thermal_warning", cat="sim",
+                        sim_time_ns=self.now_s * 1e9, clock="sim",
+                        temp_c=sim.sensor.last_temp_c,
+                    )
+                policy.on_thermal_warning(self.now_s, sim.sensor.last_temp_c)
+            if phase is TemperaturePhase.SHUTDOWN:
+                # Conservative overheat policy: full stop, long recovery,
+                # restart cold (Sec. III-A).
+                self.shutdowns += 1
+                if traced:
+                    self.tracer.instant(
+                        "sim.shutdown", cat="sim",
+                        sim_time_ns=self.now_s * 1e9, clock="sim",
+                        temp_c=temp_c,
+                    )
+                self.now_s += SHUTDOWN_RECOVERY_S
+                self.phase_time[TemperaturePhase.SHUTDOWN.name] += (
+                    SHUTDOWN_RECOVERY_S
+                )
+                sim.thermal.warm_start(TrafficPoint.idle())
+                sim.flow.phase = TemperaturePhase.NORMAL
+                sim.sensor.reset()
+                sim.flow.set_thermal_warning(False)
+            self.last_temp_c = temp_c
+        else:
+            phase = TemperaturePhase.NORMAL
+            temp_c = sim.thermal.ambient_c
+            traffic_point = TrafficPoint(
+                external_gbs=ext_gbs,
+                internal_dram_gbs=int_gbs,
+                pim_rate_ops_ns=pim_rate,
+            )
+            energy_scale = 1.0
+
+        self.package_energy_j += (
+            sim.thermal.power.package_total_w(traffic_point, energy_scale)
+            * dt_ns * 1e-9
+        )
+        sim.flow.record(served, dt_ns)
+        self.link_bytes += served.link_bytes()
+        self.data_bytes += served.external_data_bytes()
+        self.pim_ops += served.total_pim
+        self.host_atomics += served.host_atomics
+        self.phase_time[phase.name] += dt_ns * 1e-9
+        self.now_s += dt_ns * 1e-9
+        self.control_steps += 1
+        self.dt_hist.observe(dt_ns)
+
+        if self.now_s >= self.next_sample:
+            self.timeline.append((self.now_s, temp_c, pim_rate, fraction))
+            # Snap to the fixed grid: the next sample is due at the first
+            # grid point strictly after now, so sample spacing does not
+            # drift with step size (Fig. 14 comparability).
+            self.next_sample = (
+                math.floor(self.now_s / sim.timeline_dt_s) + 1.0
+            ) * sim.timeline_dt_s
+
+        if not self._epoch_pending():
+            self._close_epoch(self.now_s)
+
+    def _sink_sample(self) -> None:
+        """Offer the live sink a sample of the committed run state."""
+        sink = self._sink
+        if sink is not None and self.now_s >= sink.next_due_s:
+            pool = getattr(self.policy, "pool", None)
+            sink.emit_sample({
+                "t_s": self.now_s,
+                "progress": self.launch_trace.position / self._total_epochs,
+                "dram_c": self.last_temp_c,
+                "pim_fraction": self.frac_tw.value,
+                "tokens": pool.size if pool is not None else None,
+                "warnings": self.thermal_warnings,
+                "shutdowns": self.shutdowns,
+                "avg_link_gbs": (
+                    self.link_bytes / self.now_s / 1e9
+                    if self.now_s > 0 else 0.0
+                ),
+                "phase": self.sim.flow.phase.name,
+                "engine": self.name,
+            })
 
 
 class SystemSimulator:
@@ -314,9 +666,10 @@ class SystemSimulator:
         if self.engine == "macro":
             from repro.gpu.macro import MacroEngine
 
-            result = MacroEngine(self).run(launch, policy)
+            engine = MacroEngine(self)
         else:
-            result = self._run_stepped(launch, policy)
+            engine = SteppedEngine(self)
+        result = engine.run(launch, policy)
         self._record_run_telemetry(_time.perf_counter() - wall_t0)
         return result
 
@@ -348,297 +701,3 @@ class SystemSimulator:
             "repro_sim_run_wall_seconds",
             "Wall-clock duration of simulator runs", ("engine",),
         ).labels(**labels).observe(wall_s)
-
-    def _run_stepped(
-        self, launch: KernelLaunch, policy: "OffloadPolicy"
-    ) -> SimulationResult:
-        """Scalar reference engine: one control quantum per iteration."""
-        launch.trace.rewind()
-        self.sensor.reset()
-        scen = self._scenario_driver()
-        if scen is not None:
-            scen.begin()
-        exempt = policy.thermal_exempt
-
-        # Device state before the kernel launches (ideal-thermal runs pin
-        # the cube at ambient, so no warm-up is needed).
-        if not exempt:
-            self.thermal.warm_start(self.warm_start)
-        self.flow.phase = TemperaturePhase.NORMAL
-        self.flow.set_thermal_warning(False)
-
-        policy.bind(self)
-        policy.begin(launch, now_s=0.0)
-
-        tracer = get_tracer()
-        traced = tracer.enabled
-        # Live telemetry: resolved once per run; when no sink is
-        # installed the per-step cost is a single None test (the same
-        # discipline as the tracer's NULL_SPAN fast path).
-        from repro.telemetry.live import get_run_sink
-
-        sink = get_run_sink()
-        total_epochs = max(1, len(launch.trace))
-        wall_t0 = _time.perf_counter()
-        run_stats = RunStats(self)
-        dt_hist = run_stats.dt_hist
-        frac_tw = run_stats.frac_tw
-        epochs = 0
-        control_steps = 0
-        thermal_steps = 0
-
-        now_s = 0.0
-        link_bytes = 0
-        data_bytes = 0
-        pim_ops_total = 0
-        host_atomics_total = 0
-        host_assigned_total = 0
-        atomics_total = 0
-        warnings = 0
-        shutdowns = 0
-        peak_temp = (
-            self.thermal.peak_dram_c() if not exempt else self.thermal.ambient_c
-        )
-        phase_time = {p.name: 0.0 for p in TemperaturePhase}
-        timeline: List[Tuple[float, float, float, float]] = []
-        next_sample = 0.0
-        thermal_debt_s = 0.0
-        package_energy_j = 0.0
-        fan_power_w = (
-            self.thermal.cooling.fan_power_w() if not exempt else 0.0
-        )
-
-        while True:
-            batch = launch.trace.next()
-            if batch is None:
-                break
-            if scen is not None:
-                batch = scen.transform_batch(batch)
-            atomics_total += batch.atomics
-            traffic = self.cache.filter(batch)
-            state = _EpochState(batch, traffic)
-            epochs += 1
-            epoch_t0 = _time.perf_counter() if traced else 0.0
-            epoch_sim0 = now_s
-            # Integer work ledgers: the fluid drain rounds per step, so
-            # its serving sums can drift from the epoch totals; the final
-            # control step flushes whatever the ledgers still hold.
-            rem_reads = traffic.reads
-            rem_writes = traffic.writes
-            rem_atomics = traffic.atomics
-
-            while (not state.drained or rem_atomics > 0
-                   or rem_reads > 0 or rem_writes > 0):
-                if scen is not None:
-                    scen.apply_due(now_s)
-                fraction = policy.pim_fraction(now_s)
-                if fraction != frac_tw.value:
-                    frac_tw.update(fraction, now_s)
-                demand, atomics_dem = self._mem_demand(state, fraction)
-                t_mem_ns = self.flow.service_time_ns(demand)
-                # Small frontiers can't keep enough requests in flight to
-                # saturate the memory system.
-                mlp = min(1.0, state.threads / self.saturation_threads)
-                if mlp > 0.0:
-                    t_mem_ns /= mlp
-                t_cmp_ns = self.sm.compute_time_ns(state.as_batch())
-                # Host-executed atomics serialize at the L2 ROP units.
-                t_atm_ns = demand.host_atomics / self.gpu.host_atomic_ops_per_ns
-                t_total_ns = max(t_mem_ns, t_cmp_ns, t_atm_ns, 1.0)
-
-                dt_ns = min(self.control_dt_s * 1e9, t_total_ns)
-                share = dt_ns / t_total_ns
-                final_step = share >= 1.0
-                served_reads = min(int(round(demand.reads * share)), rem_reads)
-                served_writes = min(int(round(demand.writes * share)), rem_writes)
-                served_host = int(round(demand.host_atomics * share))
-                served_pim = int(round(demand.pim_ops * share))
-                served_pim_ret = int(round(demand.pim_ops_ret * share))
-                host_raw = int(round((atomics_dem - demand.total_pim) * share))
-                # Clamp against the ledger (rounding drift), cutting the
-                # host accounting before offloaded traffic.
-                over = served_pim + served_pim_ret + host_raw - rem_atomics
-                if over > 0:
-                    cut = min(over, host_raw)
-                    host_raw -= cut
-                    over -= cut
-                    cut = min(over, served_pim)
-                    served_pim -= cut
-                    served_pim_ret -= over - cut
-                if final_step:
-                    # Residual flush: whatever the integer ledgers still
-                    # hold is served in this last quantum instead of being
-                    # dropped with the sub-0.5 fluid remainder.
-                    served_reads = rem_reads
-                    served_writes = rem_writes
-                    leftover = rem_atomics - (served_pim + served_pim_ret
-                                              + host_raw)
-                    extra_pim = min(leftover, int(round(leftover * fraction)))
-                    extra_host = leftover - extra_pim
-                    served_pim += extra_pim
-                    host_raw += extra_host
-                    served_host += int(round(
-                        extra_host * self.cache.host_atomic_coalescing
-                    ))
-                rem_reads -= served_reads
-                rem_writes -= served_writes
-                rem_atomics -= served_pim + served_pim_ret + host_raw
-                host_assigned_total += host_raw
-                served = TrafficDemand(
-                    reads=served_reads,
-                    writes=served_writes,
-                    host_atomics=served_host,
-                    pim_ops=served_pim,
-                    pim_ops_ret=served_pim_ret,
-                )
-                state.drain(share)
-
-                # Thermal integration with this interval's traffic power.
-                # Steps run on the fixed control quantum (one cached LU);
-                # sub-quantum intervals accumulate as debt and are flushed
-                # with the current traffic point — at most one quantum of
-                # lag versus the 100 µs sensor period.
-                ext_gbs, int_gbs, pim_rate = self.flow.traffic_rates(served, dt_ns)
-                if not exempt:
-                    traffic_point = TrafficPoint(
-                        external_gbs=ext_gbs,
-                        internal_dram_gbs=int_gbs,
-                        pim_rate_ops_ns=pim_rate,
-                    )
-                    thermal_debt_s += dt_ns * 1e-9
-                    temp_c = self.thermal.peak_dram_c()
-                    energy_scale = self.flow.policy.dram_energy_scale(self.flow.phase)
-                    while thermal_debt_s >= self.control_dt_s:
-                        temp_c = self.thermal.step(
-                            traffic_point,
-                            self.control_dt_s,
-                            dram_energy_scale=energy_scale,
-                        )
-                        thermal_debt_s -= self.control_dt_s
-                        thermal_steps += 1
-                    peak_temp = max(peak_temp, temp_c)
-                    phase = self.flow.update_phase(temp_c)
-                    warning = self.sensor.observe(temp_c, now_s)
-                    self.flow.set_thermal_warning(warning)
-                    if warning:
-                        warnings += 1
-                        if traced:
-                            tracer.instant(
-                                "sim.thermal_warning", cat="sim",
-                                sim_time_ns=now_s * 1e9, clock="sim",
-                                temp_c=self.sensor.last_temp_c,
-                            )
-                        policy.on_thermal_warning(now_s, self.sensor.last_temp_c)
-                    if phase is TemperaturePhase.SHUTDOWN:
-                        # Conservative overheat policy: full stop, long
-                        # recovery, restart cold (Sec. III-A).
-                        shutdowns += 1
-                        if traced:
-                            tracer.instant(
-                                "sim.shutdown", cat="sim",
-                                sim_time_ns=now_s * 1e9, clock="sim",
-                                temp_c=temp_c,
-                            )
-                        now_s += SHUTDOWN_RECOVERY_S
-                        phase_time[TemperaturePhase.SHUTDOWN.name] += (
-                            SHUTDOWN_RECOVERY_S
-                        )
-                        self.thermal.warm_start(TrafficPoint.idle())
-                        self.flow.phase = TemperaturePhase.NORMAL
-                        self.sensor.reset()
-                        self.flow.set_thermal_warning(False)
-                else:
-                    phase = TemperaturePhase.NORMAL
-                    temp_c = self.thermal.ambient_c
-                    traffic_point = TrafficPoint(
-                        external_gbs=ext_gbs,
-                        internal_dram_gbs=int_gbs,
-                        pim_rate_ops_ns=pim_rate,
-                    )
-                    energy_scale = 1.0
-
-                package_energy_j += (
-                    self.thermal.power.package_total_w(traffic_point, energy_scale)
-                    * dt_ns * 1e-9
-                )
-                self.flow.record(served, dt_ns)
-                link_bytes += served.link_bytes()
-                data_bytes += served.external_data_bytes()
-                pim_ops_total += served.total_pim
-                host_atomics_total += served.host_atomics
-                phase_time[phase.name] += dt_ns * 1e-9
-                now_s += dt_ns * 1e-9
-                control_steps += 1
-                dt_hist.observe(dt_ns)
-
-                if now_s >= next_sample:
-                    timeline.append((now_s, temp_c, pim_rate, fraction))
-                    # Snap to the fixed grid: the next sample is due at the
-                    # first grid point strictly after now, so sample spacing
-                    # does not drift with step size (Fig. 14 comparability).
-                    next_sample = (
-                        math.floor(now_s / self.timeline_dt_s) + 1.0
-                    ) * self.timeline_dt_s
-
-                if sink is not None and now_s >= sink.next_due_s:
-                    pool = getattr(policy, "pool", None)
-                    sink.emit_sample({
-                        "t_s": now_s,
-                        "progress": launch.trace.position / total_epochs,
-                        "dram_c": temp_c,
-                        "pim_fraction": fraction,
-                        "tokens": pool.size if pool is not None else None,
-                        "warnings": warnings,
-                        "shutdowns": shutdowns,
-                        "avg_link_gbs": (
-                            link_bytes / now_s / 1e9 if now_s > 0 else 0.0
-                        ),
-                        "phase": phase.name,
-                        "engine": "stepped",
-                    })
-
-            if traced:
-                tracer.complete(
-                    "gpu.epoch", epoch_t0, _time.perf_counter(), cat="gpu",
-                    label=batch.label, atomics=batch.atomics,
-                    threads=batch.threads,
-                    sim_start_s=epoch_sim0, sim_end_s=now_s,
-                )
-
-        if scen is not None:
-            # Restore the shared thermal/flow/sensor models to nominal:
-            # CoolPimSystem reuses them across runs.
-            scen.finish()
-        run_stats.finish(
-            now_s, epochs=epochs, control_steps=control_steps,
-            thermal_solver_steps=thermal_steps, thermal_warnings=warnings,
-            shutdowns=shutdowns, pim_ops=pim_ops_total,
-            host_atomics=host_atomics_total,
-            host_atomics_assigned=host_assigned_total,
-        )
-        if traced:
-            tracer.complete(
-                "sim.run", wall_t0, _time.perf_counter(), cat="sim",
-                workload=launch.name, policy=policy.name,
-                epochs=epochs, control_steps=control_steps,
-                warnings=warnings, shutdowns=shutdowns,
-                sim_runtime_s=now_s,
-            )
-
-        return SimulationResult(
-            workload=launch.name,
-            policy=policy.name,
-            runtime_s=now_s,
-            link_bytes=link_bytes,
-            data_bytes=data_bytes,
-            pim_ops=pim_ops_total,
-            host_atomics=host_atomics_total,
-            total_atomics=atomics_total,
-            peak_dram_temp_c=peak_temp,
-            thermal_warnings=warnings,
-            shutdowns=shutdowns,
-            phase_time_s=phase_time,
-            package_energy_j=package_energy_j,
-            fan_energy_j=fan_power_w * now_s,
-            timeline=timeline,
-        )

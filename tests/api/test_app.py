@@ -240,18 +240,39 @@ class TestQuota:
         _GATE.set()
         calm.wait_for_run(doc["run_id"], timeout_s=15.0)
 
-    def test_oversized_sweep_rejected_whole(self, server):
+    def test_oversized_sweep_rejected_whole(self, server, tmp_path):
         client = ApiClient(server.host, server.port, tenant="sweepy")
-        with pytest.raises(ApiClientError) as exc:
-            client.submit_sweep(
-                kind="apitest",
-                items=[{"params": {"value": n}} for n in range(3)],
-            )
+        registry = TelemetryRegistry()
+        previous = set_registry(registry)
+        try:
+            with pytest.raises(ApiClientError) as exc:
+                client.submit_sweep(
+                    kind="apitest",
+                    items=[{"params": {"value": n}} for n in range(3)],
+                )
+        finally:
+            set_registry(previous)
         assert exc.value.status == 429
         # All-or-nothing: nothing from the rejected sweep was queued.
         assert client.healthz()["tenants"].get("sweepy", {}).get(
             "queued", 0
         ) == 0
+        # The rejection is one rejected request on /metrics and one
+        # journal record, as for a single run.
+        rejected = [
+            value
+            for name, labels, value in parse_exposition(
+                render_exposition(registry)
+            )["samples"]
+            if name == "repro_api_requests_total"
+            and labels == {"tenant": "sweepy", "status": "rejected"}
+        ]
+        assert rejected == [1.0]
+        records = [
+            e for e in JobJournal.read(tmp_path / "journal.jsonl")
+            if e["event"] == "api_rejected"
+        ]
+        assert [(e["tenant"], e["jobs"]) for e in records] == [("sweepy", 3)]
 
 
 class TestSweeps:
