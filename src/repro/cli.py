@@ -121,13 +121,20 @@ def cmd_compare(args) -> int:
     graph = get_dataset(args.dataset)
     workload = get_workload(args.workload, seed=args.seed)
     scenario = _scenario_from(args)
+    results = system.run_all_policies(workload, graph, scenario=scenario)
+    if args.json:
+        import json
+
+        print(json.dumps(
+            {name: res.to_dict() for name, res in results.items()}, indent=2
+        ))
+        return 0
     injected = (
         f", scenario {scenario.name} (seed {scenario.seed})"
         if scenario is not None else ""
     )
     print(f"{args.workload} on {args.dataset} under all policies "
           f"({args.cooling} cooling{injected})\n")
-    results = system.run_all_policies(workload, graph, scenario=scenario)
     base = results["non-offloading"]
     print(f"{'policy':18s} {'speedup':>8s} {'peak T':>7s} {'op/ns':>6s} "
           f"{'energy':>7s}")
@@ -493,6 +500,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     cmp_p = sub.add_parser("compare", help="run the full policy matrix")
     common(cmp_p)
+    cmp_p.add_argument("--json", action="store_true",
+                       help="emit {policy: result} as JSON, at full precision")
 
     exp_p = sub.add_parser("experiments", help="regenerate tables/figures")
     exp_p.add_argument("--quick", action="store_true")

@@ -8,15 +8,15 @@ the loop actually branches: the policy's offloading fraction is constant
 the temperature phase holds, and the sensor only matters at its 100 µs
 sample points. This engine exploits that:
 
-1. **Speculate** — run a tight pure-Python replica of the control loop for
-   up to a few thousand quanta, recording every per-step quantity. The
-   replica performs *bit-identical arithmetic* (same operations, same
-   order, same rounding) as the scalar loop, so committed integers and
-   times are exactly what the reference engine would produce. Its
-   per-quantum served-traffic block is memoized per run on the epoch
-   fluid state and the burst constants. Epoch boundaries are crossed
-   freely; the trace cursor is restored with
-   :meth:`~repro.sim.trace.TraceCursor.seek` on abort.
+1. **Speculate** — replay the control loop for up to a few thousand
+   quanta, recording every per-step quantity. Each quantum's traffic
+   comes from the scalar step's own function,
+   :meth:`~repro.gpu.simulator.SteppedEngine._serve_quantum`, memoized per
+   run on the epoch fluid state and the burst constants; the time, debt
+   and energy accumulators add in the scalar loop's order, so committed
+   integers and times are exactly what the reference engine would
+   produce. Epoch boundaries are crossed freely; the trace cursor is
+   restored with :meth:`~repro.sim.trace.TraceCursor.seek` on abort.
 2. **March** — advance the thermal state for all speculated quanta at once
    in the reduced eigenbasis (:mod:`repro.thermal.propagator`): one small
    dense recurrence plus one GEMM for per-quantum peak DRAM temperatures,
@@ -57,11 +57,11 @@ if TYPE_CHECKING:
     from repro.core.policies import OffloadPolicy
 
 from repro.gpu.kernel import KernelLaunch
-from repro.gpu.simulator import SimulationResult, SteppedEngine, SystemSimulator
-from repro.gpu.sm import DIVERGENCE_SERIALIZATION
+from repro.gpu.simulator import (
+    SimulationResult, SteppedEngine, SystemSimulator, _EpochState,
+)
 from repro.hmc.dram_timing import TemperaturePhase
-from repro.hmc.packet import FLIT_BYTES, PacketType, flit_cost
-from repro.thermal.power import FU_WIDTH_BITS
+from repro.hmc.packet import PacketType
 
 #: Minimum quanta worth committing as a burst; a zero-length validated
 #: prefix (the very next quantum crosses a threshold) falls back to the
@@ -113,28 +113,6 @@ class MacroEngine(SteppedEngine):
 
     def __init__(self, sim: SystemSimulator) -> None:
         super().__init__(sim)
-        # Interval-model constants hoisted for the speculation loop. Each
-        # is the same expression the scalar loop evaluates per step, so
-        # the hoisted value is bit-identical.
-        self.rq_r, self.rs_r = flit_cost(PacketType.READ64)
-        self.rq_w, self.rs_w = flit_cost(PacketType.WRITE64)
-        self.rq_p, self.rs_p = flit_cost(PacketType.PIM)
-        self.rq_pr, self.rs_pr = flit_cost(PacketType.PIM_RET)
-        self.quantum_ns = sim.control_dt_s * 1e9
-        cache = sim.cache
-        self.coal = cache.host_atomic_coalescing
-        self.writeback = cache.coherence_mode == "writeback"
-        self.dirty = cache.pei_dirty_fraction
-        self.atomic_rate = sim.gpu.host_atomic_ops_per_ns
-        self.peak_ipns = sim.gpu.peak_warp_instructions_per_ns
-        self.link_equiv = sim.flow.LINK_POWER_PAYLOAD_EQUIV
-        pm = sim.thermal.power
-        self.le = pm.logic_energy_per_bit
-        self.de = pm.dram_energy_per_bit
-        self.fe128 = pm.fu_energy_per_bit * FU_WIDTH_BITS
-        self.sl_w = pm.static_logic_w
-        self.sd_w = pm.static_dram_total_w
-
         # Burst machinery.
         self.spec_cap = SPEC_CAP_MIN
         self.skip = 0
@@ -301,18 +279,16 @@ class MacroEngine(SteppedEngine):
     def _speculate(self, b: "_Burst") -> None:
         """Scalar speculation: replay the control loop into ``b.steps``.
 
-        Pure-Python, bit-identical arithmetic to the reference loop. The
-        demand/serve/served-traffic block of a quantum is a pure function
-        of the epoch's fluid state and the burst constants, so it is
-        memoized per run (``self._memo``); the time, debt, sample and
-        energy/busy/phase-time accumulators stay sequential, exactly as
-        the scalar loop adds them. Each step records
-        ``(rec, t_start, t_end, nsub, tidx, sflag, tlf, pkg_acc, busy_acc,
-        pt_acc, debt, next_tl, value)``, where ``value`` is the memo value
-        (its entries 3..10 are the post-step epoch state) and ``rec`` its
-        per-step traffic record ``(dt_ns, reads, writes, host, pim,
-        pim_ret, host_raw, link_bytes, data_bytes, ext_gbs, int_gbs,
-        pim_rate)``.
+        Each quantum's traffic is :meth:`_serve_quantum`, the scalar
+        step's own function, memoized per run (``self._memo``) on its key:
+        the epoch's fluid state and the burst constants. Only the time,
+        debt, sample and energy/busy/phase-time accumulators are
+        replayed here, sequentially, exactly as the scalar loop adds
+        them. Each step records ``(rec, t_start, t_end, nsub, tidx,
+        sflag, tlf, pkg_acc, busy_acc, pt_acc, debt, next_tl, value)``,
+        where ``value`` is the :meth:`_serve_quantum` value (its entries
+        3..10 are the post-step epoch state) and ``rec`` its per-step
+        traffic record.
         """
         sim = self.sim
         exempt = self.exempt
@@ -320,7 +296,6 @@ class MacroEngine(SteppedEngine):
         fraction = b.fraction
         end_t = b.end_t
         control_dt_s = sim.control_dt_s
-        quantum_ns = self.quantum_ns
         period = sim.sensor.sample_period_s
         tl_dt = sim.timeline_dt_s
         sat_threads = sim.saturation_threads
@@ -328,19 +303,7 @@ class MacroEngine(SteppedEngine):
         dram_gbs = b.dram_gbs
         fu_cap = b.fu_cap
         es = b.es
-        coal = self.coal
-        writeback = self.writeback
-        dirty = self.dirty
-        atomic_rate = self.atomic_rate
-        peak_ipns = self.peak_ipns
-        eq = self.link_equiv
-        le, de, fe128 = self.le, self.de, self.fe128
-        sl_w, sd_w = self.sl_w, self.sd_w
-        rq_r, rs_r = self.rq_r, self.rs_r
-        rq_w, rs_w = self.rq_w, self.rs_w
-        rq_p, rs_p = self.rq_p, self.rs_p
-        rq_pr, rs_pr = self.rq_pr, self.rs_pr
-        fb = FLIT_BYTES
+        serve = self._serve_quantum
         memo = self._memo
         memo_get = memo.get
         hits = 0
@@ -350,8 +313,7 @@ class MacroEngine(SteppedEngine):
         sr, sw_, sa = st.reads, st.writes, st.atomics
         sar, scc = st.atomics_ret, st.compute_cycles
         rr, rw, ra = self.rem_reads, self.rem_writes, self.rem_atomics
-        mlp = min(1.0, st.threads / sat_threads)
-        infl = 1.0 + (DIVERGENCE_SERIALIZATION - 1.0) * st.divergence
+        mlp, infl = st.mlp, st.inflation
         tnow = b.t0
         debt = self.thermal_debt_s
         # Replicates the sensor's own `now - last >= period` comparison.
@@ -383,109 +345,18 @@ class MacroEngine(SteppedEngine):
                     nb = scen.transform_batch(nb)
                 ntraffic = sim.cache.filter(nb)
                 entries.append((len(steps), nb, ntraffic))
-                sr = float(ntraffic.reads)
-                sw_ = float(ntraffic.writes)
-                sa = float(ntraffic.atomics)
-                sar = float(ntraffic.atomics_with_return)
-                scc = float(nb.compute_cycles)
+                nst = _EpochState(nb, ntraffic, sat_threads)
+                sr, sw_, sa = nst.reads, nst.writes, nst.atomics
+                sar, scc = nst.atomics_ret, nst.compute_cycles
                 rr, rw, ra = ntraffic.reads, ntraffic.writes, ntraffic.atomics
-                mlp = min(1.0, nb.threads / sat_threads)
-                infl = (
-                    1.0 + (DIVERGENCE_SERIALIZATION - 1.0)
-                    * nb.divergent_warp_ratio
-                )
+                mlp, infl = nst.mlp, nst.inflation
                 continue
 
             key = (sr, sw_, sa, sar, scc, rr, rw, ra, mlp, infl,
                    fraction, link_gbs, dram_gbs, fu_cap, es)
             value = memo_get(key)
             if value is None:
-                # ---- demand (cache filter + PIM split), exact arithmetic
-                atomics_dem = max(0, int(round(sa)))
-                d_reads = max(0, int(round(sr)))
-                d_writes = max(0, int(round(sw_)))
-                awr = min(int(round(sar)), int(round(sa)))
-                pim_total = int(round(atomics_dem * fraction))
-                pim_ret = min(pim_total, int(round(awr * fraction)))
-                pim_plain = pim_total - pim_ret
-                host = atomics_dem - pim_total
-                host_eff = int(round(host * coal))
-                writes_d = d_writes
-                if writeback:
-                    writes_d += int(round(pim_total * dirty))
-
-                # ---- bottleneck service time ----------------------------
-                rf = ((d_reads + host_eff) * rq_r
-                      + (writes_d + host_eff) * rq_w
-                      + pim_plain * rq_p + pim_ret * rq_pr)
-                sf = ((d_reads + host_eff) * rs_r
-                      + (writes_d + host_eff) * rs_w
-                      + pim_plain * rs_p + pim_ret * rs_pr)
-                t_link = max(rf * fb, sf * fb) / link_gbs
-                idb = (64 * (d_reads + writes_d + 2 * host_eff)
-                       + 32 * (pim_plain + pim_ret))
-                t_dram = idb / dram_gbs
-                tp = pim_plain + pim_ret
-                t_fu = tp / fu_cap if tp else 0.0
-                t_mem = max(t_link, t_dram, t_fu)
-                if mlp > 0.0:
-                    t_mem /= mlp
-                cc_i = int(scc)
-                t_cmp = (cc_i * infl) / peak_ipns if cc_i > 0 else 0.0
-                t_atm = host_eff / atomic_rate
-                t_total = max(t_mem, t_cmp, t_atm, 1.0)
-
-                # ---- serve the quantum ----------------------------------
-                dt_ns = min(quantum_ns, t_total)
-                share = dt_ns / t_total
-                final_step = share >= 1.0
-                s_reads = min(int(round(d_reads * share)), rr)
-                s_writes = min(int(round(writes_d * share)), rw)
-                s_host = int(round(host_eff * share))
-                s_pim = int(round(pim_plain * share))
-                s_pimr = int(round(pim_ret * share))
-                h_raw = int(round((atomics_dem - tp) * share))
-                over = s_pim + s_pimr + h_raw - ra
-                if over > 0:
-                    cut = min(over, h_raw)
-                    h_raw -= cut
-                    over -= cut
-                    cut = min(over, s_pim)
-                    s_pim -= cut
-                    s_pimr -= over - cut
-                if final_step:
-                    s_reads = rr
-                    s_writes = rw
-                    leftover = ra - (s_pim + s_pimr + h_raw)
-                    extra_pim = min(leftover, int(round(leftover * fraction)))
-                    extra_host = leftover - extra_pim
-                    s_pim += extra_pim
-                    h_raw += extra_host
-                    s_host += int(round(extra_host * coal))
-                keep = 1.0 - share
-
-                # ---- served traffic, rates, power -----------------------
-                srf = ((s_reads + s_host) * rq_r + (s_writes + s_host) * rq_w
-                       + s_pim * rq_p + s_pimr * rq_pr)
-                ssf = ((s_reads + s_host) * rs_r + (s_writes + s_host) * rs_w
-                       + s_pim * rs_p + s_pimr * rs_pr)
-                lb = (srf + ssf) * fb
-                db = 64 * (s_reads + s_writes + 2 * s_host) + 16 * s_pimr
-                s_idb = (64 * (s_reads + s_writes + 2 * s_host)
-                         + 32 * (s_pim + s_pimr))
-                ext = lb * eq / dt_ns
-                intr = s_idb / dt_ns
-                pim_rate = (s_pim + s_pimr) / dt_ns
-                pkg = ((sl_w + le * ext * 1e9 * 8)
-                       + es * (fe128 * pim_rate * 1e9
-                               + (sd_w + de * intr * 1e9 * 8)))
-                value = (
-                    dt_ns, dt_ns * 1e-9, pkg * dt_ns * 1e-9,
-                    sr * keep, sw_ * keep, sa * keep, sar * keep, scc * keep,
-                    rr - s_reads, rw - s_writes, ra - (s_pim + s_pimr + h_raw),
-                    (dt_ns, s_reads, s_writes, s_host, s_pim, s_pimr, h_raw,
-                     lb, db, ext, intr, pim_rate),
-                )
+                value = serve(key)
                 if len(memo) >= STEP_MEMO_MAX:
                     memo.clear()
                 memo[key] = value

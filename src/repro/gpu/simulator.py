@@ -28,17 +28,18 @@ if TYPE_CHECKING:  # avoid a circular import; policies live in repro.core
 from repro.gpu.caches import CacheModel, MemoryTraffic
 from repro.gpu.config import GPU_DEFAULT, GpuConfig
 from repro.gpu.kernel import KernelLaunch
-from repro.gpu.sm import SmArray
+from repro.gpu.sm import DIVERGENCE_SERIALIZATION
 from repro.hmc.config import HMC_2_0, HmcConfig
 from repro.hmc.dram_timing import TemperaturePhase
 from repro.hmc.flow import HmcFlowModel, TrafficDemand
+from repro.hmc.packet import FLIT_BYTES, PacketType, flit_cost
 from repro.obs.tracer import get_tracer
 from repro.sim.stats import Counter, StatRegistry, linear_bounds
 from repro.sim.trace import OpBatch
 from repro.telemetry.live import get_run_sink
 from repro.thermal.model import HmcThermalModel
 from repro.thermal.operators import CONTROL_DT_S
-from repro.thermal.power import TrafficPoint
+from repro.thermal.power import FU_WIDTH_BITS, TrafficPoint
 from repro.thermal.sensor import ThermalSensor
 
 #: Shutdown recovery stall (s): the prototype needs tens of seconds to
@@ -140,16 +141,25 @@ class SimulationResult:
 
 
 class _EpochState:
-    """Mutable fluid remainder of one epoch."""
+    """Mutable fluid remainder of one epoch, plus its two per-epoch
+    service constants: memory-level parallelism and divergence
+    inflation."""
 
-    def __init__(self, batch: OpBatch, traffic: MemoryTraffic) -> None:
+    def __init__(
+        self, batch: OpBatch, traffic: MemoryTraffic, saturation_threads: int
+    ) -> None:
         self.reads = float(traffic.reads)
         self.writes = float(traffic.writes)
         self.atomics = float(traffic.atomics)
         self.atomics_ret = float(traffic.atomics_with_return)
         self.compute_cycles = float(batch.compute_cycles)
-        self.divergence = batch.divergent_warp_ratio
-        self.threads = batch.threads
+        # Small frontiers can't keep enough requests in flight to
+        # saturate the memory system.
+        self.mlp = min(1.0, batch.threads / saturation_threads)
+        # Divergent warps serialize their branch paths (SmArray).
+        self.inflation = (
+            1.0 + (DIVERGENCE_SERIALIZATION - 1.0) * batch.divergent_warp_ratio
+        )
 
     @property
     def drained(self) -> bool:
@@ -159,25 +169,6 @@ class _EpochState:
             and self.atomics < 0.5
             and self.compute_cycles < 1.0
         )
-
-    def as_batch(self) -> OpBatch:
-        return OpBatch(
-            reads=int(self.reads),
-            writes=int(self.writes),
-            atomics=int(self.atomics),
-            atomics_with_return=min(int(self.atomics_ret), int(self.atomics)),
-            compute_cycles=int(self.compute_cycles),
-            threads=self.threads,
-            divergent_warp_ratio=self.divergence,
-        )
-
-    def drain(self, fraction: float) -> None:
-        keep = 1.0 - fraction
-        self.reads *= keep
-        self.writes *= keep
-        self.atomics *= keep
-        self.atomics_ret *= keep
-        self.compute_cycles *= keep
 
 
 #: Per-run ``sim.<name>`` counters both engines fill; each is a run total
@@ -205,6 +196,28 @@ class SteppedEngine:
 
     def __init__(self, sim: "SystemSimulator") -> None:
         self.sim = sim
+        # Constants of the per-quantum traffic model (_serve_quantum),
+        # read once per run from the component models they belong to;
+        # ``flits`` is the (request, response) FLIT cost of READ64,
+        # WRITE64, PIM and PIM_RET in turn (Table I).
+        self.flits = sum((flit_cost(t) for t in (
+            PacketType.READ64, PacketType.WRITE64,
+            PacketType.PIM, PacketType.PIM_RET,
+        )), ())
+        self.quantum_ns = sim.control_dt_s * 1e9
+        cache = sim.cache
+        self.coal = cache.host_atomic_coalescing
+        self.writeback = cache.coherence_mode == "writeback"
+        self.dirty = cache.pei_dirty_fraction
+        self.atomic_rate = sim.gpu.host_atomic_ops_per_ns
+        self.peak_ipns = sim.gpu.peak_warp_instructions_per_ns
+        self.link_equiv = sim.flow.LINK_POWER_PAYLOAD_EQUIV
+        pm = sim.thermal.power
+        self.le = pm.logic_energy_per_bit
+        self.de = pm.dram_energy_per_bit
+        self.fe128 = pm.fu_energy_per_bit * FU_WIDTH_BITS
+        self.sl_w = pm.static_logic_w
+        self.sd_w = pm.static_dram_total_w
 
     # -- run driver --------------------------------------------------------
 
@@ -353,7 +366,7 @@ class SteppedEngine:
         self.atomics_total += batch.atomics
         if traffic is None:
             traffic = self.sim.cache.filter(batch)
-        self.state = _EpochState(batch, traffic)
+        self.state = _EpochState(batch, traffic, self.sim.saturation_threads)
         # Integer work ledgers: the fluid drain rounds per step, so its
         # serving sums can drift from the epoch totals; the final control
         # step flushes whatever the ledgers still hold.
@@ -385,10 +398,130 @@ class SteppedEngine:
 
     # -- the control quantum -----------------------------------------------
 
+    def _serve_quantum(self, key: tuple) -> tuple:
+        """The per-quantum traffic model, as a pure function of ``key``.
+
+        ``key`` is ``(reads, writes, atomics, atomics_ret, compute_cycles,
+        rem_reads, rem_writes, rem_atomics, mlp, inflation, fraction,
+        link_gbs, dram_gbs, fu_cap, energy_scale)``: the open epoch's
+        fluid remainder, its integer work ledgers and service constants,
+        the offloading fraction, the flow model's capacities at the
+        current phase, and the DRAM energy scale. Returns ``(dt_ns, dt_s,
+        energy_j, reads, writes, atomics, atomics_ret, compute_cycles,
+        rem_reads, rem_writes, rem_atomics, rec)`` — the interval, its
+        package energy, the post-step fluid state and ledgers — where
+        ``rec`` is the served traffic ``(dt_ns, reads, writes,
+        host_atomics, pim_ops, pim_ops_ret, host_raw, link_bytes,
+        data_bytes, ext_gbs, int_gbs, pim_rate)``.
+
+        This is the one copy of the arithmetic; the component models are
+        its reference, operation for operation: ``CacheModel.demand``,
+        ``HmcFlowModel.service_time_ns``, ``SmArray.compute_time_ns``,
+        ``HmcFlowModel.traffic_rates`` and ``PowerModel.package_total_w``
+        (``tests/gpu/test_serve_quantum.py`` holds them equal bit for
+        bit). Purity is what lets the macro engine memoize it on ``key``.
+        """
+        (reads, writes, atomics, atomics_ret, compute_cycles,
+         rr, rw, ra, mlp, inflation, fraction,
+         link_gbs, dram_gbs, fu_cap, es) = key
+
+        # Demand: the epoch's remainder split between host atomics and
+        # PIM packets (CacheModel.demand).
+        atomics_dem = max(0, int(round(atomics)))
+        d_reads = max(0, int(round(reads)))
+        d_writes = max(0, int(round(writes)))
+        awr = min(int(round(atomics_ret)), int(round(atomics)))
+        pim_total = int(round(atomics_dem * fraction))
+        pim_ret = min(pim_total, int(round(awr * fraction)))
+        pim_plain = pim_total - pim_ret
+        host_eff = int(round((atomics_dem - pim_total) * self.coal))
+        if self.writeback:
+            # PEI-style coherence: offloaded ops write back the dirty
+            # cached copy before the PIM instruction may execute.
+            d_writes += int(round(pim_total * self.dirty))
+
+        # Bottleneck service time: FLIT-lane, DRAM and FU ceilings
+        # (service_time_ns), scaled by the frontier's parallelism, against
+        # the SM issue and host-atomic floors.
+        rq_r, rs_r, rq_w, rs_w, rq_p, rs_p, rq_pr, rs_pr = self.flits
+        rf = ((d_reads + host_eff) * rq_r + (d_writes + host_eff) * rq_w
+              + pim_plain * rq_p + pim_ret * rq_pr)
+        sf = ((d_reads + host_eff) * rs_r + (d_writes + host_eff) * rs_w
+              + pim_plain * rs_p + pim_ret * rs_pr)
+        t_link = max(rf * FLIT_BYTES, sf * FLIT_BYTES) / link_gbs
+        idb = 64 * (d_reads + d_writes + 2 * host_eff) + 32 * pim_total
+        t_dram = idb / dram_gbs if dram_gbs > 0 else float("inf")
+        t_fu = pim_total / fu_cap if pim_total else 0.0
+        t_mem = max(t_link, t_dram, t_fu)
+        if mlp > 0.0:
+            t_mem /= mlp
+        cycles = int(compute_cycles)
+        t_cmp = (cycles * inflation) / self.peak_ipns if cycles > 0 else 0.0
+        # Host-executed atomics serialize at the L2 ROP units.
+        t_atm = host_eff / self.atomic_rate
+        t_total = max(t_mem, t_cmp, t_atm, 1.0)
+
+        # Serve this quantum's share of the remainder.
+        dt_ns = min(self.quantum_ns, t_total)
+        share = dt_ns / t_total
+        s_reads = min(int(round(d_reads * share)), rr)
+        s_writes = min(int(round(d_writes * share)), rw)
+        s_host = int(round(host_eff * share))
+        s_pim = int(round(pim_plain * share))
+        s_pimr = int(round(pim_ret * share))
+        h_raw = int(round((atomics_dem - pim_total) * share))
+        # Clamp against the ledger (rounding drift), cutting the host
+        # accounting before offloaded traffic.
+        over = s_pim + s_pimr + h_raw - ra
+        if over > 0:
+            cut = min(over, h_raw)
+            h_raw -= cut
+            over -= cut
+            cut = min(over, s_pim)
+            s_pim -= cut
+            s_pimr -= over - cut
+        if share >= 1.0:
+            # Residual flush: whatever the integer ledgers still hold is
+            # served in this last quantum instead of being dropped with
+            # the sub-0.5 fluid remainder.
+            s_reads = rr
+            s_writes = rw
+            leftover = ra - (s_pim + s_pimr + h_raw)
+            extra_pim = min(leftover, int(round(leftover * fraction)))
+            extra_host = leftover - extra_pim
+            s_pim += extra_pim
+            h_raw += extra_host
+            s_host += int(round(extra_host * self.coal))
+        keep = 1.0 - share
+
+        # Served traffic → power inputs (traffic_rates) → package power.
+        srf = ((s_reads + s_host) * rq_r + (s_writes + s_host) * rq_w
+               + s_pim * rq_p + s_pimr * rq_pr)
+        ssf = ((s_reads + s_host) * rs_r + (s_writes + s_host) * rs_w
+               + s_pim * rs_p + s_pimr * rs_pr)
+        lb = (srf + ssf) * FLIT_BYTES
+        db = 64 * (s_reads + s_writes + 2 * s_host) + 16 * s_pimr
+        s_idb = 64 * (s_reads + s_writes + 2 * s_host) + 32 * (s_pim + s_pimr)
+        ext = lb * self.link_equiv / dt_ns
+        intr = s_idb / dt_ns
+        pim_rate = (s_pim + s_pimr) / dt_ns
+        pkg = ((self.sl_w + self.le * ext * 1e9 * 8)
+               + es * (self.fe128 * pim_rate * 1e9
+                       + (self.sd_w + self.de * intr * 1e9 * 8)))
+        return (
+            dt_ns, dt_ns * 1e-9, pkg * dt_ns * 1e-9,
+            reads * keep, writes * keep, atomics * keep, atomics_ret * keep,
+            compute_cycles * keep,
+            rr - s_reads, rw - s_writes, ra - (s_pim + s_pimr + h_raw),
+            (dt_ns, s_reads, s_writes, s_host, s_pim, s_pimr, h_raw,
+             lb, db, ext, intr, pim_rate),
+        )
+
     def _scalar_step(self) -> None:
         """One control quantum of the paper's loop: offload fraction →
         HMC traffic → thermal step → sensor sample → warning → throttle."""
         sim = self.sim
+        flow = sim.flow
         state = self.state
         policy = self.policy
         exempt = self.exempt
@@ -397,80 +530,35 @@ class SteppedEngine:
         fraction = policy.pim_fraction(self.now_s)
         if fraction != self.frac_tw.value:
             self.frac_tw.update(fraction, self.now_s)
-        demand, atomics_dem = sim._mem_demand(state, fraction)
-        t_mem_ns = sim.flow.service_time_ns(demand)
-        # Small frontiers can't keep enough requests in flight to
-        # saturate the memory system.
-        mlp = min(1.0, state.threads / sim.saturation_threads)
-        if mlp > 0.0:
-            t_mem_ns /= mlp
-        t_cmp_ns = sim.sm.compute_time_ns(state.as_batch())
-        # Host-executed atomics serialize at the L2 ROP units.
-        t_atm_ns = demand.host_atomics / sim.gpu.host_atomic_ops_per_ns
-        t_total_ns = max(t_mem_ns, t_cmp_ns, t_atm_ns, 1.0)
-
-        dt_ns = min(sim.control_dt_s * 1e9, t_total_ns)
-        share = dt_ns / t_total_ns
-        final_step = share >= 1.0
-        served_reads = min(int(round(demand.reads * share)), self.rem_reads)
-        served_writes = min(int(round(demand.writes * share)), self.rem_writes)
-        served_host = int(round(demand.host_atomics * share))
-        served_pim = int(round(demand.pim_ops * share))
-        served_pim_ret = int(round(demand.pim_ops_ret * share))
-        host_raw = int(round((atomics_dem - demand.total_pim) * share))
-        # Clamp against the ledger (rounding drift), cutting the host
-        # accounting before offloaded traffic.
-        over = served_pim + served_pim_ret + host_raw - self.rem_atomics
-        if over > 0:
-            cut = min(over, host_raw)
-            host_raw -= cut
-            over -= cut
-            cut = min(over, served_pim)
-            served_pim -= cut
-            served_pim_ret -= over - cut
-        if final_step:
-            # Residual flush: whatever the integer ledgers still hold is
-            # served in this last quantum instead of being dropped with
-            # the sub-0.5 fluid remainder.
-            served_reads = self.rem_reads
-            served_writes = self.rem_writes
-            leftover = self.rem_atomics - (served_pim + served_pim_ret
-                                           + host_raw)
-            extra_pim = min(leftover, int(round(leftover * fraction)))
-            extra_host = leftover - extra_pim
-            served_pim += extra_pim
-            host_raw += extra_host
-            served_host += int(round(
-                extra_host * sim.cache.host_atomic_coalescing
-            ))
-        self.rem_reads -= served_reads
-        self.rem_writes -= served_writes
-        self.rem_atomics -= served_pim + served_pim_ret + host_raw
-        self.host_atomics_assigned += host_raw
-        served = TrafficDemand(
-            reads=served_reads,
-            writes=served_writes,
-            host_atomics=served_host,
-            pim_ops=served_pim,
-            pim_ops_ret=served_pim_ret,
+        energy_scale = (
+            1.0 if exempt else flow.policy.dram_energy_scale(flow.phase)
         )
-        state.drain(share)
+        (dt_ns, dt_s, energy_j, state.reads, state.writes, state.atomics,
+         state.atomics_ret, state.compute_cycles, self.rem_reads,
+         self.rem_writes, self.rem_atomics, rec) = self._serve_quantum((
+            state.reads, state.writes, state.atomics, state.atomics_ret,
+            state.compute_cycles, self.rem_reads, self.rem_writes,
+            self.rem_atomics, state.mlp, state.inflation, fraction,
+            flow.effective_link_gbs(), flow.dram_capacity_gbs(),
+            flow.fu_capacity_ops_per_ns(), energy_scale,
+        ))
+        (_, s_reads, s_writes, s_host, s_pim, s_pimr, host_raw,
+         link_bytes, data_bytes, ext_gbs, int_gbs, pim_rate) = rec
+        self.host_atomics_assigned += host_raw
 
         # Thermal integration with this interval's traffic power. Steps
         # run on the fixed control quantum (one cached LU); sub-quantum
         # intervals accumulate as debt and are flushed with the current
         # traffic point — at most one quantum of lag versus the 100 µs
         # sensor period.
-        ext_gbs, int_gbs, pim_rate = sim.flow.traffic_rates(served, dt_ns)
         if not exempt:
             traffic_point = TrafficPoint(
                 external_gbs=ext_gbs,
                 internal_dram_gbs=int_gbs,
                 pim_rate_ops_ns=pim_rate,
             )
-            self.thermal_debt_s += dt_ns * 1e-9
+            self.thermal_debt_s += dt_s
             temp_c = sim.thermal.peak_dram_c()
-            energy_scale = sim.flow.policy.dram_energy_scale(sim.flow.phase)
             while self.thermal_debt_s >= sim.control_dt_s:
                 temp_c = sim.thermal.step(
                     traffic_point,
@@ -480,9 +568,9 @@ class SteppedEngine:
                 self.thermal_debt_s -= sim.control_dt_s
                 self.thermal_solver_steps += 1
             self.peak_temp = max(self.peak_temp, temp_c)
-            phase = sim.flow.update_phase(temp_c)
+            phase = flow.update_phase(temp_c)
             warning = sim.sensor.observe(temp_c, self.now_s)
-            sim.flow.set_thermal_warning(warning)
+            flow.set_thermal_warning(warning)
             if warning:
                 self.thermal_warnings += 1
                 if traced:
@@ -507,31 +595,28 @@ class SteppedEngine:
                     SHUTDOWN_RECOVERY_S
                 )
                 sim.thermal.warm_start(TrafficPoint.idle())
-                sim.flow.phase = TemperaturePhase.NORMAL
+                flow.phase = TemperaturePhase.NORMAL
                 sim.sensor.reset()
-                sim.flow.set_thermal_warning(False)
+                flow.set_thermal_warning(False)
             self.last_temp_c = temp_c
         else:
             phase = TemperaturePhase.NORMAL
             temp_c = sim.thermal.ambient_c
-            traffic_point = TrafficPoint(
-                external_gbs=ext_gbs,
-                internal_dram_gbs=int_gbs,
-                pim_rate_ops_ns=pim_rate,
-            )
-            energy_scale = 1.0
 
-        self.package_energy_j += (
-            sim.thermal.power.package_total_w(traffic_point, energy_scale)
-            * dt_ns * 1e-9
+        self.package_energy_j += energy_j
+        flow.record(
+            TrafficDemand(
+                reads=s_reads, writes=s_writes, host_atomics=s_host,
+                pim_ops=s_pim, pim_ops_ret=s_pimr,
+            ),
+            dt_ns,
         )
-        sim.flow.record(served, dt_ns)
-        self.link_bytes += served.link_bytes()
-        self.data_bytes += served.external_data_bytes()
-        self.pim_ops += served.total_pim
-        self.host_atomics += served.host_atomics
-        self.phase_time[phase.name] += dt_ns * 1e-9
-        self.now_s += dt_ns * 1e-9
+        self.link_bytes += link_bytes
+        self.data_bytes += data_bytes
+        self.pim_ops += s_pim + s_pimr
+        self.host_atomics += s_host
+        self.phase_time[phase.name] += dt_s
+        self.now_s += dt_s
         self.control_steps += 1
         self.dt_hist.observe(dt_ns)
 
@@ -603,7 +688,6 @@ class SystemSimulator:
         self.flow = flow or HmcFlowModel(hmc_config)
         self.thermal = thermal or HmcThermalModel(hmc_config)
         self.sensor = sensor or ThermalSensor()
-        self.sm = SmArray(gpu)
         self.control_dt_s = control_dt_s
         self.timeline_dt_s = timeline_dt_s
         #: Concurrent memory streams needed to saturate the memory system
@@ -636,27 +720,6 @@ class SystemSimulator:
         from repro.scenarios.driver import ScenarioDriver
 
         return ScenarioDriver(self.scenario, self)
-
-    # -- helpers -----------------------------------------------------------------
-
-    def _mem_demand(
-        self, state: _EpochState, pim_fraction: float
-    ) -> Tuple[TrafficDemand, int]:
-        """Post-cache demand plus the rounded atomic count feeding it.
-
-        The atomic count is returned so the serving loop can keep an
-        exact pre-coalescing conservation ledger (assigned = PIM + host).
-        """
-        atomics = max(0, int(round(state.atomics)))
-        traffic = MemoryTraffic(
-            reads=max(0, int(round(state.reads))),
-            writes=max(0, int(round(state.writes))),
-            atomics=atomics,
-            atomics_with_return=min(
-                int(round(state.atomics_ret)), int(round(state.atomics))
-            ),
-        )
-        return self.cache.demand(traffic, pim_fraction), atomics
 
     # -- main entry -----------------------------------------------------------------
 

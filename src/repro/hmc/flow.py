@@ -15,8 +15,12 @@ paper's evaluation turns on:
    read-modify-write (2 × 16 B internal accesses, Sec. III-C) consumes it.
 3. **PIM FU throughput** — one FU per vault; rarely binding but modelled.
 
-The GPU simulator calls :meth:`service_time_ns` per epoch and
-:meth:`traffic_rates` to hand the thermal model its power inputs.
+These methods (with :meth:`record` and the :class:`TrafficDemand` byte
+counts) are the reference for the co-simulation's per-quantum arithmetic,
+``SteppedEngine._serve_quantum`` in :mod:`repro.gpu.simulator`, which
+folds them with the cache split, the SM compute floor and package power
+into one pure function; ``tests/gpu/test_serve_quantum.py`` holds the two
+equal bit for bit.
 """
 
 from __future__ import annotations

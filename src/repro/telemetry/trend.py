@@ -15,6 +15,7 @@ Baselines schema (``repro.bench-baselines/1``)::
       "benchmarks": {
         "<benchmark name>": {
           "source": "BENCH_simulator.json",
+          "config": {"workload": "pagerank", "dataset": "ldbc"},
           "metrics": {
             "aggregate_speedup": {"baseline": 9.33, "min_ratio": 0.4},
             "policies.coolpim-hw.macro_s":
@@ -31,6 +32,13 @@ guards lower-is-better ones (fail when ``current > baseline *
 max_ratio``); a metric may declare both. Bands are deliberately wide —
 CI machines vary — so only real regressions (an engine falling off its
 fast path) trip the gate, not scheduler noise.
+
+``config`` records the artifact ``config`` values the baselines were
+measured at. An artifact that disagrees on (or omits) any of them was
+measured on other inputs — a ``REPRO_BENCH_QUICK=1`` sweep on the small
+graph, say — so its ratio to the baseline means nothing: every metric of
+that benchmark reads ``config-mismatch`` instead, and gates like a
+missing one.
 
 Exit codes: 0 all within band, 1 regression (or missing bench source),
 2 structural error (missing/invalid baselines or bench JSON).
@@ -57,7 +65,7 @@ class TrendRow:
     metric: str
     baseline: float
     current: Optional[float]
-    #: "ok" | "regression" | "missing"
+    #: "ok" | "regression" | "missing" | "config-mismatch"
     status: str
     note: str = ""
 
@@ -93,6 +101,8 @@ def load_baselines(path: Path) -> Dict[str, Any]:
             raise TrendError(
                 f"benchmark {name!r} needs 'source' and a 'metrics' map"
             )
+        if not isinstance(entry.get("config", {}), dict):
+            raise TrendError(f"benchmark {name!r} 'config' must be a map")
         for metric, spec in entry["metrics"].items():
             if "baseline" not in spec:
                 raise TrendError(
@@ -158,9 +168,23 @@ def evaluate(
             continue
         except json.JSONDecodeError as exc:
             raise TrendError(f"bench artifact {source} is not valid JSON: {exc}")
+        measured = doc.get("config")
+        if not isinstance(measured, dict):
+            measured = {}
+        differs = [
+            f"{key}={measured.get(key)!r} (baseline {want!r})"
+            for key, want in entry.get("config", {}).items()
+            if key not in measured or measured[key] != want
+        ]
         for metric, spec in entry["metrics"].items():
-            rows.append(_compare(name, metric, spec,
-                                 resolve_metric(doc, metric)))
+            if differs:
+                rows.append(TrendRow(
+                    name, metric, float(spec["baseline"]), None,
+                    "config-mismatch", "artifact " + ", ".join(differs),
+                ))
+            else:
+                rows.append(_compare(name, metric, spec,
+                                     resolve_metric(doc, metric)))
     return rows
 
 

@@ -114,6 +114,32 @@ class TestEvaluate:
         )
         assert rows[0].status == "missing"
 
+    def test_config_mismatch_replaces_the_ratio(self, bench_dir):
+        doc = baselines_doc({
+            "speed": {"baseline": 2.0, "min_ratio": 0.5},
+            "time": {"baseline": 1.0, "max_ratio": 2.0},
+        })
+        doc["benchmarks"]["bench"]["config"] = {"dataset": "big", "n": 4}
+        write_json(bench_dir / "BENCH_x.json", {
+            "config": {"dataset": "big", "n": 4, "extra": True},
+            "speed": 0.1, "time": 1.0,
+        })
+        assert [r.status for r in evaluate(doc, bench_dir)] == [
+            "regression", "ok",
+        ]
+        for config in ({"dataset": "small", "n": 4}, {"dataset": "big"}, None):
+            write_json(bench_dir / "BENCH_x.json",
+                       {"config": config, "speed": 0.1, "time": 1.0})
+            rows = evaluate(doc, bench_dir)
+            assert [r.status for r in rows] == ["config-mismatch"] * 2
+            assert all(r.current is None and r.ratio is None for r in rows)
+
+    def test_config_must_be_a_map(self, tmp_path):
+        doc = baselines_doc({"speed": {"baseline": 2.0, "min_ratio": 0.5}})
+        doc["benchmarks"]["bench"]["config"] = ["dataset"]
+        with pytest.raises(TrendError, match="config"):
+            load_baselines(write_json(tmp_path / "b.json", doc))
+
 
 class TestRunTrend:
     def _setup(self, tmp_path, current, check):
@@ -171,6 +197,7 @@ def artifacts_at_baseline(doc, bench_dir):
     artifacts = {}
     for entry in doc["benchmarks"].values():
         artifact = artifacts.setdefault(entry["source"], {})
+        artifact["config"] = dict(entry.get("config", {}))
         for metric, spec in entry["metrics"].items():
             *parents, leaf = metric.split(".")
             node = artifact
@@ -209,3 +236,33 @@ class TestCommittedBaselines:
         code, report = run_trend(tmp_path, REPO_BASELINES, check=True)
         assert code == 1
         assert "regression" in report
+
+    def test_quick_sweep_artifact_reads_config_mismatch(self, tmp_path):
+        """A ``REPRO_BENCH_QUICK=1`` sweep (small graph, 2.10x) against
+        the full-scale 4.34x baseline is a different measurement, not a
+        regression."""
+        doc = load_baselines(REPO_BASELINES)
+        artifacts_at_baseline(doc, tmp_path)
+        write_json(tmp_path / "BENCH_sweep.json", {
+            "benchmark": "sweep_trace_memo_vs_per_run",
+            "config": {
+                "dataset": "ldbc-small",
+                "workload_scale": 0.25,
+                "policies": ["non-offloading", "naive-offloading",
+                             "coolpim-sw", "coolpim-hw", "ideal-thermal"],
+                "workloads": ["dc", "bfs-ta", "bfs-dwc", "bfs-ttc",
+                              "bfs-twc", "kcore", "pagerank", "sssp-dtc",
+                              "sssp-dwc", "sssp-twc"],
+                "quick": True,
+            },
+            "per_run_s": 1.2,
+            "trace_memo_s": 0.57,
+            "aggregate_speedup": 2.10,
+        })
+        rows = [r for r in evaluate(doc, tmp_path)
+                if r.benchmark == "sweep_trace_memo_vs_per_run"]
+        assert [r.status for r in rows] == ["config-mismatch"]
+        assert "dataset='ldbc-small'" in rows[0].note
+        code, report = run_trend(tmp_path, REPO_BASELINES, check=True)
+        assert code == 1
+        assert "config-mismatch" in report and "regression" not in report
