@@ -259,9 +259,7 @@ class MacroEngine(SteppedEngine):
             b.samples_safe = policy.warning_noop_until(t0, None) >= end_t
         b.end_t = end_t
         b.phase0 = flow.phase
-        b.link_gbs = flow.effective_link_gbs()
-        b.dram_gbs = flow.dram_capacity_gbs()
-        b.fu_cap = flow.fu_capacity_ops_per_ns()
+        b.caps = flow.capacities()
         b.es = 1.0 if exempt else flow.policy.dram_energy_scale(b.phase0)
         # Boundary forcing for the marched thermal states: scenario
         # ambient/cooling offsets enter here (and only here) — identical
@@ -299,9 +297,7 @@ class MacroEngine(SteppedEngine):
         period = sim.sensor.sample_period_s
         tl_dt = sim.timeline_dt_s
         sat_threads = sim.saturation_threads
-        link_gbs = b.link_gbs
-        dram_gbs = b.dram_gbs
-        fu_cap = b.fu_cap
+        link_gbs, dram_gbs, fu_cap = b.caps
         es = b.es
         serve = self._serve_quantum
         memo = self._memo
@@ -313,7 +309,7 @@ class MacroEngine(SteppedEngine):
         sr, sw_, sa = st.reads, st.writes, st.atomics
         sar, scc = st.atomics_ret, st.compute_cycles
         rr, rw, ra = self.rem_reads, self.rem_writes, self.rem_atomics
-        mlp, infl = st.mlp, st.inflation
+        mlp, div = st.mlp, st.divergence
         tnow = b.t0
         debt = self.thermal_debt_s
         # Replicates the sensor's own `now - last >= period` comparison.
@@ -349,10 +345,10 @@ class MacroEngine(SteppedEngine):
                 sr, sw_, sa = nst.reads, nst.writes, nst.atomics
                 sar, scc = nst.atomics_ret, nst.compute_cycles
                 rr, rw, ra = ntraffic.reads, ntraffic.writes, ntraffic.atomics
-                mlp, infl = nst.mlp, nst.inflation
+                mlp, div = nst.mlp, nst.divergence
                 continue
 
-            key = (sr, sw_, sa, sar, scc, rr, rw, ra, mlp, infl,
+            key = (sr, sw_, sa, sar, scc, rr, rw, ra, mlp, div,
                    fraction, link_gbs, dram_gbs, fu_cap, es)
             value = memo_get(key)
             if value is None:
@@ -776,7 +772,7 @@ class _Burst:
 
     __slots__ = (
         "t0", "fraction", "end_t", "warning", "samples_safe", "phase0",
-        "es", "amb_forcing", "link_gbs", "dram_gbs", "fu_cap", "cap",
+        "es", "amb_forcing", "caps", "cap",
         "pos0", "pt0", "wall_b0", "steps", "entries", "cum_sub",
         "stop", "memo_hits",
     )

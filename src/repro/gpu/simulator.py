@@ -28,18 +28,17 @@ if TYPE_CHECKING:  # avoid a circular import; policies live in repro.core
 from repro.gpu.caches import CacheModel, MemoryTraffic
 from repro.gpu.config import GPU_DEFAULT, GpuConfig
 from repro.gpu.kernel import KernelLaunch
-from repro.gpu.sm import DIVERGENCE_SERIALIZATION
+from repro.gpu.sm import SmArray
 from repro.hmc.config import HMC_2_0, HmcConfig
 from repro.hmc.dram_timing import TemperaturePhase
 from repro.hmc.flow import HmcFlowModel, TrafficDemand
-from repro.hmc.packet import FLIT_BYTES, PacketType, flit_cost
 from repro.obs.tracer import get_tracer
 from repro.sim.stats import Counter, StatRegistry, linear_bounds
 from repro.sim.trace import OpBatch
 from repro.telemetry.live import get_run_sink
 from repro.thermal.model import HmcThermalModel
 from repro.thermal.operators import CONTROL_DT_S
-from repro.thermal.power import FU_WIDTH_BITS, TrafficPoint
+from repro.thermal.power import TrafficPoint
 from repro.thermal.sensor import ThermalSensor
 
 #: Shutdown recovery stall (s): the prototype needs tens of seconds to
@@ -142,8 +141,7 @@ class SimulationResult:
 
 class _EpochState:
     """Mutable fluid remainder of one epoch, plus its two per-epoch
-    service constants: memory-level parallelism and divergence
-    inflation."""
+    service constants: memory-level parallelism and warp divergence."""
 
     def __init__(
         self, batch: OpBatch, traffic: MemoryTraffic, saturation_threads: int
@@ -156,10 +154,7 @@ class _EpochState:
         # Small frontiers can't keep enough requests in flight to
         # saturate the memory system.
         self.mlp = min(1.0, batch.threads / saturation_threads)
-        # Divergent warps serialize their branch paths (SmArray).
-        self.inflation = (
-            1.0 + (DIVERGENCE_SERIALIZATION - 1.0) * batch.divergent_warp_ratio
-        )
+        self.divergence = batch.divergent_warp_ratio
 
     @property
     def drained(self) -> bool:
@@ -196,28 +191,6 @@ class SteppedEngine:
 
     def __init__(self, sim: "SystemSimulator") -> None:
         self.sim = sim
-        # Constants of the per-quantum traffic model (_serve_quantum),
-        # read once per run from the component models they belong to;
-        # ``flits`` is the (request, response) FLIT cost of READ64,
-        # WRITE64, PIM and PIM_RET in turn (Table I).
-        self.flits = sum((flit_cost(t) for t in (
-            PacketType.READ64, PacketType.WRITE64,
-            PacketType.PIM, PacketType.PIM_RET,
-        )), ())
-        self.quantum_ns = sim.control_dt_s * 1e9
-        cache = sim.cache
-        self.coal = cache.host_atomic_coalescing
-        self.writeback = cache.coherence_mode == "writeback"
-        self.dirty = cache.pei_dirty_fraction
-        self.atomic_rate = sim.gpu.host_atomic_ops_per_ns
-        self.peak_ipns = sim.gpu.peak_warp_instructions_per_ns
-        self.link_equiv = sim.flow.LINK_POWER_PAYLOAD_EQUIV
-        pm = sim.thermal.power
-        self.le = pm.logic_energy_per_bit
-        self.de = pm.dram_energy_per_bit
-        self.fe128 = pm.fu_energy_per_bit * FU_WIDTH_BITS
-        self.sl_w = pm.static_logic_w
-        self.sd_w = pm.static_dram_total_w
 
     # -- run driver --------------------------------------------------------
 
@@ -402,7 +375,7 @@ class SteppedEngine:
         """The per-quantum traffic model, as a pure function of ``key``.
 
         ``key`` is ``(reads, writes, atomics, atomics_ret, compute_cycles,
-        rem_reads, rem_writes, rem_atomics, mlp, inflation, fraction,
+        rem_reads, rem_writes, rem_atomics, mlp, divergence, fraction,
         link_gbs, dram_gbs, fu_cap, energy_scale)``: the open epoch's
         fluid remainder, its integer work ledgers and service constants,
         the offloading fraction, the flow model's capacities at the
@@ -414,107 +387,93 @@ class SteppedEngine:
         host_atomics, pim_ops, pim_ops_ret, host_raw, link_bytes,
         data_bytes, ext_gbs, int_gbs, pim_rate)``.
 
-        This is the one copy of the arithmetic; the component models are
-        its reference, operation for operation: ``CacheModel.demand``,
-        ``HmcFlowModel.service_time_ns``, ``SmArray.compute_time_ns``,
-        ``HmcFlowModel.traffic_rates`` and ``PowerModel.package_total_w``
-        (``tests/gpu/test_serve_quantum.py`` holds them equal bit for
-        bit). Purity is what lets the macro engine memoize it on ``key``.
+        Demand, service time, traffic rates and power come from the
+        component models; only the served share, the ledger clamp and the
+        final-step flush are computed here. The scalar step calls it every
+        quantum; the macro engine memoizes it on ``key``, which purity
+        allows.
         """
         (reads, writes, atomics, atomics_ret, compute_cycles,
-         rr, rw, ra, mlp, inflation, fraction,
-         link_gbs, dram_gbs, fu_cap, es) = key
-
-        # Demand: the epoch's remainder split between host atomics and
-        # PIM packets (CacheModel.demand).
+         rem_reads, rem_writes, rem_atomics, mlp, divergence, fraction,
+         link_gbs, dram_gbs, fu_cap, energy_scale) = key
+        sim = self.sim
         atomics_dem = max(0, int(round(atomics)))
-        d_reads = max(0, int(round(reads)))
-        d_writes = max(0, int(round(writes)))
-        awr = min(int(round(atomics_ret)), int(round(atomics)))
-        pim_total = int(round(atomics_dem * fraction))
-        pim_ret = min(pim_total, int(round(awr * fraction)))
-        pim_plain = pim_total - pim_ret
-        host_eff = int(round((atomics_dem - pim_total) * self.coal))
-        if self.writeback:
-            # PEI-style coherence: offloaded ops write back the dirty
-            # cached copy before the PIM instruction may execute.
-            d_writes += int(round(pim_total * self.dirty))
-
-        # Bottleneck service time: FLIT-lane, DRAM and FU ceilings
-        # (service_time_ns), scaled by the frontier's parallelism, against
-        # the SM issue and host-atomic floors.
-        rq_r, rs_r, rq_w, rs_w, rq_p, rs_p, rq_pr, rs_pr = self.flits
-        rf = ((d_reads + host_eff) * rq_r + (d_writes + host_eff) * rq_w
-              + pim_plain * rq_p + pim_ret * rq_pr)
-        sf = ((d_reads + host_eff) * rs_r + (d_writes + host_eff) * rs_w
-              + pim_plain * rs_p + pim_ret * rs_pr)
-        t_link = max(rf * FLIT_BYTES, sf * FLIT_BYTES) / link_gbs
-        idb = 64 * (d_reads + d_writes + 2 * host_eff) + 32 * pim_total
-        t_dram = idb / dram_gbs if dram_gbs > 0 else float("inf")
-        t_fu = pim_total / fu_cap if pim_total else 0.0
-        t_mem = max(t_link, t_dram, t_fu)
+        demand = sim.cache.demand(MemoryTraffic(
+            reads=max(0, int(round(reads))),
+            writes=max(0, int(round(writes))),
+            atomics=atomics_dem,
+            atomics_with_return=min(
+                int(round(atomics_ret)), int(round(atomics))
+            ),
+        ), fraction)
+        t_mem_ns = HmcFlowModel.bottleneck_time_ns(
+            demand, link_gbs, dram_gbs, fu_cap
+        )
         if mlp > 0.0:
-            t_mem /= mlp
-        cycles = int(compute_cycles)
-        t_cmp = (cycles * inflation) / self.peak_ipns if cycles > 0 else 0.0
+            t_mem_ns /= mlp
+        t_cmp_ns = sim.sm.issue_time_ns(int(compute_cycles), divergence)
         # Host-executed atomics serialize at the L2 ROP units.
-        t_atm = host_eff / self.atomic_rate
-        t_total = max(t_mem, t_cmp, t_atm, 1.0)
+        t_atm_ns = demand.host_atomics / sim.gpu.host_atomic_ops_per_ns
+        t_total_ns = max(t_mem_ns, t_cmp_ns, t_atm_ns, 1.0)
 
-        # Serve this quantum's share of the remainder.
-        dt_ns = min(self.quantum_ns, t_total)
-        share = dt_ns / t_total
-        s_reads = min(int(round(d_reads * share)), rr)
-        s_writes = min(int(round(d_writes * share)), rw)
-        s_host = int(round(host_eff * share))
-        s_pim = int(round(pim_plain * share))
-        s_pimr = int(round(pim_ret * share))
-        h_raw = int(round((atomics_dem - pim_total) * share))
+        dt_ns = min(sim.control_dt_s * 1e9, t_total_ns)
+        share = dt_ns / t_total_ns
+        served_reads = min(int(round(demand.reads * share)), rem_reads)
+        served_writes = min(int(round(demand.writes * share)), rem_writes)
+        served_host = int(round(demand.host_atomics * share))
+        served_pim = int(round(demand.pim_ops * share))
+        served_pim_ret = int(round(demand.pim_ops_ret * share))
+        host_raw = int(round((atomics_dem - demand.total_pim) * share))
         # Clamp against the ledger (rounding drift), cutting the host
         # accounting before offloaded traffic.
-        over = s_pim + s_pimr + h_raw - ra
+        over = served_pim + served_pim_ret + host_raw - rem_atomics
         if over > 0:
-            cut = min(over, h_raw)
-            h_raw -= cut
+            cut = min(over, host_raw)
+            host_raw -= cut
             over -= cut
-            cut = min(over, s_pim)
-            s_pim -= cut
-            s_pimr -= over - cut
+            cut = min(over, served_pim)
+            served_pim -= cut
+            served_pim_ret -= over - cut
         if share >= 1.0:
             # Residual flush: whatever the integer ledgers still hold is
             # served in this last quantum instead of being dropped with
             # the sub-0.5 fluid remainder.
-            s_reads = rr
-            s_writes = rw
-            leftover = ra - (s_pim + s_pimr + h_raw)
+            served_reads = rem_reads
+            served_writes = rem_writes
+            leftover = rem_atomics - (served_pim + served_pim_ret + host_raw)
             extra_pim = min(leftover, int(round(leftover * fraction)))
             extra_host = leftover - extra_pim
-            s_pim += extra_pim
-            h_raw += extra_host
-            s_host += int(round(extra_host * self.coal))
+            served_pim += extra_pim
+            host_raw += extra_host
+            served_host += int(round(
+                extra_host * sim.cache.host_atomic_coalescing
+            ))
+        served = TrafficDemand(
+            reads=served_reads,
+            writes=served_writes,
+            host_atomics=served_host,
+            pim_ops=served_pim,
+            pim_ops_ret=served_pim_ret,
+        )
+        ext_gbs, int_gbs, pim_rate = sim.flow.traffic_rates(served, dt_ns)
+        power_w = sim.thermal.power.package_total_w(
+            TrafficPoint(
+                external_gbs=ext_gbs,
+                internal_dram_gbs=int_gbs,
+                pim_rate_ops_ns=pim_rate,
+            ),
+            energy_scale,
+        )
         keep = 1.0 - share
-
-        # Served traffic → power inputs (traffic_rates) → package power.
-        srf = ((s_reads + s_host) * rq_r + (s_writes + s_host) * rq_w
-               + s_pim * rq_p + s_pimr * rq_pr)
-        ssf = ((s_reads + s_host) * rs_r + (s_writes + s_host) * rs_w
-               + s_pim * rs_p + s_pimr * rs_pr)
-        lb = (srf + ssf) * FLIT_BYTES
-        db = 64 * (s_reads + s_writes + 2 * s_host) + 16 * s_pimr
-        s_idb = 64 * (s_reads + s_writes + 2 * s_host) + 32 * (s_pim + s_pimr)
-        ext = lb * self.link_equiv / dt_ns
-        intr = s_idb / dt_ns
-        pim_rate = (s_pim + s_pimr) / dt_ns
-        pkg = ((self.sl_w + self.le * ext * 1e9 * 8)
-               + es * (self.fe128 * pim_rate * 1e9
-                       + (self.sd_w + self.de * intr * 1e9 * 8)))
         return (
-            dt_ns, dt_ns * 1e-9, pkg * dt_ns * 1e-9,
+            dt_ns, dt_ns * 1e-9, power_w * dt_ns * 1e-9,
             reads * keep, writes * keep, atomics * keep, atomics_ret * keep,
             compute_cycles * keep,
-            rr - s_reads, rw - s_writes, ra - (s_pim + s_pimr + h_raw),
-            (dt_ns, s_reads, s_writes, s_host, s_pim, s_pimr, h_raw,
-             lb, db, ext, intr, pim_rate),
+            rem_reads - served_reads, rem_writes - served_writes,
+            rem_atomics - (served_pim + served_pim_ret + host_raw),
+            (dt_ns, served_reads, served_writes, served_host, served_pim,
+             served_pim_ret, host_raw, served.link_bytes(),
+             served.external_data_bytes(), ext_gbs, int_gbs, pim_rate),
         )
 
     def _scalar_step(self) -> None:
@@ -538,9 +497,8 @@ class SteppedEngine:
          self.rem_writes, self.rem_atomics, rec) = self._serve_quantum((
             state.reads, state.writes, state.atomics, state.atomics_ret,
             state.compute_cycles, self.rem_reads, self.rem_writes,
-            self.rem_atomics, state.mlp, state.inflation, fraction,
-            flow.effective_link_gbs(), flow.dram_capacity_gbs(),
-            flow.fu_capacity_ops_per_ns(), energy_scale,
+            self.rem_atomics, state.mlp, state.divergence, fraction,
+            *flow.capacities(), energy_scale,
         ))
         (_, s_reads, s_writes, s_host, s_pim, s_pimr, host_raw,
          link_bytes, data_bytes, ext_gbs, int_gbs, pim_rate) = rec
@@ -688,6 +646,7 @@ class SystemSimulator:
         self.flow = flow or HmcFlowModel(hmc_config)
         self.thermal = thermal or HmcThermalModel(hmc_config)
         self.sensor = sensor or ThermalSensor()
+        self.sm = SmArray(gpu)
         self.control_dt_s = control_dt_s
         self.timeline_dt_s = timeline_dt_s
         #: Concurrent memory streams needed to saturate the memory system

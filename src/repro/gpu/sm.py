@@ -28,11 +28,20 @@ class SmArray:
         ``batch.compute_cycles`` counts warp-instructions; divergence
         inflates them by serializing branch paths.
         """
-        if batch.compute_cycles <= 0:
+        return self.issue_time_ns(
+            batch.compute_cycles, batch.divergent_warp_ratio
+        )
+
+    def issue_time_ns(
+        self, compute_cycles: int, divergent_warp_ratio: float
+    ) -> float:
+        """:meth:`compute_time_ns` of ``compute_cycles`` warp-instructions
+        with ``divergent_warp_ratio`` of the warps divergent."""
+        if compute_cycles <= 0:
             return 0.0
-        div = batch.divergent_warp_ratio
+        div = divergent_warp_ratio
         inflation = 1.0 + (DIVERGENCE_SERIALIZATION - 1.0) * div
-        instructions = batch.compute_cycles * inflation
+        instructions = compute_cycles * inflation
         return instructions / self.config.peak_warp_instructions_per_ns
 
     def occupancy_limit(self, active_blocks: int) -> float:

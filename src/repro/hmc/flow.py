@@ -15,12 +15,12 @@ paper's evaluation turns on:
    read-modify-write (2 × 16 B internal accesses, Sec. III-C) consumes it.
 3. **PIM FU throughput** — one FU per vault; rarely binding but modelled.
 
-These methods (with :meth:`record` and the :class:`TrafficDemand` byte
-counts) are the reference for the co-simulation's per-quantum arithmetic,
-``SteppedEngine._serve_quantum`` in :mod:`repro.gpu.simulator`, which
-folds them with the cache split, the SM compute floor and package power
-into one pure function; ``tests/gpu/test_serve_quantum.py`` holds the two
-equal bit for bit.
+``SteppedEngine._serve_quantum`` (:mod:`repro.gpu.simulator`), the
+per-quantum traffic function of both engines, takes its service time from
+:meth:`HmcFlowModel.bottleneck_time_ns` at the capacities
+:meth:`HmcFlowModel.capacities` reads, and its power inputs from
+:meth:`HmcFlowModel.traffic_rates`: this module is the one copy of that
+arithmetic.
 """
 
 from __future__ import annotations
@@ -30,6 +30,15 @@ from dataclasses import dataclass, field
 from repro.hmc.config import HMC_2_0, HmcConfig
 from repro.hmc.dram_timing import TemperaturePhase, TemperaturePhasePolicy
 from repro.hmc.packet import FLIT_BYTES, FlitLedger, PacketType, flit_cost
+
+#: (request, response) FLITs of each transaction a demand is made of,
+#: read once from Table I.
+_READ, _WRITE, _PIM, _PIM_RET = (
+    flit_cost(t) for t in (
+        PacketType.READ64, PacketType.WRITE64,
+        PacketType.PIM, PacketType.PIM_RET,
+    )
+)
 
 
 @dataclass(frozen=True)
@@ -58,23 +67,19 @@ class TrafficDemand:
         return self.pim_ops + self.pim_ops_ret
 
     def request_flits(self) -> int:
-        r, w = flit_cost(PacketType.READ64)[0], flit_cost(PacketType.WRITE64)[0]
-        p, pr = flit_cost(PacketType.PIM)[0], flit_cost(PacketType.PIM_RET)[0]
         return (
-            (self.reads + self.host_atomics) * r
-            + (self.writes + self.host_atomics) * w
-            + self.pim_ops * p
-            + self.pim_ops_ret * pr
+            (self.reads + self.host_atomics) * _READ[0]
+            + (self.writes + self.host_atomics) * _WRITE[0]
+            + self.pim_ops * _PIM[0]
+            + self.pim_ops_ret * _PIM_RET[0]
         )
 
     def response_flits(self) -> int:
-        r, w = flit_cost(PacketType.READ64)[1], flit_cost(PacketType.WRITE64)[1]
-        p, pr = flit_cost(PacketType.PIM)[1], flit_cost(PacketType.PIM_RET)[1]
         return (
-            (self.reads + self.host_atomics) * r
-            + (self.writes + self.host_atomics) * w
-            + self.pim_ops * p
-            + self.pim_ops_ret * pr
+            (self.reads + self.host_atomics) * _READ[1]
+            + (self.writes + self.host_atomics) * _WRITE[1]
+            + self.pim_ops * _PIM[1]
+            + self.pim_ops_ret * _PIM_RET[1]
         )
 
     def link_bytes(self) -> int:
@@ -208,25 +213,37 @@ class HmcFlowModel:
 
     # -- service --------------------------------------------------------------
 
+    def capacities(self) -> tuple[float, float, float]:
+        """(per-direction link GB/s, DRAM GB/s, FU op/ns) at the current
+        phase. Raises if the device is shut down."""
+        if self.is_shutdown:
+            raise RuntimeError("HMC is in thermal shutdown")
+        return (
+            self.effective_link_gbs(),
+            self.dram_capacity_gbs(),
+            self.fu_capacity_ops_per_ns(),
+        )
+
     def service_time_ns(self, demand: TrafficDemand) -> float:
         """Time to serve ``demand`` at the current phase (ns).
 
         The maximum over the three bottlenecks; an idle/empty demand takes
         zero time. Raises if the device is shut down.
         """
-        if self.is_shutdown:
-            raise RuntimeError("HMC is in thermal shutdown")
+        return self.bottleneck_time_ns(demand, *self.capacities())
+
+    @staticmethod
+    def bottleneck_time_ns(
+        demand: TrafficDemand, link_gbs: float, dram_gbs: float,
+        fu_ops_per_ns: float,
+    ) -> float:
+        """Time to serve ``demand`` at the given capacities (ns)."""
         req_b = demand.request_flits() * FLIT_BYTES
         rsp_b = demand.response_flits() * FLIT_BYTES
-        link_gbs = self.effective_link_gbs()
         t_link = max(req_b, rsp_b) / link_gbs  # bytes / (GB/s) == ns
-
-        dram_gbs = self.dram_capacity_gbs()
         t_dram = demand.internal_dram_bytes() / dram_gbs if dram_gbs > 0 else float("inf")
-
         pim = demand.total_pim
-        t_fu = pim / self.fu_capacity_ops_per_ns() if pim else 0.0
-
+        t_fu = pim / fu_ops_per_ns if pim else 0.0
         return max(t_link, t_dram, t_fu)
 
     def record(self, demand: TrafficDemand, elapsed_ns: float) -> None:

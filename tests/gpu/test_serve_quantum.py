@@ -1,238 +1,91 @@
-"""Differential test: ``SteppedEngine._serve_quantum`` against the models.
+"""``SteppedEngine._serve_quantum``: the branches the models do not hold.
 
-``_serve_quantum`` is the one copy of the per-quantum traffic arithmetic:
-the scalar step calls it every quantum and the macro speculator calls it
-on every step-memo miss, so the stepped == macro tests no longer check it
-independently. This suite does. For drawn fluid states, ledgers,
-fractions, derated capacities, energy scales and both coherence modes it
-rebuilds the quantum from the component models — ``CacheModel.demand`` →
-``HmcFlowModel.service_time_ns`` / mlp → ``SmArray.compute_time_ns`` →
-served share, ledger clamp and final-step flush →
-``HmcFlowModel.traffic_rates`` → ``PowerModel.package_total_w`` — and
-requires the same value bit for bit.
+The per-quantum traffic function is built from the component models
+(``CacheModel.demand``, ``HmcFlowModel.bottleneck_time_ns``,
+``SmArray.compute_time_ns``, ``HmcFlowModel.traffic_rates``,
+``PowerModel.package_total_w``), each tested on its own. What it adds
+is the served share, the ledger clamp, the final-step flush and the
+zero-DRAM guard; this suite pins those, and that the models' input
+guards still fire through it.
 """
 
-from hypothesis import example, given, settings
-from hypothesis import strategies as st
+import pytest
 
 from repro.gpu.caches import CacheModel, MemoryTraffic
 from repro.gpu.config import GPU_DEFAULT
 from repro.gpu.simulator import SteppedEngine, SystemSimulator, _EpochState
-from repro.gpu.sm import SmArray
 from repro.hmc.dram_timing import TemperaturePhase
-from repro.hmc.flow import TrafficDemand
 from repro.sim.trace import OpBatch
-from repro.thermal.power import TrafficPoint
-
-PHASES = [p for p in TemperaturePhase if p is not TemperaturePhase.SHUTDOWN]
 
 
-def make_engine(coherence_mode, coalescing=0.6, dirty=0.3, phase=None,
+def make_engine(coherence_mode="bypass", phase=TemperaturePhase.NORMAL,
                 vault_scale=1.0):
     sim = SystemSimulator(cache=CacheModel(
-        GPU_DEFAULT, host_atomic_coalescing=coalescing,
-        coherence_mode=coherence_mode, pei_dirty_fraction=dirty,
+        GPU_DEFAULT, host_atomic_coalescing=0.6,
+        coherence_mode=coherence_mode, pei_dirty_fraction=0.3,
     ))
-    sim.flow.phase = phase or TemperaturePhase.NORMAL
+    sim.flow.phase = phase
     sim.flow.vault_capacity_scale = vault_scale
     return SteppedEngine(sim)
 
 
-def quantum_key(engine, fluid, ledgers, threads, divergence, fraction, es):
-    """The scalar step's key for this state, with mlp and inflation taken
-    from the epoch state as the engines take them."""
-    flow = engine.sim.flow
+def serve(engine, fluid, ledgers, threads=4096, fraction=0.5, es=1.0):
+    """``_serve_quantum`` on the key the scalar step would build."""
     epoch = _EpochState(
-        OpBatch(reads=0, writes=0, atomics=0, threads=threads,
-                divergent_warp_ratio=divergence),
+        OpBatch(reads=0, writes=0, atomics=0, threads=threads),
         MemoryTraffic(0, 0, 0, 0), engine.sim.saturation_threads,
     )
-    return (*fluid, *ledgers, epoch.mlp, epoch.inflation, fraction,
-            flow.effective_link_gbs(), flow.dram_capacity_gbs(),
-            flow.fu_capacity_ops_per_ns(), es)
-
-
-def reference(engine, key, threads, divergence):
-    """The quantum rebuilt from the component models.
-
-    Returns ``(value, clamped, flushed)``: the expected
-    ``_serve_quantum`` value and whether the ledger clamp and the
-    final-step flush fired.
-    """
-    sim = engine.sim
-    (reads, writes, atomics, atomics_ret, compute_cycles, rr, rw, ra,
-     mlp, _inflation, fraction, _link, _dram, _fu, es) = key
-    atomics_dem = max(0, int(round(atomics)))
-    demand = sim.cache.demand(MemoryTraffic(
-        reads=max(0, int(round(reads))),
-        writes=max(0, int(round(writes))),
-        atomics=atomics_dem,
-        atomics_with_return=min(int(round(atomics_ret)), int(round(atomics))),
-    ), fraction)
-    t_mem = sim.flow.service_time_ns(demand)
-    assert mlp == min(1.0, threads / sim.saturation_threads)
-    if mlp > 0.0:
-        t_mem /= mlp
-    t_cmp = SmArray(sim.gpu).compute_time_ns(OpBatch(
-        reads=0, writes=0, atomics=0, compute_cycles=int(compute_cycles),
-        threads=threads, divergent_warp_ratio=divergence,
+    return engine._serve_quantum((
+        *fluid, *ledgers, epoch.mlp, epoch.divergence, fraction,
+        *engine.sim.flow.capacities(), es,
     ))
-    t_atm = demand.host_atomics / sim.gpu.host_atomic_ops_per_ns
-    t_total = max(t_mem, t_cmp, t_atm, 1.0)
-
-    dt_ns = min(sim.control_dt_s * 1e9, t_total)
-    share = dt_ns / t_total
-    s_reads = min(int(round(demand.reads * share)), rr)
-    s_writes = min(int(round(demand.writes * share)), rw)
-    s_host = int(round(demand.host_atomics * share))
-    s_pim = int(round(demand.pim_ops * share))
-    s_pimr = int(round(demand.pim_ops_ret * share))
-    h_raw = int(round((atomics_dem - demand.total_pim) * share))
-    over = s_pim + s_pimr + h_raw - ra
-    clamped = over > 0
-    if clamped:
-        cut = min(over, h_raw)
-        h_raw -= cut
-        over -= cut
-        cut = min(over, s_pim)
-        s_pim -= cut
-        s_pimr -= over - cut
-    flushed = share >= 1.0
-    if flushed:
-        s_reads, s_writes = rr, rw
-        leftover = ra - (s_pim + s_pimr + h_raw)
-        extra_pim = min(leftover, int(round(leftover * fraction)))
-        extra_host = leftover - extra_pim
-        s_pim += extra_pim
-        h_raw += extra_host
-        s_host += int(round(extra_host * sim.cache.host_atomic_coalescing))
-    served = TrafficDemand(reads=s_reads, writes=s_writes,
-                           host_atomics=s_host, pim_ops=s_pim,
-                           pim_ops_ret=s_pimr)
-    ext, intr, pim_rate = sim.flow.traffic_rates(served, dt_ns)
-    pkg = sim.thermal.power.package_total_w(
-        TrafficPoint(external_gbs=ext, internal_dram_gbs=intr,
-                     pim_rate_ops_ns=pim_rate), es,
-    )
-    keep = 1.0 - share
-    value = (
-        dt_ns, dt_ns * 1e-9, pkg * dt_ns * 1e-9,
-        reads * keep, writes * keep, atomics * keep, atomics_ret * keep,
-        compute_cycles * keep,
-        rr - s_reads, rw - s_writes, ra - (s_pim + s_pimr + h_raw),
-        (dt_ns, s_reads, s_writes, s_host, s_pim, s_pimr, h_raw,
-         served.link_bytes(), served.external_data_bytes(),
-         ext, intr, pim_rate),
-    )
-    return value, clamped, flushed
 
 
-def check(engine, fluid, ledgers, threads, divergence, fraction, es):
-    key = quantum_key(engine, fluid, ledgers, threads, divergence,
-                      fraction, es)
-    expected, clamped, flushed = reference(engine, key, threads, divergence)
-    got = engine._serve_quantum(key)
-    # repr: bit-for-bit on floats (0.0 vs -0.0 included), exact on ints.
-    assert repr(got) == repr(expected)
-    return clamped, flushed
+def test_ledger_clamp_cuts_host_accounting_first():
+    """The atomics ledger (10) is far below the fluid's served share of
+    a link-bound quantum: the served atomics are cut to the ledger, the
+    host accounting before the offloaded packets."""
+    engine = make_engine()
+    value = serve(engine, (1e6, 0.0, 1000.0, 0.0, 0.0), (1_000_000, 0, 10))
+    dt_ns, rec = value[0], value[-1]
+    assert dt_ns == engine.sim.control_dt_s * 1e9  # not the last quantum
+    s_pim, s_pimr, h_raw = rec[4], rec[5], rec[6]
+    assert s_pim + s_pimr + h_raw == 10
+    assert h_raw == 0 < s_pim
+    assert value[10] == 0
 
 
-@st.composite
-def quantum_states(draw):
-    """A fluid remainder with integer ledgers near it (rounding drift of
-    a few ops either way, as the fluid drain accumulates)."""
-    scale = draw(st.sampled_from([10.0, 1e3, 1e5, 1e6]))
-    reads = draw(st.floats(0.0, scale))
-    writes = draw(st.floats(0.0, scale))
-    atomics = draw(st.floats(0.0, scale))
-    atomics_ret = atomics * draw(st.floats(0.0, 1.0))
-    compute_cycles = draw(st.floats(0.0, scale * 4))
-    drift = st.integers(-3, 3)
-    ledgers = tuple(
-        max(0, int(round(v)) + draw(drift)) for v in (reads, writes, atomics)
-    )
-    return (reads, writes, atomics, atomics_ret, compute_cycles), ledgers
-
-
-@settings(max_examples=300, deadline=None)
-@given(
-    state=quantum_states(),
-    mode=st.sampled_from(["bypass", "writeback"]),
-    coalescing=st.floats(0.0, 1.0),
-    dirty=st.floats(0.0, 1.0),
-    phase=st.sampled_from(PHASES),
-    vault_scale=st.floats(0.05, 1.0),
-    threads=st.one_of(st.just(0), st.integers(1, 4096)),
-    divergence=st.floats(0.0, 1.0),
-    fraction=st.floats(0.0, 1.0),
-    es=st.floats(0.5, 2.0),
-)
-# The ledger clamp: the atomics ledger (10) is far below the fluid's
-# served share of a link-bound quantum.
-@example(
-    state=((1e6, 0.0, 1000.0, 0.0, 0.0), (1_000_000, 0, 10)),
-    mode="bypass", coalescing=0.6, dirty=0.3, phase=TemperaturePhase.NORMAL,
-    vault_scale=1.0, threads=4096, divergence=0.0, fraction=0.5, es=1.0,
-)
-# The final-step flush: a remainder served in one quantum, with ledgers
-# above the rounded fluid.
-@example(
-    state=((3.0, 2.0, 2.4, 1.0, 5.0), (5, 3, 4)),
-    mode="writeback", coalescing=0.6, dirty=0.3,
-    phase=TemperaturePhase.EXTENDED, vault_scale=1.0, threads=0,
-    divergence=0.5, fraction=0.5, es=1.2,
-)
-def test_serve_quantum_equals_component_models(
-    state, mode, coalescing, dirty, phase, vault_scale, threads, divergence,
-    fraction, es,
-):
-    engine = make_engine(mode, coalescing, dirty, phase, vault_scale)
-    fluid, ledgers = state
-    check(engine, fluid, ledgers, threads, divergence, fraction, es)
-
-
-def test_ledger_clamp_is_exercised():
-    engine = make_engine("bypass")
-    clamped, flushed = check(
-        engine, (1e6, 0.0, 1000.0, 0.0, 0.0), (1_000_000, 0, 10),
-        threads=4096, divergence=0.0, fraction=0.5, es=1.0,
-    )
-    assert clamped and not flushed
-
-
-def test_final_step_flush_is_exercised():
+def test_final_step_flush_serves_the_ledgers():
+    """A remainder served in one quantum, with ledgers above the rounded
+    fluid: the last quantum empties the fluid and every ledger."""
     engine = make_engine("writeback", phase=TemperaturePhase.EXTENDED)
-    clamped, flushed = check(
-        engine, (3.0, 2.0, 2.4, 1.0, 5.0), (5, 3, 4),
-        threads=0, divergence=0.5, fraction=0.5, es=1.2,
-    )
-    assert flushed
-
-
-def test_writeback_slows_the_drain_of_offloaded_ops():
-    """PEI coherence: half the offloaded ops write back a dirty line, so
-    a link-bound quantum serves a smaller share of the atomics."""
-    fluid, ledgers = (0.0, 0.0, 1e6, 0.0, 0.0), (0, 0, 1_000_000)
-    left = {}
-    for mode in ("bypass", "writeback"):
-        engine = make_engine(mode, dirty=0.5)
-        check(engine, fluid, ledgers, 4096, 0.0, 1.0, 1.0)
-        value = engine._serve_quantum(
-            quantum_key(engine, fluid, ledgers, 4096, 0.0, 1.0, 1.0)
-        )
-        left[mode] = value[5]
-    assert left["writeback"] > left["bypass"] > 0.0
+    fluid, ledgers = (3.0, 2.0, 2.4, 1.0, 5.0), (5, 3, 4)
+    value = serve(engine, fluid, ledgers, threads=0, es=1.2)
+    assert value[0] < engine.sim.control_dt_s * 1e9
+    assert value[3:11] == (0.0,) * 5 + (0, 0, 0)
+    rec = value[-1]
+    assert rec[1:3] == (5, 3)
+    # Work conservation: every ledger atomic is offloaded or host-assigned.
+    assert rec[4] + rec[5] + rec[6] == 4
+    assert value[2] > 0.0  # the interval's package energy
 
 
 def test_zero_dram_capacity_serves_nothing():
     """The ``dram_gbs > 0 else inf`` guard: with no DRAM capacity the
     quantum elapses and nothing is served."""
-    engine = make_engine("bypass", vault_scale=0.0)
+    engine = make_engine(vault_scale=0.0)
     fluid, ledgers = (100.0, 50.0, 20.0, 5.0, 10.0), (100, 50, 20)
     # Host execution only: with no vaults the FU pool is empty too.
-    check(engine, fluid, ledgers, 4096, 0.0, 0.0, 1.0)
-    key = quantum_key(engine, fluid, ledgers, 4096, 0.0, 0.0, 1.0)
-    value = engine._serve_quantum(key)
+    value = serve(engine, fluid, ledgers, fraction=0.0)
     assert value[0] == engine.sim.control_dt_s * 1e9
     assert value[-1][1:7] == (0, 0, 0, 0, 0, 0)
     assert value[3:11] == (*fluid, *ledgers)
+
+
+def test_model_guards_fire_through_the_quantum():
+    engine = make_engine()
+    with pytest.raises(ValueError, match="pim_fraction"):
+        serve(engine, (10.0, 0.0, 10.0, 0.0, 0.0), (10, 0, 10), fraction=1.2)
+    engine.sim.flow.phase = TemperaturePhase.SHUTDOWN
+    with pytest.raises(RuntimeError, match="shutdown"):
+        engine.sim.flow.capacities()
