@@ -23,9 +23,9 @@ from pathlib import Path
 from repro.thermal import operators
 from repro.thermal.cooling import COOLING_SOLUTIONS
 from repro.thermal.model import HmcThermalModel
+from repro.thermal.operators import CONTROL_DT_S
 from repro.thermal.propagator import CHAIN_DEPTH
 
-CONTROL_DT_S = 25e-6
 REPEATS = 3
 
 ARTIFACT = Path("BENCH_thermal_build.json")
@@ -36,12 +36,12 @@ def test_propagator_build_time():
     for name, cooling in COOLING_SOLUTIONS.items():
         model = HmcThermalModel(cooling=cooling)
         model._basis()
-        ops = operators.prewarm(model.config, cooling, CONTROL_DT_S)
+        ops = operators.prewarm(model.config, cooling)
         times = []
         for _ in range(REPEATS):
             ops.propagators.clear()
             t0 = time.perf_counter()
-            prop = model.propagator(CONTROL_DT_S)
+            prop = model.propagator()
             times.append(time.perf_counter() - t0)
         assert prop.healthy, name
         rows[name] = {"build_s": statistics.median(times), "rank": prop.rank}

@@ -33,20 +33,7 @@ def test_transient_step_speed(benchmark):
     model.warm_start(TrafficPoint.streaming(240.0))
     t = TrafficPoint.pim_saturated(3.0)
 
-    result = benchmark(model.step, t, 25e-6)
-    assert np.isfinite(result)
-
-
-def test_settle_fast_path_speed(benchmark):
-    """Constant-power settling via the batched run_to_steady path."""
-    model = HmcThermalModel()
-    t = TrafficPoint.streaming(240.0)
-
-    def settle():
-        model.reset_transient()
-        return model.settle(t, dt_s=1e-3, tol_c=1e-4)
-
-    result = benchmark(settle)
+    result = benchmark(model.step, t)
     assert np.isfinite(result)
 
 

@@ -62,7 +62,6 @@ from repro.thermal.model import HmcThermalModel  # noqa: E402
 from repro.thermal.sensor import ThermalSensor  # noqa: E402
 from repro.workloads.registry import get_workload  # noqa: E402
 
-DT_S = 25e-6
 CONTROL_WORKLOADS = ("dc", "kcore", "pagerank")
 FIG10_WORKLOADS = (
     "dc", "bfs-ta", "bfs-dwc", "bfs-ttc", "bfs-twc", "kcore", "pagerank",
@@ -102,10 +101,10 @@ def build_seconds(reps: int = 3):
             model = HmcThermalModel(cooling=COOLING_SOLUTIONS[name])
             model._basis()
             ops = operators.get_operators(model.config, model.cooling)
-            ops.step_lus.get(DT_S)
+            ops.step_lu()
             ops.propagators.clear()
             t0 = time.perf_counter()
-            prop = model.propagator(DT_S)
+            prop = model.propagator()
             times.append(time.perf_counter() - t0)
             rank = prop.rank
     return statistics.median(times), rank

@@ -124,6 +124,29 @@ def _strip_timeline(payload: Dict[str, Any]) -> Dict[str, Any]:
     return out
 
 
+def _requests_series():
+    return get_registry().counter(
+        "repro_api_requests_total",
+        help="API submissions by tenant and outcome.",
+        labelnames=("tenant", "status"),
+    )
+
+
+def _runs_series():
+    return get_registry().counter(
+        "repro_api_runs_total",
+        help="Terminal run outcomes.",
+        labelnames=("status",),
+    )
+
+
+def _run_seconds_series():
+    return get_registry().histogram(
+        "repro_api_run_seconds",
+        help="Run wall time from execution start to terminal.",
+    )
+
+
 class ApiService:
     """The simulation service behind the HTTP layer."""
 
@@ -164,7 +187,6 @@ class ApiService:
 
         self.runs: Dict[str, RunRecord] = {}
         self.sweeps: Dict[str, Dict[str, Any]] = {}
-        self.counters: Counter = Counter()
         self.started_unix: Optional[float] = None
 
         self._leaders: Dict[str, str] = {}  # spec key → leader run id
@@ -206,7 +228,6 @@ class ApiService:
             rec.status = DRAINED
             rec.finished_unix = time.time()
             rec.error = "server shut down before execution"
-            self.counters["drained"] += 1
             self._metric_run_done(DRAINED, None)
             self._journal(
                 "api_drained", run_id=rid, tenant=rec.tenant, key=rec.key,
@@ -219,11 +240,12 @@ class ApiService:
             await self._wait_notify(timeout=0.1)
         if self._executor is not None:
             self._executor.shutdown(wait=False)
+        counts = self._counts()
         self._journal(
             "api_stop",
-            completed=self.counters["completed"],
-            failed=self.counters["failed"],
-            drained=self.counters["drained"],
+            completed=counts["completed"],
+            failed=counts["failed"],
+            drained=counts["drained"],
             still_running=self._running,
         )
 
@@ -281,25 +303,42 @@ class ApiService:
     # -- process-wide telemetry (GET /metrics) -----------------------------
 
     def _metric_count(self, status: str, tenant: str) -> None:
-        """Dual-write one submission outcome into the default registry."""
-        get_registry().counter(
-            "repro_api_requests_total",
-            help="API submissions by tenant and outcome.",
-            labelnames=("tenant", "status"),
-        ).labels(tenant=tenant, status=status).inc()
+        """Count one submission outcome in the default registry."""
+        _requests_series().labels(tenant=tenant, status=status).inc()
 
     def _metric_run_done(self, status: str, elapsed_s: Optional[float]) -> None:
-        reg = get_registry()
-        reg.counter(
-            "repro_api_runs_total",
-            help="Terminal run outcomes.",
-            labelnames=("status",),
-        ).labels(status=status).inc()
+        _runs_series().labels(status=status).inc()
         if elapsed_s is not None:
-            reg.histogram(
-                "repro_api_run_seconds",
-                help="Run wall time from execution start to terminal.",
-            ).observe(elapsed_s)
+            _run_seconds_series().observe(elapsed_s)
+
+    def _counts(self) -> Dict[str, int]:
+        """Submission and run outcome totals, read from the
+        ``repro_api_*`` series of the default registry (the same numbers
+        ``GET /metrics`` exposes; process-wide, summed over tenants).
+
+        ``submitted`` counts accepted, cached and coalesced submissions;
+        ``executed`` counts completions that ran here (neither cached nor
+        coalesced).
+        """
+        requests: Counter = Counter()
+        for child in _requests_series().children():
+            requests[dict(child.labels)["status"]] += int(child.value)
+        runs: Counter = Counter()
+        for child in _runs_series().children():
+            runs[dict(child.labels)["status"]] += int(child.value)
+        return {
+            "submitted": (
+                requests["accepted"] + requests["cache_hit"]
+                + requests["coalesced"]
+            ),
+            "cache_hits": requests["cache_hit"],
+            "coalesced": requests["coalesced"],
+            "rejected": requests["rejected"],
+            "executed": sum(h.count for h in _run_seconds_series().children()),
+            "completed": runs[COMPLETED],
+            "failed": runs[FAILED],
+            "drained": runs[DRAINED],
+        }
 
     # -- submission --------------------------------------------------------
 
@@ -337,8 +376,6 @@ class ApiService:
         )
         if hit is not None:
             self.runs[rid] = rec
-            self.counters["submitted"] += 1
-            self.counters["cache_hits"] += 1
             self._metric_count("cache_hit", tenant)
             self._journal(
                 "api_cache_hit", run_id=rid, tenant=tenant, key=spec.key
@@ -355,8 +392,6 @@ class ApiService:
             self.runs[rid] = rec
             rec.coalesced_into = leader
             self._followers.setdefault(spec.key, []).append(rid)
-            self.counters["submitted"] += 1
-            self.counters["coalesced"] += 1
             self._metric_count("coalesced", tenant)
             self._journal(
                 "api_coalesced", run_id=rid, tenant=tenant, key=spec.key,
@@ -371,14 +406,12 @@ class ApiService:
         try:
             position = self.queue.submit(tenant, rid)
         except Exception:
-            self.counters["rejected"] += 1
             self._metric_count("rejected", tenant)
             self._journal(
                 "api_rejected", tenant=tenant, key=spec.key, name=spec.name
             )
             raise
         self.runs[rid] = rec
-        self.counters["submitted"] += 1
         self._metric_count("accepted", tenant)
         self._leaders[spec.key] = rid
         self._journal(
@@ -400,7 +433,6 @@ class ApiService:
         from repro.api.fairness import QuotaExceeded
 
         if len(specs) > self.queue.capacity_for(tenant):
-            self.counters["rejected"] += 1
             self._metric_count("rejected", tenant)
             self._journal("api_rejected", tenant=tenant, jobs=len(specs))
             raise QuotaExceeded(
@@ -538,7 +570,6 @@ class ApiService:
                 message=f"{type(exc).__name__}: {exc}", attempts=1,
             )
         if isinstance(outcome, JobResult):
-            self.counters["executed"] += 1
             self._finish_completed(
                 rec, outcome.payload, outcome.elapsed_s,
                 cached=outcome.cached,
@@ -561,7 +592,6 @@ class ApiService:
         rec.payload = payload
         rec.elapsed_s = elapsed_s
         rec.cached = cached
-        self.counters["completed"] += 1
         # Cached/coalesced completions never executed here — only real
         # executions feed the latency histogram.
         self._metric_run_done(
@@ -590,7 +620,6 @@ class ApiService:
         rec.status = FAILED
         rec.finished_unix = time.time()
         rec.error = f"{reason}: {message}"
-        self.counters["failed"] += 1
         self._metric_run_done(FAILED, None)
         self._journal(
             "api_failed", run_id=rec.id, tenant=rec.tenant, key=rec.key,
@@ -620,7 +649,6 @@ class ApiService:
                 frec.status = DRAINED
                 frec.finished_unix = time.time()
                 frec.error = leader.error
-                self.counters["drained"] += 1
                 self._metric_run_done(DRAINED, None)
                 self._emit(frec, DRAINED, status=DRAINED)
 
@@ -687,6 +715,6 @@ class ApiService:
             "queued": len(self.queue),
             "runs_tracked": len(self.runs),
             "sse_subscribers": self._sse_subscribers,
-            "counters": dict(self.counters),
+            "counters": self._counts(),
             "tenants": self.queue.stats(),
         }

@@ -29,7 +29,6 @@ from repro.hmc.config import HMC_2_0, HmcConfig
 from repro.hmc.flow import HmcFlowModel
 from repro.thermal.cooling import COMMODITY_SERVER, CoolingSolution
 from repro.thermal.model import HmcThermalModel
-from repro.thermal.operators import CONTROL_DT_S
 from repro.thermal.sensor import ThermalSensor
 from repro.workloads.base import GraphWorkload, launch_for
 
@@ -50,7 +49,6 @@ class CoolPimSystem:
         hmc: HmcConfig = HMC_2_0,
         cooling: CoolingSolution = COMMODITY_SERVER,
         ambient_c: float = 25.0,
-        control_dt_s: float = CONTROL_DT_S,
         phase_policy=None,
         engine: str = "macro",
     ) -> None:
@@ -59,7 +57,6 @@ class CoolPimSystem:
         self.cooling = cooling
         self.ambient_c = ambient_c
         self.thermal = HmcThermalModel(hmc, cooling=cooling, ambient_c=ambient_c)
-        self.control_dt_s = control_dt_s
         #: Simulation engine: ``"macro"`` (vectorized burst fast path) or
         #: ``"stepped"`` (the scalar reference loop).
         self.engine = engine
@@ -103,7 +100,6 @@ class CoolPimSystem:
             flow=HmcFlowModel(self.hmc, phase_policy=self.phase_policy),
             thermal=self.thermal,
             sensor=ThermalSensor(),
-            control_dt_s=self.control_dt_s,
             engine=self.engine,
             scenario=scenario,
         )

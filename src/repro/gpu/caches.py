@@ -105,6 +105,17 @@ class CacheModel:
             atomics_with_return=batch.atomics_with_return,
         )
 
+    def writebacks(self, pim_ops: int) -> int:
+        """64 B writebacks that ``pim_ops`` offloaded ops cause.
+
+        PEI-style coherence (``"writeback"``): an offloaded op that hits
+        a dirty cached copy writes it back before the PIM instruction
+        may execute. None in ``"bypass"`` mode.
+        """
+        if self.coherence_mode != "writeback":
+            return 0
+        return int(round(pim_ops * self.pei_dirty_fraction))
+
     def demand(self, traffic: MemoryTraffic, pim_fraction: float) -> TrafficDemand:
         """Split atomics between PIM offload and host execution.
 
@@ -122,14 +133,9 @@ class CacheModel:
         pim_plain = pim_total - pim_ret
         host = traffic.atomics - pim_total
         host_effective = int(round(host * self.host_atomic_coalescing))
-        writes = traffic.writes
-        if self.coherence_mode == "writeback":
-            # PEI-style coherence: offloaded ops write back the dirty
-            # cached copy before the PIM instruction may execute.
-            writes += int(round(pim_total * self.pei_dirty_fraction))
         return TrafficDemand(
             reads=traffic.reads,
-            writes=writes,
+            writes=traffic.writes + self.writebacks(pim_total),
             host_atomics=host_effective,
             pim_ops=pim_plain,
             pim_ops_ret=pim_ret,

@@ -204,7 +204,7 @@ class DetailedSimulator:
             thermal_debt_s += dt_ns * 1e-9
             temp = self.thermal.peak_dram_c()
             while thermal_debt_s >= CONTROL_DT_S:
-                temp = self.thermal.step(traffic, CONTROL_DT_S)
+                temp = self.thermal.step(traffic)
                 thermal_debt_s -= CONTROL_DT_S
                 thermal_steps += 1
             peak_temp = max(peak_temp, temp)

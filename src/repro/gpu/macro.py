@@ -62,6 +62,7 @@ from repro.gpu.simulator import (
 )
 from repro.hmc.dram_timing import TemperaturePhase
 from repro.hmc.packet import PacketType
+from repro.thermal.operators import CONTROL_DT_S
 
 #: Minimum quanta worth committing as a burst; a zero-length validated
 #: prefix (the very next quantum crosses a threshold) falls back to the
@@ -212,7 +213,7 @@ class MacroEngine(SteppedEngine):
             if self._prop_bad:
                 return None
             if self._prop is None:
-                self._prop = sim.thermal.propagator(sim.control_dt_s)
+                self._prop = sim.thermal.propagator()
                 self._reader = self._prop.peak_reader()
             if not self._prop.healthy:
                 self._prop_bad = True
@@ -293,7 +294,6 @@ class MacroEngine(SteppedEngine):
         scen = self.scen
         fraction = b.fraction
         end_t = b.end_t
-        control_dt_s = sim.control_dt_s
         period = sim.sensor.sample_period_s
         tl_dt = sim.timeline_dt_s
         sat_threads = sim.saturation_threads
@@ -367,8 +367,8 @@ class MacroEngine(SteppedEngine):
                     nsamp = tnow
                 debt += dt_s
                 nsub = 0
-                while debt >= control_dt_s:
-                    debt -= control_dt_s
+                while debt >= CONTROL_DT_S:
+                    debt -= CONTROL_DT_S
                     nsub += 1
                 cum_sub += nsub
                 tidx = cum_sub - 1

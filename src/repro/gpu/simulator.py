@@ -1,13 +1,13 @@
 """Full-system co-simulation: GPU + HMC flow model + thermal + policy.
 
 The simulator drains each workload epoch as a fluid: every control quantum
-(default 25 µs) it asks the policy for the current PIM offloading
-fraction, splits the epoch's remaining atomics between host execution and
-PIM packets, computes the served share from the HMC flow model's
-bottleneck analysis, integrates the thermal RC network with the interval's
-traffic-driven power, updates the temperature phase (DRAM derating), and
-delivers thermal warnings to the policy — closing CoolPIM's feedback loop
-(Fig. 6).
+(25 µs, :data:`~repro.thermal.operators.CONTROL_DT_S`) it asks the policy
+for the current PIM offloading fraction, splits the epoch's remaining
+atomics between host execution and PIM packets, computes the served share
+from the HMC flow model's bottleneck analysis, integrates the thermal RC
+network with the interval's traffic-driven power, updates the temperature
+phase (DRAM derating), and delivers thermal warnings to the policy —
+closing CoolPIM's feedback loop (Fig. 6).
 
 Timescales follow the paper: DRAM phases derate service by 20 % per phase
 above 85 °C, the sensor samples at 100 µs, Tthrottle/Tthermal delays live
@@ -226,7 +226,7 @@ class SteppedEngine:
         # last run's numbers are always current.
         scope = sim.stats.scoped("sim")
         self.dt_hist = scope.histogram(
-            "control_dt_ns", linear_bounds(0.0, sim.control_dt_s * 1e9 * 1.01, 64)
+            "control_dt_ns", linear_bounds(0.0, CONTROL_DT_S * 1e9 * 1.01, 64)
         )
         self.dt_hist.reset()
         self.frac_tw = scope.time_weighted("pim_fraction")
@@ -385,7 +385,8 @@ class SteppedEngine:
         package energy, the post-step fluid state and ledgers — where
         ``rec`` is the served traffic ``(dt_ns, reads, writes,
         host_atomics, pim_ops, pim_ops_ret, host_raw, link_bytes,
-        data_bytes, ext_gbs, int_gbs, pim_rate)``.
+        data_bytes, ext_gbs, int_gbs, pim_rate)``; its ``writes`` include
+        the PEI writebacks of the served offloaded ops.
 
         Demand, service time, traffic rates and power come from the
         component models; only the served share, the ledger clamp and the
@@ -398,9 +399,10 @@ class SteppedEngine:
          link_gbs, dram_gbs, fu_cap, energy_scale) = key
         sim = self.sim
         atomics_dem = max(0, int(round(atomics)))
+        writes_dem = max(0, int(round(writes)))
         demand = sim.cache.demand(MemoryTraffic(
             reads=max(0, int(round(reads))),
-            writes=max(0, int(round(writes))),
+            writes=writes_dem,
             atomics=atomics_dem,
             atomics_with_return=min(
                 int(round(atomics_ret)), int(round(atomics))
@@ -416,10 +418,12 @@ class SteppedEngine:
         t_atm_ns = demand.host_atomics / sim.gpu.host_atomic_ops_per_ns
         t_total_ns = max(t_mem_ns, t_cmp_ns, t_atm_ns, 1.0)
 
-        dt_ns = min(sim.control_dt_s * 1e9, t_total_ns)
+        dt_ns = min(CONTROL_DT_S * 1e9, t_total_ns)
         share = dt_ns / t_total_ns
         served_reads = min(int(round(demand.reads * share)), rem_reads)
-        served_writes = min(int(round(demand.writes * share)), rem_writes)
+        # Plain writes only: PEI writebacks (in ``demand.writes``) follow
+        # the offloaded ops served below, not the writes ledger.
+        served_writes = min(int(round(writes_dem * share)), rem_writes)
         served_host = int(round(demand.host_atomics * share))
         served_pim = int(round(demand.pim_ops * share))
         served_pim_ret = int(round(demand.pim_ops_ret * share))
@@ -450,7 +454,9 @@ class SteppedEngine:
             ))
         served = TrafficDemand(
             reads=served_reads,
-            writes=served_writes,
+            writes=served_writes + sim.cache.writebacks(
+                served_pim + served_pim_ret
+            ),
             host_atomics=served_host,
             pim_ops=served_pim,
             pim_ops_ret=served_pim_ret,
@@ -471,7 +477,7 @@ class SteppedEngine:
             compute_cycles * keep,
             rem_reads - served_reads, rem_writes - served_writes,
             rem_atomics - (served_pim + served_pim_ret + host_raw),
-            (dt_ns, served_reads, served_writes, served_host, served_pim,
+            (dt_ns, served_reads, served.writes, served_host, served_pim,
              served_pim_ret, host_raw, served.link_bytes(),
              served.external_data_bytes(), ext_gbs, int_gbs, pim_rate),
         )
@@ -517,13 +523,11 @@ class SteppedEngine:
             )
             self.thermal_debt_s += dt_s
             temp_c = sim.thermal.peak_dram_c()
-            while self.thermal_debt_s >= sim.control_dt_s:
+            while self.thermal_debt_s >= CONTROL_DT_S:
                 temp_c = sim.thermal.step(
-                    traffic_point,
-                    sim.control_dt_s,
-                    dram_energy_scale=energy_scale,
+                    traffic_point, dram_energy_scale=energy_scale
                 )
-                self.thermal_debt_s -= sim.control_dt_s
+                self.thermal_debt_s -= CONTROL_DT_S
                 self.thermal_solver_steps += 1
             self.peak_temp = max(self.peak_temp, temp_c)
             phase = flow.update_phase(temp_c)
@@ -623,15 +627,12 @@ class SystemSimulator:
         flow: Optional[HmcFlowModel] = None,
         thermal: Optional[HmcThermalModel] = None,
         sensor: Optional[ThermalSensor] = None,
-        control_dt_s: float = CONTROL_DT_S,
         timeline_dt_s: float = 250e-6,
         warm_start: Optional[TrafficPoint] = None,
         saturation_threads: int = 1500,
         engine: str = "macro",
         scenario=None,
     ) -> None:
-        if control_dt_s <= 0:
-            raise ValueError(f"control quantum must be positive: {control_dt_s}")
         if engine not in ("macro", "stepped"):
             raise ValueError(
                 f"engine must be 'macro' or 'stepped', got {engine!r}"
@@ -647,7 +648,6 @@ class SystemSimulator:
         self.thermal = thermal or HmcThermalModel(hmc_config)
         self.sensor = sensor or ThermalSensor()
         self.sm = SmArray(gpu)
-        self.control_dt_s = control_dt_s
         self.timeline_dt_s = timeline_dt_s
         #: Concurrent memory streams needed to saturate the memory system
         #: (peak bandwidth x memory latency / line size ~ 1500 in-flight

@@ -13,32 +13,31 @@ of the system needs:
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
 from repro.hmc.config import HMC_2_0, HmcConfig
 from repro.obs.tracer import get_tracer
 from repro.thermal.cooling import COMMODITY_SERVER, CoolingSolution
-from repro.thermal.floorplan import Floorplan
 from repro.thermal.operators import CONTROL_DT_S, get_operators, get_propagator
 from repro.thermal.propagator import ReducedPropagator
 from repro.thermal.power import PowerModel, TrafficPoint
-from repro.thermal.rc_network import DEFAULT_INTERFACE_SCALE, RcNetwork, build_network
-from repro.thermal.solver import SteadySolver, TransientSolver
-from repro.thermal.stack import StackSpec, build_stack
+from repro.thermal.rc_network import DEFAULT_INTERFACE_SCALE, RcNetwork
+from repro.thermal.solver import TransientSolver
+from repro.thermal.stack import StackSpec
 
 
 class HmcThermalModel:
     """Compact thermal model of one HMC package under a cooling solution.
 
-    By default the expensive operators (assembled RC network, steady LU,
-    per-dt step LUs) come from the process-level cache in
-    :mod:`repro.thermal.operators`, so the dozens of models a sweep
-    constructs share one assembly and factorization per package/cooling
-    combination. Transient state is always per-instance. Pass
-    ``share_operators=False`` to build private copies (e.g. when mutating
-    network matrices in calibration studies).
+    The expensive operators (assembled RC network, steady LU, the step LU
+    of the control quantum, power bases and reduced propagators) come from
+    the process-level cache in :mod:`repro.thermal.operators`, so the
+    dozens of models a sweep constructs share one assembly and
+    factorization per package/cooling combination. Transient state is
+    per-instance; it advances by :data:`~repro.thermal.operators.CONTROL_DT_S`
+    per step.
     """
 
     def __init__(
@@ -49,94 +48,75 @@ class HmcThermalModel:
         sub: int = 2,
         power_model: Optional[PowerModel] = None,
         interface_scale: float = DEFAULT_INTERFACE_SCALE,
-        share_operators: bool = True,
     ) -> None:
         self.config = config
         self.cooling = cooling
         self.ambient_c = ambient_c
         self.power = power_model or PowerModel(config)
-        if share_operators:
-            ops = get_operators(
-                config, cooling, sub=sub,
-                interface_scale=interface_scale, ambient_c=ambient_c,
-            )
-            self.stack: StackSpec = ops.stack
-            self.floorplan = ops.floorplan
-            self.network: RcNetwork = ops.network
-            self._steady = ops.steady
-            self._transient = TransientSolver(
-                self.network, ambient_c=ambient_c, lu_cache=ops.step_lus
-            )
-        else:
-            self.stack = build_stack(config)
-            self.floorplan = Floorplan.for_config(config, sub=sub)
-            self.network = build_network(
-                self.stack,
-                self.floorplan,
-                sink_resistance_c_w=cooling.thermal_resistance_c_w,
-                interface_scale=interface_scale,
-            )
-            self._steady = SteadySolver(self.network, ambient_c=ambient_c)
-            self._transient = TransientSolver(self.network, ambient_c=ambient_c)
-            ops = None
-        self._shared_ops = ops
-        self._private_propagators: Dict[tuple, ReducedPropagator] = {}
+        ops = get_operators(
+            config, cooling, sub=sub,
+            interface_scale=interface_scale, ambient_c=ambient_c,
+        )
+        self._ops = ops
+        self.stack: StackSpec = ops.stack
+        self.floorplan = ops.floorplan
+        self.network: RcNetwork = ops.network
+        self._steady = ops.steady
+        self._transient = TransientSolver(
+            self.network, CONTROL_DT_S, ambient_c=ambient_c, lu=ops.step_lu
+        )
+        self._basis_vecs: Optional[Tuple[np.ndarray, ...]] = None
         self._last_T: Optional[np.ndarray] = None
 
     # -- power plumbing ---------------------------------------------------------
 
-    def _basis(
-        self,
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    def _basis(self) -> Tuple[np.ndarray, ...]:
         """Cached linear power basis for uniform vault weights.
 
         Node power is linear in (external GB/s, internal GB/s, PIM rate):
         ``P = Plogic0 + s·Pdram0 + ext·Vext + s·int·Vint + s·pim·Vpim``
         where ``s`` is the hot-phase DRAM energy scale — the per-step
-        power-map assembly reduces to a few AXPYs. The DRAM-affected
-        components (static DRAM, internal traffic, PIM ops — the latter
-        dominated by DRAM activation energy) carry the scale; logic static
-        and SerDes switching do not.
+        power-map assembly reduces to a few AXPYs. The basis is a pure
+        function of the power-model constants and the shared
+        floorplan/network, so models over the same operators (sweep
+        systems) reuse one assembly from the bundle's memo.
         """
-        if not hasattr(self, "_basis_cache"):
-            # The basis is a pure function of the power-model constants
-            # and the shared floorplan/network, so instances over the
-            # same operators (sweep systems) reuse one assembly instead
-            # of re-running the per-vault map walks.
-            if self._shared_ops is not None:
-                shared = getattr(self._shared_ops, "_basis_cache", None)
-                if shared is None:
-                    shared = self._shared_ops._basis_cache = {}
-                key = self._power_fingerprint()
-                hit = shared.get(key)
-                if hit is not None:
-                    self._basis_cache = hit
-                    return hit
-            from dataclasses import replace as _replace
+        if self._basis_vecs is None:
+            key = self._power_fingerprint()
+            basis = self._ops.bases.get(key)
+            if basis is None:
+                basis = self._ops.bases[key] = self._build_basis()
+            self._basis_vecs = basis
+        return self._basis_vecs
 
-            def vec(pm: PowerModel, t: TrafficPoint) -> np.ndarray:
-                maps = pm.layer_power_maps(self.floorplan, t)
-                return self.network.power_vector(maps)
+    def _build_basis(self) -> Tuple[np.ndarray, ...]:
+        """Assemble ``(p0_logic, p0_dram, v_ext, v_int, v_pim)``.
 
-            pm = self.power
-            pm_dram_only = PowerModel(
-                pm.config,
-                dram_energy_per_bit=pm.dram_energy_per_bit,
-                logic_energy_per_bit=pm.logic_energy_per_bit,
-                fu_energy_per_bit=pm.fu_energy_per_bit,
-                static_logic_w=0.0,
-                static_dram_total_w=pm.static_dram_total_w,
-            )
-            p0 = vec(pm, TrafficPoint.idle())
-            p0_dram = vec(pm_dram_only, TrafficPoint.idle())
-            p0_logic = p0 - p0_dram
-            v_ext = vec(pm, TrafficPoint(external_gbs=1.0)) - p0
-            v_int = vec(pm, TrafficPoint(internal_dram_gbs=1.0)) - p0
-            v_pim = vec(pm, TrafficPoint(pim_rate_ops_ns=1.0)) - p0
-            self._basis_cache = (p0_logic, p0_dram, v_ext, v_int, v_pim)
-            if self._shared_ops is not None:
-                shared[key] = self._basis_cache
-        return self._basis_cache
+        The DRAM-affected components (static DRAM, internal traffic, PIM
+        ops — the latter dominated by DRAM activation energy) carry the
+        energy scale; logic static and SerDes switching do not.
+        """
+
+        def vec(pm: PowerModel, t: TrafficPoint) -> np.ndarray:
+            maps = pm.layer_power_maps(self.floorplan, t)
+            return self.network.power_vector(maps)
+
+        pm = self.power
+        pm_dram_only = PowerModel(
+            pm.config,
+            dram_energy_per_bit=pm.dram_energy_per_bit,
+            logic_energy_per_bit=pm.logic_energy_per_bit,
+            fu_energy_per_bit=pm.fu_energy_per_bit,
+            static_logic_w=0.0,
+            static_dram_total_w=pm.static_dram_total_w,
+        )
+        p0 = vec(pm, TrafficPoint.idle())
+        p0_dram = vec(pm_dram_only, TrafficPoint.idle())
+        p0_logic = p0 - p0_dram
+        v_ext = vec(pm, TrafficPoint(external_gbs=1.0)) - p0
+        v_int = vec(pm, TrafficPoint(internal_dram_gbs=1.0)) - p0
+        v_pim = vec(pm, TrafficPoint(pim_rate_ops_ns=1.0)) - p0
+        return (p0_logic, p0_dram, v_ext, v_int, v_pim)
 
     def _power_vector(
         self,
@@ -248,45 +228,16 @@ class HmcThermalModel:
         """Initialize the transient state at the steady point of ``traffic``."""
         self._transient.set_state(self.steady_state(traffic))
 
-    def step(
-        self,
-        traffic: TrafficPoint,
-        dt_s: float,
-        vault_weights: Optional[np.ndarray] = None,
-        dram_energy_scale: float = 1.0,
-    ) -> float:
-        """Advance the transient by ``dt_s``; returns peak DRAM temp (°C).
+    def step(self, traffic: TrafficPoint, dram_energy_scale: float = 1.0) -> float:
+        """Advance the transient by one control quantum; returns peak DRAM
+        temp (°C).
 
         ``dram_energy_scale`` applies the hot-phase energy penalty
         (doubled refresh + leakage above 85 °C, see
         :meth:`repro.hmc.dram_timing.TemperaturePhasePolicy.dram_energy_scale`).
         """
-        P = self._power_vector(traffic, vault_weights, dram_energy_scale)
-        T = self._transient.step(P, dt_s)
-        self._last_T = T
-        names = [f"dram{i}" for i in range(self.config.num_dram_dies)]
-        return self._peak_over_layers(T, names)
-
-    def settle(
-        self,
-        traffic: TrafficPoint,
-        dt_s: float = CONTROL_DT_S,
-        tol_c: float = 1e-4,
-        vault_weights: Optional[np.ndarray] = None,
-        dram_energy_scale: float = 1.0,
-    ) -> float:
-        """Integrate at constant traffic until the transient settles.
-
-        Runs the batched constant-power fast path
-        (:meth:`TransientSolver.run_to_steady`) instead of stepping the
-        control loop; returns the settled peak DRAM temperature (°C).
-        """
-        P = self._power_vector(traffic, vault_weights, dram_energy_scale)
-        with get_tracer().span(
-            "thermal.settle", cat="thermal", dt_s=dt_s, tol_c=tol_c
-        ) as span:
-            T, steps = self._transient.run_to_steady(P, dt_s, tol_c=tol_c)
-            span.set(steps=steps)
+        P = self._power_vector(traffic, dram_energy_scale=dram_energy_scale)
+        T = self._transient.step(P)
         self._last_T = T
         names = [f"dram{i}" for i in range(self.config.num_dram_dies)]
         return self._peak_over_layers(T, names)
@@ -316,34 +267,19 @@ class HmcThermalModel:
             pm.fu_energy_per_bit, pm.static_logic_w, pm.static_dram_total_w,
         )
 
-    def propagator(self, dt_s: float) -> ReducedPropagator:
-        """Reduced K-step propagator for ``dt_s`` (see
-        :mod:`repro.thermal.propagator`).
+    def propagator(self) -> ReducedPropagator:
+        """Reduced K-step propagator of the control quantum (see
+        :mod:`repro.thermal.propagator`), shared through the operator
+        bundle.
 
         Forcing-basis columns are ordered ``(p0_logic, p0_dram, v_ext,
         v_int, v_pim, B)``, so a step's coefficient vector under energy
         scale ``s`` and ambient ``T_amb`` is
         ``(1, s, ext_gbs, s·int_gbs, s·pim_rate, T_amb)`` — matching
-        :meth:`_power_vector` plus the boundary term. Cached on the shared
-        operator bundle when available, else per-model.
+        :meth:`_power_vector` plus the boundary term.
         """
         inputs = np.column_stack([*self._basis(), self.network.B])
-        fingerprint = self._power_fingerprint()
-        if self._shared_ops is not None:
-            return get_propagator(self._shared_ops, dt_s, inputs, fingerprint)
-        key = (float(dt_s), fingerprint)
-        prop = self._private_propagators.get(key)
-        if prop is None:
-            net = self.network
-            dram_index = np.concatenate([
-                np.arange(net.num_nodes)[net.layer_slice(net.layer_index[f"dram{i}"])]
-                for i in range(self.config.num_dram_dies)
-            ])
-            prop = ReducedPropagator(
-                net, self._transient._lus.get(dt_s), dt_s, inputs, dram_index
-            )
-            self._private_propagators[key] = prop
-        return prop
+        return get_propagator(self._ops, inputs, self._power_fingerprint())
 
     # -- maps ---------------------------------------------------------------------
 

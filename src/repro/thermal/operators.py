@@ -6,13 +6,14 @@ instances whose expensive pieces — the assembled RC network and the sparse
 LU factorizations — depend only on ``(config, cooling, sub,
 interface_scale, ambient, board_resistance)``. This module memoizes those
 pieces per process so every model over the same physical package reuses
-one assembly, one steady-state factorization, and one bounded per-dt step
-factorization cache.
+one assembly, one steady-state factorization, and one step factorization
+for the control quantum :data:`CONTROL_DT_S`, the only step size of the
+thermal transient.
 
 Sharing is safe because all shared state is immutable after construction:
 the network matrices are never mutated, :class:`SteadySolver` is stateless
-after its LU, and :class:`StepLuCache` only ever *adds* factorizations.
-Mutable integration state (``TransientSolver.T``) stays per-model.
+after its LU, and the step LU, power bases and propagators are only ever
+*added*. Mutable integration state (``TransientSolver.T``) stays per-model.
 
 The job service forks its pool workers (where the platform allows), so
 operators warmed in the parent — see :func:`prewarm` and the scheduler's
@@ -23,9 +24,10 @@ spawn start method each worker warms its own cache on first use.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
+import scipy.sparse.linalg as spla
 
 from repro.hmc.config import HmcConfig
 from repro.obs.tracer import get_tracer
@@ -38,13 +40,13 @@ from repro.thermal.rc_network import (
     build_network,
 )
 from repro.thermal.propagator import ReducedPropagator
-from repro.thermal.solver import StepLuCache, SteadySolver, _dt_key
+from repro.thermal.solver import SteadySolver, factorize_step
 from repro.thermal.stack import StackSpec, build_stack
 
 #: Control quantum (s) of both co-simulators (the fluid
 #: :class:`~repro.gpu.simulator.SystemSimulator` and the transaction-level
-#: :class:`~repro.gpu.detailed.DetailedSimulator`): every thermal step of a
-#: run advances by it, so one cached step LU serves the whole run.
+#: :class:`~repro.gpu.detailed.DetailedSimulator`), and the step size of
+#: every thermal transient: one step LU per bundle serves every run.
 CONTROL_DT_S = 25e-6
 
 #: (config, cooling, sub, interface_scale, ambient, board_resistance).
@@ -58,30 +60,39 @@ class ThermalOperators:
     """Operator bundle for one package.
 
     Immutable after construction except for the additive caches: the step
-    LUs and the reduced propagators only ever gain entries (and a
-    propagator only ever *extends* its basis), which is the same sharing
-    contract :class:`StepLuCache` already relies on.
+    LU (built once, on first transient use, so steady-only bundles never
+    pay for it), the power bases and the reduced propagators only ever
+    gain entries (and a propagator only ever *extends* its basis).
     """
 
     stack: StackSpec
     floorplan: Floorplan
     network: RcNetwork
     steady: SteadySolver
-    step_lus: StepLuCache
-    #: Reduced K-step propagators keyed by (quantized dt, power
-    #: fingerprint) — see :func:`get_propagator`. Ambient is not in the
-    #: key: it is part of the bundle's own key, and enters a march only
-    #: as a forcing coefficient.
+    #: Power bases keyed by power fingerprint (see
+    #: ``HmcThermalModel._basis``).
+    bases: Dict[Tuple, Tuple[np.ndarray, ...]] = field(default_factory=dict)
+    #: Reduced K-step propagators keyed by power fingerprint — see
+    #: :func:`get_propagator`. Ambient is not in the key: it is part of
+    #: the bundle's own key, and enters a march only as a forcing
+    #: coefficient.
     propagators: Dict[Tuple, ReducedPropagator] = field(default_factory=dict)
+    _step_lu: Optional[spla.SuperLU] = field(default=None, repr=False)
+
+    def step_lu(self) -> spla.SuperLU:
+        """The implicit-Euler factorization for :data:`CONTROL_DT_S`."""
+        if self._step_lu is None:
+            self._step_lu = factorize_step(self.network, CONTROL_DT_S)
+        return self._step_lu
 
 
 def get_propagator(
     ops: ThermalOperators,
-    dt_s: float,
     inputs: np.ndarray,
     fingerprint: Tuple,
 ) -> ReducedPropagator:
-    """Memoized :class:`ReducedPropagator` for one (bundle, dt, basis).
+    """Memoized :class:`ReducedPropagator` of the control quantum for one
+    (bundle, basis).
 
     ``inputs`` are the forcing basis columns (the thermal model's power
     basis plus the ambient boundary vector); ``fingerprint`` must identify
@@ -89,8 +100,7 @@ def get_propagator(
     ``HmcThermalModel._power_fingerprint``) so models with altered
     calibration don't share a basis built for different vectors.
     """
-    key = (_dt_key(dt_s), fingerprint)
-    prop = ops.propagators.get(key)
+    prop = ops.propagators.get(fingerprint)
     if prop is None:
         net = ops.network
         dram_index = np.concatenate([
@@ -99,9 +109,9 @@ def get_propagator(
             if name.startswith("dram")
         ])
         prop = ReducedPropagator(
-            net, ops.step_lus.get(dt_s), dt_s, inputs, dram_index
+            net, ops.step_lu(), CONTROL_DT_S, inputs, dram_index
         )
-        ops.propagators[key] = prop
+        ops.propagators[fingerprint] = prop
     return prop
 
 
@@ -151,42 +161,34 @@ def get_operators(
             floorplan=floorplan,
             network=network,
             steady=SteadySolver(network, ambient_c=ambient_c),
-            step_lus=StepLuCache(network),
         )
     _CACHE[key] = ops
     return ops
 
 
-def prewarm(
-    config: HmcConfig,
-    cooling: CoolingSolution,
-    control_dt_s: float = CONTROL_DT_S,
-    **kwargs,
-) -> ThermalOperators:
+def prewarm(config: HmcConfig, cooling: CoolingSolution, **kwargs) -> ThermalOperators:
     """Build operators ahead of use, including the control-quantum step LU.
 
     Called in the job-service parent before the pool forks (and per worker
     as the pool initializer) so simulation jobs start with a hot cache.
     """
     ops = get_operators(config, cooling, **kwargs)
-    ops.step_lus.get(control_dt_s)
+    ops.step_lu()
     return ops
 
 
 def cache_stats() -> Dict[str, int]:
     """Process-level cache counters (diagnostics and tests).
 
-    Includes aggregates over the per-bundle step-LU caches, so a metrics
-    snapshot shows both operator reuse (one assembly per package) and
-    step-factorization reuse (one LU per distinct dt).
+    ``step_lus`` counts the bundles whose step LU has been factorized, so
+    a metrics snapshot shows both operator reuse (one assembly per
+    package) and step-factorization reuse (at most one LU per package).
     """
     return {
         "entries": len(_CACHE),
         "hits": _HITS,
         "misses": _MISSES,
-        "step_lu_entries": sum(len(ops.step_lus) for ops in _CACHE.values()),
-        "step_lu_hits": sum(ops.step_lus.hits for ops in _CACHE.values()),
-        "step_lu_misses": sum(ops.step_lus.misses for ops in _CACHE.values()),
+        "step_lus": sum(ops._step_lu is not None for ops in _CACHE.values()),
         "propagators": sum(len(ops.propagators) for ops in _CACHE.values()),
         "propagator_extensions": sum(
             p.extensions for ops in _CACHE.values()

@@ -8,14 +8,11 @@ stiff system:
 
 Both matrices, ``G`` and ``C/dt + G``, are exactly symmetric and
 diagonally dominant; both are factorized with SuperLU's symmetric path
-(:data:`SPLU_OPTIONS`). Step factorizations are cached per ``dt`` in a
-bounded, quantized-key :class:`StepLuCache`, so fixed-step co-simulation
-pays one LU per run and adaptive stepping cannot leak a factorization per
-distinct float ``dt``.
-The cache object can be shared between solvers over the same network
-(see :mod:`repro.thermal.operators`). The steady solver keeps its last
-few solutions, so every run's warm start from the same operating point
-costs one solve per solver.
+(:data:`SPLU_OPTIONS`). A :class:`TransientSolver` has one step size, so
+it needs one step LU; solvers over the same package share the operator
+bundle's (see :mod:`repro.thermal.operators`). The steady solver keeps
+its last few solutions, so every run's warm start from the same operating
+point costs one solve per solver.
 """
 
 from __future__ import annotations
@@ -23,7 +20,7 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from types import MappingProxyType
-from typing import Optional, Tuple
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -44,67 +41,18 @@ SPLU_OPTIONS = MappingProxyType({
     "options": MappingProxyType({"SymmetricMode": True}),
 })
 
-#: Default bound on cached step factorizations per solver/cache.
-DEFAULT_MAX_STEP_LUS = 8
-
 #: Steady solutions a :class:`SteadySolver` keeps, least recently used
 #: evicted first (~20 KB each on the HMC 2.0 network).
 STEADY_MEMO_ENTRIES = 8
 
-#: Significant digits kept when keying LUs by dt: a key is within 5e-9
-#: (relative) of every step size it serves, so steps that share a
-#: factorization differ by under 1e-8 (far below any physical difference).
-_DT_KEY_DIGITS = 9
 
-
-def _dt_key(dt_s: float) -> float:
-    """Quantize ``dt`` to a cache key with bounded relative precision."""
-    return float(f"{dt_s:.{_DT_KEY_DIGITS}g}")
-
-
-class StepLuCache:
-    """Bounded LRU cache of implicit-Euler step factorizations.
-
-    Keys are :func:`_dt_key`-quantized step sizes; values are SuperLU
-    factorizations of ``C/dt + G``. Bounded so adaptive-stepping callers
-    that sweep many distinct ``dt`` values recycle the oldest entries
-    instead of leaking a full factorization each.
-
-    The factorization also depends on :data:`SPLU_OPTIONS`, which is not
-    in the key: it is a module constant, not a per-call setting, so every
-    entry of every cache in a process is factorized with the same options.
-    """
-
-    def __init__(self, network: RcNetwork, max_entries: int = DEFAULT_MAX_STEP_LUS):
-        if max_entries <= 0:
-            raise ValueError(f"max_entries must be positive: {max_entries}")
-        self.network = network
-        self.max_entries = max_entries
-        self._lus: "OrderedDict[float, spla.SuperLU]" = OrderedDict()
-        self.hits = 0
-        self.misses = 0
-
-    def __len__(self) -> int:
-        return len(self._lus)
-
-    def get(self, dt_s: float) -> spla.SuperLU:
-        key = _dt_key(dt_s)
-        lu = self._lus.get(key)
-        if lu is not None:
-            self.hits += 1
-            self._lus.move_to_end(key)
-            return lu
-        self.misses += 1
-        net = self.network
-        with get_tracer().span(
-            "thermal.lu_factorize", cat="thermal", dt_s=key, nodes=net.num_nodes
-        ):
-            A = sp.csc_matrix(sp.diags(net.C / key) + net.G)
-            lu = spla.splu(A, **SPLU_OPTIONS)
-        self._lus[key] = lu
-        while len(self._lus) > self.max_entries:
-            self._lus.popitem(last=False)
-        return lu
+def factorize_step(network: RcNetwork, dt_s: float) -> spla.SuperLU:
+    """SuperLU factorization of the implicit-Euler step matrix ``C/dt + G``."""
+    with get_tracer().span(
+        "thermal.lu_factorize", cat="thermal", dt_s=dt_s, nodes=network.num_nodes
+    ):
+        A = sp.csc_matrix(sp.diags(network.C / dt_s) + network.G)
+        return spla.splu(A, **SPLU_OPTIONS)
 
 
 class SteadySolver:
@@ -149,120 +97,44 @@ class SteadySolver:
 
 
 class TransientSolver:
-    """Implicit-Euler transient integrator with a bounded per-dt LU cache.
+    """Implicit-Euler integrator with one fixed step size.
 
-    ``lu_cache`` may be a shared :class:`StepLuCache` (must wrap the same
-    network); the solver's own state (``T``) is never shared.
+    The step LU is built on the first :meth:`step`, unless ``lu`` supplies
+    it: a zero-argument callable returning a factorization of ``C/dt + G``
+    for this network and ``dt_s`` (the operator bundle's shared, lazily
+    built LU). The solver's own state (``T``) is never shared.
     """
 
     def __init__(
         self,
         network: RcNetwork,
+        dt_s: float,
         ambient_c: float = 25.0,
         initial_c: Optional[float] = None,
-        lu_cache: Optional[StepLuCache] = None,
+        lu: Optional[Callable[[], spla.SuperLU]] = None,
     ) -> None:
-        if lu_cache is not None and lu_cache.network is not network:
-            raise ValueError("shared lu_cache wraps a different network")
+        if dt_s <= 0:
+            raise ValueError(f"dt must be positive: {dt_s}")
         self.network = network
+        self.dt_s = dt_s
         self.ambient_c = ambient_c
         self.T = np.full(network.num_nodes, ambient_c if initial_c is None else initial_c)
-        self._lus = lu_cache if lu_cache is not None else StepLuCache(network)
+        self._lu_source = lu or (lambda: factorize_step(network, dt_s))
+        self._lu: Optional[spla.SuperLU] = None
 
     def set_state(self, T: np.ndarray) -> None:
         if T.shape != self.T.shape:
             raise ValueError(f"T has shape {T.shape}, expected {self.T.shape}")
         self.T = T.copy()
 
-    def _lu_for(self, dt_s: float) -> spla.SuperLU:
-        return self._lus.get(dt_s)
-
-    def _check(self, P: np.ndarray, dt_s: float) -> None:
-        if dt_s <= 0:
-            raise ValueError(f"dt must be positive: {dt_s}")
-        if P.shape != (self.network.num_nodes,):
-            raise ValueError(
-                f"P has shape {P.shape}, expected ({self.network.num_nodes},)"
-            )
-
-    def step(self, P: np.ndarray, dt_s: float) -> np.ndarray:
+    def step(self, P: np.ndarray) -> np.ndarray:
         """Advance one implicit-Euler step of ``dt_s`` seconds."""
-        self._check(P, dt_s)
         net = self.network
-        lu = self._lu_for(dt_s)
-        rhs = net.C / dt_s * self.T + P + net.B * self.ambient_c
+        if P.shape != (net.num_nodes,):
+            raise ValueError(f"P has shape {P.shape}, expected ({net.num_nodes},)")
+        lu = self._lu
+        if lu is None:
+            lu = self._lu = self._lu_source()
+        rhs = net.C / self.dt_s * self.T + P + net.B * self.ambient_c
         self.T = lu.solve(rhs)
         return self.T
-
-    def _integrate(
-        self,
-        P: np.ndarray,
-        dt_s: float,
-        max_steps: int,
-        tol_c: Optional[float] = None,
-    ) -> Tuple[np.ndarray, int]:
-        """Shared constant-power integration loop.
-
-        Validation, the LU lookup, ``C/dt`` and the T-independent RHS
-        terms are hoisted out of the loop, so each step is one AXPY plus
-        one triangular solve. Returns ``(T, steps_taken)``; with ``tol_c``
-        set, stops early once the per-step update falls below it.
-        """
-        self._check(P, dt_s)
-        net = self.network
-        lu = self._lu_for(dt_s)
-        c_over_dt = net.C / dt_s
-        base_rhs = P + net.B * self.ambient_c
-        T = self.T
-        taken = 0
-        with get_tracer().span(
-            "thermal.integrate", cat="thermal", dt_s=dt_s, max_steps=max_steps
-        ) as span:
-            for _ in range(max_steps):
-                T_next = lu.solve(c_over_dt * T + base_rhs)
-                taken += 1
-                converged = (
-                    tol_c is not None and float(np.max(np.abs(T_next - T))) < tol_c
-                )
-                T = T_next
-                if converged:
-                    break
-            span.set(steps=taken)
-        self.T = T
-        return T, taken
-
-    def run(self, P: np.ndarray, duration_s: float, dt_s: float) -> np.ndarray:
-        """Integrate a constant power vector for ``duration_s``."""
-        steps = int(round(duration_s / dt_s))
-        if steps <= 0:
-            return self.T
-        T, _ = self._integrate(P, dt_s, steps)
-        return T
-
-    def run_to_steady(
-        self,
-        P: np.ndarray,
-        dt_s: float,
-        tol_c: float = 1e-4,
-        max_steps: int = 100_000,
-    ) -> Tuple[np.ndarray, int]:
-        """Integrate constant power until the transient settles.
-
-        Steps until the largest per-step temperature change drops below
-        ``tol_c`` (°C) or ``max_steps`` elapse; returns ``(T, steps)``.
-        Feedback-loop experiments use this to reach a thermal operating
-        point without paying per-step Python overhead or guessing a
-        duration.
-        """
-        if tol_c <= 0:
-            raise ValueError(f"tol_c must be positive: {tol_c}")
-        return self._integrate(P, dt_s, max_steps, tol_c=tol_c)
-
-    def dominant_time_constant_s(self) -> float:
-        """Estimate of the slowest thermal time constant (diagnostic).
-
-        Uses the ratio of total capacitance to total boundary conductance —
-        an upper bound on the settling timescale of the package.
-        """
-        net = self.network
-        return float(net.C.sum() / net.B.sum())

@@ -15,7 +15,7 @@ import pytest
 from repro.api import ApiClient, ApiClientError, ApiService, start_server_thread
 from repro.api.fairness import FairQueue, TenantPolicy
 from repro.service.journal import JobJournal
-from repro.service.jobs import register_handler
+from repro.service.jobs import JobSpec, register_handler
 from repro.service.store import ResultStore
 from repro.telemetry import parse_exposition, render_exposition
 from repro.telemetry.registry import TelemetryRegistry, set_registry
@@ -365,10 +365,11 @@ class TestShutdownDrain:
             assert follower["coalesced_into"] == leader["run_id"]
             threading.Timer(0.3, _GATE.set).start()
             handle.stop()
+            counts = service.stats()["counters"]
         finally:
             set_registry(previous)
             journal.close()
-        assert service.counters["drained"] == 2
+        assert counts["drained"] == 2
         drained = [
             value
             for name, labels, value in parse_exposition(
@@ -378,3 +379,130 @@ class TestShutdownDrain:
             and labels.get("status") == "drained"
         ]
         assert drained == [2.0]
+
+    def test_stats_read_the_api_series(self, tmp_path):
+        """``stats()`` and the ``api_stop`` record report the
+        ``repro_api_*`` series: one source for every count."""
+        _CALLS.clear()
+        _GATE.clear()
+        registry = TelemetryRegistry()
+        previous = set_registry(registry)
+        journal_path = tmp_path / "drain.jsonl"
+        journal = JobJournal(journal_path)
+        try:
+            service = ApiService(
+                store=ResultStore(tmp_path / "cache"),
+                journal=journal,
+                queue=FairQueue(default_policy=TenantPolicy(max_queued=2)),
+                workers=1,
+                allow_kinds=("apitest",),
+            )
+            handle = start_server_thread(service)
+            client = ApiClient(handle.host, handle.port)
+            submit_and_wait(client, kind="apitest", params={"value": 1})
+            assert client.submit_run(kind="apitest",
+                                     params={"value": 1})["cached"]
+            running = client.submit_run(kind="apitest", params={"gate": True})
+            wait_until_running(client, running["run_id"])
+            leader = client.submit_run(kind="apitest", params={"value": 7})
+            follower = client.submit_run(kind="apitest", params={"value": 7})
+            assert follower["coalesced_into"] == leader["run_id"]
+            client.submit_run(kind="apitest", params={"value": 8})
+            with pytest.raises(ApiClientError) as exc:
+                client.submit_run(kind="apitest", params={"value": 9})
+            assert exc.value.status == 429
+            threading.Timer(0.3, _GATE.set).start()
+            handle.stop()
+            counts = service.stats()["counters"]
+        finally:
+            set_registry(previous)
+            journal.close()
+
+        assert counts == {
+            "submitted": 6, "cache_hits": 1, "coalesced": 1, "rejected": 1,
+            "executed": 2, "completed": 3, "failed": 0, "drained": 3,
+        }
+        samples = parse_exposition(render_exposition(registry))["samples"]
+
+        def series(name, status):
+            return sum(value for n, labels, value in samples
+                       if n == name and labels.get("status") == status)
+
+        requests = "repro_api_requests_total"
+        assert counts["submitted"] == sum(
+            series(requests, s) for s in ("accepted", "cache_hit", "coalesced")
+        )
+        assert counts["cache_hits"] == series(requests, "cache_hit")
+        assert counts["coalesced"] == series(requests, "coalesced")
+        assert counts["rejected"] == series(requests, "rejected")
+        for status in ("completed", "failed", "drained"):
+            assert counts[status] == series("repro_api_runs_total", status)
+        assert counts["executed"] == sum(
+            value for n, _labels, value in samples
+            if n == "repro_api_run_seconds_count"
+        )
+        stop = [e for e in JobJournal.read(journal_path)
+                if e["event"] == "api_stop"]
+        assert [(e["completed"], e["failed"], e["drained"]) for e in stop] \
+            == [(3, 0, 3)]
+
+    def test_drained_runs_resubmit_after_restart(self, tmp_path):
+        """Replaying the journal's ``api_drained`` specs on a fresh
+        service over the same store runs each drained job once, under
+        its drained key; a second replay is served from the cache."""
+        _CALLS.clear()
+        _GATE.clear()
+        journal_path = tmp_path / "drain.jsonl"
+        journal = JobJournal(journal_path)
+        service = ApiService(
+            store=ResultStore(tmp_path / "cache"),
+            journal=journal,
+            workers=1,
+            allow_kinds=("apitest",),
+        )
+        handle = start_server_thread(service)
+        client = ApiClient(handle.host, handle.port)
+        running = client.submit_run(kind="apitest", params={"gate": True})
+        wait_until_running(client, running["run_id"])
+        queued = [
+            client.submit_run(kind="apitest", params={"value": value})
+            for value in (3, 4)
+        ]
+        threading.Timer(0.3, _GATE.set).start()
+        handle.stop()
+        journal.close()
+        drained = [e for e in JobJournal.read(journal_path)
+                   if e["event"] == "api_drained"]
+        assert [e["run_id"] for e in drained] == [q["run_id"] for q in queued]
+
+        _CALLS.clear()
+        journal = JobJournal(journal_path)
+        restarted = ApiService(
+            store=ResultStore(tmp_path / "cache"),
+            journal=journal,
+            workers=1,
+            allow_kinds=("apitest",),
+        )
+        handle = start_server_thread(restarted)
+        try:
+            client = ApiClient(handle.host, handle.port)
+
+            async def resubmit(record):
+                return restarted.submit(
+                    JobSpec.from_dict(record["spec"]), record["tenant"]
+                )
+
+            for record in drained:
+                rec = handle.call(resubmit(record))
+                assert rec.key == record["key"]
+                done = client.wait_for_run(rec.id, timeout_s=15.0)
+                assert done["status"] == "completed"
+                assert not done["cached"]
+            assert _CALLS == [record["key"] for record in drained]
+            for record in drained:
+                rec = handle.call(resubmit(record))
+                assert rec.status == "completed" and rec.cached
+            assert len(_CALLS) == len(drained)
+        finally:
+            handle.stop()
+            journal.close()

@@ -16,6 +16,7 @@ from repro.gpu.config import GPU_DEFAULT
 from repro.gpu.simulator import SteppedEngine, SystemSimulator, _EpochState
 from repro.hmc.dram_timing import TemperaturePhase
 from repro.sim.trace import OpBatch
+from repro.thermal.operators import CONTROL_DT_S
 
 
 def make_engine(coherence_mode="bypass", phase=TemperaturePhase.NORMAL,
@@ -48,7 +49,7 @@ def test_ledger_clamp_cuts_host_accounting_first():
     engine = make_engine()
     value = serve(engine, (1e6, 0.0, 1000.0, 0.0, 0.0), (1_000_000, 0, 10))
     dt_ns, rec = value[0], value[-1]
-    assert dt_ns == engine.sim.control_dt_s * 1e9  # not the last quantum
+    assert dt_ns == CONTROL_DT_S * 1e9  # not the last quantum
     s_pim, s_pimr, h_raw = rec[4], rec[5], rec[6]
     assert s_pim + s_pimr + h_raw == 10
     assert h_raw == 0 < s_pim
@@ -61,10 +62,13 @@ def test_final_step_flush_serves_the_ledgers():
     engine = make_engine("writeback", phase=TemperaturePhase.EXTENDED)
     fluid, ledgers = (3.0, 2.0, 2.4, 1.0, 5.0), (5, 3, 4)
     value = serve(engine, fluid, ledgers, threads=0, es=1.2)
-    assert value[0] < engine.sim.control_dt_s * 1e9
+    assert value[0] < CONTROL_DT_S * 1e9
     assert value[3:11] == (0.0,) * 5 + (0, 0, 0)
     rec = value[-1]
-    assert rec[1:3] == (5, 3)
+    # All 3 ledger writes, plus round(2 * 0.3) = 1 PEI writeback for the
+    # 2 offloaded ops.
+    assert rec[4] + rec[5] == 2
+    assert rec[1:3] == (5, 3 + 1)
     # Work conservation: every ledger atomic is offloaded or host-assigned.
     assert rec[4] + rec[5] + rec[6] == 4
     assert value[2] > 0.0  # the interval's package energy
@@ -77,7 +81,7 @@ def test_zero_dram_capacity_serves_nothing():
     fluid, ledgers = (100.0, 50.0, 20.0, 5.0, 10.0), (100, 50, 20)
     # Host execution only: with no vaults the FU pool is empty too.
     value = serve(engine, fluid, ledgers, fraction=0.0)
-    assert value[0] == engine.sim.control_dt_s * 1e9
+    assert value[0] == CONTROL_DT_S * 1e9
     assert value[-1][1:7] == (0, 0, 0, 0, 0, 0)
     assert value[3:11] == (*fluid, *ledgers)
 

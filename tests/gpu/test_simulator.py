@@ -11,6 +11,7 @@ from repro.gpu.caches import CacheModel
 from repro.gpu.config import GPU_DEFAULT
 from repro.gpu.kernel import KernelLaunch
 from repro.gpu.simulator import SystemSimulator
+from repro.hmc.packet import PacketType
 from repro.sim.trace import OpBatch, TraceCursor
 from repro.thermal.power import TrafficPoint
 
@@ -139,7 +140,34 @@ class TestAtomicThroughputCeiling:
         assert ideal.speedup_over(base) > 1.5
 
 
-class TestValidation:
-    def test_control_quantum_positive(self):
-        with pytest.raises(ValueError):
-            SystemSimulator(control_dt_s=0.0)
+class TestPeiWriteback:
+    """PEI coherence: the writebacks of offloaded ops are real traffic,
+    so they reach link bytes, payload bytes and the WRITE64 ledger, not
+    only the service time."""
+
+    @staticmethod
+    def run(engine, mode):
+        sim = SystemSimulator(engine=engine, cache=CacheModel(
+            GPU_DEFAULT, coherence_mode=mode, pei_dirty_fraction=0.5,
+        ))
+        launch = make_launch([OpBatch(reads=0, writes=0, atomics=2_000_000,
+                                      threads=100_000)])
+        res = sim.run(launch, IdealThermal())
+        return res, sim.flow.stats.ledger.transactions[PacketType.WRITE64]
+
+    @pytest.mark.parametrize("engine", ["stepped", "macro"])
+    def test_writebacks_reach_bytes_and_ledger(self, engine):
+        bypass, bypass_writes = self.run(engine, "bypass")
+        wb, wb_writes = self.run(engine, "writeback")
+        assert bypass_writes == 0
+        # About one writeback per two offloaded ops (dirty fraction 0.5).
+        assert wb_writes == pytest.approx(1_000_000, rel=1e-3)
+        assert wb.link_bytes > bypass.link_bytes
+        assert wb.data_bytes == 64 * wb_writes
+        assert wb.runtime_s > bypass.runtime_s
+
+    def test_engines_agree(self):
+        stepped = self.run("stepped", "writeback")
+        macro = self.run("macro", "writeback")
+        assert macro[1] == stepped[1]
+        assert macro[0].to_dict() == stepped[0].to_dict()

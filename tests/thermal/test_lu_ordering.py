@@ -12,7 +12,7 @@ from repro.thermal.cooling import COMMODITY_SERVER, COOLING_SOLUTIONS
 from repro.thermal.floorplan import Floorplan
 from repro.thermal.operators import CONTROL_DT_S
 from repro.thermal.rc_network import build_network
-from repro.thermal.solver import StepLuCache, SteadySolver, TransientSolver
+from repro.thermal.solver import SteadySolver, TransientSolver, factorize_step
 from repro.thermal.stack import build_stack
 
 #: L+U nonzeros of the HMC 2.0 ``sub=2`` factorizations are 227,292 with
@@ -73,12 +73,12 @@ class TestAgreesWithDefaultFactorization:
     @pytest.mark.parametrize("dt_s", STEP_SIZES)
     def test_step(self, network, dt_s):
         P = _power(network)
-        solver = TransientSolver(network, initial_c=60.0)
+        solver = TransientSolver(network, dt_s, initial_c=60.0)
         default = spla.splu(_step_matrix(network, dt_s))
         T = solver.T.copy()
         for _ in range(5):
             T = default.solve(network.C / dt_s * T + P + network.B * 25.0)
-            solver.step(P, dt_s)
+            solver.step(P)
             assert np.max(np.abs(solver.T - T)) < 1e-9
 
 
@@ -88,5 +88,5 @@ class TestFill:
         assert lu.L.nnz + lu.U.nnz <= MAX_FILL
 
     def test_step_fill(self, network):
-        lu = StepLuCache(network).get(CONTROL_DT_S)
+        lu = factorize_step(network, CONTROL_DT_S)
         assert lu.L.nnz + lu.U.nnz <= MAX_FILL

@@ -12,6 +12,7 @@ from repro.thermal.cooling import COMMODITY_SERVER, PASSIVE
 from repro.thermal.model import HmcThermalModel
 from repro.thermal.rc_network import BOARD_RESISTANCE_C_W, DEFAULT_INTERFACE_SCALE
 from repro.thermal.power import TrafficPoint
+from repro.thermal.solver import factorize_step
 
 
 @pytest.fixture(autouse=True)
@@ -31,9 +32,7 @@ class TestOperatorCache:
             "entries": 1,
             "hits": 1,
             "misses": 1,
-            "step_lu_entries": 0,
-            "step_lu_hits": 0,
-            "step_lu_misses": 0,
+            "step_lus": 0,
             "propagators": 0,
             "propagator_extensions": 0,
         }
@@ -54,13 +53,14 @@ class TestOperatorCache:
         assert operators.cache_stats()["entries"] == 6
 
     def test_prewarm_populates_step_lu(self):
-        ops = operators.prewarm(HMC_2_0, COMMODITY_SERVER, control_dt_s=25e-6)
-        assert len(ops.step_lus) == 1
-        # A model over the same package hits the warmed factorization.
+        ops = operators.prewarm(HMC_2_0, COMMODITY_SERVER)
+        lu = ops.step_lu()
+        assert operators.cache_stats()["step_lus"] == 1
+        # A model over the same package steps on the warmed factorization.
         model = HmcThermalModel()
-        model.step(TrafficPoint.streaming(100.0), 25e-6)
-        assert ops.step_lus.misses == 1
-        assert ops.step_lus.hits >= 1
+        model.step(TrafficPoint.streaming(100.0))
+        assert model._transient._lu is lu
+        assert operators.cache_stats()["step_lus"] == 1
 
 
 def _uniform_steady(ops):
@@ -111,32 +111,57 @@ class TestModelSharing:
         assert a.network is b.network
         assert a._steady is b._steady
         assert a._transient is not b._transient
-        assert a._transient._lus is b._transient._lus
+        a.step(TrafficPoint.idle())
+        b.step(TrafficPoint.idle())
+        assert a._transient._lu is b._transient._lu
 
     def test_transient_state_is_isolated(self):
         a = HmcThermalModel()
         b = HmcThermalModel()
-        a.step(TrafficPoint.streaming(320.0), 25e-6)
+        a.step(TrafficPoint.streaming(320.0))
         assert np.allclose(b.state, b.ambient_c)
         assert a.state.max() > b.state.max()
 
-    def test_share_operators_false_builds_private_copies(self):
-        shared = HmcThermalModel()
-        private = HmcThermalModel(share_operators=False)
-        assert private.network is not shared.network
-        assert operators.cache_stats()["entries"] == 1
 
-    def test_shared_and_private_agree(self):
+@pytest.fixture
+def factorizations(monkeypatch):
+    """Every step factorization the operator bundles make, in order."""
+    made = []
+
+    def counted(network, dt_s):
+        made.append((network, dt_s))
+        return factorize_step(network, dt_s)
+
+    monkeypatch.setattr(operators, "factorize_step", counted)
+    return made
+
+
+class TestOneStepLu:
+    """The control quantum is the only step size: a bundle factorizes at
+    most one step LU, and only when a transient first needs it."""
+
+    def test_control_loop_runs_factorize_one_lu_per_bundle(
+        self, factorizations
+    ):
+        for engine in ("stepped", "macro"):
+            for policy in ("coolpim-hw", "naive-offloading"):
+                run_simulation_job(simulation_spec(
+                    "pagerank", dataset="ldbc-tiny", policy=policy,
+                    cooling="passive", workload_scale=0.25, engine=engine,
+                ))
+        ops = operators.get_operators(HMC_2_0, PASSIVE)
+        assert factorizations == [(ops.network, operators.CONTROL_DT_S)]
+        assert operators.cache_stats()["step_lus"] == 1
+
+    def test_steady_only_bundle_factorizes_none(self, factorizations):
+        model = HmcThermalModel(sub=3)
         t = TrafficPoint.streaming(320.0)
-        shared = HmcThermalModel().steady_peak_dram_c(t)
-        private = HmcThermalModel(share_operators=False).steady_peak_dram_c(t)
-        assert shared == pytest.approx(private, abs=1e-9)
-
-    def test_settle_matches_steady_state(self):
-        model = HmcThermalModel()
-        t = TrafficPoint.streaming(240.0)
-        settled = model.settle(t, dt_s=1e-3, tol_c=1e-6)
-        assert settled == pytest.approx(model.steady_peak_dram_c(t), abs=0.1)
+        model.steady_peak_dram_c(t)
+        model.steady_surface_c(t)
+        model.warm_start(t)
+        model.heatmap("logic")
+        assert factorizations == []
+        assert operators.cache_stats()["step_lus"] == 0
 
 
 def _simulate(workload, policy, cooling):

@@ -10,10 +10,9 @@ import numpy as np
 import pytest
 
 from repro.hmc.config import HMC_2_0
+from repro.thermal import operators
 from repro.thermal.model import HmcThermalModel
 from repro.thermal.power import TrafficPoint
-
-DT_S = 25e-6
 
 
 def coeff_columns(tp: TrafficPoint, ambient_c: float, k: int,
@@ -49,12 +48,12 @@ class TestAgainstExactStepper:
             external_gbs=80.0, internal_dram_gbs=120.0, pim_rate_ops_ns=0.4
         )
         model.warm_start(TrafficPoint.idle())
-        prop = model.propagator(DT_S)
+        prop = model.propagator()
         assert prop.healthy
         T0 = model.state.copy()
 
         K = 48
-        exact = np.array([model.step(tp, DT_S) for _ in range(K)])
+        exact = np.array([model.step(tp) for _ in range(K)])
         Z = march_from(prop, T0, coeff_columns(tp, model.ambient_c, K))
         np.testing.assert_allclose(prop.dram_peaks(Z), exact, atol=1e-6)
         # The reconstructed end state matches the exact node state too.
@@ -69,13 +68,13 @@ class TestAgainstExactStepper:
             external_gbs=60.0, internal_dram_gbs=90.0, pim_rate_ops_ns=0.2
         )
         model.warm_start(tp)
-        prop = model.propagator(DT_S)
+        prop = model.propagator()
         T0 = model.state.copy()
 
         K = 24
         scale = 1.6
         exact = np.array([
-            model.step(tp, DT_S, dram_energy_scale=scale) for _ in range(K)
+            model.step(tp, dram_energy_scale=scale) for _ in range(K)
         ])
         Z = march_from(
             prop, T0, coeff_columns(tp, model.ambient_c, K, scale=scale)
@@ -85,7 +84,7 @@ class TestAgainstExactStepper:
     def test_project_round_trip(self):
         model = HmcThermalModel(HMC_2_0)
         model.warm_start(TrafficPoint.streaming(100.0))
-        prop = model.propagator(DT_S)
+        prop = model.propagator()
         z, resid = prop.project(model.state)
         assert z is not None
         assert resid < 1e-6
@@ -120,12 +119,18 @@ def assert_carried_image(prop) -> None:
 
 
 class TestExtension:
-    """The self-healing and fail-closed paths of ``project``. Private
-    operators keep the extended basis out of the process-wide cache."""
+    """The self-healing and fail-closed paths of ``project``. A fresh
+    operator cache keeps the extended basis out of every other test."""
+
+    @pytest.fixture(autouse=True)
+    def fresh_operators(self):
+        operators.clear_cache()
+        yield
+        operators.clear_cache()
 
     def test_out_of_span_state_extends_and_marches(self):
-        model = HmcThermalModel(HMC_2_0, share_operators=False)
-        prop = model.propagator(DT_S)
+        model = HmcThermalModel(HMC_2_0)
+        prop = model.propagator()
         assert_carried_image(prop)
         T0 = out_of_span_state(model)
         rank = prop.rank
@@ -141,15 +146,15 @@ class TestExtension:
         )
         K = 48
         model.set_transient_state(T0)
-        exact = np.array([model.step(tp, DT_S) for _ in range(K)])
+        exact = np.array([model.step(tp) for _ in range(K)])
         Z = prop.march(z0, coeff_columns(tp, model.ambient_c, K))
         np.testing.assert_allclose(prop.dram_peaks(Z), exact, atol=1e-6)
         T_end = prop.reconstruct(Z[:, -1])
         assert float(np.abs(T_end - model.state).max()) < 1e-6
 
     def test_rank_cap_fails_closed(self):
-        model = HmcThermalModel(HMC_2_0, share_operators=False)
-        prop = model.propagator(DT_S)
+        model = HmcThermalModel(HMC_2_0)
+        prop = model.propagator()
         prop.max_rank = prop.rank
         z, resid = prop.project(out_of_span_state(model))
         assert z is None
