@@ -27,8 +27,7 @@ sequence number, so reconnecting followers see no duplicates.
 Wire formats deliberately reuse :mod:`repro.obs`: the metrics artifact is
 the exact ``repro.metrics/1`` document ``repro report`` renders, the
 manifest is ``repro.manifest/1``, and the trace artifact is a validated
-Chrome trace built by replaying the run's sampled timeline through the
-event engine.
+Chrome trace of the run's sampled timeline as sim-clock counter tracks.
 """
 
 from __future__ import annotations

@@ -100,15 +100,8 @@ class FairQueue:
             self._tenants[tenant] = state
         return state
 
-    def set_policy(self, tenant: str, policy: TenantPolicy) -> None:
-        self._state(tenant).policy = policy
-
     def policy_for(self, tenant: str) -> TenantPolicy:
         return self._state(tenant).policy
-
-    def queued_count(self, tenant: str) -> int:
-        state = self._tenants.get(tenant)
-        return len(state.queue) if state else 0
 
     def oldest_wait_s(self, tenant: str) -> float:
         """Seconds the tenant's queue head has been waiting (0 if empty).

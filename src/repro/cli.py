@@ -327,9 +327,7 @@ def cmd_trace(args) -> int:
             return 1
         payload = next(iter(report.results.values())).payload
         timeline = payload["result"].get("timeline") or []
-        # The flow-model simulators don't use the event engine directly;
-        # replaying the sampled timeline through it produces the engine
-        # spans and the sim-clock counter tracks.
+        # The sampled timeline becomes the sim-clock counter tracks.
         replay_timeline(timeline, tracer=tracer)
         records = tracer.records
     wall_s = time.perf_counter() - wall0

@@ -18,6 +18,7 @@ locality profile); this module applies them consistently.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Tuple
 
 from repro.gpu.config import GpuConfig
 from repro.hmc.flow import TrafficDemand
@@ -105,16 +106,22 @@ class CacheModel:
             atomics_with_return=batch.atomics_with_return,
         )
 
-    def writebacks(self, pim_ops: int) -> int:
-        """64 B writebacks that ``pim_ops`` offloaded ops cause.
+    def writebacks(self, pim_ops: int, carry: float = 0.0) -> Tuple[int, float]:
+        """64 B writebacks that ``pim_ops`` offloaded ops cause, and the
+        rounding remainder to carry into the next call.
 
         PEI-style coherence (``"writeback"``): an offloaded op that hits
         a dirty cached copy writes it back before the PIM instruction
-        may execute. None in ``"bypass"`` mode.
+        may execute. ``carry`` is the remainder an earlier call returned:
+        rounding ``pim_ops * pei_dirty_fraction + carry`` keeps a chain
+        of calls at the rounded total instead of drifting by one
+        rounding per call. None, and no carry, in ``"bypass"`` mode.
         """
         if self.coherence_mode != "writeback":
-            return 0
-        return int(round(pim_ops * self.pei_dirty_fraction))
+            return 0, 0.0
+        exact = pim_ops * self.pei_dirty_fraction + carry
+        count = int(round(exact))
+        return count, exact - count
 
     def demand(self, traffic: MemoryTraffic, pim_fraction: float) -> TrafficDemand:
         """Split atomics between PIM offload and host execution.
@@ -135,7 +142,7 @@ class CacheModel:
         host_effective = int(round(host * self.host_atomic_coalescing))
         return TrafficDemand(
             reads=traffic.reads,
-            writes=traffic.writes + self.writebacks(pim_total),
+            writes=traffic.writes + self.writebacks(pim_total)[0],
             host_atomics=host_effective,
             pim_ops=pim_plain,
             pim_ops_ret=pim_ret,

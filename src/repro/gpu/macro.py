@@ -286,7 +286,7 @@ class MacroEngine(SteppedEngine):
         them. Each step records ``(rec, t_start, t_end, nsub, tidx,
         sflag, tlf, pkg_acc, busy_acc, pt_acc, debt, next_tl, value)``,
         where ``value`` is the :meth:`_serve_quantum` value (its entries
-        3..10 are the post-step epoch state) and ``rec`` its per-step
+        3..11 are the post-step epoch state) and ``rec`` its per-step
         traffic record.
         """
         sim = self.sim
@@ -309,6 +309,7 @@ class MacroEngine(SteppedEngine):
         sr, sw_, sa = st.reads, st.writes, st.atomics
         sar, scc = st.atomics_ret, st.compute_cycles
         rr, rw, ra = self.rem_reads, self.rem_writes, self.rem_atomics
+        rwb = self.wb_carry
         mlp, div = st.mlp, st.divergence
         tnow = b.t0
         debt = self.thermal_debt_s
@@ -345,10 +346,11 @@ class MacroEngine(SteppedEngine):
                 sr, sw_, sa = nst.reads, nst.writes, nst.atomics
                 sar, scc = nst.atomics_ret, nst.compute_cycles
                 rr, rw, ra = ntraffic.reads, ntraffic.writes, ntraffic.atomics
+                rwb = 0.0
                 mlp, div = nst.mlp, nst.divergence
                 continue
 
-            key = (sr, sw_, sa, sar, scc, rr, rw, ra, mlp, div,
+            key = (sr, sw_, sa, sar, scc, rr, rw, ra, rwb, mlp, div,
                    fraction, link_gbs, dram_gbs, fu_cap, es)
             value = memo_get(key)
             if value is None:
@@ -358,7 +360,7 @@ class MacroEngine(SteppedEngine):
                 memo[key] = value
             else:
                 hits += 1
-            (dt_ns, dt_s, e_inc, sr, sw_, sa, sar, scc, rr, rw, ra,
+            (dt_ns, dt_s, e_inc, sr, sw_, sa, sar, scc, rr, rw, ra, rwb,
              rec) = value
 
             if not exempt:
@@ -612,7 +614,7 @@ class MacroEngine(SteppedEngine):
             st = self.state
             (st.reads, st.writes, st.atomics, st.atomics_ret,
              st.compute_cycles, self.rem_reads, self.rem_writes,
-             self.rem_atomics) = cols[12][j - 1][3:11]
+             self.rem_atomics, self.wb_carry) = cols[12][j - 1][3:12]
 
         self.now_s = end_now
         self.package_energy_j = cols[7][j - 1]

@@ -346,6 +346,9 @@ class SteppedEngine:
         self.rem_reads = traffic.reads
         self.rem_writes = traffic.writes
         self.rem_atomics = traffic.atomics
+        #: Rounding remainder of the epoch's PEI writebacks (always 0.0
+        #: in bypass mode), carried across quanta like the ledgers.
+        self.wb_carry = 0.0
         self.epochs += 1
         self.epoch_sim0 = sim0
         self.epoch_wall0 = _time.perf_counter() if self.traced else 0.0
@@ -375,14 +378,16 @@ class SteppedEngine:
         """The per-quantum traffic model, as a pure function of ``key``.
 
         ``key`` is ``(reads, writes, atomics, atomics_ret, compute_cycles,
-        rem_reads, rem_writes, rem_atomics, mlp, divergence, fraction,
-        link_gbs, dram_gbs, fu_cap, energy_scale)``: the open epoch's
-        fluid remainder, its integer work ledgers and service constants,
-        the offloading fraction, the flow model's capacities at the
-        current phase, and the DRAM energy scale. Returns ``(dt_ns, dt_s,
+        rem_reads, rem_writes, rem_atomics, wb_carry, mlp, divergence,
+        fraction, link_gbs, dram_gbs, fu_cap, energy_scale)``: the open
+        epoch's fluid remainder, its integer work ledgers, the rounding
+        remainder of its PEI writebacks and its service constants, the
+        offloading fraction, the flow model's capacities at the current
+        phase, and the DRAM energy scale. Returns ``(dt_ns, dt_s,
         energy_j, reads, writes, atomics, atomics_ret, compute_cycles,
-        rem_reads, rem_writes, rem_atomics, rec)`` — the interval, its
-        package energy, the post-step fluid state and ledgers — where
+        rem_reads, rem_writes, rem_atomics, wb_carry, rec)`` — the
+        interval, its package energy, the post-step fluid state, ledgers
+        and writeback remainder — where
         ``rec`` is the served traffic ``(dt_ns, reads, writes,
         host_atomics, pim_ops, pim_ops_ret, host_raw, link_bytes,
         data_bytes, ext_gbs, int_gbs, pim_rate)``; its ``writes`` include
@@ -395,8 +400,8 @@ class SteppedEngine:
         allows.
         """
         (reads, writes, atomics, atomics_ret, compute_cycles,
-         rem_reads, rem_writes, rem_atomics, mlp, divergence, fraction,
-         link_gbs, dram_gbs, fu_cap, energy_scale) = key
+         rem_reads, rem_writes, rem_atomics, wb_carry, mlp, divergence,
+         fraction, link_gbs, dram_gbs, fu_cap, energy_scale) = key
         sim = self.sim
         atomics_dem = max(0, int(round(atomics)))
         writes_dem = max(0, int(round(writes)))
@@ -452,11 +457,12 @@ class SteppedEngine:
             served_host += int(round(
                 extra_host * sim.cache.host_atomic_coalescing
             ))
+        writebacks, wb_carry = sim.cache.writebacks(
+            served_pim + served_pim_ret, wb_carry
+        )
         served = TrafficDemand(
             reads=served_reads,
-            writes=served_writes + sim.cache.writebacks(
-                served_pim + served_pim_ret
-            ),
+            writes=served_writes + writebacks,
             host_atomics=served_host,
             pim_ops=served_pim,
             pim_ops_ret=served_pim_ret,
@@ -477,6 +483,7 @@ class SteppedEngine:
             compute_cycles * keep,
             rem_reads - served_reads, rem_writes - served_writes,
             rem_atomics - (served_pim + served_pim_ret + host_raw),
+            wb_carry,
             (dt_ns, served_reads, served.writes, served_host, served_pim,
              served_pim_ret, host_raw, served.link_bytes(),
              served.external_data_bytes(), ext_gbs, int_gbs, pim_rate),
@@ -500,10 +507,12 @@ class SteppedEngine:
         )
         (dt_ns, dt_s, energy_j, state.reads, state.writes, state.atomics,
          state.atomics_ret, state.compute_cycles, self.rem_reads,
-         self.rem_writes, self.rem_atomics, rec) = self._serve_quantum((
+         self.rem_writes, self.rem_atomics, self.wb_carry,
+         rec) = self._serve_quantum((
             state.reads, state.writes, state.atomics, state.atomics_ret,
             state.compute_cycles, self.rem_reads, self.rem_writes,
-            self.rem_atomics, state.mlp, state.divergence, fraction,
+            self.rem_atomics, self.wb_carry, state.mlp, state.divergence,
+            fraction,
             *flow.capacities(), energy_scale,
         ))
         (_, s_reads, s_writes, s_host, s_pim, s_pimr, host_raw,

@@ -13,8 +13,7 @@ Design constraints, in order:
    disabled; every emit method begins with a single ``self.enabled``
    check, and :meth:`Tracer.span` returns a shared no-op context-manager
    singleton, so instrumented hot paths pay one attribute test.
-   ``benchmarks/test_obs_bench.py`` pins the overhead on the
-   :class:`~repro.sim.engine.EventEngine` loop below 5 %.
+   ``tests/obs/test_tracer.py::TestDisabledTracer`` pins both.
 2. **Dual clocks.** Every record carries a wall timestamp on the
    process-monotonic clock (``time.perf_counter`` relative to the tracer
    epoch). Callers inside a simulation additionally pass
@@ -194,8 +193,7 @@ class Tracer:
         """Record a span from explicit ``time.perf_counter`` stamps.
 
         This is how callers that already know both endpoints (the job
-        scheduler's queue→done spans, the engine's run loop) record
-        without a context manager.
+        scheduler's queue→done spans) record without a context manager.
         """
         if not self.enabled:
             return

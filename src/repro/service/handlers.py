@@ -133,8 +133,8 @@ def run_simulation_job(spec: JobSpec) -> Dict[str, Any]:
     Alongside the result aggregates the payload carries a structured
     metrics snapshot (``sim.*`` counters/histograms, see
     :mod:`repro.obs.metrics`); when tracing is enabled the sampled
-    timeline rides along too, so ``repro trace`` can replay it through
-    the event engine. The system is fresh per job, but the epoch trace
+    timeline rides along too, so ``repro trace`` can emit it as sim-clock
+    tracks. The system is fresh per job, but the epoch trace
     comes from the process-wide memo
     (:func:`repro.workloads.base.launch_for`): jobs in one process that
     differ only in policy or cooling generate it once.

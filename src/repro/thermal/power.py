@@ -148,9 +148,6 @@ class PowerModel:
         """Power(FU) = E × FU_width × PIM_rate (Sec. III-C)."""
         return self.fu_energy_per_bit * FU_WIDTH_BITS * t.pim_rate_ops_ns * 1e9
 
-    def logic_total_w(self, t: TrafficPoint) -> float:
-        return self.static_logic_w + self.logic_dynamic_w(t) + self.fu_power_w(t)
-
     def dram_total_w(self, t: TrafficPoint) -> float:
         return self.static_dram_total_w + self.dram_dynamic_w(t)
 

@@ -16,10 +16,13 @@ import threading
 import pytest
 
 from repro.api import ApiClient, ApiService, start_server_thread
+from repro.obs.chrome import SIM_PID, validate_chrome_trace
 from repro.service.handlers import run_simulation_job
 from repro.service.journal import JobJournal
 from repro.service.jobs import register_handler, unregister_handler
 from repro.service.store import ResultStore
+from repro.telemetry import parse_exposition
+from repro.telemetry.registry import TelemetryRegistry, set_registry
 
 SWEEP = {
     "workloads": ["kcore"],
@@ -169,3 +172,88 @@ class TestEndToEnd:
         for run in resubmit["runs"]:
             assert run["cached"] and run["status"] == "completed"
         assert len(executions) == 2
+
+
+class TestArtifacts:
+    RUN = {"workload": "kcore", "dataset": "ldbc-tiny", "workload_scale": 0.25}
+
+    @pytest.fixture
+    def service(self, tmp_path):
+        service = ApiService(store=ResultStore(tmp_path / "cache"), workers=1)
+        handle = start_server_thread(service)
+        try:
+            yield service, ApiClient(handle.host, handle.port)
+        finally:
+            handle.stop()
+
+    def test_completed_run_serves_every_artifact(self, service):
+        service, client = service
+        traced = client.submit_run(**self.RUN, trace=True)
+        plain = client.submit_run(**self.RUN)
+        assert client.wait_for_run(traced["run_id"])["status"] == "completed"
+        # GET /runs strips the timeline; the run record keeps it.
+        timeline = service.get_run(traced["run_id"]).payload["result"]["timeline"]
+        assert timeline
+
+        doc = client.artifact(traced["run_id"], "trace")
+        validate_chrome_trace(doc)
+        # The timeline, row by row, as sim-lane counters in timeline order.
+        tracks = ("sim.temp_c", "sim.pim_rate_ops_ns", "sim.pim_fraction")
+        expected = [
+            (name, row[0] * 1e6, value)
+            for row in timeline
+            for name, value in zip(tracks, row[1:])
+        ]
+        sim_lane = [
+            (e["name"], e["ts"], e["args"]["value"])
+            for e in doc["traceEvents"]
+            if e["pid"] == SIM_PID and e["ph"] == "C"
+        ]
+        assert len(sim_lane) == 3 * len(timeline)
+        assert [(n, v) for n, _, v in sim_lane] == [
+            (n, v) for n, _, v in expected
+        ]
+        assert [t for _, t, _ in sim_lane] == pytest.approx(
+            [t for _, t, _ in expected]
+        )
+
+        for name in ("metrics", "report", "manifest"):
+            status, _ = client.request(
+                "GET", f"/runs/{traced['run_id']}/artifacts/{name}"
+            )
+            assert status == 200, name
+
+        assert client.wait_for_run(plain["run_id"])["status"] == "completed"
+        status, _ = client.request(
+            "GET", f"/runs/{plain['run_id']}/artifacts/trace"
+        )
+        assert status == 404
+
+
+class TestPoolServer:
+    """``repro serve --pool``: jobs run in forked scheduler workers, and
+    their telemetry reaches the server's registry through the delta pipe."""
+
+    @pytest.fixture
+    def registry(self):
+        previous = set_registry(TelemetryRegistry())
+        try:
+            yield
+        finally:
+            set_registry(previous)
+
+    def test_pool_run_completes_stores_and_reports(self, tmp_path, registry):
+        store = ResultStore(tmp_path / "cache")
+        handle = start_server_thread(ApiService(store=store, workers=1, pool=True))
+        try:
+            client = ApiClient(handle.host, handle.port)
+            run = client.submit_run(
+                workload="kcore", dataset="ldbc-tiny", workload_scale=0.25
+            )
+            done = client.wait_for_run(run["run_id"])
+            assert done["status"] == "completed" and not done["cached"]
+            assert store.contains(run["key"])
+            samples = parse_exposition(client.metrics())["samples"]
+        finally:
+            handle.stop()
+        assert ("repro_sim_runs_total", {"engine": "macro"}, 1.0) in samples

@@ -94,6 +94,18 @@ class TestCoherenceModes:
         d = cache.demand(self._traffic(), pim_fraction=0.0)
         assert d.writes == 50
 
+    def test_writeback_carry_keeps_the_rounded_total(self):
+        """Each call rounds on its own (half to even: 5 x 0.5 rounds to
+        0); the carry it returns brings a chain to the exact total."""
+        cache = CacheModel(GPU_DEFAULT, coherence_mode="writeback",
+                           pei_dirty_fraction=0.5)
+        assert cache.writebacks(1) == (0, 0.5)
+        total, carry = 0, 0.0
+        for _ in range(10):
+            count, carry = cache.writebacks(1, carry)
+            total += count
+        assert (total, carry) == (5, 0.0)
+
     def test_invalid_mode(self):
         with pytest.raises(ValueError):
             CacheModel(GPU_DEFAULT, coherence_mode="nope")

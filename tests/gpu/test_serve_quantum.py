@@ -30,14 +30,15 @@ def make_engine(coherence_mode="bypass", phase=TemperaturePhase.NORMAL,
     return SteppedEngine(sim)
 
 
-def serve(engine, fluid, ledgers, threads=4096, fraction=0.5, es=1.0):
+def serve(engine, fluid, ledgers, threads=4096, fraction=0.5, es=1.0,
+          wb_carry=0.0):
     """``_serve_quantum`` on the key the scalar step would build."""
     epoch = _EpochState(
         OpBatch(reads=0, writes=0, atomics=0, threads=threads),
         MemoryTraffic(0, 0, 0, 0), engine.sim.saturation_threads,
     )
     return engine._serve_quantum((
-        *fluid, *ledgers, epoch.mlp, epoch.divergence, fraction,
+        *fluid, *ledgers, wb_carry, epoch.mlp, epoch.divergence, fraction,
         *engine.sim.flow.capacities(), es,
     ))
 
@@ -66,12 +67,35 @@ def test_final_step_flush_serves_the_ledgers():
     assert value[3:11] == (0.0,) * 5 + (0, 0, 0)
     rec = value[-1]
     # All 3 ledger writes, plus round(2 * 0.3) = 1 PEI writeback for the
-    # 2 offloaded ops.
+    # 2 offloaded ops; the rounding remainder is carried.
     assert rec[4] + rec[5] == 2
     assert rec[1:3] == (5, 3 + 1)
+    assert value[11] == pytest.approx(0.6 - 1)
     # Work conservation: every ledger atomic is offloaded or host-assigned.
     assert rec[4] + rec[5] + rec[6] == 4
     assert value[2] > 0.0  # the interval's package energy
+
+
+def test_writeback_carry_is_key_and_post_state():
+    """The PEI writeback remainder enters through the key and leaves in
+    the post-state: with 0.4 carried, 2 ops x 0.3 dirty round to 1
+    writeback and leave nothing; with 0.0 carried they round to 1 and
+    leave -0.4."""
+    engine = make_engine("writeback", phase=TemperaturePhase.EXTENDED)
+    fluid, ledgers = (0.0, 0.0, 2.0, 0.0, 0.0), (0, 0, 2)
+    fresh = serve(engine, fluid, ledgers, fraction=1.0)
+    carried = serve(engine, fluid, ledgers, fraction=1.0, wb_carry=0.4)
+    assert fresh[-1][4] == carried[-1][4] == 2
+    assert fresh[-1][2] == carried[-1][2] == 1
+    assert fresh[11] == pytest.approx(-0.4)
+    assert carried[11] == pytest.approx(0.0)
+    assert fresh[3:11] == carried[3:11]
+
+
+def test_bypass_carries_no_writebacks():
+    engine = make_engine()
+    value = serve(engine, (0.0, 0.0, 2.0, 0.0, 0.0), (0, 0, 2), fraction=1.0)
+    assert value[-1][2] == 0 and value[11] == 0.0
 
 
 def test_zero_dram_capacity_serves_nothing():
@@ -83,7 +107,7 @@ def test_zero_dram_capacity_serves_nothing():
     value = serve(engine, fluid, ledgers, fraction=0.0)
     assert value[0] == CONTROL_DT_S * 1e9
     assert value[-1][1:7] == (0, 0, 0, 0, 0, 0)
-    assert value[3:11] == (*fluid, *ledgers)
+    assert value[3:12] == (*fluid, *ledgers, 0.0)
 
 
 def test_model_guards_fire_through_the_quantum():

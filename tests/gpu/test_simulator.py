@@ -166,6 +166,14 @@ class TestPeiWriteback:
         assert wb.data_bytes == 64 * wb_writes
         assert wb.runtime_s > bypass.runtime_s
 
+    @pytest.mark.parametrize("engine", ["stepped", "macro"])
+    def test_writeback_total_does_not_drift(self, engine):
+        """2M offloaded ops at dirty fraction 0.5 write back exactly 1M
+        lines: the per-quantum rounding remainder is carried, where
+        rounding each quantum on its own gave 999,988."""
+        _, writes = self.run(engine, "writeback")
+        assert writes == 1_000_000
+
     def test_engines_agree(self):
         stepped = self.run("stepped", "writeback")
         macro = self.run("macro", "writeback")

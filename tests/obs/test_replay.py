@@ -1,4 +1,4 @@
-"""Timeline replay through the event engine with tracing."""
+"""Timeline replay as sim-clock counter tracks."""
 
 import pytest
 
@@ -19,12 +19,11 @@ class TestReplay:
         assert summary["events"] == 3.0
         assert summary["sim_span_s"] == pytest.approx(0.002)
 
-    def test_emits_engine_span_and_sim_tracks(self):
+    def test_emits_sim_tracks(self):
         tr = Tracer(enabled=True)
         replay_timeline(TIMELINE, tracer=tr)
         records = tr.records
         names = [r["name"] for r in records]
-        assert "engine.run" in names
         for track in ("sim.temp_c", "sim.pim_rate_ops_ns", "sim.pim_fraction"):
             assert names.count(track) == len(TIMELINE)
         temps = [

@@ -63,10 +63,10 @@ class TestParser:
 
     def test_report_flags(self):
         args = build_parser().parse_args(
-            ["report", "t.json", "--require", "engine,core", "--diff", "b.json"]
+            ["report", "t.json", "--require", "workloads,core", "--diff", "b.json"]
         )
         assert args.file == "t.json"
-        assert args.require == "engine,core" and args.diff == "b.json"
+        assert args.require == "workloads,core" and args.diff == "b.json"
 
     def test_cache_json_flag(self):
         args = build_parser().parse_args(["cache", "--json"])
@@ -206,7 +206,7 @@ class TestTraceDispatch:
         # Chrome trace with spans from every instrumented layer.
         doc = json.loads(out.read_text())
         cats = {e.get("cat") for e in doc["traceEvents"]}
-        for layer in ("engine", "core", "thermal", "scheduler", "sim"):
+        for layer in ("workloads", "core", "thermal", "scheduler", "sim"):
             assert layer in cats, f"missing {layer} spans"
         # Metrics + manifest written next to the trace.
         metrics = json.loads((tmp_path / "trace.metrics.json").read_text())
@@ -234,7 +234,7 @@ class TestTraceDispatch:
                      "-o", str(out)]) == 0
         capsys.readouterr()
         assert main(["report", str(out),
-                     "--require", "engine,core,thermal,scheduler,sim"]) == 0
+                     "--require", "workloads,core,thermal,scheduler,sim"]) == 0
         assert "events" in capsys.readouterr().out
         # A layer that is never emitted fails the gate.
         assert main(["report", str(out), "--require", "nonexistent"]) == 1

@@ -18,23 +18,7 @@ from repro.hmc.isa import (
 )
 from repro.hmc.memory import BackingStore
 from repro.hmc.packet import FLIT_BYTES, PacketType, flit_cost
-from repro.sim.engine import EventEngine
 from repro.sim.trace import OpBatch, merge_batches
-
-
-# ---------------------------------------------------------------------------
-# Event engine: executes every event exactly once, in non-decreasing time.
-# ---------------------------------------------------------------------------
-@given(st.lists(st.floats(min_value=0.0, max_value=1e6,
-                          allow_nan=False), max_size=60))
-def test_engine_executes_all_events_in_order(times):
-    eng = EventEngine()
-    fired = []
-    for t in times:
-        eng.schedule(t, lambda t=t: fired.append(eng.now))
-    eng.run()
-    assert len(fired) == len(times)
-    assert fired == sorted(fired)
 
 
 # ---------------------------------------------------------------------------

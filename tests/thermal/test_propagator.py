@@ -13,6 +13,7 @@ from repro.hmc.config import HMC_2_0
 from repro.thermal import operators
 from repro.thermal.model import HmcThermalModel
 from repro.thermal.power import TrafficPoint
+from repro.thermal.propagator import PeakReader
 
 
 def coeff_columns(tp: TrafficPoint, ambient_c: float, k: int,
@@ -161,3 +162,49 @@ class TestExtension:
         assert resid > prop.project_tol_c
         assert not prop.healthy
         assert prop.extensions == 0
+
+
+class TestPeakReader:
+    """:class:`PeakReader` (the macro engine's certified peak readout)
+    against its oracle, :meth:`ReducedPropagator.dram_peaks`, on one
+    reader serving a run-like sequence of marches."""
+
+    @pytest.fixture(autouse=True)
+    def fresh_operators(self):
+        operators.clear_cache()
+        yield
+        operators.clear_cache()
+
+    def test_matches_full_readout_through_a_run(self):
+        model = HmcThermalModel(HMC_2_0)
+        prop = model.propagator()
+        # A hot spot on four vaults: projecting it first extends the
+        # shared basis, so the reader starts with more modes than it
+        # keeps and must grow its mode set when the jump excites them.
+        z_spot, _ = prop.project(out_of_span_state(model))
+        assert z_spot is not None and prop.extensions == 1
+        model.warm_start(TrafficPoint(
+            external_gbs=80.0, internal_dram_gbs=120.0, pim_rate_ops_ns=0.4
+        ))
+        z, _ = prop.project(model.state)
+        hot = TrafficPoint(
+            external_gbs=160.0, internal_dram_gbs=240.0, pim_rate_ops_ns=1.0
+        )
+        schedule = (
+            [(None, hot, k) for k in (1, 8, 64, 64)]            # heating
+            + [(None, TrafficPoint.idle(), k) for k in (1, 8, 64)]  # cooling
+            + [(z_spot, hot, 16), (None, hot, 64)]              # jump
+        )
+        reader = prop.peak_reader()
+        modes = []
+        for z_from, tp, k in schedule:
+            Z = prop.march(z if z_from is None else z_from,
+                           coeff_columns(tp, model.ambient_c, k))
+            np.testing.assert_allclose(
+                reader.peaks(Z), prop.dram_peaks(Z), rtol=0, atol=1e-12
+            )
+            modes.append(reader._S.size)
+            z = Z[:, -1]
+        assert reader.pruned_readouts > 0
+        assert reader.rebuilds >= 2
+        assert modes[-1] > modes[0] == PeakReader.MODES_INIT
