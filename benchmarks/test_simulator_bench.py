@@ -14,10 +14,15 @@ workload on the LDBC graph swept across the paper's policy matrix:
 
 Each run's measurements are appended to ``BENCH_simulator.json`` (written
 to the working directory), giving CI a machine-readable trajectory of the
-per-policy speedups.
+per-policy speedups. The artifact also records, ungated, the layer the
+macro engine's step-memo misses pay for: ``serve_quantum_us``, the median
+microseconds of one ``SteppedEngine._serve_quantum`` call over a fixed
+key set, and ``step_memo_hit_ratio``, the share of speculated quanta the
+macro sweep served from the memo.
 """
 
 import json
+import statistics
 import time
 from pathlib import Path
 
@@ -25,7 +30,8 @@ import pytest
 
 from repro.core.policies import make_policy
 from repro.gpu.config import GPU_DEFAULT
-from repro.gpu.simulator import SystemSimulator
+from repro.gpu.macro import MacroEngine
+from repro.gpu.simulator import SteppedEngine, SystemSimulator
 from repro.graph.datasets import get_dataset
 from repro.hmc.config import HMC_2_0
 from repro.hmc.flow import HmcFlowModel
@@ -123,19 +129,72 @@ def _sweep(build, launch, reps=3):
     }
 
 
-def _emit(rows, aggregate_speedup, macro_steps_per_s):
+#: The fixed key set of ``serve_quantum_us``: each of the first
+#: ``SERVE_EPOCHS`` epochs of the launch, fresh, at these offload
+#: fractions, at nominal capacities and energy scale.
+SERVE_EPOCHS = 64
+SERVE_FRACTIONS = (0.0, 0.5, 1.0)
+SERVE_REPS = 30
+
+
+def _serve_quantum_us(build, launch):
+    """Median microseconds per ``_serve_quantum`` call (one memo miss)."""
+    engine = SteppedEngine(build("stepped"))
+    sim = engine.sim
+    caps = sim.flow.capacities()
+    keys = []
+    for batch in list(launch.trace)[:SERVE_EPOCHS]:
+        st = engine._epoch_state(batch)
+        reads, writes, atomics, _ = st.counts
+        for fraction in SERVE_FRACTIONS:
+            keys.append((
+                st.reads, st.writes, st.atomics, st.atomics_ret,
+                st.compute_cycles, reads, writes, atomics, 0.0,
+                st.mlp, st.divergence, fraction, *caps, 1.0,
+            ))
+    serve = engine._serve_quantum
+    per_call = []
+    for _ in range(SERVE_REPS):
+        t0 = time.perf_counter()
+        for key in keys:
+            serve(key)
+        per_call.append((time.perf_counter() - t0) / len(keys) * 1e6)
+    return statistics.median(per_call)
+
+
+def _memo_hit_ratio(build, launch, monkeypatch):
+    """Share of speculated quanta served from the step memo over one
+    macro sweep of :data:`POLICIES`."""
+    tally = {"hits": 0, "speculated": 0}
+    speculate = MacroEngine._speculate
+
+    def counted(self, b):
+        speculate(self, b)
+        tally["hits"] += b.memo_hits
+        tally["speculated"] += len(b.steps)
+
+    with monkeypatch.context() as m:
+        m.setattr(MacroEngine, "_speculate", counted)
+        for policy in POLICIES:
+            _timed_run(build, launch, "macro", policy)
+    return tally["hits"] / max(1, tally["speculated"])
+
+
+def _emit(rows, aggregate_speedup, macro_steps_per_s, serve_us, hit_ratio):
     payload = {
         "benchmark": "simulator_macro_vs_stepped",
         "config": {"workload": "pagerank", "dataset": "ldbc",
                    "policies": POLICIES},
         "aggregate_speedup": aggregate_speedup,
         "macro_steps_per_s": macro_steps_per_s,
+        "serve_quantum_us": serve_us,
+        "step_memo_hit_ratio": hit_ratio,
         "policies": rows,
     }
     ARTIFACT.write_text(json.dumps(payload, indent=2) + "\n")
 
 
-def test_macro_engine_speedup(benchmark, fig10_setup):
+def test_macro_engine_speedup(benchmark, fig10_setup, monkeypatch):
     """Macro >=5x the stepped oracle across the Fig. 10 policy sweep."""
     launch, build = fig10_setup
     rows = _sweep(build, launch)
@@ -145,7 +204,8 @@ def test_macro_engine_speedup(benchmark, fig10_setup):
     aggregate = stepped_total / macro_total
     total_steps = sum(r["control_steps"] for r in rows.values())
     steps_per_s = total_steps / macro_total
-    _emit(rows, aggregate, steps_per_s)
+    _emit(rows, aggregate, steps_per_s, _serve_quantum_us(build, launch),
+          _memo_hit_ratio(build, launch, monkeypatch))
 
     # Anchor the pytest-benchmark table to the macro sweep itself.
     benchmark(lambda: [

@@ -35,10 +35,23 @@ class MemoryTraffic:
     atomics_with_return: int
 
     def __post_init__(self) -> None:
-        if min(self.reads, self.writes, self.atomics, self.atomics_with_return) < 0:
-            raise ValueError(f"negative traffic: {self}")
-        if self.atomics_with_return > self.atomics:
-            raise ValueError("atomics_with_return exceeds atomics")
+        _check_traffic(
+            self.reads, self.writes, self.atomics, self.atomics_with_return
+        )
+
+
+def _check_traffic(reads, writes, atomics, atomics_with_return) -> None:
+    """:class:`MemoryTraffic`'s guard, shared with the count cores
+    :meth:`CacheModel.filter_counts` and :meth:`CacheModel.demand_counts`
+    that bypass it."""
+    if min(reads, writes, atomics, atomics_with_return) < 0:
+        raise ValueError(
+            f"negative traffic: MemoryTraffic(reads={reads}, "
+            f"writes={writes}, atomics={atomics}, "
+            f"atomics_with_return={atomics_with_return})"
+        )
+    if atomics_with_return > atomics:
+        raise ValueError("atomics_with_return exceeds atomics")
 
 
 class CacheModel:
@@ -97,14 +110,17 @@ class CacheModel:
 
     def filter(self, batch: OpBatch) -> MemoryTraffic:
         """Memory-level transactions produced by one epoch's accesses."""
+        return MemoryTraffic(*self.filter_counts(batch))
+
+    def filter_counts(self, batch: OpBatch) -> Tuple[int, int, int, int]:
+        """:meth:`filter` as :class:`MemoryTraffic`'s counts ``(reads,
+        writes, atomics, atomics_with_return)``, under its guard."""
         reads = int(round(batch.reads * (1.0 - self.read_hit_rate)))
         writes = int(round(batch.writes * (1.0 - self.write_hit_rate)))
-        return MemoryTraffic(
-            reads=reads,
-            writes=writes,
-            atomics=batch.atomics,
-            atomics_with_return=batch.atomics_with_return,
-        )
+        atomics = batch.atomics
+        atomics_with_return = batch.atomics_with_return
+        _check_traffic(reads, writes, atomics, atomics_with_return)
+        return reads, writes, atomics, atomics_with_return
 
     def writebacks(self, pim_ops: int, carry: float = 0.0) -> Tuple[int, float]:
         """64 B writebacks that ``pim_ops`` offloaded ops cause, and the
@@ -124,26 +140,39 @@ class CacheModel:
         return count, exact - count
 
     def demand(self, traffic: MemoryTraffic, pim_fraction: float) -> TrafficDemand:
+        """:meth:`demand_counts` of ``traffic`` as a :class:`TrafficDemand`."""
+        return TrafficDemand(*self.demand_counts(
+            traffic.reads, traffic.writes, traffic.atomics,
+            traffic.atomics_with_return, pim_fraction,
+        ))
+
+    def demand_counts(
+        self, reads: int, writes: int, atomics: int,
+        atomics_with_return: int, pim_fraction: float,
+    ) -> Tuple[int, int, int, int, int]:
         """Split atomics between PIM offload and host execution.
 
+        Takes :class:`MemoryTraffic`'s counts (and its guard) and returns
+        the :class:`TrafficDemand` counts ``(reads, writes, host_atomics,
+        pim_ops, pim_ops_ret)``, each non-negative by construction.
         ``pim_fraction`` ∈ [0, 1] is the share of atomics issued as PIM
         instructions (set by the throttling policy). Host-executed atomics
         pay the coalesced read+write cost; offloaded ones pay Table I PIM
-        packet costs (cache is bypassed either way — uncacheable region).
+        packet costs (cache is bypassed either way — uncacheable region),
+        plus their PEI writebacks in ``"writeback"`` mode.
         """
+        _check_traffic(reads, writes, atomics, atomics_with_return)
         if not 0.0 <= pim_fraction <= 1.0:
             raise ValueError(f"pim_fraction must be in [0,1], got {pim_fraction}")
-        pim_total = int(round(traffic.atomics * pim_fraction))
+        pim_total = int(round(atomics * pim_fraction))
         pim_ret = min(
-            pim_total, int(round(traffic.atomics_with_return * pim_fraction))
+            pim_total, int(round(atomics_with_return * pim_fraction))
         )
-        pim_plain = pim_total - pim_ret
-        host = traffic.atomics - pim_total
-        host_effective = int(round(host * self.host_atomic_coalescing))
-        return TrafficDemand(
-            reads=traffic.reads,
-            writes=traffic.writes + self.writebacks(pim_total)[0],
-            host_atomics=host_effective,
-            pim_ops=pim_plain,
-            pim_ops_ret=pim_ret,
+        host = atomics - pim_total
+        return (
+            reads,
+            writes + self.writebacks(pim_total)[0],
+            int(round(host * self.host_atomic_coalescing)),
+            pim_total - pim_ret,
+            pim_ret,
         )

@@ -11,12 +11,15 @@ sample points. This engine exploits that:
 1. **Speculate** — replay the control loop for up to a few thousand
    quanta, recording every per-step quantity. Each quantum's traffic
    comes from the scalar step's own function,
-   :meth:`~repro.gpu.simulator.SteppedEngine._serve_quantum`, memoized per
-   run on the epoch fluid state and the burst constants; the time, debt
-   and energy accumulators add in the scalar loop's order, so committed
-   integers and times are exactly what the reference engine would
-   produce. Epoch boundaries are crossed freely; the trace cursor is
-   restored with :meth:`~repro.sim.trace.TraceCursor.seek` on abort.
+   :meth:`~repro.gpu.simulator.SteppedEngine._serve_quantum` (the count
+   cores of the cache, flow and power models, no dataclass built),
+   memoized per run on the epoch fluid state and the burst constants; the
+   time, debt and energy accumulators add in the scalar loop's order, so
+   committed integers and times are exactly what the reference engine
+   would produce. Epoch boundaries are crossed freely: each crossed
+   epoch's state is built once, and the commit opens that same state.
+   The trace cursor is restored with
+   :meth:`~repro.sim.trace.TraceCursor.seek` on abort.
 2. **March** — advance the thermal state for all speculated quanta at once
    in the reduced eigenbasis (:mod:`repro.thermal.propagator`): one small
    dense recurrence plus one GEMM for per-quantum peak DRAM temperatures,
@@ -57,9 +60,7 @@ if TYPE_CHECKING:
     from repro.core.policies import OffloadPolicy
 
 from repro.gpu.kernel import KernelLaunch
-from repro.gpu.simulator import (
-    SimulationResult, SteppedEngine, SystemSimulator, _EpochState,
-)
+from repro.gpu.simulator import SimulationResult, SteppedEngine, SystemSimulator
 from repro.hmc.dram_timing import TemperaturePhase
 from repro.hmc.packet import PacketType
 from repro.thermal.operators import CONTROL_DT_S
@@ -296,7 +297,7 @@ class MacroEngine(SteppedEngine):
         end_t = b.end_t
         period = sim.sensor.sample_period_s
         tl_dt = sim.timeline_dt_s
-        sat_threads = sim.saturation_threads
+        new_state = self._epoch_state
         link_gbs, dram_gbs, fu_cap = b.caps
         es = b.es
         serve = self._serve_quantum
@@ -340,12 +341,12 @@ class MacroEngine(SteppedEngine):
                     break
                 if scen is not None:
                     nb = scen.transform_batch(nb)
-                ntraffic = sim.cache.filter(nb)
-                entries.append((len(steps), nb, ntraffic))
-                nst = _EpochState(nb, ntraffic, sat_threads)
+                # _commit opens this same state: speculation only reads it.
+                nst = new_state(nb)
+                entries.append((len(steps), nst))
                 sr, sw_, sa = nst.reads, nst.writes, nst.atomics
                 sar, scc = nst.atomics_ret, nst.compute_cycles
-                rr, rw, ra = ntraffic.reads, ntraffic.writes, ntraffic.atomics
+                rr, rw, ra, _ = nst.counts
                 rwb = 0.0
                 mlp, div = nst.mlp, nst.divergence
                 continue
@@ -600,10 +601,10 @@ class MacroEngine(SteppedEngine):
             e for e in b.entries if e[0] < j or (full and e[0] <= j)
         ]
         self.launch_trace.seek(b.pos0 + len(committed_entries))
-        for idx, nb, ntraffic in committed_entries:
+        for idx, nst in committed_entries:
             t_at = cols[1][idx] if idx < j else end_now
             self._close_epoch(t_at)
-            self._open_epoch(nb, t_at, traffic=ntraffic)
+            self._open_epoch(nst, t_at)
 
         # Fluid remainder and integer ledgers after the last committed
         # quantum (the sequence of float ops matches the scalar loop).

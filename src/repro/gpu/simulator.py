@@ -25,13 +25,15 @@ from typing import TYPE_CHECKING, List, Optional, Tuple
 if TYPE_CHECKING:  # avoid a circular import; policies live in repro.core
     from repro.core.policies import OffloadPolicy
 
-from repro.gpu.caches import CacheModel, MemoryTraffic
+from repro.gpu.caches import CacheModel
 from repro.gpu.config import GPU_DEFAULT, GpuConfig
 from repro.gpu.kernel import KernelLaunch
 from repro.gpu.sm import SmArray
 from repro.hmc.config import HMC_2_0, HmcConfig
 from repro.hmc.dram_timing import TemperaturePhase
-from repro.hmc.flow import HmcFlowModel, TrafficDemand
+from repro.hmc.flow import (
+    HmcFlowModel, TrafficDemand, demand_bytes, demand_time_ns, rates_of,
+)
 from repro.obs.tracer import get_tracer
 from repro.sim.stats import Counter, StatRegistry, linear_bounds
 from repro.sim.trace import OpBatch
@@ -141,15 +143,25 @@ class SimulationResult:
 
 class _EpochState:
     """Mutable fluid remainder of one epoch, plus its two per-epoch
-    service constants: memory-level parallelism and warp divergence."""
+    service constants: memory-level parallelism and warp divergence.
+
+    It also keeps, for :meth:`SteppedEngine._open_epoch`, its ``batch``
+    and ``counts``: the post-cache ``(reads, writes, atomics,
+    atomics_with_return)`` of :meth:`CacheModel.filter_counts`, which
+    seed the epoch's integer work ledgers.
+    """
 
     def __init__(
-        self, batch: OpBatch, traffic: MemoryTraffic, saturation_threads: int
+        self, batch: OpBatch, counts: Tuple[int, int, int, int],
+        saturation_threads: int,
     ) -> None:
-        self.reads = float(traffic.reads)
-        self.writes = float(traffic.writes)
-        self.atomics = float(traffic.atomics)
-        self.atomics_ret = float(traffic.atomics_with_return)
+        self.batch = batch
+        self.counts = counts
+        reads, writes, atomics, atomics_ret = counts
+        self.reads = float(reads)
+        self.writes = float(writes)
+        self.atomics = float(atomics)
+        self.atomics_ret = float(atomics_ret)
         self.compute_cycles = float(batch.compute_cycles)
         # Small frontiers can't keep enough requests in flight to
         # saturate the memory system.
@@ -278,7 +290,7 @@ class SteppedEngine:
                     break
                 if scen is not None:
                     batch = scen.transform_batch(batch)
-                self._open_epoch(batch, self.now_s)
+                self._open_epoch(self._epoch_state(batch), self.now_s)
                 if not self._epoch_pending():
                     self._close_epoch(self.now_s)
             if self.state is None:
@@ -331,21 +343,20 @@ class SteppedEngine:
 
     # -- epoch bookkeeping -------------------------------------------------
 
-    def _open_epoch(
-        self, batch: OpBatch, sim0: float,
-        traffic: Optional[MemoryTraffic] = None,
-    ) -> None:
-        self.batch = batch
-        self.atomics_total += batch.atomics
-        if traffic is None:
-            traffic = self.sim.cache.filter(batch)
-        self.state = _EpochState(batch, traffic, self.sim.saturation_threads)
+    def _epoch_state(self, batch: OpBatch) -> _EpochState:
+        """Fresh fluid state of ``batch``'s epoch."""
+        sim = self.sim
+        return _EpochState(
+            batch, sim.cache.filter_counts(batch), sim.saturation_threads
+        )
+
+    def _open_epoch(self, state: _EpochState, sim0: float) -> None:
+        self.atomics_total += state.batch.atomics
+        self.state = state
         # Integer work ledgers: the fluid drain rounds per step, so its
         # serving sums can drift from the epoch totals; the final control
         # step flushes whatever the ledgers still hold.
-        self.rem_reads = traffic.reads
-        self.rem_writes = traffic.writes
-        self.rem_atomics = traffic.atomics
+        self.rem_reads, self.rem_writes, self.rem_atomics, _ = state.counts
         #: Rounding remainder of the epoch's PEI writebacks (always 0.0
         #: in bypass mode), carried across quanta like the ledgers.
         self.wb_carry = 0.0
@@ -355,10 +366,11 @@ class SteppedEngine:
 
     def _close_epoch(self, end_s: float) -> None:
         if self.traced:
+            batch = self.state.batch
             self.tracer.complete(
                 "gpu.epoch", self.epoch_wall0, _time.perf_counter(),
-                cat="gpu", label=self.batch.label,
-                atomics=self.batch.atomics, threads=self.batch.threads,
+                cat="gpu", label=batch.label,
+                atomics=batch.atomics, threads=batch.threads,
                 sim_start_s=self.epoch_sim0, sim_end_s=end_s,
             )
         self.state = None
@@ -394,45 +406,44 @@ class SteppedEngine:
         the PEI writebacks of the served offloaded ops.
 
         Demand, service time, traffic rates and power come from the
-        component models; only the served share, the ledger clamp and the
-        final-step flush are computed here. The scalar step calls it every
-        quantum; the macro engine memoizes it on ``key``, which purity
-        allows.
+        component models' count cores (:meth:`CacheModel.demand_counts`,
+        :func:`~repro.hmc.flow.demand_time_ns`,
+        :meth:`SmArray.issue_time_ns`, :func:`~repro.hmc.flow.demand_bytes`,
+        :func:`~repro.hmc.flow.rates_of`, :meth:`PowerModel.package_w`),
+        which keep their dataclasses' guards; only the served share, the
+        ledger clamp and the final-step flush are computed here, and no
+        dataclass is built. The scalar step calls it every quantum; the
+        macro engine memoizes it on ``key``, which purity allows.
         """
         (reads, writes, atomics, atomics_ret, compute_cycles,
          rem_reads, rem_writes, rem_atomics, wb_carry, mlp, divergence,
          fraction, link_gbs, dram_gbs, fu_cap, energy_scale) = key
         sim = self.sim
+        cache = sim.cache
         atomics_dem = max(0, int(round(atomics)))
         writes_dem = max(0, int(round(writes)))
-        demand = sim.cache.demand(MemoryTraffic(
-            reads=max(0, int(round(reads))),
-            writes=writes_dem,
-            atomics=atomics_dem,
-            atomics_with_return=min(
-                int(round(atomics_ret)), int(round(atomics))
-            ),
-        ), fraction)
-        t_mem_ns = HmcFlowModel.bottleneck_time_ns(
-            demand, link_gbs, dram_gbs, fu_cap
+        d_reads, _, d_host, d_pim, d_pimr = demand = cache.demand_counts(
+            max(0, int(round(reads))), writes_dem, atomics_dem,
+            min(int(round(atomics_ret)), int(round(atomics))), fraction,
         )
+        t_mem_ns = demand_time_ns(*demand, link_gbs, dram_gbs, fu_cap)
         if mlp > 0.0:
             t_mem_ns /= mlp
         t_cmp_ns = sim.sm.issue_time_ns(int(compute_cycles), divergence)
         # Host-executed atomics serialize at the L2 ROP units.
-        t_atm_ns = demand.host_atomics / sim.gpu.host_atomic_ops_per_ns
+        t_atm_ns = d_host / sim.gpu.host_atomic_ops_per_ns
         t_total_ns = max(t_mem_ns, t_cmp_ns, t_atm_ns, 1.0)
 
         dt_ns = min(CONTROL_DT_S * 1e9, t_total_ns)
         share = dt_ns / t_total_ns
-        served_reads = min(int(round(demand.reads * share)), rem_reads)
-        # Plain writes only: PEI writebacks (in ``demand.writes``) follow
-        # the offloaded ops served below, not the writes ledger.
+        served_reads = min(int(round(d_reads * share)), rem_reads)
+        # Plain writes only: PEI writebacks (in the demand's writes)
+        # follow the offloaded ops served below, not the writes ledger.
         served_writes = min(int(round(writes_dem * share)), rem_writes)
-        served_host = int(round(demand.host_atomics * share))
-        served_pim = int(round(demand.pim_ops * share))
-        served_pim_ret = int(round(demand.pim_ops_ret * share))
-        host_raw = int(round((atomics_dem - demand.total_pim) * share))
+        served_host = int(round(d_host * share))
+        served_pim = int(round(d_pim * share))
+        served_pim_ret = int(round(d_pimr * share))
+        host_raw = int(round((atomics_dem - (d_pim + d_pimr)) * share))
         # Clamp against the ledger (rounding drift), cutting the host
         # accounting before offloaded traffic.
         over = served_pim + served_pim_ret + host_raw - rem_atomics
@@ -455,26 +466,20 @@ class SteppedEngine:
             served_pim += extra_pim
             host_raw += extra_host
             served_host += int(round(
-                extra_host * sim.cache.host_atomic_coalescing
+                extra_host * cache.host_atomic_coalescing
             ))
-        writebacks, wb_carry = sim.cache.writebacks(
-            served_pim + served_pim_ret, wb_carry
+        served_pim_all = served_pim + served_pim_ret
+        writebacks, wb_carry = cache.writebacks(served_pim_all, wb_carry)
+        served_all_writes = served_writes + writebacks
+        link_bytes, data_bytes, dram_bytes = demand_bytes(
+            served_reads, served_all_writes, served_host, served_pim,
+            served_pim_ret,
         )
-        served = TrafficDemand(
-            reads=served_reads,
-            writes=served_writes + writebacks,
-            host_atomics=served_host,
-            pim_ops=served_pim,
-            pim_ops_ret=served_pim_ret,
+        ext_gbs, int_gbs, pim_rate = rates_of(
+            link_bytes, dram_bytes, served_pim_all, dt_ns
         )
-        ext_gbs, int_gbs, pim_rate = sim.flow.traffic_rates(served, dt_ns)
-        power_w = sim.thermal.power.package_total_w(
-            TrafficPoint(
-                external_gbs=ext_gbs,
-                internal_dram_gbs=int_gbs,
-                pim_rate_ops_ns=pim_rate,
-            ),
-            energy_scale,
+        power_w = sim.thermal.power.package_w(
+            ext_gbs, int_gbs, pim_rate, energy_scale
         )
         keep = 1.0 - share
         return (
@@ -482,11 +487,11 @@ class SteppedEngine:
             reads * keep, writes * keep, atomics * keep, atomics_ret * keep,
             compute_cycles * keep,
             rem_reads - served_reads, rem_writes - served_writes,
-            rem_atomics - (served_pim + served_pim_ret + host_raw),
+            rem_atomics - (served_pim_all + host_raw),
             wb_carry,
-            (dt_ns, served_reads, served.writes, served_host, served_pim,
-             served_pim_ret, host_raw, served.link_bytes(),
-             served.external_data_bytes(), ext_gbs, int_gbs, pim_rate),
+            (dt_ns, served_reads, served_all_writes, served_host, served_pim,
+             served_pim_ret, host_raw, link_bytes, data_bytes, ext_gbs,
+             int_gbs, pim_rate),
         )
 
     def _scalar_step(self) -> None:

@@ -25,7 +25,7 @@ from typing import Any, Dict, Tuple
 #:   ``extra`` = integer RNG seed for the window's noise stream.
 #: - ``sensor-dropout``: ``value`` = 1 while readings are lost, 0 clear.
 #: - ``vault-derating``: ``value`` = fraction of nominal vault service
-#:   capacity available (1 = healthy).
+#:   capacity available, in (0, 1] (1 = healthy).
 #: - ``phase-mix``: ``value`` = memory-traffic multiplier,
 #:   ``extra`` = compute-cycle multiplier applied to subsequent epochs.
 EVENT_KINDS = (
@@ -55,6 +55,12 @@ class ScenarioEvent:
             )
         if self.t_s < 0.0:
             raise ValueError(f"event time must be >= 0, got {self.t_s}")
+        if self.kind == "vault-derating" and not 0.0 < self.value <= 1.0:
+            # At 0 the vaults serve nothing: every quantum elapses with
+            # no progress and the run never ends.
+            raise ValueError(
+                f"vault-derating value must be in (0, 1], got {self.value}"
+            )
 
     def to_dict(self) -> Dict[str, Any]:
         return {

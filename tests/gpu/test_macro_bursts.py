@@ -23,6 +23,7 @@ from repro.core.feedback import FeedbackDelays
 from repro.core.hw_dynt import HwDynT
 from repro.core.policies import make_policy
 from repro.core.sw_dynt import SwDynT
+from repro.gpu import simulator
 from repro.gpu.macro import BURST_BOUNDS, MacroEngine
 from repro.obs.tracer import Tracer, set_tracer
 from repro.thermal.cooling import LOW_END_ACTIVE, PASSIVE
@@ -99,6 +100,26 @@ class TestStepMemo:
         engine = MacroEngine(build_sim("macro", cooling=LOW_END_ACTIVE))
         engine.run(hot_launch(), make_policy("coolpim-hw"))
         assert engine._memo is None
+
+
+class TestEpochStates:
+    def test_each_epoch_state_is_built_once(self, monkeypatch):
+        """Ideal-thermal bursts commit all they speculate, across epoch
+        boundaries: the state the speculator builds for an epoch is the
+        one the commit opens, so the run builds one per epoch."""
+        built = []
+        init = simulator._EpochState.__init__
+
+        def counting_init(self, *args):
+            built.append(args[0])
+            init(self, *args)
+
+        monkeypatch.setattr(simulator._EpochState, "__init__", counting_init)
+        sim = build_sim("macro")
+        sim.run(hot_launch(12), make_policy("ideal-thermal"))
+        snap = sim.stats.snapshot(structured=True)
+        assert snap["sim.macro_burst_steps"]["count"] > 0
+        assert len(built) == snap["sim.epochs"]["value"] == 12
 
 
 class CutOnSample(Agent):

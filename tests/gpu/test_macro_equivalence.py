@@ -17,6 +17,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.policies import StaticFraction, make_policy
+from repro.gpu.caches import CacheModel
+from repro.gpu.config import GPU_DEFAULT
 from repro.gpu.kernel import KernelLaunch
 from repro.gpu.simulator import SystemSimulator
 from repro.hmc.config import HMC_2_0
@@ -78,8 +80,10 @@ def hot_launch(n_epochs=10, atomics=400_000):
     ])
 
 
-def build_sim(engine, cooling=COMMODITY_SERVER, phase_policy=None):
+def build_sim(engine, cooling=COMMODITY_SERVER, phase_policy=None,
+              cache=None):
     return SystemSimulator(
+        cache=cache,
         flow=HmcFlowModel(HMC_2_0, phase_policy=phase_policy),
         thermal=HmcThermalModel(HMC_2_0, cooling=cooling),
         sensor=ThermalSensor(),
@@ -87,15 +91,18 @@ def build_sim(engine, cooling=COMMODITY_SERVER, phase_policy=None):
     )
 
 
-def run_both(launch, policy, cooling=COMMODITY_SERVER, phase_policy=None):
+def run_both(launch, policy, cooling=COMMODITY_SERVER, phase_policy=None,
+             cache=None):
     """Run ``launch`` through both engines; returns {engine: (result, stats)}.
 
     ``policy`` is a factory (name string or callable) so each engine gets
-    a fresh, independent policy instance.
+    a fresh, independent policy instance. ``cache`` (a stateless
+    :class:`CacheModel`) defaults to the simulator's bypass model.
     """
     out = {}
     for engine in ("stepped", "macro"):
-        sim = build_sim(engine, cooling=cooling, phase_policy=phase_policy)
+        sim = build_sim(engine, cooling=cooling, phase_policy=phase_policy,
+                        cache=cache)
         pol = make_policy(policy) if isinstance(policy, str) else policy()
         result = sim.run(launch, pol)
         out[engine] = (result, sim.stats.snapshot(), sim)
@@ -176,6 +183,25 @@ def test_engines_agree_for_static_fraction(batches, fraction):
     )
 
 
+#: PEI-style coherence: every other offloaded op writes back a dirty
+#: line, so the writeback remainder (``wb_carry``) is live across quanta.
+PEI_WRITEBACK = CacheModel(
+    GPU_DEFAULT, coherence_mode="writeback", pei_dirty_fraction=0.5
+)
+
+
+@pytest.mark.parametrize("policy", ["naive-offloading", "coolpim-hw"])
+@settings(max_examples=10, deadline=None)
+@given(batches=random_batches)
+def test_engines_agree_in_pei_writeback_mode(policy, batches):
+    """The writeback remainder is part of the epoch state the macro
+    engine restores after a burst commit and resets at each epoch it
+    opens: both engines must agree on every writeback."""
+    assert_equivalent(
+        run_both(make_launch(batches), policy, cache=PEI_WRITEBACK)
+    )
+
+
 class TestHotPaths:
     """Warning oscillation, phase walks, and shutdown/recovery."""
 
@@ -185,6 +211,14 @@ class TestHotPaths:
         warning deliveries, sensor flips, and NORMAL↔EXTENDED↔CRITICAL
         phase crossings."""
         out = run_both(hot_launch(), policy, cooling=LOW_END_ACTIVE)
+        assert out["stepped"][0].thermal_warnings > 10
+        assert_equivalent(out)
+
+    def test_warning_band_in_pei_writeback_mode(self):
+        """Validation- and phase-truncated bursts with a live writeback
+        remainder at every commit."""
+        out = run_both(hot_launch(), "coolpim-hw", cooling=LOW_END_ACTIVE,
+                       cache=PEI_WRITEBACK)
         assert out["stepped"][0].thermal_warnings > 10
         assert_equivalent(out)
 

@@ -1,17 +1,19 @@
 """``SteppedEngine._serve_quantum``: the branches the models do not hold.
 
-The per-quantum traffic function is built from the component models
-(``CacheModel.demand``, ``HmcFlowModel.bottleneck_time_ns``,
-``SmArray.compute_time_ns``, ``HmcFlowModel.traffic_rates``,
-``PowerModel.package_total_w``), each tested on its own. What it adds
-is the served share, the ledger clamp, the final-step flush and the
+The per-quantum traffic function is built from the component models'
+count cores (``CacheModel.demand_counts``,
+``repro.hmc.flow.demand_time_ns``, ``SmArray.issue_time_ns``,
+``repro.hmc.flow.demand_bytes`` and ``rates_of``,
+``PowerModel.package_w``), each tested on its own and against its
+dataclass wrapper (``tests/gpu/test_count_cores.py``). What it adds is
+the served share, the ledger clamp, the final-step flush and the
 zero-DRAM guard; this suite pins those, and that the models' input
 guards still fire through it.
 """
 
 import pytest
 
-from repro.gpu.caches import CacheModel, MemoryTraffic
+from repro.gpu.caches import CacheModel
 from repro.gpu.config import GPU_DEFAULT
 from repro.gpu.simulator import SteppedEngine, SystemSimulator, _EpochState
 from repro.hmc.dram_timing import TemperaturePhase
@@ -35,7 +37,7 @@ def serve(engine, fluid, ledgers, threads=4096, fraction=0.5, es=1.0,
     """``_serve_quantum`` on the key the scalar step would build."""
     epoch = _EpochState(
         OpBatch(reads=0, writes=0, atomics=0, threads=threads),
-        MemoryTraffic(0, 0, 0, 0), engine.sim.saturation_threads,
+        (0, 0, 0, 0), engine.sim.saturation_threads,
     )
     return engine._serve_quantum((
         *fluid, *ledgers, wb_carry, epoch.mlp, epoch.divergence, fraction,
@@ -114,6 +116,8 @@ def test_model_guards_fire_through_the_quantum():
     engine = make_engine()
     with pytest.raises(ValueError, match="pim_fraction"):
         serve(engine, (10.0, 0.0, 10.0, 0.0, 0.0), (10, 0, 10), fraction=1.2)
+    with pytest.raises(ValueError, match="negative energy scale"):
+        serve(engine, (10.0, 0.0, 10.0, 0.0, 0.0), (10, 0, 10), es=-1.0)
     engine.sim.flow.phase = TemperaturePhase.SHUTDOWN
     with pytest.raises(RuntimeError, match="shutdown"):
         engine.sim.flow.capacities()

@@ -103,6 +103,17 @@ class TestEventValidation:
         with pytest.raises(ValueError):
             ScenarioEvent(-1.0, "ambient-offset", 5.0)
 
+    @pytest.mark.parametrize("value", [0.0, -0.25, 1.5, float("nan")])
+    def test_rejects_vault_derating_outside_unit_interval(self, value):
+        # At 0 no vault serves anything and a run would never finish;
+        # the constructor refuses it, so no run is attempted here.
+        with pytest.raises(ValueError, match="vault-derating"):
+            ScenarioEvent(0.0, "vault-derating", value)
+
+    def test_accepts_vault_derating_in_unit_interval(self):
+        for value in (1e-3, 0.55, 1.0):
+            assert ScenarioEvent(0.0, "vault-derating", value).value == value
+
     def test_scenario_requires_sorted_events(self):
         events = (
             ScenarioEvent(2.0, "ambient-offset", 1.0),
