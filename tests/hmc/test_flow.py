@@ -4,7 +4,13 @@ import pytest
 
 from repro.hmc.config import HMC_2_0
 from repro.hmc.dram_timing import TemperaturePhase
-from repro.hmc.flow import HmcFlowModel, TrafficDemand
+from repro.hmc.flow import (
+    HmcFlowModel,
+    TrafficDemand,
+    demand_bytes,
+    demand_flits,
+    rates_of,
+)
 
 
 @pytest.fixture
@@ -14,21 +20,18 @@ def flow():
 
 class TestTrafficDemand:
     def test_flit_accounting_matches_table1(self):
-        d = TrafficDemand(reads=1, writes=1, host_atomics=1, pim_ops=1,
-                          pim_ops_ret=1)
+        req, rsp = demand_flits(1, 1, 1, 1, 1)
         # req: read 1 + write 5 + host (1+5) + pim 2 + pim_ret 2
-        assert d.request_flits() == 1 + 5 + 6 + 2 + 2
+        assert req == 1 + 5 + 6 + 2 + 2
         # rsp: read 5 + write 1 + host (5+1) + pim 1 + pim_ret 2
-        assert d.response_flits() == 5 + 1 + 6 + 1 + 2
+        assert rsp == 5 + 1 + 6 + 1 + 2
 
     def test_internal_bytes(self):
-        d = TrafficDemand(reads=2, writes=1, host_atomics=1, pim_ops=3)
         # (2+1+2)*64 external-backed + 3*32 PIM internal
-        assert d.internal_dram_bytes() == 5 * 64 + 96
+        assert demand_bytes(2, 1, 1, 3, 0)[2] == 5 * 64 + 96
 
     def test_external_payload(self):
-        d = TrafficDemand(reads=1, writes=1, host_atomics=1, pim_ops_ret=2)
-        assert d.external_data_bytes() == 64 * 4 + 32
+        assert demand_bytes(1, 1, 1, 0, 2)[1] == 64 * 4 + 32
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
@@ -42,7 +45,7 @@ class TestServiceTime:
         n = 100_000
         d = TrafficDemand(reads=n, writes=n)
         t = flow.service_time_ns(d)
-        data_rate = d.external_data_bytes() / t
+        data_rate = demand_bytes(*d.counts)[1] / t
         assert data_rate == pytest.approx(320.0, rel=0.01)
 
     def test_read_only_is_response_lane_bound(self, flow):
@@ -114,18 +117,20 @@ class TestRatesAndRecording:
         n = 100_000
         d = TrafficDemand(reads=n, writes=n)
         t = flow.service_time_ns(d)
-        ext, internal, pim = flow.traffic_rates(d, t)
+        link, _, dram = demand_bytes(*d.counts)
+        ext, internal, pim = rates_of(link, dram, d.total_pim, t)
         assert ext == pytest.approx(320.0, rel=0.01)
         assert internal == pytest.approx(320.0, rel=0.01)
         assert pim == 0.0
 
-    def test_pim_rate(self, flow):
-        d = TrafficDemand(pim_ops=1300)
-        ext, internal, pim = flow.traffic_rates(d, 1000.0)
+    def test_pim_rate(self):
+        link, _, dram = demand_bytes(0, 0, 0, 1300, 0)
+        ext, internal, pim = rates_of(link, dram, 1300, 1000.0)
         assert pim == pytest.approx(1.3)
 
-    def test_zero_elapsed(self, flow):
-        assert flow.traffic_rates(TrafficDemand(reads=1), 0.0) == (0, 0, 0)
+    def test_zero_elapsed(self):
+        link, _, dram = demand_bytes(1, 0, 0, 0, 0)
+        assert rates_of(link, dram, 0, 0.0) == (0, 0, 0)
 
     def test_record_accumulates_ledger(self, flow):
         d = TrafficDemand(reads=2, writes=1, host_atomics=1, pim_ops=3)

@@ -8,7 +8,13 @@ from hypothesis import strategies as st
 from repro.core.token_pool import PimTokenPool
 from repro.graph.csr import CSRGraph
 from repro.hmc.dram_timing import TemperaturePhase, TemperaturePhasePolicy
-from repro.hmc.flow import HMC_2_0, HmcFlowModel, TrafficDemand
+from repro.hmc.flow import (
+    HMC_2_0,
+    HmcFlowModel,
+    TrafficDemand,
+    demand_bytes,
+    demand_flits,
+)
 from repro.hmc.isa import (
     PimInstruction,
     PimOpcode,
@@ -219,8 +225,9 @@ def test_flow_flits_match_manual_table1_sum(d):
         + d.pim_ops * flit_cost(PacketType.PIM)[0]
         + d.pim_ops_ret * flit_cost(PacketType.PIM_RET)[0]
     )
-    assert d.request_flits() == req
-    assert d.link_bytes() == (d.request_flits() + d.response_flits()) * FLIT_BYTES
+    req_flits, rsp_flits = demand_flits(*d.counts)
+    assert req_flits == req
+    assert demand_bytes(*d.counts)[0] == (req_flits + rsp_flits) * FLIT_BYTES
 
 
 # ---------------------------------------------------------------------------

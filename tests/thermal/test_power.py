@@ -53,15 +53,15 @@ class TestScalarPowers:
     def test_power_equals_energy_times_bandwidth(self, pm):
         # Sec. V-A: power = energy/bit x bandwidth.
         t = TrafficPoint.streaming(320.0)
-        assert pm.dram_dynamic_w(t) == pytest.approx(
+        assert pm.dram_dynamic_w(t.internal_dram_gbs) == pytest.approx(
             3.7e-12 * 320e9 * 8
         )
-        assert pm.logic_dynamic_w(t) == pytest.approx(6.78e-12 * 320e9 * 8)
+        assert pm.logic_dynamic_w(t.external_gbs) == pytest.approx(6.78e-12 * 320e9 * 8)
 
     def test_fu_power_formula(self, pm):
         # Power(FU) = E x FUwidth x PIMrate (Sec. III-C).
         t = TrafficPoint(pim_rate_ops_ns=2.0)
-        assert pm.fu_power_w(t) == pytest.approx(
+        assert pm.fu_power_w(t.pim_rate_ops_ns) == pytest.approx(
             pm.fu_energy_per_bit * 128 * 2e9
         )
 
