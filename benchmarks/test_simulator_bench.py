@@ -14,11 +14,14 @@ workload on the LDBC graph swept across the paper's policy matrix:
 
 Each run's measurements are appended to ``BENCH_simulator.json`` (written
 to the working directory), giving CI a machine-readable trajectory of the
-per-policy speedups. The artifact also records, ungated, the layer the
-macro engine's step-memo misses pay for: ``serve_quantum_us``, the median
-microseconds of one ``SteppedEngine._serve_quantum`` call over a fixed
-key set, and ``step_memo_hit_ratio``, the share of speculated quanta the
-macro sweep served from the memo.
+per-policy speedups. The artifact also records, ungated, the layers of
+the macro engine's control loop: ``serve_quantum_us``, the median
+microseconds of one ``SteppedEngine._serve_quantum`` call (one step-memo
+miss) over a fixed key set; and, over one macro sweep of the launch,
+``step_memo_hit_ratio``, the share of speculated quanta served from the
+memo, ``burst_us``, the median microseconds of one
+``MacroEngine._try_burst`` call, and ``epoch_rows_built``, the epoch rows
+that sweep built (0: the launch's earlier runs built them all).
 """
 
 import json
@@ -30,6 +33,7 @@ import pytest
 
 from repro.core.policies import make_policy
 from repro.gpu.config import GPU_DEFAULT
+from repro.gpu import simulator
 from repro.gpu.macro import MacroEngine
 from repro.gpu.simulator import SteppedEngine, SystemSimulator
 from repro.graph.datasets import get_dataset
@@ -144,13 +148,12 @@ def _serve_quantum_us(build, launch):
     caps = sim.flow.capacities()
     keys = []
     for batch in list(launch.trace)[:SERVE_EPOCHS]:
-        st = engine._epoch_state(batch)
-        reads, writes, atomics, _ = st.counts
+        (*fluid, (reads, writes, atomics, _), mlp,
+         divergence) = engine._row_of(batch)
         for fraction in SERVE_FRACTIONS:
             keys.append((
-                st.reads, st.writes, st.atomics, st.atomics_ret,
-                st.compute_cycles, reads, writes, atomics, 0.0,
-                st.mlp, st.divergence, fraction, *caps, 1.0,
+                *fluid, reads, writes, atomics, 0.0,
+                mlp, divergence, fraction, *caps, 1.0,
             ))
     serve = engine._serve_quantum
     per_call = []
@@ -162,25 +165,44 @@ def _serve_quantum_us(build, launch):
     return statistics.median(per_call)
 
 
-def _memo_hit_ratio(build, launch, monkeypatch):
-    """Share of speculated quanta served from the step memo over one
-    macro sweep of :data:`POLICIES`."""
-    tally = {"hits": 0, "speculated": 0}
+def _macro_layers(build, launch, monkeypatch):
+    """One macro sweep of :data:`POLICIES`: the step-memo hit ratio, the
+    median microseconds per ``_try_burst`` and the epoch rows built."""
+    tally = {"hits": 0, "speculated": 0, "rows": 0}
+    burst_us = []
     speculate = MacroEngine._speculate
+    try_burst = MacroEngine._try_burst
+    epoch_row = simulator.epoch_row
 
     def counted(self, b):
         speculate(self, b)
         tally["hits"] += b.memo_hits
         tally["speculated"] += len(b.steps)
 
+    def timed(self):
+        t0 = time.perf_counter()
+        committed = try_burst(self)
+        burst_us.append((time.perf_counter() - t0) * 1e6)
+        return committed
+
+    def row(*args):
+        tally["rows"] += 1
+        return epoch_row(*args)
+
     with monkeypatch.context() as m:
         m.setattr(MacroEngine, "_speculate", counted)
+        m.setattr(MacroEngine, "_try_burst", timed)
+        m.setattr(simulator, "epoch_row", row)
         for policy in POLICIES:
             _timed_run(build, launch, "macro", policy)
-    return tally["hits"] / max(1, tally["speculated"])
+    return {
+        "step_memo_hit_ratio": tally["hits"] / max(1, tally["speculated"]),
+        "burst_us": statistics.median(burst_us),
+        "epoch_rows_built": tally["rows"],
+    }
 
 
-def _emit(rows, aggregate_speedup, macro_steps_per_s, serve_us, hit_ratio):
+def _emit(rows, aggregate_speedup, macro_steps_per_s, serve_us, layers):
     payload = {
         "benchmark": "simulator_macro_vs_stepped",
         "config": {"workload": "pagerank", "dataset": "ldbc",
@@ -188,7 +210,7 @@ def _emit(rows, aggregate_speedup, macro_steps_per_s, serve_us, hit_ratio):
         "aggregate_speedup": aggregate_speedup,
         "macro_steps_per_s": macro_steps_per_s,
         "serve_quantum_us": serve_us,
-        "step_memo_hit_ratio": hit_ratio,
+        **layers,
         "policies": rows,
     }
     ARTIFACT.write_text(json.dumps(payload, indent=2) + "\n")
@@ -205,7 +227,7 @@ def test_macro_engine_speedup(benchmark, fig10_setup, monkeypatch):
     total_steps = sum(r["control_steps"] for r in rows.values())
     steps_per_s = total_steps / macro_total
     _emit(rows, aggregate, steps_per_s, _serve_quantum_us(build, launch),
-          _memo_hit_ratio(build, launch, monkeypatch))
+          _macro_layers(build, launch, monkeypatch))
 
     # Anchor the pytest-benchmark table to the macro sweep itself.
     benchmark(lambda: [

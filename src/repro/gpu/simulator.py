@@ -141,32 +141,53 @@ class SimulationResult:
         return out
 
 
-class _EpochState:
-    """Mutable fluid remainder of one epoch, plus its two per-epoch
-    service constants: memory-level parallelism and warp divergence.
+def epoch_row(
+    batch: OpBatch, cache: CacheModel, saturation_threads: int
+) -> tuple:
+    """Fresh state of ``batch``'s epoch, as the row ``(reads, writes,
+    atomics, atomics_ret, compute_cycles, counts, mlp, divergence)``.
 
-    It also keeps, for :meth:`SteppedEngine._open_epoch`, its ``batch``
-    and ``counts``: the post-cache ``(reads, writes, atomics,
-    atomics_with_return)`` of :meth:`CacheModel.filter_counts`, which
-    seed the epoch's integer work ledgers.
+    ``counts`` is the post-cache ``(reads, writes, atomics,
+    atomics_with_return)`` of :meth:`CacheModel.filter_counts` (under its
+    guard), which seeds the epoch's integer work ledgers; the first five
+    entries are those counts and the compute cycles as floats, the fluid
+    the drain starts from. ``mlp`` is the epoch's memory-level
+    parallelism, ``divergence`` its warp divergence. The row depends on
+    the batch, ``cache.read_hit_rate``/``write_hit_rate`` and
+    ``saturation_threads`` alone, so a run reads its trace's rows from
+    :meth:`~repro.sim.trace.TraceCursor.rows` under those three values
+    and calls this directly only for a batch the scenario driver
+    rescaled.
     """
-
-    def __init__(
-        self, batch: OpBatch, counts: Tuple[int, int, int, int],
-        saturation_threads: int,
-    ) -> None:
-        self.batch = batch
-        self.counts = counts
-        reads, writes, atomics, atomics_ret = counts
-        self.reads = float(reads)
-        self.writes = float(writes)
-        self.atomics = float(atomics)
-        self.atomics_ret = float(atomics_ret)
-        self.compute_cycles = float(batch.compute_cycles)
+    counts = cache.filter_counts(batch)
+    reads, writes, atomics, atomics_ret = counts
+    return (
+        float(reads), float(writes), float(atomics), float(atomics_ret),
+        float(batch.compute_cycles), counts,
         # Small frontiers can't keep enough requests in flight to
         # saturate the memory system.
-        self.mlp = min(1.0, batch.threads / saturation_threads)
-        self.divergence = batch.divergent_warp_ratio
+        min(1.0, batch.threads / saturation_threads),
+        batch.divergent_warp_ratio,
+    )
+
+
+class _EpochState:
+    """Mutable fluid remainder of the open epoch, plus its two per-epoch
+    service constants: memory-level parallelism and warp divergence.
+
+    Seeded from the epoch's :func:`epoch_row`. The macro engine's
+    speculation reads rows directly, and its commit materializes only the
+    epoch it leaves open.
+    """
+
+    __slots__ = (
+        "reads", "writes", "atomics", "atomics_ret", "compute_cycles",
+        "mlp", "divergence",
+    )
+
+    def __init__(self, row: tuple) -> None:
+        (self.reads, self.writes, self.atomics, self.atomics_ret,
+         self.compute_cycles, _, self.mlp, self.divergence) = row
 
     @property
     def drained(self) -> bool:
@@ -241,6 +262,10 @@ class SteppedEngine:
             "control_dt_ns", linear_bounds(0.0, CONTROL_DT_S * 1e9 * 1.01, 64)
         )
         self.dt_hist.reset()
+        #: Committed per-quantum dt (ns), in order; it fills ``dt_hist``
+        #: once, at the end of the run (nothing reads the histogram
+        #: mid-run, and the bulk fill sums sequentially).
+        self.dts: List[float] = []
         self.frac_tw = scope.time_weighted("pim_fraction")
         self.frac_tw.reset(initial=0.0, start_time=0.0)
         counters = [scope.counter(name) for name in RUN_COUNTERS]
@@ -275,6 +300,13 @@ class SteppedEngine:
 
         self.state: Optional[_EpochState] = None
         self.launch_trace = trace
+        cache = sim.cache
+        # Keyed on every input of _row_of besides the batch.
+        self.rows = trace.rows(
+            (cache.read_hit_rate, cache.write_hit_rate,
+             sim.saturation_threads),
+            self._row_of,
+        )
         # Live telemetry: resolved once per run; when no sink is
         # installed the per-step cost is a single None test (the same
         # discipline as the tracer's NULL_SPAN fast path).
@@ -285,12 +317,10 @@ class SteppedEngine:
             # Open the next epoch (an empty one closes at once), then
             # apply the scenario events due at this step.
             while self.state is None:
-                batch = trace.next()
-                if batch is None:
+                epoch = self._next_epoch()
+                if epoch is None:
                     break
-                if scen is not None:
-                    batch = scen.transform_batch(batch)
-                self._open_epoch(self._epoch_state(batch), self.now_s)
+                self._open_epoch(*epoch, self.now_s)
                 if not self._epoch_pending():
                     self._close_epoch(self.now_s)
             if self.state is None:
@@ -308,6 +338,7 @@ class SteppedEngine:
         # covers the full run.
         if self.now_s > 0.0:
             self.frac_tw.update(self.frac_tw.value, self.now_s)
+        self.dt_hist.observe_many(self.dts)
         for name, counter in zip(RUN_COUNTERS, counters):
             counter.inc(getattr(self, name))
         if self.traced:
@@ -343,30 +374,52 @@ class SteppedEngine:
 
     # -- epoch bookkeeping -------------------------------------------------
 
-    def _epoch_state(self, batch: OpBatch) -> _EpochState:
-        """Fresh fluid state of ``batch``'s epoch."""
-        sim = self.sim
-        return _EpochState(
-            batch, sim.cache.filter_counts(batch), sim.saturation_threads
-        )
+    def _row_of(self, batch: OpBatch) -> tuple:
+        """:func:`epoch_row` of ``batch`` under this run's cache and
+        saturation."""
+        return epoch_row(batch, self.sim.cache, self.sim.saturation_threads)
 
-    def _open_epoch(self, state: _EpochState, sim0: float) -> None:
-        self.atomics_total += state.batch.atomics
-        self.state = state
-        # Integer work ledgers: the fluid drain rounds per step, so its
-        # serving sums can drift from the epoch totals; the final control
-        # step flushes whatever the ledgers still hold.
-        self.rem_reads, self.rem_writes, self.rem_atomics, _ = state.counts
-        #: Rounding remainder of the epoch's PEI writebacks (always 0.0
-        #: in bypass mode), carried across quanta like the ledgers.
-        self.wb_carry = 0.0
+    def _next_epoch(self) -> Optional[Tuple[OpBatch, tuple]]:
+        """Pull the next epoch's ``(batch, row)`` off the trace (``None``
+        at its end).
+
+        The row is the trace's shared one, unless the scenario driver
+        rescales the batch: then it is built from the rescaled batch.
+        """
+        trace = self.launch_trace
+        index = trace.position
+        batch = trace.next()
+        if batch is None:
+            return None
+        if self.scen is not None:
+            scaled = self.scen.transform_batch(batch)
+            if scaled is not batch:
+                return scaled, self._row_of(scaled)
+        return batch, self.rows[index]
+
+    def _begin_epoch(self, batch: OpBatch, sim0: float) -> None:
+        """Count ``batch``'s epoch as opened at ``sim0``, without a fluid
+        state (the macro commit's path for epochs consumed in a burst)."""
+        self.atomics_total += batch.atomics
         self.epochs += 1
+        self.epoch_batch = batch
         self.epoch_sim0 = sim0
         self.epoch_wall0 = _time.perf_counter() if self.traced else 0.0
 
+    def _open_epoch(self, batch: OpBatch, row: tuple, sim0: float) -> None:
+        self._begin_epoch(batch, sim0)
+        self.state = _EpochState(row)
+        # Integer work ledgers: the fluid drain rounds per step, so its
+        # serving sums can drift from the epoch totals; the final control
+        # step flushes whatever the ledgers still hold.
+        self.rem_reads, self.rem_writes, self.rem_atomics, _ = row[5]
+        #: Rounding remainder of the epoch's PEI writebacks (always 0.0
+        #: in bypass mode), carried across quanta like the ledgers.
+        self.wb_carry = 0.0
+
     def _close_epoch(self, end_s: float) -> None:
         if self.traced:
-            batch = self.state.batch
+            batch = self.epoch_batch
             self.tracer.complete(
                 "gpu.epoch", self.epoch_wall0, _time.perf_counter(),
                 cat="gpu", label=batch.label,
@@ -594,7 +647,7 @@ class SteppedEngine:
         self.phase_time[phase.name] += dt_s
         self.now_s += dt_s
         self.control_steps += 1
-        self.dt_hist.observe(dt_ns)
+        self.dts.append(dt_ns)
 
         if self.now_s >= self.next_sample:
             self.timeline.append((self.now_s, temp_c, pim_rate, fraction))

@@ -224,10 +224,13 @@ class HmcFlowModel:
             raise ValueError(
                 f"FU rate must be positive: {fu_rate_per_vault_gops}"
             )
-        self.config = config
-        self.policy = phase_policy or TemperaturePhasePolicy()
-        self.internal_peak_gbs = internal_peak_gbs
-        self.fu_rate_per_vault_gops = fu_rate_per_vault_gops
+        # Read-only after construction (properties below), so the
+        # capacities memo need not key on them.
+        self._config = config
+        self._policy = phase_policy or TemperaturePhasePolicy()
+        self._internal_peak_gbs = internal_peak_gbs
+        self._fu_rate_per_vault_gops = fu_rate_per_vault_gops
+        self._caps: dict = {}
         self.phase = TemperaturePhase.NORMAL
         self.stats = FlowStats()
         self._thermal_warning = False
@@ -236,6 +239,22 @@ class HmcFlowModel:
         #: shrink both internal DRAM bandwidth and the FU pool). 1.0 is
         #: bit-exact nominal (×1.0 is an IEEE identity).
         self.vault_capacity_scale = 1.0
+
+    @property
+    def config(self) -> HmcConfig:
+        return self._config
+
+    @property
+    def policy(self) -> TemperaturePhasePolicy:
+        return self._policy
+
+    @property
+    def internal_peak_gbs(self) -> float:
+        return self._internal_peak_gbs
+
+    @property
+    def fu_rate_per_vault_gops(self) -> float:
+        return self._fu_rate_per_vault_gops
 
     # -- thermal coupling -----------------------------------------------------
 
@@ -299,14 +318,22 @@ class HmcFlowModel:
 
     def capacities(self) -> tuple[float, float, float]:
         """(per-direction link GB/s, DRAM GB/s, FU op/ns) at the current
-        phase. Raises if the device is shut down."""
-        if self.is_shutdown:
-            raise RuntimeError("HMC is in thermal shutdown")
-        return (
-            self.effective_link_gbs(),
-            self.dram_capacity_gbs(),
-            self.fu_capacity_ops_per_ns(),
-        )
+        phase. Raises if the device is shut down.
+
+        Memoized on ``(phase, vault_capacity_scale)``, the only inputs
+        that change after construction.
+        """
+        key = (self.phase, self.vault_capacity_scale)
+        caps = self._caps.get(key)
+        if caps is None:
+            if self.is_shutdown:
+                raise RuntimeError("HMC is in thermal shutdown")
+            caps = self._caps[key] = (
+                self.effective_link_gbs(),
+                self.dram_capacity_gbs(),
+                self.fu_capacity_ops_per_ns(),
+            )
+        return caps
 
     def service_time_ns(self, demand: TrafficDemand) -> float:
         """Time to serve ``demand`` at the current phase (ns).

@@ -14,7 +14,9 @@ read/write traffic, the number of offloadable atomics, and warp divergence.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Iterable, Iterator, List, Optional, Sequence
+from typing import (
+    Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence,
+)
 
 
 @dataclass(frozen=True)
@@ -112,13 +114,20 @@ class TraceCursor:
 
     The GPU simulator pulls epochs one at a time; :meth:`rewind` restarts the
     trace so the same workload can be run under several policies without
-    regenerating it. Traces can be persisted with :meth:`save` /
-    :meth:`load` to skip regeneration across processes.
+    regenerating it, and :meth:`rows` keeps what the simulator derives
+    from each epoch for the next run.
     """
 
-    def __init__(self, batches: Iterable[OpBatch]) -> None:
+    def __init__(
+        self,
+        batches: Iterable[OpBatch],
+        rows: Optional[Dict[tuple, tuple]] = None,
+    ) -> None:
         self._batches: List[OpBatch] = list(batches)
         self._pos = 0
+        # Per-epoch rows derived from the batches (see rows()); a caller
+        # that hands several cursors the same batches may share them.
+        self._rows: Dict[tuple, tuple] = {} if rows is None else rows
 
     def __len__(self) -> int:
         return len(self._batches)
@@ -157,6 +166,21 @@ class TraceCursor:
                 f"position {position} out of range [0, {len(self._batches)}]"
             )
         self._pos = position
+
+    def rows(self, key: tuple, build: Callable[[OpBatch], Any]) -> tuple:
+        """``build(batch)`` of every epoch, in trace order, computed once
+        per ``key``.
+
+        ``key`` must hold every input of ``build`` besides the batch.
+        The rows live with the batches: every cursor
+        :func:`repro.workloads.base.launch_for` returns for one memo
+        entry shares them. Two threads building one key at once both
+        build it; the values are equal, so either serves.
+        """
+        rows = self._rows.get(key)
+        if rows is None:
+            rows = self._rows[key] = tuple(build(b) for b in self._batches)
+        return rows
 
     def totals(self) -> OpBatch:
         """Aggregate over the full trace (ignores cursor position)."""

@@ -61,6 +61,7 @@ class HmcThermalModel:
         self.stack: StackSpec = ops.stack
         self.floorplan = ops.floorplan
         self.network: RcNetwork = ops.network
+        self._dram_index = ops.dram_index
         self._steady = ops.steady
         self._transient = TransientSolver(
             self.network, CONTROL_DT_S, ambient_c=ambient_c, lu=ops.step_lu
@@ -157,23 +158,21 @@ class HmcThermalModel:
         self._last_T = T
         return T
 
-    def _peak_over_layers(self, T: np.ndarray, names: list[str]) -> float:
-        net = self.network
-        return max(
-            float(net.layer_temps(T, net.layer_index[n]).max()) for n in names
-        )
+    def _peak_dram(self, T: np.ndarray) -> float:
+        """Peak DRAM-die temperature of a node state: one gather and max
+        over the bundle's DRAM node index."""
+        return float(T[self._dram_index].max())
 
     def steady_peak_dram_c(
         self, traffic: TrafficPoint, vault_weights: Optional[np.ndarray] = None
     ) -> float:
         """Peak DRAM-die temperature at steady state (Fig. 4/5 metric)."""
-        T = self.steady_state(traffic, vault_weights)
-        names = [f"dram{i}" for i in range(self.config.num_dram_dies)]
-        return self._peak_over_layers(T, names)
+        return self._peak_dram(self.steady_state(traffic, vault_weights))
 
     def steady_peak_logic_c(self, traffic: TrafficPoint) -> float:
         T = self.steady_state(traffic)
-        return self._peak_over_layers(T, ["logic"])
+        net = self.network
+        return float(net.layer_temps(T, net.layer_index["logic"]).max())
 
     def steady_surface_c(self, traffic: TrafficPoint) -> float:
         """Package-surface (spreader-top) temperature — what a thermal
@@ -239,14 +238,11 @@ class HmcThermalModel:
         P = self._power_vector(traffic, dram_energy_scale=dram_energy_scale)
         T = self._transient.step(P)
         self._last_T = T
-        names = [f"dram{i}" for i in range(self.config.num_dram_dies)]
-        return self._peak_over_layers(T, names)
+        return self._peak_dram(T)
 
     def peak_dram_c(self) -> float:
         """Peak DRAM temperature of the current transient state."""
-        T = self._transient.T
-        names = [f"dram{i}" for i in range(self.config.num_dram_dies)]
-        return self._peak_over_layers(T, names)
+        return self._peak_dram(self._transient.T)
 
     def set_transient_state(self, T: np.ndarray) -> None:
         """Install a node-temperature state (macro-engine burst commit)."""

@@ -69,6 +69,9 @@ class ThermalOperators:
     floorplan: Floorplan
     network: RcNetwork
     steady: SteadySolver
+    #: Node indices of every DRAM layer, layers in name order: the
+    #: thermal models' peak-DRAM readout and the propagators' output rows.
+    dram_index: np.ndarray
     #: Power bases keyed by power fingerprint (see
     #: ``HmcThermalModel._basis``).
     bases: Dict[Tuple, Tuple[np.ndarray, ...]] = field(default_factory=dict)
@@ -102,14 +105,8 @@ def get_propagator(
     """
     prop = ops.propagators.get(fingerprint)
     if prop is None:
-        net = ops.network
-        dram_index = np.concatenate([
-            np.arange(net.num_nodes)[net.layer_slice(idx)]
-            for name, idx in sorted(net.layer_index.items())
-            if name.startswith("dram")
-        ])
         prop = ReducedPropagator(
-            net, ops.step_lu(), CONTROL_DT_S, inputs, dram_index
+            ops.network, ops.step_lu(), CONTROL_DT_S, inputs, ops.dram_index
         )
         ops.propagators[fingerprint] = prop
     return prop
@@ -161,6 +158,11 @@ def get_operators(
             floorplan=floorplan,
             network=network,
             steady=SteadySolver(network, ambient_c=ambient_c),
+            dram_index=np.concatenate([
+                np.arange(network.num_nodes)[network.layer_slice(idx)]
+                for name, idx in sorted(network.layer_index.items())
+                if name.startswith("dram")
+            ]),
         )
     _CACHE[key] = ops
     return ops

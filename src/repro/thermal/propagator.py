@@ -19,7 +19,8 @@ arithmetic in a small invariant subspace:
   eigendecompose the reduced operator ``S_r = WᵀSW = V Λ Vᵀ``.
 - A K-step trajectory then costs one (r×K) diagonal recurrence plus one
   dense GEMM to read out per-step peak DRAM temperatures — microseconds
-  per quantum instead of a ~0.5 ms solve.
+  per quantum instead of a ~0.3 ms solve (2,432-node network, one BLAS
+  thread on a 2-vCPU Xeon).
 
 States outside the span (a warm-start steady point after a shutdown,
 altered power constants) are detected by the projection residual and
@@ -237,21 +238,26 @@ class ReducedPropagator:
         return (self._WV @ z) / self._sd
 
     def march(self, z0: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
-        """Advance K quanta; returns the (r, K) post-step trajectory.
+        """Advance K quanta; returns the (r, K) post-step trajectory,
+        C-contiguous.
 
         ``coeffs`` is (n_inputs, K): column k holds the power-basis
         weights of quantum k, so the forcing term is ``proj_in @ coeffs``
-        and each step is a diagonal update ``z ← Λz + h_k``.
+        and each step is a diagonal update ``z ← Λz + h_k``. The steps
+        are written in place as contiguous rows of a (K, r) buffer. The
+        result is a contiguous copy of its transpose, not a view: the
+        peak readout's GEMM rounds differently on a transposed operand.
         """
-        H = self._proj_in @ coeffs
-        K = H.shape[1]
-        Z = np.empty((self._lam.size, K))
+        H = np.ascontiguousarray((self._proj_in @ coeffs).T)
+        Zt = np.empty((H.shape[0], self._lam.size))
         z = z0
         lam = self._lam
-        for k in range(K):
-            z = lam * z + H[:, k]
-            Z[:, k] = z
-        return Z
+        for k in range(H.shape[0]):
+            row = Zt[k]
+            np.multiply(lam, z, out=row)
+            np.add(row, H[k], out=row)
+            z = row
+        return np.ascontiguousarray(Zt.T)
 
     def dram_peaks(self, Z: np.ndarray) -> np.ndarray:
         """Per-step peak DRAM temperature (°C) of a marched trajectory.

@@ -257,7 +257,9 @@ class GraphWorkload(abc.ABC):
 
 #: Memo entries kept, least recently used evicted first: epoch traces and
 #: family traversals alike. A full-scale trace is at most ~0.26 MB (BFS on
-#: ``ldbc``); a traversal is smaller than any trace read off it.
+#: ``ldbc``), and the simulators' epoch rows of it add ~0.27 MB per
+#: (hit rates, saturation) they run it under; a traversal is smaller than
+#: any trace read off it.
 TRACE_MEMO_ENTRIES = 32
 
 _MEMO: "OrderedDict[tuple, Any]" = OrderedDict()
@@ -307,7 +309,9 @@ def launch_for(
     """``workload.launch(graph, gpu)``, generated once per :func:`trace_key`.
 
     A miss calls :meth:`GraphWorkload.launch` and keeps its immutable
-    batch tuple; for a kernel with a family, the launch reads the
+    batch tuple, with the epoch rows the simulators derive from it
+    (:meth:`~repro.sim.trace.TraceCursor.rows`, shared by every cursor
+    over the entry); for a kernel with a family, the launch reads the
     family traversal from the memo too (key
     :meth:`GraphWorkload.traversal_key`), running the algorithm only if
     no variant has yet. Every call, hit or miss, returns its own launch
@@ -336,7 +340,9 @@ def launch_for(
                 return value
 
         launch = workload.launch(graph, gpu, shared)
-        entry = (launch, tuple(launch.trace))
+        # The epoch rows the simulators derive from these batches (see
+        # TraceCursor.rows) live in the entry too, evicted with it.
+        entry = (launch, tuple(launch.trace), {})
         _memo_put(key, entry)
         outcome = "miss"
         generated["generate_s"] = _time.perf_counter() - t0
@@ -360,8 +366,8 @@ def launch_for(
             "repro_trace_generate_seconds",
             "Epoch-trace generation time on a memo miss", ("workload",),
         ).labels(workload=workload.name).observe(generated["generate_s"])
-    template, batches = entry
-    return replace(template, trace=TraceCursor(batches))
+    template, batches, rows = entry
+    return replace(template, trace=TraceCursor(batches, rows))
 
 
 def clear_cache() -> None:

@@ -15,7 +15,7 @@ import pytest
 
 from repro.gpu.caches import CacheModel
 from repro.gpu.config import GPU_DEFAULT
-from repro.gpu.simulator import SteppedEngine, SystemSimulator, _EpochState
+from repro.gpu.simulator import SteppedEngine, SystemSimulator, epoch_row
 from repro.hmc.dram_timing import TemperaturePhase
 from repro.sim.trace import OpBatch
 from repro.thermal.operators import CONTROL_DT_S
@@ -35,12 +35,12 @@ def make_engine(coherence_mode="bypass", phase=TemperaturePhase.NORMAL,
 def serve(engine, fluid, ledgers, threads=4096, fraction=0.5, es=1.0,
           wb_carry=0.0):
     """``_serve_quantum`` on the key the scalar step would build."""
-    epoch = _EpochState(
+    *_, mlp, divergence = epoch_row(
         OpBatch(reads=0, writes=0, atomics=0, threads=threads),
-        (0, 0, 0, 0), engine.sim.saturation_threads,
+        engine.sim.cache, engine.sim.saturation_threads,
     )
     return engine._serve_quantum((
-        *fluid, *ledgers, wb_carry, epoch.mlp, epoch.divergence, fraction,
+        *fluid, *ledgers, wb_carry, mlp, divergence, fraction,
         *engine.sim.flow.capacities(), es,
     ))
 

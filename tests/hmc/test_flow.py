@@ -110,6 +110,32 @@ class TestDerating:
         with pytest.raises(RuntimeError):
             flow.service_time_ns(TrafficDemand(reads=1))
 
+    def test_capacities_memo_keys_phase_and_vault_scale(self, flow):
+        """Memoized capacities follow the phase and the vault derating,
+        and a shutdown still raises after other phases were served."""
+
+        def direct():
+            return (flow.effective_link_gbs(), flow.dram_capacity_gbs(),
+                    flow.fu_capacity_ops_per_ns())
+
+        seen = set()
+        for temp in (70.0, 90.0, 100.0, 70.0):
+            for scale in (1.0, 0.5, 1.0):
+                flow.update_phase(temp)
+                flow.vault_capacity_scale = scale
+                assert flow.capacities() == direct()
+                seen.add(flow.capacities())
+        assert len(seen) == 6
+        flow.update_phase(110.0)
+        with pytest.raises(RuntimeError, match="thermal shutdown"):
+            flow.capacities()
+
+    def test_memoized_inputs_are_read_only(self, flow):
+        for name in ("config", "policy", "internal_peak_gbs",
+                     "fu_rate_per_vault_gops"):
+            with pytest.raises(AttributeError):
+                setattr(flow, name, getattr(flow, name))
+
 
 class TestRatesAndRecording:
     def test_traffic_rates_payload_equivalence(self, flow):

@@ -251,3 +251,116 @@ class TestDriverState:
         assert out.reads == 150 and out.writes == 75 and out.atomics == 15
         assert out.compute_cycles == 500
         assert out.threads == batch.threads
+
+
+def _epoch_spans(engine, launch, scenario=None, policy="coolpim-hw"):
+    """Run traced; returns ``run_both``'s ``(result, stats, sim)`` and the
+    run's ``gpu.epoch`` spans as ``(label, atomics, sim_start_s)``."""
+    from repro.obs.tracer import Tracer, set_tracer
+
+    previous = set_tracer(Tracer(enabled=True))
+    try:
+        sim = build_sim(engine, scenario=scenario)
+        result = sim.run(launch, make_policy(policy))
+        records = set_tracer(previous).records
+    finally:
+        set_tracer(previous)
+    return (result, sim.stats.snapshot(), sim), [
+        (r["args"]["label"], r["args"]["atomics"], r["args"]["sim_start_s"])
+        for r in records if r["name"] == "gpu.epoch"
+    ]
+
+
+def _pulled_epochs(monkeypatch):
+    """Record every ``(engine, batch, row)`` an engine pulls off its
+    trace."""
+    from repro.gpu.simulator import SteppedEngine
+
+    pulled = []
+    next_epoch = SteppedEngine._next_epoch
+
+    def spy(self):
+        epoch = next_epoch(self)
+        if epoch is not None:
+            pulled.append((self, *epoch))
+        return epoch
+
+    monkeypatch.setattr(SteppedEngine, "_next_epoch", spy)
+    return pulled
+
+
+class TestBoundaryEvents:
+    """Events that land exactly on an epoch or burst boundary."""
+
+    def test_phase_mix_at_an_epoch_opening(self, monkeypatch):
+        """A phase-mix event lands at the instant epoch 3 opens, while an
+        earlier one (inside epoch 2) is in force. Events due at an
+        instant apply after the epochs opening then, so epoch 3 runs the
+        earlier event's rescaled batch, on a row built from that batch
+        rather than the trace's shared row, and epoch 4 on the new mix.
+        Both engines agree bit for bit."""
+        from repro.gpu.simulator import epoch_row
+
+        launch = hot_launch(n_epochs=6)
+        _, base = _epoch_spans("stepped", launch)
+        t2, t3 = base[2][2], base[3][2]
+        assert 0.0 < t2 < t3
+        scenario = Scenario(name="boundary", seed=0, events=(
+            ScenarioEvent(0.5 * (t2 + t3), "phase-mix", 0.5, 0.0),
+            ScenarioEvent(t3, "phase-mix", 1.5, 0.0),
+        ))
+        pulled = _pulled_epochs(monkeypatch)
+        out, spans = {}, {}
+        for engine in ("stepped", "macro"):
+            out[engine], spans[engine] = _epoch_spans(engine, launch, scenario)
+        assert_equivalent(out)
+        assert spans["macro"] == spans["stepped"]
+        assert [s[2] for s in spans["stepped"][:4]] == [
+            s[2] for s in base[:4]
+        ]
+        assert [s[1] for s in spans["stepped"]] == [400_000] * 3 + [
+            200_000, 600_000, 600_000
+        ]
+        assert out["stepped"][0].total_atomics == (
+            400_000 * 3 + 200_000 + 600_000 * 2
+        )
+        scaled = [p for p in pulled if p[1].atomics != 400_000]
+        assert {p[0].name for p in scaled} == {"stepped", "macro"}
+        for engine, batch, row in pulled:
+            sim = engine.sim
+            assert repr(row) == repr(
+                epoch_row(batch, sim.cache, sim.saturation_threads)
+            )
+
+    def test_vault_derating_mid_run_changes_capacities(self, monkeypatch):
+        """A vault-derating event half-way through the run: the
+        capacities each engine's quanta see switch from the memoized
+        nominal ones to the derated ones, and the engines agree."""
+        from repro.gpu.simulator import SteppedEngine
+
+        launch = hot_launch(n_epochs=6)
+        clean = build_sim("stepped").run(launch, make_policy("coolpim-hw"))
+        scenario = Scenario(name="derate", seed=0, events=(
+            ScenarioEvent(0.5 * clean.runtime_s, "vault-derating", 0.5),
+        ))
+        caps = {}
+        serve = SteppedEngine._serve_quantum
+
+        def spy(self, key):
+            caps.setdefault(self.name, []).append(key[12:15])
+            return serve(self, key)
+
+        monkeypatch.setattr(SteppedEngine, "_serve_quantum", spy)
+        out = run_both(launch, "coolpim-hw", scenario)
+        assert_equivalent(out)
+        nominal = HmcFlowModel(HMC_2_0).capacities()
+        link, dram, fu = nominal
+        for engine, seen in caps.items():
+            assert seen[0] == nominal, engine
+            assert (link, dram * 0.5, fu * 0.5) in seen, engine
+            assert seen[-1] != nominal, engine
+        # The shared flow model is back at nominal after the run, and so
+        # are the capacities it serves from its memo.
+        for _, _, sim in out.values():
+            assert sim.flow.capacities() == nominal
+        assert out["stepped"][0].runtime_s > clean.runtime_s

@@ -130,6 +130,25 @@ class TestTransient:
         assert m.peak_dram_c() == pytest.approx(m.ambient_c)
 
 
+class TestDramIndex:
+    def test_one_index_serves_peaks_and_propagator(self, model):
+        """The bundle's DRAM node index is the propagator's readout
+        index, and its gather+max is the max over every DRAM layer."""
+        net = model.network
+        model.warm_start(TrafficPoint.streaming(200.0))
+        T = model.state
+        by_layer = max(
+            float(net.layer_temps(T, net.layer_index[f"dram{i}"]).max())
+            for i in range(model.config.num_dram_dies)
+        )
+        assert model.peak_dram_c() == by_layer
+        assert model.step(TrafficPoint.streaming(200.0)) == max(
+            float(net.layer_temps(model.state, net.layer_index[name]).max())
+            for name in net.layer_index if name.startswith("dram")
+        )
+        assert model.propagator()._dram_index is model._dram_index
+
+
 class TestBasisConsistency:
     def test_basis_matches_direct_map_assembly(self):
         # The cached linear basis must reproduce the direct computation.

@@ -61,6 +61,24 @@ class TestAgainstExactStepper:
         T_end = prop.reconstruct(Z[:, -1])
         assert float(np.abs(T_end - model.state).max()) < 1e-6
 
+    def test_march_is_the_diagonal_recurrence(self):
+        """``march`` returns a C-contiguous (r, K) trajectory equal, bit
+        for bit, to ``z <- lam * z + H[:, k]`` column by column."""
+        model = HmcThermalModel(HMC_2_0)
+        model.warm_start(TrafficPoint.idle())
+        prop = model.propagator()
+        z0, _ = prop.project(model.state)
+        tp = TrafficPoint(external_gbs=50.0, internal_dram_gbs=90.0)
+        coeffs = coeff_columns(tp, model.ambient_c, 17)
+        coeffs[2] += np.linspace(0.0, 30.0, 17)
+        Z = prop.march(z0, coeffs)
+        H = prop._proj_in @ coeffs
+        z = z0
+        for k in range(coeffs.shape[1]):
+            z = prop._lam * z + H[:, k]
+            assert np.array_equal(Z[:, k], z)
+        assert Z.shape == (prop.rank, 17) and Z.flags.c_contiguous
+
     def test_derated_energy_scale(self):
         """The EXTENDED/CRITICAL refresh derating enters as a scale on
         the DRAM power-basis columns; the march must track it."""
