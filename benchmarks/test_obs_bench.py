@@ -37,31 +37,16 @@ TELEMETRY_EPOCHS = {"stepped": 64, "macro": 3072}
 
 def _sim_once(engine, sink):
     from repro.core.policies import make_policy
-    from repro.gpu.kernel import KernelLaunch
-    from repro.gpu.simulator import SystemSimulator
-    from repro.hmc.config import HMC_2_0
-    from repro.hmc.flow import HmcFlowModel
-    from repro.sim.trace import OpBatch, TraceCursor
+    from repro.sim.trace import OpBatch
     from repro.telemetry.live import run_telemetry
-    from repro.thermal.cooling import COMMODITY_SERVER
-    from repro.thermal.model import HmcThermalModel
-    from repro.thermal.sensor import ThermalSensor
+    from tests.engines import build_sim, make_launch
 
-    launch = KernelLaunch(
-        name="telemetry-bench",
-        trace=TraceCursor([
-            OpBatch(reads=120_000, writes=60_000, atomics=250_000,
-                    compute_cycles=15_000, threads=4096, label=f"e{i}")
-            for i in range(TELEMETRY_EPOCHS[engine])
-        ]),
-        total_threads=4096,
-    )
-    sim = SystemSimulator(
-        flow=HmcFlowModel(HMC_2_0),
-        thermal=HmcThermalModel(HMC_2_0, cooling=COMMODITY_SERVER),
-        sensor=ThermalSensor(),
-        engine=engine,
-    )
+    launch = make_launch([
+        OpBatch(reads=120_000, writes=60_000, atomics=250_000,
+                compute_cycles=15_000, threads=4096, label=f"e{i}")
+        for i in range(TELEMETRY_EPOCHS[engine])
+    ], name="telemetry-bench")
+    sim = build_sim(engine)
     policy = make_policy("coolpim-hw")
     # As timeit does: no cyclic GC pass inside the timed region, where a
     # full collection would add ~15 ms to whichever variant it lands in.

@@ -6,8 +6,8 @@ workload on the LDBC graph swept across the paper's policy matrix:
 
 - ``test_macro_engine_speedup`` pins the macro engine at >=5x the stepped
   oracle across the policy sweep (interleaved best-of-N minima, so
-  machine speed cancels), while re-asserting result equivalence on the
-  headline aggregates.
+  machine speed cancels), while holding every timed pair of runs to the
+  engine contract (``tests.engines.assert_engines_agree``).
 - ``test_macro_steps_per_second_budget`` holds an absolute control-steps
   per second floor so the fast path cannot silently regress toward the
   oracle's throughput even if both get slower together.
@@ -42,6 +42,7 @@ from repro.hmc.flow import HmcFlowModel
 from repro.thermal.model import HmcThermalModel
 from repro.thermal.sensor import ThermalSensor
 from repro.workloads.registry import get_workload
+from tests.engines import Run, assert_engines_agree
 
 #: The Fig. 10 policy matrix (thermally active configs carry the guard;
 #: ideal-thermal runs too few quanta to time meaningfully).
@@ -97,7 +98,7 @@ def _timed_run(build, launch, engine, policy):
     result = sim.run(launch, make_policy(policy))
     elapsed = time.perf_counter() - t0
     steps = sim.stats.snapshot()["sim.control_steps"]
-    return elapsed, result, steps
+    return elapsed, Run(result, sim), steps
 
 
 def _sweep(build, launch, reps=3):
@@ -113,15 +114,7 @@ def _sweep(build, launch, reps=3):
             row["stepped_s"].append(t_s)
             row["macro_s"].append(t_m)
             row["steps"] = steps
-            # Equivalence spot-check on the headline aggregates (the
-            # full contract lives in tests/gpu/test_macro_equivalence).
-            assert r_m.runtime_s == r_s.runtime_s, policy
-            assert r_m.pim_ops == r_s.pim_ops, policy
-            assert r_m.thermal_warnings == r_s.thermal_warnings, policy
-            assert r_m.shutdowns == r_s.shutdowns, policy
-            assert r_m.peak_dram_temp_c == pytest.approx(
-                r_s.peak_dram_temp_c, abs=1e-6
-            ), policy
+            assert_engines_agree(r_s, r_m)
     return {
         p: {
             "stepped_s": min(v["stepped_s"]),

@@ -44,13 +44,15 @@ from repro.service.jobs import JobFailure, JobResult, JobSpec
 from repro.service.journal import JobJournal
 from repro.service.scheduler import JobScheduler
 from repro.service.store import ResultStore
-from repro.telemetry.live import RunTelemetrySink, run_telemetry
+from repro.telemetry.live import DEFAULT_MAX_SAMPLES, RunTelemetrySink, run_telemetry
 from repro.telemetry.registry import get_registry
 
 #: Run states; the last three are terminal.
 QUEUED, RUNNING = "queued", "running"
 COMPLETED, FAILED, DRAINED = "completed", "failed", "drained"
 TERMINAL_STATES = frozenset({COMPLETED, FAILED, DRAINED})
+#: Run records kept; a submission past it drops the oldest terminal runs.
+MAX_RUNS = 10_000
 
 
 class ServiceClosed(Exception):
@@ -159,9 +161,7 @@ class ApiService:
         pool: bool = False,
         use_cache: bool = True,
         allow_kinds: Sequence[str] = (),
-        max_runs: int = 10_000,
         ready_backlog: Optional[int] = None,
-        telemetry_max_samples: int = 64,
     ) -> None:
         self.store = store
         self.journal = journal
@@ -175,7 +175,6 @@ class ApiService:
         self.pool = pool
         self.use_cache = use_cache
         self.allow_kinds = frozenset(allow_kinds)
-        self.max_runs = max_runs
         #: Queue depth beyond which ``/readyz`` reports saturated (503).
         self.ready_backlog = (
             ready_backlog
@@ -183,7 +182,7 @@ class ApiService:
             else max(16, 8 * self.workers)
         )
         #: Per-run live-telemetry budget (``telemetry`` event cap).
-        self.telemetry_max_samples = telemetry_max_samples
+        self.telemetry_max_samples = DEFAULT_MAX_SAMPLES
 
         self.runs: Dict[str, RunRecord] = {}
         self.sweeps: Dict[str, Dict[str, Any]] = {}
@@ -356,7 +355,7 @@ class ApiService:
         """
         if self._closing:
             raise ServiceClosed("service is shutting down")
-        if len(self.runs) >= self.max_runs:
+        if len(self.runs) >= MAX_RUNS:
             self._evict_finished()
         rid = uuid.uuid4().hex[:12]
         rec = RunRecord(
@@ -454,12 +453,12 @@ class ApiService:
         return sweep_id, records
 
     def _evict_finished(self) -> None:
-        """Drop the oldest terminal runs to stay under ``max_runs``."""
+        """Drop the oldest terminal runs to stay under :data:`MAX_RUNS`."""
         terminal = sorted(
             (r for r in self.runs.values() if r.status in TERMINAL_STATES),
             key=lambda r: r.finished_unix or 0.0,
         )
-        excess = len(self.runs) - self.max_runs + 1
+        excess = len(self.runs) - MAX_RUNS + 1
         for rec in terminal[:max(excess, 0)]:
             del self.runs[rec.id]
 

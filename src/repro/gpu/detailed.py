@@ -31,6 +31,7 @@ if TYPE_CHECKING:
 from repro.gpu.caches import CacheModel
 from repro.gpu.config import GPU_DEFAULT, GpuConfig
 from repro.gpu.kernel import KernelLaunch
+from repro.gpu.simulator import WARM_START
 from repro.hmc.config import HMC_2_0, HmcConfig
 from repro.hmc.cube import HmcCube
 from repro.hmc.dram_timing import TemperaturePhase, TemperaturePhasePolicy
@@ -160,7 +161,7 @@ class DetailedSimulator:
         rng = np.random.default_rng(self.seed)
         cube = HmcCube(self.hmc_config)
         cube.apply_temperature_phase(TemperaturePhase.NORMAL)
-        self.thermal.warm_start(TrafficPoint.streaming(240.0))
+        self.thermal.warm_start(WARM_START)
 
         policy.begin(launch, now_s=0.0)
         exempt = policy.thermal_exempt

@@ -45,9 +45,9 @@ scalar step. That step is not a copy: :class:`MacroEngine` subclasses
 the stepped engine's run driver
 (:class:`~repro.gpu.simulator.SteppedEngine`) and takes its
 ``_scalar_step`` as is, after installing any cached reduced state.
-Temperatures are reproduced to ~1e-9 °C (within the documented 1e-6 °C
-tolerance); every integer aggregate, event count, event instant, and
-timeline/fraction value is exact.
+Temperatures agree with the stepped engine's within 1e-9 °C; every other
+output, and every ``sim.*`` stat but the burst histogram, is bit-equal
+(``assert_engines_agree`` in ``tests/engines.py``).
 """
 
 from __future__ import annotations
@@ -62,7 +62,9 @@ if TYPE_CHECKING:
     from repro.core.policies import OffloadPolicy
 
 from repro.gpu.kernel import KernelLaunch
-from repro.gpu.simulator import SimulationResult, SteppedEngine, SystemSimulator
+from repro.gpu.simulator import (
+    TIMELINE_DT_S, SimulationResult, SteppedEngine, SystemSimulator,
+)
 from repro.hmc.dram_timing import TemperaturePhase
 from repro.hmc.packet import PacketType
 from repro.thermal.operators import CONTROL_DT_S
@@ -297,7 +299,6 @@ class MacroEngine(SteppedEngine):
         fraction = b.fraction
         end_t = b.end_t
         period = sim.sensor.sample_period_s
-        tl_dt = sim.timeline_dt_s
         next_epoch = self._next_epoch
         link_gbs, dram_gbs, fu_cap = b.caps
         es = b.es
@@ -381,7 +382,7 @@ class MacroEngine(SteppedEngine):
             tnow = tnow + dt_s
             tlf = tnow >= next_tl
             if tlf:
-                next_tl = (math.floor(tnow / tl_dt) + 1.0) * tl_dt
+                next_tl = (math.floor(tnow / TIMELINE_DT_S) + 1.0) * TIMELINE_DT_S
 
             steps.append((
                 rec, t_start, tnow, nsub, tidx, sflag, tlf,

@@ -47,6 +47,12 @@ from repro.thermal.sensor import ThermalSensor
 #: re-enable after an overheat stop, and loses its contents (Sec. III-A).
 SHUTDOWN_RECOVERY_S = 20.0
 
+#: Spacing (s) of the fixed grid the result timeline is sampled on.
+TIMELINE_DT_S = 250e-6
+#: Every run but ideal-thermal ones starts from this steady point: a busy
+#: device serving a query stream (Fig. 14's first warning lands ~2.5 ms in).
+WARM_START = TrafficPoint.streaming(240.0)
+
 
 @dataclass
 class SimulationResult:
@@ -245,7 +251,7 @@ class SteppedEngine:
         # Device state before the kernel launches (ideal-thermal runs pin
         # the cube at ambient, so no warm-up is needed).
         if not exempt:
-            sim.thermal.warm_start(sim.warm_start)
+            sim.thermal.warm_start(WARM_START)
         sim.flow.phase = TemperaturePhase.NORMAL
         sim.flow.set_thermal_warning(False)
 
@@ -655,8 +661,8 @@ class SteppedEngine:
             # grid point strictly after now, so sample spacing does not
             # drift with step size (Fig. 14 comparability).
             self.next_sample = (
-                math.floor(self.now_s / sim.timeline_dt_s) + 1.0
-            ) * sim.timeline_dt_s
+                math.floor(self.now_s / TIMELINE_DT_S) + 1.0
+            ) * TIMELINE_DT_S
 
         if not self._epoch_pending():
             self._close_epoch(self.now_s)
@@ -694,8 +700,6 @@ class SystemSimulator:
         flow: Optional[HmcFlowModel] = None,
         thermal: Optional[HmcThermalModel] = None,
         sensor: Optional[ThermalSensor] = None,
-        timeline_dt_s: float = 250e-6,
-        warm_start: Optional[TrafficPoint] = None,
         saturation_threads: int = 1500,
         engine: str = "macro",
         scenario=None,
@@ -715,17 +719,12 @@ class SystemSimulator:
         self.thermal = thermal or HmcThermalModel(hmc_config)
         self.sensor = sensor or ThermalSensor()
         self.sm = SmArray(gpu)
-        self.timeline_dt_s = timeline_dt_s
         #: Concurrent memory streams needed to saturate the memory system
         #: (peak bandwidth x memory latency / line size ~ 1500 in-flight
         #: 64 B requests): epochs with smaller frontiers achieve
         #: proportionally less bandwidth. This is what keeps
         #: small-frontier graphs (road networks) thermally benign.
         self.saturation_threads = saturation_threads
-        # The evaluation measures kernels from a query stream on a busy
-        # device, not a cold one: warm-start at a moderately-loaded steady
-        # point (Fig. 14's thermal warning lands ~2.5 ms into the run).
-        self.warm_start = warm_start or TrafficPoint.streaming(240.0)
         #: Per-simulator stat registry; each run() resets and refills the
         #: ``sim.*`` stats, so the last run's numbers are always current.
         self.stats = StatRegistry()

@@ -80,8 +80,6 @@ class ReducedPropagator:
         dt_s: float,
         inputs: np.ndarray,
         dram_index: np.ndarray,
-        project_tol_c: float = DEFAULT_PROJECT_TOL_C,
-        max_rank: int = DEFAULT_MAX_RANK,
     ) -> None:
         if inputs.ndim != 2 or inputs.shape[0] != network.num_nodes:
             raise ValueError(
@@ -90,8 +88,8 @@ class ReducedPropagator:
         self.network = network
         self.lu = lu
         self.dt_s = float(dt_s)
-        self.project_tol_c = project_tol_c
-        self.max_rank = max_rank
+        self.project_tol_c = DEFAULT_PROJECT_TOL_C
+        self.max_rank = DEFAULT_MAX_RANK
         self.healthy = True
         self.extensions = 0
         self._d = network.C / self.dt_s

@@ -21,15 +21,16 @@ from repro.agents import (
     as_agent,
     as_policy,
 )
-from repro.core.policies import POLICY_NAMES, OffloadPolicy, make_policy
+from repro.core.policies import POLICY_NAMES, make_policy
 from repro.thermal.cooling import COMMODITY_SERVER, LOW_END_ACTIVE
 
-from tests.gpu.test_macro_equivalence import (
-    EXACT_FIELDS,
-    assert_equivalent,
+from tests.engines import (
+    assert_engines_agree,
+    assert_identical,
     build_sim,
     hot_launch,
     run_both,
+    run_one,
 )
 
 
@@ -40,11 +41,8 @@ def wrapped(name):
 
 def run_pair(launch, engine, name, cooling):
     """One engine, bare policy vs adapter-wrapped policy."""
-    results = []
-    for factory in (lambda: make_policy(name), wrapped(name)):
-        sim = build_sim(engine, cooling=cooling)
-        results.append((sim.run(launch, factory()), sim.stats.snapshot()))
-    return results
+    return [run_one(engine, launch, factory, cooling=cooling)
+            for factory in (lambda: make_policy(name), wrapped(name))]
 
 
 class TestPolicyAdapterBitIdentity:
@@ -53,40 +51,31 @@ class TestPolicyAdapterBitIdentity:
     @pytest.mark.parametrize("engine", ["stepped", "macro"])
     @pytest.mark.parametrize("name", POLICY_NAMES)
     def test_cool_run_identical(self, engine, name):
-        (bare, bare_stats), (agent, agent_stats) = run_pair(
+        bare, agent = run_pair(
             hot_launch(n_epochs=3), engine, name, COMMODITY_SERVER
         )
-        for field in EXACT_FIELDS:
-            assert getattr(agent, field) == getattr(bare, field), field
-        assert agent.peak_dram_temp_c == bare.peak_dram_temp_c
-        assert agent.timeline == bare.timeline
-        assert agent_stats == bare_stats
+        assert_identical(agent, bare)
 
     @pytest.mark.parametrize("engine", ["stepped", "macro"])
     @pytest.mark.parametrize("name", ["coolpim-sw", "coolpim-hw"])
     def test_hot_run_identical(self, engine, name):
         """Warning-band oscillation: the adapter must forward every
         on_thermal_warning at the exact instant with the exact temp."""
-        (bare, bare_stats), (agent, agent_stats) = run_pair(
-            hot_launch(), engine, name, LOW_END_ACTIVE
-        )
-        assert bare.thermal_warnings > 10  # the band is actually exercised
-        for field in EXACT_FIELDS:
-            assert getattr(agent, field) == getattr(bare, field), field
-        assert agent.peak_dram_temp_c == bare.peak_dram_temp_c
-        assert agent.timeline == bare.timeline
-        assert agent_stats == bare_stats
+        bare, agent = run_pair(hot_launch(), engine, name, LOW_END_ACTIVE)
+        # The band is actually exercised.
+        assert bare.result.thermal_warnings > 10
+        assert_identical(agent, bare)
 
     @pytest.mark.parametrize("name", POLICY_NAMES + ["static-0.5"])
     def test_wrapped_policies_agree_across_engines(self, name):
-        assert_equivalent(run_both(hot_launch(n_epochs=4), wrapped(name)))
+        assert_engines_agree(*run_both(hot_launch(n_epochs=4), wrapped(name)))
 
 
 class TestScriptedAgent:
     def test_engines_agree(self):
         schedule = [(0.0, 1.0), (1e-3, 0.25), (3e-3, 0.75)]
-        assert_equivalent(
-            run_both(hot_launch(), lambda: as_policy(ScriptedAgent(schedule)))
+        assert_engines_agree(
+            *run_both(hot_launch(), lambda: as_policy(ScriptedAgent(schedule)))
         )
 
     def test_schedule_is_honored(self):
@@ -114,8 +103,8 @@ class TestScriptedAgent:
 
 class TestHillClimbAgent:
     def test_engines_agree_on_hot_trace(self):
-        assert_equivalent(
-            run_both(
+        assert_engines_agree(
+            *run_both(
                 hot_launch(),
                 lambda: as_policy(HillClimbAgent()),
                 cooling=LOW_END_ACTIVE,

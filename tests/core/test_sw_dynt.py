@@ -8,7 +8,7 @@ from repro.gpu.kernel import KernelLaunch
 from repro.sim.trace import OpBatch, TraceCursor
 
 
-def hot_launch(intensity=0.6, blocks=64):
+def intense_launch(intensity=0.6, blocks=64):
     atomics = int(1000 * intensity)
     threads = blocks * GPU_DEFAULT.threads_per_block
     return KernelLaunch(
@@ -31,7 +31,7 @@ def cool_launch():
 class TestInitialization:
     def test_hot_kernel_starts_throttled(self):
         policy = SwDynT()
-        policy.begin(hot_launch(), now_s=0.0)
+        policy.begin(intense_launch(), now_s=0.0)
         assert 0.0 < policy.pim_fraction(0.0) < 1.0
 
     def test_cool_kernel_starts_unthrottled(self):
@@ -41,24 +41,24 @@ class TestInitialization:
 
     def test_begin_resets_state(self):
         policy = SwDynT()
-        policy.begin(hot_launch(), now_s=0.0)
+        policy.begin(intense_launch(), now_s=0.0)
         policy.on_thermal_warning(1.0)
         f_throttled = policy.pim_fraction(2.0)
-        policy.begin(hot_launch(), now_s=10.0)
+        policy.begin(intense_launch(), now_s=10.0)
         assert policy.pim_fraction(10.0) > f_throttled
 
 
 class TestReduction:
     def test_warning_reduces_pool(self):
         policy = SwDynT(control_factor=8)
-        policy.begin(hot_launch(), now_s=0.0)
+        policy.begin(intense_launch(), now_s=0.0)
         before = policy.ptp_size
         policy.on_thermal_warning(0.0)
         assert policy.ptp_size < before
 
     def test_reduction_takes_effect_after_throttle_delay(self):
         policy = SwDynT(control_factor=8)
-        policy.begin(hot_launch(), now_s=0.0)
+        policy.begin(intense_launch(), now_s=0.0)
         f0 = policy.pim_fraction(0.0)
         policy.on_thermal_warning(0.0)
         # Before Tthrottle: in-flight PIM blocks still running.
@@ -68,7 +68,7 @@ class TestReduction:
 
     def test_warnings_rate_limited_by_control_step(self):
         policy = SwDynT(control_factor=8)
-        policy.begin(hot_launch(), now_s=0.0)
+        policy.begin(intense_launch(), now_s=0.0)
         policy.on_thermal_warning(0.0)
         size_after_first = policy.ptp_size
         # A burst of warnings within the loop delay acts once.
@@ -81,7 +81,7 @@ class TestReduction:
 
     def test_fraction_floor_zero(self):
         policy = SwDynT(control_factor=1000)
-        policy.begin(hot_launch(), now_s=0.0)
+        policy.begin(intense_launch(), now_s=0.0)
         t = 0.0
         for _ in range(5):
             policy.on_thermal_warning(t)

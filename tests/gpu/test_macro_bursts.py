@@ -27,7 +27,7 @@ from repro.agents.adapters import AgentPolicy
 from repro.agents.base import ACTION_NONE, Action, Agent
 from repro.core.feedback import FeedbackDelays
 from repro.core.hw_dynt import HwDynT
-from repro.core.policies import make_policy
+from repro.core.policies import POLICY_NAMES, make_policy
 from repro.core.sw_dynt import SwDynT
 from repro.gpu import simulator
 from repro.gpu.caches import CacheModel
@@ -35,15 +35,16 @@ from repro.gpu.config import GPU_DEFAULT
 from repro.gpu.kernel import KernelLaunch
 from repro.gpu.macro import BURST_BOUNDS, MacroEngine
 from repro.gpu.simulator import SteppedEngine, SystemSimulator
-from repro.obs.tracer import Tracer, set_tracer
 from repro.sim.trace import OpBatch, TraceCursor
 from repro.thermal.cooling import COMMODITY_SERVER, LOW_END_ACTIVE, PASSIVE
-from tests.gpu.test_macro_equivalence import (
-    POLICY_NAMES,
-    assert_equivalent,
+from tests.engines import (
+    assert_engines_agree,
+    assert_identical,
     build_sim,
     hot_launch,
     run_both,
+    run_one,
+    run_traced,
 )
 
 STOP_REASONS = {
@@ -83,27 +84,23 @@ def _spy_bursts(monkeypatch, never_hit=False):
     return bursts
 
 
-def _macro_run(launch, policy, cooling):
-    sim = build_sim("macro", cooling=cooling)
-    result = sim.run(launch, make_policy(policy))
-    return result.to_dict(include_timeline=True), sim.stats.snapshot()
-
-
 class TestStepMemo:
     @pytest.mark.parametrize("cooling", [LOW_END_ACTIVE, PASSIVE],
                              ids=["low-end", "passive"])
     @pytest.mark.parametrize("policy", POLICY_NAMES)
     def test_memo_is_transparent(self, monkeypatch, policy, cooling):
-        """A run whose memo always misses equals the default run ``==``,
-        timeline and counters included."""
+        """A run whose memo always misses is identical to the default
+        run, timeline and stats included."""
         launch_epochs = 6 if cooling is PASSIVE else 10
         with monkeypatch.context() as m:
             default_bursts = _spy_bursts(m)
-            default = _macro_run(hot_launch(launch_epochs), policy, cooling)
+            default = run_one("macro", hot_launch(launch_epochs), policy,
+                              cooling=cooling)
         with monkeypatch.context() as m:
             missed_bursts = _spy_bursts(m, never_hit=True)
-            missed = _macro_run(hot_launch(launch_epochs), policy, cooling)
-        assert missed == default
+            missed = run_one("macro", hot_launch(launch_epochs), policy,
+                             cooling=cooling)
+        assert_identical(missed, default)
         assert sum(b[4] for b in default_bursts) > 0
         assert sum(b[4] for b in missed_bursts) == 0
 
@@ -253,14 +250,7 @@ class TestEpochStates:
         launch = hot_launch(12)
         spans = {}
         for engine in ("stepped", "macro"):
-            previous = set_tracer(Tracer(enabled=True))
-            try:
-                build_sim(engine, cooling=cooling).run(
-                    launch, make_policy(policy)
-                )
-                records = set_tracer(previous).records
-            finally:
-                set_tracer(previous)
+            _, records = run_traced(engine, launch, policy, cooling=cooling)
             spans[engine] = [
                 (r["args"]["label"], r["args"]["atomics"],
                  r["args"]["threads"], r["args"]["sim_start_s"],
@@ -313,20 +303,21 @@ class TestContinuation:
         """The ``pim_fraction(t_k) == fraction`` check ends the prefix
         when the callback changed the fraction despite +inf hints."""
         bursts = _spy_bursts(monkeypatch)
-        out = run_both(
+        stepped, macro = run_both(
             hot_launch(), lambda: AgentPolicy(CutOnSample()),
             cooling=LOW_END_ACTIVE,
         )
-        assert out["stepped"][0].thermal_warnings > 10
-        assert_equivalent(out)
+        assert stepped.result.thermal_warnings > 10
+        assert_engines_agree(stepped, macro)
         assert any(stop == "policy" for _w, _s, _j, stop, _h in bursts)
 
     def test_hw_bursts_run_through_warning_samples(self, monkeypatch):
         """coolpim-hw on low-end cooling commits bursts longer than one
         sample period (4 quanta) while the warning is set."""
         bursts = _spy_bursts(monkeypatch)
-        out = run_both(hot_launch(), "coolpim-hw", cooling=LOW_END_ACTIVE)
-        assert_equivalent(out)
+        assert_engines_agree(
+            *run_both(hot_launch(), "coolpim-hw", cooling=LOW_END_ACTIVE)
+        )
         assert any(
             warning and not safe and j > 4
             for warning, safe, j, _stop, _hits in bursts
@@ -335,13 +326,9 @@ class TestContinuation:
     def test_burst_spans_name_their_stop(self):
         """Every ``sim.macro_burst`` span carries ``stop`` and
         ``memo_hits``; neither leaks into the result."""
-        previous = set_tracer(Tracer(enabled=True))
-        try:
-            sim = build_sim("macro", cooling=LOW_END_ACTIVE)
-            result = sim.run(hot_launch(), make_policy("coolpim-hw"))
-            records = set_tracer(previous).records
-        finally:
-            set_tracer(previous)
+        (result, _), records = run_traced(
+            "macro", hot_launch(), "coolpim-hw", cooling=LOW_END_ACTIVE
+        )
         spans = [r for r in records if r["name"] == "sim.macro_burst"]
         assert spans
         assert {s["args"]["stop"] for s in spans} <= STOP_REASONS
@@ -373,9 +360,9 @@ class TestHorizonContract:
             policies.append(cls(delays=FeedbackDelays(throttle_s=0.0)))
             return policies[-1]
 
-        out = run_both(hot_launch(), factory, cooling=LOW_END_ACTIVE)
-        assert out["stepped"][0].thermal_warnings > 0
-        assert_equivalent(out)
+        runs = run_both(hot_launch(), factory, cooling=LOW_END_ACTIVE)
+        assert runs[0].result.thermal_warnings > 0
+        assert_engines_agree(*runs)
         stepped, macro = policies
         assert len(stepped.fraction_history) > 1
         assert macro.fraction_history == stepped.fraction_history

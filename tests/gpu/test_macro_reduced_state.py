@@ -15,7 +15,7 @@ from repro.core.policies import make_policy
 from repro.gpu.macro import MacroEngine
 from repro.thermal.cooling import LOW_END_ACTIVE, PASSIVE
 from repro.thermal.model import HmcThermalModel
-from tests.gpu.test_macro_equivalence import build_sim, hot_launch
+from tests.engines import build_sim, hot_launch
 
 
 @pytest.mark.parametrize("policy,cooling,n_epochs", [

@@ -9,17 +9,12 @@ from repro.core.policies import (
 )
 from repro.gpu.caches import CacheModel
 from repro.gpu.config import GPU_DEFAULT
-from repro.gpu.kernel import KernelLaunch
-from repro.gpu.simulator import SystemSimulator
+from repro.gpu.simulator import WARM_START, SystemSimulator
 from repro.hmc.packet import PacketType
-from repro.sim.trace import OpBatch, TraceCursor
-from repro.thermal.power import TrafficPoint
-
-
-def make_launch(batches):
-    return KernelLaunch(
-        name="synthetic", trace=TraceCursor(batches), total_threads=4096,
-    )
+from repro.sim.trace import OpBatch
+from tests.engines import (
+    assert_engines_agree, assert_identical, make_launch, run_one,
+)
 
 
 def synthetic_batches(n_epochs=4, atomics=200_000):
@@ -57,8 +52,8 @@ class TestBasics:
         launch = make_launch(synthetic_batches(n_epochs=3))
         r1 = sim.run(launch, NonOffloading())
         r2 = sim.run(launch, NonOffloading())
-        assert r1.runtime_s == pytest.approx(r2.runtime_s)
-        assert r1.total_atomics == r2.total_atomics == 600_000
+        assert_identical(r1, r2)
+        assert r1.total_atomics == 600_000
 
     def test_empty_trace(self, sim):
         res = sim.run(make_launch([]), NonOffloading())
@@ -86,7 +81,7 @@ class TestThermalCoupling:
 
     def test_warm_start_temperature(self, sim):
         res = sim.run(make_launch(synthetic_batches(1)), NonOffloading())
-        expected = sim.thermal.steady_peak_dram_c(sim.warm_start)
+        expected = sim.thermal.steady_peak_dram_c(WARM_START)
         assert res.peak_dram_temp_c >= expected - 1.0
 
 
@@ -147,35 +142,36 @@ class TestPeiWriteback:
 
     @staticmethod
     def run(engine, mode):
-        sim = SystemSimulator(engine=engine, cache=CacheModel(
-            GPU_DEFAULT, coherence_mode=mode, pei_dirty_fraction=0.5,
-        ))
         launch = make_launch([OpBatch(reads=0, writes=0, atomics=2_000_000,
                                       threads=100_000)])
-        res = sim.run(launch, IdealThermal())
-        return res, sim.flow.stats.ledger.transactions[PacketType.WRITE64]
+        return run_one(engine, launch, IdealThermal, cache=CacheModel(
+            GPU_DEFAULT, coherence_mode=mode, pei_dirty_fraction=0.5,
+        ))
+
+    @staticmethod
+    def writebacks(run):
+        return run.sim.flow.stats.ledger.transactions[PacketType.WRITE64]
 
     @pytest.mark.parametrize("engine", ["stepped", "macro"])
     def test_writebacks_reach_bytes_and_ledger(self, engine):
-        bypass, bypass_writes = self.run(engine, "bypass")
-        wb, wb_writes = self.run(engine, "writeback")
-        assert bypass_writes == 0
+        bypass, wb = self.run(engine, "bypass"), self.run(engine, "writeback")
+        wb_writes = self.writebacks(wb)
+        assert self.writebacks(bypass) == 0
         # About one writeback per two offloaded ops (dirty fraction 0.5).
         assert wb_writes == pytest.approx(1_000_000, rel=1e-3)
-        assert wb.link_bytes > bypass.link_bytes
-        assert wb.data_bytes == 64 * wb_writes
-        assert wb.runtime_s > bypass.runtime_s
+        assert wb.result.link_bytes > bypass.result.link_bytes
+        assert wb.result.data_bytes == 64 * wb_writes
+        assert wb.result.runtime_s > bypass.result.runtime_s
 
     @pytest.mark.parametrize("engine", ["stepped", "macro"])
     def test_writeback_total_does_not_drift(self, engine):
         """2M offloaded ops at dirty fraction 0.5 write back exactly 1M
         lines: the per-quantum rounding remainder is carried, where
         rounding each quantum on its own gave 999,988."""
-        _, writes = self.run(engine, "writeback")
-        assert writes == 1_000_000
+        assert self.writebacks(self.run(engine, "writeback")) == 1_000_000
 
     def test_engines_agree(self):
         stepped = self.run("stepped", "writeback")
         macro = self.run("macro", "writeback")
-        assert macro[1] == stepped[1]
-        assert macro[0].to_dict() == stepped[0].to_dict()
+        assert self.writebacks(macro) == self.writebacks(stepped)
+        assert_engines_agree(stepped, macro)

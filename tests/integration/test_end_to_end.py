@@ -12,6 +12,7 @@ from repro.core.policies import make_policy
 from repro.graph import get_dataset
 from repro.workloads import get_workload
 from repro.workloads.dc import DegreeCentrality
+from tests.engines import assert_identical
 
 
 @pytest.fixture(scope="module")
@@ -75,9 +76,7 @@ class TestDeterminism:
         w2.num_sources = 4
         r1 = system.run(w1, graph, "coolpim-hw")
         r2 = system.run(w2, graph, "coolpim-hw")
-        assert r1.runtime_s == pytest.approx(r2.runtime_s)
-        assert r1.pim_ops == r2.pim_ops
-        assert r1.peak_dram_temp_c == pytest.approx(r2.peak_dram_temp_c)
+        assert_identical(r1, r2)
 
 
 class TestCrossWorkload:

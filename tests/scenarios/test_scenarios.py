@@ -3,10 +3,11 @@
 Three contracts are locked here. (1) Presets compile deterministically:
 the same ``(name, seed)`` always yields the same event stream, in any
 process. (2) Injected runs are engine-equivalent: the macro fast path
-reproduces the stepped oracle bit-for-bit across injection boundaries —
-events are commit boundaries, sensor-fault windows run on the scalar
-path. (3) The driver leaves shared models clean: a run after an injected
-run on the same system sees nominal knobs.
+meets the engine contract (:func:`tests.engines.assert_engines_agree`)
+across injection boundaries — events are commit boundaries,
+sensor-fault windows run on the scalar path. (3) The driver leaves
+shared models clean: a run after an injected run on the same system
+sees nominal knobs and is identical to a fresh system's run.
 """
 
 import pytest
@@ -21,37 +22,19 @@ from repro.scenarios import (
     make_scenario,
 )
 from repro.scenarios.events import EVENT_KINDS
-from repro.gpu.simulator import SystemSimulator
 from repro.hmc.config import HMC_2_0
 from repro.hmc.flow import HmcFlowModel
-from repro.thermal.cooling import COMMODITY_SERVER, LOW_END_ACTIVE
-from repro.thermal.model import HmcThermalModel
-from repro.thermal.sensor import ThermalSensor
-
-from tests.gpu.test_macro_equivalence import (
-    EXACT_FIELDS,
-    assert_equivalent,
+from repro.thermal.cooling import LOW_END_ACTIVE
+from tests.engines import (
+    Run,
+    assert_engines_agree,
+    assert_identical,
+    build_sim,
     hot_launch,
+    run_both,
+    run_one,
+    run_traced,
 )
-
-
-def build_sim(engine, scenario=None, cooling=COMMODITY_SERVER):
-    return SystemSimulator(
-        flow=HmcFlowModel(HMC_2_0),
-        thermal=HmcThermalModel(HMC_2_0, cooling=cooling),
-        sensor=ThermalSensor(),
-        engine=engine,
-        scenario=scenario,
-    )
-
-
-def run_both(launch, policy_name, scenario, cooling=COMMODITY_SERVER):
-    out = {}
-    for engine in ("stepped", "macro"):
-        sim = build_sim(engine, scenario=scenario, cooling=cooling)
-        result = sim.run(launch, make_policy(policy_name))
-        out[engine] = (result, sim.stats.snapshot(), sim)
-    return out
 
 
 class TestPresets:
@@ -129,9 +112,9 @@ class TestEngineEquivalence:
     @pytest.mark.parametrize("name", SCENARIO_NAMES)
     def test_engines_agree_under_injection(self, name):
         scenario = make_scenario(name, seed=1)
-        assert_equivalent(
-            run_both(hot_launch(n_epochs=6), "coolpim-hw", scenario)
-        )
+        assert_engines_agree(*run_both(
+            hot_launch(n_epochs=6), "coolpim-hw", scenario=scenario
+        ))
 
     @pytest.mark.parametrize(
         "policy", ["naive-offloading", "coolpim-sw", "coolpim-hw"]
@@ -140,50 +123,41 @@ class TestEngineEquivalence:
         """Degraded cooling on a weak sink: injections land while the
         control loop is riding the warning band."""
         scenario = make_scenario("degraded-cooling", seed=2)
-        out = run_both(
-            hot_launch(), policy, scenario, cooling=LOW_END_ACTIVE
+        stepped, macro = run_both(
+            hot_launch(), policy, scenario=scenario, cooling=LOW_END_ACTIVE
         )
-        assert out["stepped"][0].thermal_warnings > 0
-        assert_equivalent(out)
+        assert stepped.result.thermal_warnings > 0
+        assert_engines_agree(stepped, macro)
 
     def test_sensor_faults_agree_on_scalar_path(self):
         """Noise + dropout windows force the oracle path: both engines
         must draw identical variates at identical sample instants."""
         for name in ("sensor-noise", "sensor-dropout"):
             scenario = make_scenario(name, seed=4)
-            assert_equivalent(
-                run_both(hot_launch(), "coolpim-sw", scenario,
-                         cooling=LOW_END_ACTIVE)
-            )
+            assert_engines_agree(*run_both(
+                hot_launch(), "coolpim-sw", scenario=scenario,
+                cooling=LOW_END_ACTIVE,
+            ))
 
 
 class TestReplayDeterminism:
     def test_same_scenario_same_result(self):
         scenario = make_scenario("chaos", seed=9)
-        results = []
-        for _ in range(2):
-            sim = build_sim("macro", scenario=scenario,
-                            cooling=LOW_END_ACTIVE)
-            results.append(sim.run(hot_launch(n_epochs=5),
-                                   make_policy("coolpim-hw")))
-        first, second = results
-        for field in EXACT_FIELDS:
-            assert getattr(first, field) == getattr(second, field), field
-        assert first.peak_dram_temp_c == second.peak_dram_temp_c
-        assert first.timeline == second.timeline
+        assert_identical(*(
+            run_one("macro", hot_launch(n_epochs=5), "coolpim-hw",
+                    scenario=scenario, cooling=LOW_END_ACTIVE)
+            for _ in range(2)
+        ))
 
     def test_injection_changes_the_run(self):
         """A cooling-degradation stream must actually perturb the run
         (otherwise the plumbing silently no-ops)."""
         launch = hot_launch()
-        clean = build_sim("macro", cooling=LOW_END_ACTIVE)
-        base = clean.run(launch, make_policy("coolpim-hw"))
-        injected_sim = build_sim(
-            "macro",
-            scenario=make_scenario("degraded-cooling", seed=0),
-            cooling=LOW_END_ACTIVE,
+        base, injected = (
+            run_one("macro", launch, "coolpim-hw", scenario=scenario,
+                    cooling=LOW_END_ACTIVE).result
+            for scenario in (None, make_scenario("degraded-cooling", seed=0))
         )
-        injected = injected_sim.run(launch, make_policy("coolpim-hw"))
         # The degradation onset may postdate the run's thermal peak, so
         # compare the post-onset trajectory: the final samples must run
         # hotter than the clean run's.
@@ -203,14 +177,12 @@ class TestDriverState:
     def test_clean_run_after_injected_run_is_unaffected(self):
         """Shared-model hygiene: same simulator, scenario cleared."""
         launch = hot_launch(n_epochs=3)
-        reference = build_sim("stepped")
-        base = reference.run(launch, make_policy("coolpim-hw"))
+        base = run_one("stepped", launch, "coolpim-hw")
         sim = build_sim("stepped", scenario=make_scenario("chaos", seed=1))
         sim.run(launch, make_policy("coolpim-hw"))
         sim.scenario = None
         after = sim.run(launch, make_policy("coolpim-hw"))
-        for field in EXACT_FIELDS:
-            assert getattr(after, field) == getattr(base, field), field
+        assert_identical(Run(after, sim), base)
 
     def test_driver_counts_injections(self):
         scenario = make_scenario("degraded-cooling", seed=0)
@@ -253,19 +225,12 @@ class TestDriverState:
         assert out.threads == batch.threads
 
 
-def _epoch_spans(engine, launch, scenario=None, policy="coolpim-hw"):
-    """Run traced; returns ``run_both``'s ``(result, stats, sim)`` and the
-    run's ``gpu.epoch`` spans as ``(label, atomics, sim_start_s)``."""
-    from repro.obs.tracer import Tracer, set_tracer
-
-    previous = set_tracer(Tracer(enabled=True))
-    try:
-        sim = build_sim(engine, scenario=scenario)
-        result = sim.run(launch, make_policy(policy))
-        records = set_tracer(previous).records
-    finally:
-        set_tracer(previous)
-    return (result, sim.stats.snapshot(), sim), [
+def _epoch_spans(engine, launch, scenario=None):
+    """Run coolpim-hw traced; returns the :class:`~tests.engines.Run` and
+    its ``gpu.epoch`` spans as ``(label, atomics, sim_start_s)``."""
+    run, records = run_traced(engine, launch, "coolpim-hw",
+                              scenario=scenario)
+    return run, [
         (r["args"]["label"], r["args"]["atomics"], r["args"]["sim_start_s"])
         for r in records if r["name"] == "gpu.epoch"
     ]
@@ -310,10 +275,10 @@ class TestBoundaryEvents:
             ScenarioEvent(t3, "phase-mix", 1.5, 0.0),
         ))
         pulled = _pulled_epochs(monkeypatch)
-        out, spans = {}, {}
+        runs, spans = {}, {}
         for engine in ("stepped", "macro"):
-            out[engine], spans[engine] = _epoch_spans(engine, launch, scenario)
-        assert_equivalent(out)
+            runs[engine], spans[engine] = _epoch_spans(engine, launch, scenario)
+        assert_engines_agree(runs["stepped"], runs["macro"])
         assert spans["macro"] == spans["stepped"]
         assert [s[2] for s in spans["stepped"][:4]] == [
             s[2] for s in base[:4]
@@ -321,7 +286,7 @@ class TestBoundaryEvents:
         assert [s[1] for s in spans["stepped"]] == [400_000] * 3 + [
             200_000, 600_000, 600_000
         ]
-        assert out["stepped"][0].total_atomics == (
+        assert runs["stepped"].result.total_atomics == (
             400_000 * 3 + 200_000 + 600_000 * 2
         )
         scaled = [p for p in pulled if p[1].atomics != 400_000]
@@ -351,8 +316,8 @@ class TestBoundaryEvents:
             return serve(self, key)
 
         monkeypatch.setattr(SteppedEngine, "_serve_quantum", spy)
-        out = run_both(launch, "coolpim-hw", scenario)
-        assert_equivalent(out)
+        runs = run_both(launch, "coolpim-hw", scenario=scenario)
+        assert_engines_agree(*runs)
         nominal = HmcFlowModel(HMC_2_0).capacities()
         link, dram, fu = nominal
         for engine, seen in caps.items():
@@ -361,6 +326,6 @@ class TestBoundaryEvents:
             assert seen[-1] != nominal, engine
         # The shared flow model is back at nominal after the run, and so
         # are the capacities it serves from its memo.
-        for _, _, sim in out.values():
+        for _, sim in runs:
             assert sim.flow.capacities() == nominal
-        assert out["stepped"][0].runtime_s > clean.runtime_s
+        assert runs[0].result.runtime_s > clean.runtime_s

@@ -5,7 +5,8 @@ import json
 import pytest
 
 from repro.cli import build_parser, main
-from tests.gpu.test_macro_equivalence import POLICY_NAMES
+from repro.core.policies import POLICY_NAMES
+from tests.engines import assert_engines_agree
 
 
 class TestParser:
@@ -118,8 +119,8 @@ class TestDispatch:
     def test_compare_json_engines_agree(self, capsys):
         """The engine differential: ``repro compare --json`` of the stepped
         oracle and the macro engine (pagerank, ldbc-small, low-end
-        cooling) agree on every field at full precision, but the peak
-        temperature, which agrees within 1e-6 °C."""
+        cooling) meet the engine contract — every field equal at full
+        precision, the peak temperature within 1e-9 °C."""
         docs = {}
         for engine in ("stepped", "macro"):
             rc = main(["compare", "pagerank", "--dataset", "ldbc-small",
@@ -134,10 +135,7 @@ class TestDispatch:
             assert s["policy"] == policy
             # Unrounded: the value the run returned, not the table's 2 dp.
             assert isinstance(s["runtime_s"], float)
-            assert m.pop("peak_dram_temp_c") == pytest.approx(
-                s.pop("peak_dram_temp_c"), abs=1e-6
-            )
-            assert m == s, policy
+            assert_engines_agree(s, m)
 
     def test_experiments_delegates(self, capsys):
         rc = main(["experiments", "--only", "tables"])

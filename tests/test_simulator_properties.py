@@ -10,15 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.policies import IdealThermal, NaiveOffloading, NonOffloading, StaticFraction
-from repro.gpu.kernel import KernelLaunch
 from repro.gpu.simulator import SystemSimulator
-from repro.sim.trace import OpBatch, TraceCursor
-
-
-def make_launch(batches):
-    return KernelLaunch(
-        name="prop", trace=TraceCursor(batches), total_threads=2048
-    )
+from repro.sim.trace import OpBatch
+from tests.engines import make_launch
 
 
 small_batches = st.lists(
