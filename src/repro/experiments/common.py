@@ -3,7 +3,10 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Sequence
+from typing import TYPE_CHECKING, Iterable, List, Optional, Sequence, Tuple
+
+if TYPE_CHECKING:
+    from repro.gpu.simulator import SimulationResult
 
 
 def format_table(
@@ -93,3 +96,34 @@ def scaled_workload(name: str, scale: RunScale, seed: int | None = None):
 
     w = get_workload(name, seed=scale.seed if seed is None else seed)
     return apply_workload_scale(w, scale.workload_scale)
+
+
+def run_with_first_warning(
+    system, workload, graph, policy
+) -> Tuple[SimulationResult, Optional[float]]:
+    """Run one policy; return ``(result, first_warning_s)``.
+
+    ``first_warning_s`` is the simulated instant of the first thermal
+    warning the run delivers to ``policy.on_thermal_warning`` (``None``
+    if it never warns). Both engines deliver the warning that sets the
+    sensor's warning state at its own step, so this is the sensor's
+    first warning, not a sample of the coarser result timeline.
+    """
+    from repro.core.policies import make_policy
+
+    if isinstance(policy, str):
+        policy = make_policy(policy)
+    first: List[float] = []
+    react = policy.on_thermal_warning
+
+    def on_thermal_warning(now_s: float, temp_c: Optional[float] = None) -> None:
+        if not first:
+            first.append(now_s)
+        react(now_s, temp_c)
+
+    policy.on_thermal_warning = on_thermal_warning
+    try:
+        result = system.run(workload, graph, policy)
+    finally:
+        del policy.on_thermal_warning
+    return result, (first[0] if first else None)

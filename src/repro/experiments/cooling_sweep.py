@@ -76,7 +76,3 @@ def format_result(result: CoolingSweepResult, workload: str = "bfs-twc") -> str:
         "\n  The feedback loop adapts the offloading intensity to whatever "
         "sink is fitted\n  — no reconfiguration, no re-calibration."
     )
-
-
-if __name__ == "__main__":  # pragma: no cover
-    print(format_result(run()))

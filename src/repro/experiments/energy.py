@@ -66,7 +66,3 @@ def format_result(result: EnergyResult) -> str:
         "hot-phase DRAM energy"
     )
     return "\n".join([table, note])
-
-
-if __name__ == "__main__":  # pragma: no cover
-    print(format_result(run()))

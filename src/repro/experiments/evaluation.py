@@ -53,14 +53,13 @@ def run_matrix(
     scale: Optional[RunScale] = None,
     workloads: Optional[Sequence[str]] = None,
     policies: Optional[Sequence[str]] = None,
-    use_cache: bool = True,
 ) -> EvaluationMatrix:
     """Run (and cache) the evaluation matrix at the requested scale."""
     scale = scale or RunScale.full()
     wl_names = list(workloads) if workloads is not None else list_workloads()
     pol_names = list(policies) if policies is not None else list(POLICY_NAMES)
     key = (scale, tuple(wl_names), tuple(pol_names))
-    if use_cache and key in _CACHE:
+    if key in _CACHE:
         return _CACHE[key]
 
     graph = get_dataset(scale.dataset)
@@ -71,8 +70,7 @@ def run_matrix(
         matrix.results[name] = system.run_all_policies(
             workload, graph, policies=pol_names
         )
-    if use_cache:
-        _CACHE[key] = matrix
+    _CACHE[key] = matrix
     return matrix
 
 

@@ -80,7 +80,3 @@ def format_result(result: SpeedupResult) -> str:
         reference=1.0, unit="x", title="Best CoolPIM vs baseline:", width=40,
     )
     return "\n".join([table, *notes, "", naive_bars, "", cool_bars])
-
-
-if __name__ == "__main__":  # pragma: no cover
-    print(format_result(run()))

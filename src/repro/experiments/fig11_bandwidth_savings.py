@@ -60,7 +60,3 @@ def format_result(result: BandwidthResult) -> str:
         headers, rows,
         title="Fig. 11 - Link traffic normalized to the non-offloading baseline",
     )
-
-
-if __name__ == "__main__":  # pragma: no cover
-    print(format_result(run()))

@@ -60,7 +60,3 @@ def format_result(result: PimRateResult) -> str:
         [table, f"  CoolPIM holds all rates near/below "
                 f"{PIM_RATE_THRESHOLD_OPS_NS} op/ns: {ok}"]
     )
-
-
-if __name__ == "__main__":  # pragma: no cover
-    print(format_result(run()))

@@ -62,7 +62,3 @@ def format_result(result: PeakTempResult) -> str:
         title="Naive-offloading peak DRAM temperature:",
     )
     return "\n".join([table, *notes, "", chart])
-
-
-if __name__ == "__main__":  # pragma: no cover
-    print(format_result(run()))

@@ -131,7 +131,3 @@ def format_result(points: List[PrototypePoint]) -> str:
         rows,
         title="Fig. 1 - HMC 1.1 prototype thermal evaluation",
     )
-
-
-if __name__ == "__main__":  # pragma: no cover
-    print(format_result(run()))

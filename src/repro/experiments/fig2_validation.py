@@ -75,7 +75,3 @@ def format_result(points: List[ValidationPoint]) -> str:
         rows,
         title="Fig. 2 - Thermal model validation",
     )
-
-
-if __name__ == "__main__":  # pragma: no cover
-    print(format_result(run()))

@@ -81,7 +81,3 @@ def format_result(result: HeatmapResult) -> str:
         f"Hottest logic cell at a vault centre: {result.hotspot_is_vault_center}",
     ]
     return "\n".join(parts)
-
-
-if __name__ == "__main__":  # pragma: no cover
-    print(format_result(run()))

@@ -73,7 +73,3 @@ def format_result(sweep: BandwidthSweep) -> str:
         x_label="data bandwidth (GB/s)", y_label="peak DRAM C",
     )
     return "\n".join([table, *notes, "", chart])
-
-
-if __name__ == "__main__":  # pragma: no cover
-    print(format_result(run()))

@@ -88,7 +88,3 @@ def format_result(sweep: PimRateSweep) -> str:
         width=56, height=12, x_label="PIM rate (op/ns)", y_label="C",
     )
     return "\n".join([table, *notes, "", chart])
-
-
-if __name__ == "__main__":  # pragma: no cover
-    print(format_result(run()))

@@ -24,7 +24,12 @@ from repro.core import CoolPimSystem
 from repro.core.feedback import FeedbackDelays
 from repro.core.hw_dynt import HwDynT
 from repro.core.sw_dynt import SwDynT
-from repro.experiments.common import RunScale, format_table, scaled_workload
+from repro.experiments.common import (
+    RunScale,
+    format_table,
+    run_with_first_warning,
+    scaled_workload,
+)
 from repro.graph import get_dataset
 
 
@@ -38,15 +43,12 @@ class DelayResult:
 
 
 def _measure_reaction(policy, workload: str, scale: RunScale) -> Optional[float]:
-    """Simulated time from first warning to first fraction drop."""
-    system = CoolPimSystem()
+    """Simulated time from the run's first thermal warning to its first
+    fraction drop."""
     graph = get_dataset(scale.dataset)
-    result = system.run(scaled_workload(workload, scale), graph, policy)
-    warn_t = None
-    for t, temp, _rate, _frac in result.timeline:
-        if temp >= 85.0:
-            warn_t = t
-            break
+    _result, warn_t = run_with_first_warning(
+        CoolPimSystem(), scaled_workload(workload, scale), graph, policy
+    )
     if warn_t is None:
         return None
     start_frac = policy.fraction_history[0][1]
@@ -90,7 +92,3 @@ def format_result(result: DelayResult) -> str:
         rows,
         title="Fig. 8 - Delay time in the feedback control",
     )
-
-
-if __name__ == "__main__":  # pragma: no cover
-    print(format_result(run()))

@@ -72,7 +72,3 @@ def format_result(sweep: HotspotSweep) -> str:
         f"{sweep.interleaving_headroom_c:.1f} C of thermal headroom at the "
         "worst skew tested."
     )
-
-
-if __name__ == "__main__":  # pragma: no cover
-    print(format_result(run()))

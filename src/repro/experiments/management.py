@@ -79,7 +79,3 @@ def format_result(result: ManagementResult, workload: str = "bfs-dwc") -> str:
         title=f"Overheat-management comparison on {workload} "
               "(naive offloading unless throttled)",
     )
-
-
-if __name__ == "__main__":  # pragma: no cover
-    print(format_result(run()))

@@ -17,7 +17,8 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from typing import Callable, Dict, List, Optional
+from functools import partial
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.obs.tracer import get_tracer
 
@@ -43,34 +44,40 @@ from repro.experiments import (
 from repro.experiments.common import RunScale
 
 
-def experiment_catalog(scale: RunScale) -> Dict[str, Callable[[], str]]:
-    """Every experiment id mapped to a thunk producing its formatted text."""
-    return {
-        "tables": lambda: tables.all_tables(),
-        "fig1": lambda: fig1_prototype.format_result(fig1_prototype.run()),
-        "fig2": lambda: fig2_validation.format_result(fig2_validation.run()),
-        "fig3": lambda: fig3_heatmap.format_result(fig3_heatmap.run()),
-        "fig4": lambda: fig4_bandwidth.format_result(fig4_bandwidth.run()),
-        "fig5": lambda: fig5_pim_rate.format_result(fig5_pim_rate.run()),
-        "fig8": lambda: fig8_delays.format_result(fig8_delays.run(scale=scale)),
-        "fig10": lambda: fig10_speedup.format_result(fig10_speedup.run(scale)),
-        "fig11": lambda: fig11_bandwidth_savings.format_result(
-            fig11_bandwidth_savings.run(scale)),
-        "fig12": lambda: fig12_pim_rate_avg.format_result(
-            fig12_pim_rate_avg.run(scale)),
-        "fig13": lambda: fig13_peak_temp.format_result(fig13_peak_temp.run(scale)),
-        "fig14": lambda: fig14_time_series.format_result(
-            fig14_time_series.run(scale=scale)),
-        # Extensions beyond the paper's figures (DESIGN.md §6):
-        "energy": lambda: energy.format_result(energy.run(scale)),
-        "management": lambda: management.format_result(
-            management.run(scale=scale)),
-        "sensitivity": lambda: sensitivity.format_result(
-            sensitivity.run(scale=scale)),
-        "hotspot": lambda: hotspot.format_result(hotspot.run()),
-        "cooling-sweep": lambda: cooling_sweep.format_result(
-            cooling_sweep.run(scale=scale)),
-    }
+#: Experiment id → its module, in sweep order; the flag marks the
+#: modules whose ``run`` takes the evaluation ``scale``.
+_MODULES = {
+    "fig1": (fig1_prototype, False),
+    "fig2": (fig2_validation, False),
+    "fig3": (fig3_heatmap, False),
+    "fig4": (fig4_bandwidth, False),
+    "fig5": (fig5_pim_rate, False),
+    "fig8": (fig8_delays, True),
+    "fig10": (fig10_speedup, True),
+    "fig11": (fig11_bandwidth_savings, True),
+    "fig12": (fig12_pim_rate_avg, True),
+    "fig13": (fig13_peak_temp, True),
+    "fig14": (fig14_time_series, True),
+    # Extensions beyond the paper's figures (DESIGN.md §6):
+    "energy": (energy, True),
+    "management": (management, True),
+    "sensitivity": (sensitivity, True),
+    "hotspot": (hotspot, False),
+    "cooling-sweep": (cooling_sweep, True),
+}
+
+
+def experiment_catalog(
+    scale: RunScale,
+) -> Dict[str, Tuple[Callable[[], Any], Callable[[Any], str]]]:
+    """Every experiment id mapped to ``(run, format_result)``: ``run()``
+    computes it at ``scale``, and ``format_result`` renders the text the
+    runner prints and writes to ``results/<id>.txt``."""
+    catalog = {"tables": (tables.all_tables, str)}
+    for name, (module, scaled) in _MODULES.items():
+        run = partial(module.run, scale=scale) if scaled else module.run
+        catalog[name] = (run, module.format_result)
+    return catalog
 
 
 #: Stable list of experiment ids (sweep order).
@@ -93,7 +100,8 @@ def run_experiment(name: str, scale: Optional[RunScale] = None) -> str:
         f"experiment.{name}", cat="experiment", dataset=scale.dataset,
         workload_scale=scale.workload_scale, seed=scale.seed,
     ):
-        return catalog[name]()
+        run, format_result = catalog[name]
+        return format_result(run())
 
 
 def sweep_texts_parallel(

@@ -79,7 +79,3 @@ def format_result(result: SensitivityResult) -> str:
         "over-throttles road graphs that were never going to\n  overheat — "
         "the HW variant's no-initialization design avoids this."
     )
-
-
-if __name__ == "__main__":  # pragma: no cover
-    print(format_result(run()))

@@ -122,7 +122,3 @@ def table4() -> str:
 
 def all_tables() -> str:
     return "\n\n".join([table1(), table2(), table3(), table4()])
-
-
-if __name__ == "__main__":  # pragma: no cover
-    print(all_tables())

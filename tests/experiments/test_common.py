@@ -1,8 +1,15 @@
-"""Experiment utilities: table formatting and run scaling."""
+"""Experiment utilities: table formatting, run scaling, first warnings."""
 
 import pytest
 
-from repro.experiments.common import RunScale, format_table, scaled_workload
+from repro.experiments.common import (
+    RunScale,
+    format_table,
+    run_with_first_warning,
+    scaled_workload,
+)
+
+from tests.engines import build_sim, hot_launch, run_traced
 
 
 class TestFormatTable:
@@ -70,3 +77,32 @@ class TestScaledWorkload:
 
     def test_seed_forwarded(self):
         assert scaled_workload("dc", RunScale.quick(), seed=9).seed == 9
+
+
+class _LaunchSystem:
+    """``CoolPimSystem.run``'s signature over a prepared launch."""
+
+    def __init__(self, engine):
+        self.engine = engine
+
+    def run(self, launch, _graph, policy):
+        return build_sim(self.engine).run(launch, policy)
+
+
+class TestRunWithFirstWarning:
+    @pytest.mark.parametrize(
+        "policy", ["naive-offloading", "coolpim-sw", "coolpim-hw"]
+    )
+    def test_first_warning_is_the_sensors_on_both_engines(self, policy):
+        # Twenty hot epochs under the commodity sink first warn mid-run.
+        stepped, macro = (
+            run_with_first_warning(
+                _LaunchSystem(engine), hot_launch(n_epochs=20), None, policy
+            )[1]
+            for engine in ("stepped", "macro")
+        )
+        _run, records = run_traced("stepped", hot_launch(n_epochs=20), policy)
+        instants = [r["sim_ns"] * 1e-9 for r in records
+                    if r["name"] == "sim.thermal_warning"]
+        assert 0.0 < instants[0]
+        assert stepped == macro == pytest.approx(instants[0], rel=1e-12)

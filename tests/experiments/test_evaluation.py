@@ -14,17 +14,6 @@ class TestMatrix:
         b = run_matrix(SCALE, workloads=["kcore"], policies=["non-offloading"])
         assert a is b
 
-    def test_cache_bypass(self):
-        a = run_matrix(SCALE, workloads=["kcore"], policies=["non-offloading"])
-        b = run_matrix(
-            SCALE, workloads=["kcore"], policies=["non-offloading"],
-            use_cache=False,
-        )
-        assert a is not b
-        assert a.baseline("kcore").runtime_s == pytest.approx(
-            b.baseline("kcore").runtime_s
-        )
-
     def test_clear_cache(self):
         a = run_matrix(SCALE, workloads=["kcore"], policies=["non-offloading"])
         clear_cache()

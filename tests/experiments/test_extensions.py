@@ -1,13 +1,22 @@
-"""Extension experiments: energy accounting and overheat management."""
+"""Extension experiments and Fig. 8, at full scale.
+
+The experiment results come from the session's full-scale runs (the
+``paper`` fixture); only the cool-run formatting check of Fig. 8 runs its
+own quick-scale experiment.
+"""
 
 import pytest
 
-from repro.core import CoolPimSystem
-from repro.experiments import energy, management
+from repro.experiments import (
+    cooling_sweep,
+    energy,
+    fig8_delays,
+    hotspot,
+    management,
+    sensitivity,
+)
 from repro.experiments.common import RunScale
-from repro.graph import get_dataset
 from repro.hmc.dram_timing import TemperaturePhase, TemperaturePhasePolicy
-from repro.workloads.dc import DegreeCentrality
 
 
 class TestConservativePolicy:
@@ -27,12 +36,8 @@ class TestConservativePolicy:
 
 class TestEnergyAccounting:
     @pytest.fixture(scope="class")
-    def results(self):
-        system = CoolPimSystem()
-        graph = get_dataset("ldbc-small")
-        w = DegreeCentrality()
-        w.repeats = 40
-        return system.run_all_policies(w, graph)
+    def results(self, paper):
+        return paper["energy"].matrix.results["dc"]
 
     def test_energy_positive_and_consistent(self, results):
         for res in results.values():
@@ -60,8 +65,8 @@ class TestEnergyAccounting:
 
 class TestManagementComparison:
     @pytest.fixture(scope="class")
-    def result(self):
-        return management.run("dc", scale=RunScale.quick())
+    def result(self, paper):
+        return paper["management"]
 
     def test_all_rows_present(self, result):
         assert "baseline (no offloading)" in result.rows
@@ -72,29 +77,27 @@ class TestManagementComparison:
         assert result.rows["baseline (no offloading)"][3] == 1.0
 
     def test_formatting(self, result):
-        out = management.format_result(result, "dc")
+        out = management.format_result(result)
         assert "Shutdowns" in out
 
 
 class TestEnergyExperiment:
-    def test_runs_at_quick_scale(self):
-        result = energy.run(RunScale.quick())
+    def test_runs_at_quick_scale(self, paper):
+        result = paper["energy"]
         assert set(result.energy_ratio) == set(result.matrix.workloads)
         for ratios in result.energy_ratio.values():
             for v in ratios.values():
                 assert v > 0
 
-    def test_formatting(self):
-        out = energy.format_result(energy.run(RunScale.quick()))
+    def test_formatting(self, paper):
+        out = energy.format_result(paper["energy"])
         assert "Energy" in out
 
 
 class TestSensitivity:
     @pytest.fixture(scope="class")
-    def result(self):
-        from repro.experiments import sensitivity
-
-        return sensitivity.run(RunScale.quick(), datasets=("ldbc", "road"))
+    def result(self, paper):
+        return paper["sensitivity"]
 
     def test_all_cells_present(self, result):
         assert len(result.cells) == 4
@@ -103,13 +106,15 @@ class TestSensitivity:
         for wl in ("bfs-dwc", "sssp-dwc"):
             assert result.naive_peak("road", wl) <= result.naive_peak("ldbc", wl) + 1.0
 
-    def test_formatting(self):
-        from repro.experiments import sensitivity
-
-        out = sensitivity.format_result(
-            sensitivity.run(RunScale.quick(), datasets=("ldbc",))
-        )
+    def test_formatting(self, result):
+        out = sensitivity.format_result(result)
         assert "Dataset sensitivity" in out
+
+    def test_dataset_sensitivity(self, result):
+        """Power-law frontiers saturate the memory system and overheat
+        under naive offloading; road-network frontiers never do."""
+        assert result.naive_peak("ldbc", "bfs-dwc") > 90.0
+        assert result.naive_peak("road", "bfs-dwc") < 85.0
 
 
 class TestHotspot:
@@ -123,32 +128,25 @@ class TestHotspot:
         with pytest.raises(ValueError):
             vault_weights_for_skew(32, 1.0)
 
-    def test_skew_monotonically_heats(self):
-        from repro.experiments import hotspot
-
-        sweep = hotspot.run(skews=(0.0, 0.1, 0.2))
+    def test_skew_monotonically_heats(self, paper):
+        sweep = paper["hotspot"]
         assert sweep.peak_temps_c == sorted(sweep.peak_temps_c)
         assert sweep.interleaving_headroom_c > 5.0
 
-    def test_uniform_matches_fig4_anchor(self):
-        from repro.experiments import hotspot
-
-        sweep = hotspot.run(skews=(0.0,))
+    def test_uniform_matches_fig4_anchor(self, paper):
+        sweep = paper["hotspot"]
+        assert sweep.skews[0] == 0.0
         assert sweep.peak_temps_c[0] == pytest.approx(81.0, abs=0.5)
 
-    def test_formatting(self):
-        from repro.experiments import hotspot
-
-        out = hotspot.format_result(hotspot.run(skews=(0.0, 0.1)))
+    def test_formatting(self, paper):
+        out = hotspot.format_result(paper["hotspot"])
         assert "hotspot" in out.lower() or "skew" in out.lower()
 
 
 class TestCoolingSweep:
     @pytest.fixture(scope="class")
-    def result(self):
-        from repro.experiments import cooling_sweep
-
-        return cooling_sweep.run("dc", scale=RunScale.quick())
+    def result(self, paper):
+        return paper["cooling-sweep"]
 
     def test_all_sinks_present(self, result):
         assert set(result.cells) == {"low-end", "commodity", "high-end"}
@@ -158,27 +156,43 @@ class TestCoolingSweep:
         assert (result.coolpim_fraction("high-end")
                 >= result.coolpim_fraction("low-end") - 0.02)
 
-    def test_formatting(self):
-        from repro.experiments import cooling_sweep
-
-        out = cooling_sweep.format_result(
-            cooling_sweep.run("dc", scale=RunScale.quick()), "dc"
-        )
+    def test_formatting(self, result):
+        out = cooling_sweep.format_result(result)
         assert "Cooling-budget sweep" in out
+
+    def test_cooling_budget_sweep(self, result):
+        """CoolPIM adapts its offloading intensity to the fitted heat sink
+        with no reconfiguration."""
+        # Naive offloading under a low-end sink hits thermal shutdown.
+        naive_low = result.cells["low-end"]["naive-offloading"]
+        assert naive_low[0] < 0.5
+        # CoolPIM never does worse than ~baseline, under any sink.
+        for sink in ("low-end", "commodity", "high-end"):
+            assert result.cells[sink]["coolpim-sw"][0] > 0.95
+        # And it offloads more as the cooling budget grows.
+        assert (result.coolpim_fraction("high-end")
+                > result.coolpim_fraction("low-end"))
 
 
 class TestFig8:
-    def test_constants_match_paper(self):
-        from repro.experiments import fig8_delays
-
-        result = fig8_delays.run("dc", scale=RunScale.quick())
+    def test_constants_match_paper(self, paper):
+        result = paper["fig8"]
         assert result.sw.throttle_s == pytest.approx(0.1e-3)
         assert result.hw.throttle_s == pytest.approx(0.1e-6)
         assert result.sw.thermal_s == result.hw.thermal_s == pytest.approx(1e-3)
 
     def test_formatting_handles_cool_runs(self):
-        from repro.experiments import fig8_delays
-
         result = fig8_delays.run("kcore", scale=RunScale.quick())
         out = fig8_delays.format_result(result)
         assert "Tthrottle" in out
+
+    def test_fig8_delays(self, paper):
+        result = paper["fig8"]
+        # The paper's table values.
+        assert result.sw.throttle_s == pytest.approx(0.1e-3)
+        assert result.hw.throttle_s == pytest.approx(0.1e-6)
+        assert result.sw.thermal_s == pytest.approx(1e-3)
+        # Both runs warn, and HW reacts faster than SW.
+        sw_t, hw_t = result.measured_s["software"], result.measured_s["hardware"]
+        assert sw_t is not None and hw_t is not None
+        assert hw_t <= sw_t

@@ -21,6 +21,7 @@ class TestTableII:
         rows = tables.table2_rows()
         assert len(rows) == 4
         by_name = {r[0]: r for r in rows}
+        assert set(by_name) == {"passive", "low-end", "commodity", "high-end"}
         assert by_name["passive"][1] == 4.0
         assert by_name["passive"][2] == "0"
         assert by_name["commodity"][1] == 0.5
@@ -35,7 +36,9 @@ class TestTableII:
 
 class TestTableIII:
     def test_covers_all_classes(self):
-        types = {r[0] for r in tables.table3_rows()}
+        rows = tables.table3_rows()
+        types = {r[0] for r in rows}
+        assert any("atomicCAS" in r[2] for r in rows)
         assert {"Arithmetic", "Bitwise", "Boolean", "Comparison"} <= types
 
     def test_arithmetic_maps_to_atomicadd(self):
@@ -50,7 +53,8 @@ class TestTableIV:
         assert "32 vaults, 512 DRAM banks" in rows["HMC vaults"]
         assert "13.75" in rows["DRAM timing"]
         assert "80 GB/s" in rows["Data bandwidth"]
+        assert rows["HMC"].startswith("8 GB cube")
 
-    def test_all_tables_renders(self):
-        out = tables.all_tables()
+    def test_all_tables_renders(self, paper):
+        out = paper["tables"]
         assert "Table I" in out and "Table IV" in out
