@@ -21,7 +21,12 @@ miss) over a fixed key set; and, over one macro sweep of the launch,
 ``step_memo_hit_ratio``, the share of speculated quanta served from the
 memo, ``burst_us``, the median microseconds of one
 ``MacroEngine._try_burst`` call, and ``epoch_rows_built``, the epoch rows
-that sweep built (0: the launch's earlier runs built them all).
+that sweep built (0: the launch's earlier runs built them all). Over one
+macro run of a throttling configuration (full-scale ``bfs-twc`` under
+``coolpim-hw``, where HW-DynT's warnings force scalar steps) it records
+``exact_solves``, the ``HmcThermalModel.step`` calls (sparse LU solves)
+of the run, and ``march_us_per_substep``, the microseconds of
+``ReducedPropagator.march`` per marched thermal substep.
 """
 
 import json
@@ -31,7 +36,9 @@ from pathlib import Path
 
 import pytest
 
+from repro.core.coolpim import CoolPimSystem
 from repro.core.policies import make_policy
+from repro.experiments.common import RunScale, scaled_workload
 from repro.gpu.config import GPU_DEFAULT
 from repro.gpu import simulator
 from repro.gpu.macro import MacroEngine
@@ -40,6 +47,7 @@ from repro.graph.datasets import get_dataset
 from repro.hmc.config import HMC_2_0
 from repro.hmc.flow import HmcFlowModel
 from repro.thermal.model import HmcThermalModel
+from repro.thermal.propagator import ReducedPropagator
 from repro.thermal.sensor import ThermalSensor
 from repro.workloads.registry import get_workload
 from tests.engines import Run, assert_engines_agree
@@ -195,6 +203,47 @@ def _macro_layers(build, launch, monkeypatch):
     }
 
 
+#: The throttling run of the thermal-layer values.
+THROTTLE_RUN = ("bfs-twc", "coolpim-hw")
+
+
+def _thermal_layers(monkeypatch):
+    """Exact thermal solves and march microseconds per substep in one
+    macro run of :data:`THROTTLE_RUN` (after a warm-up run that builds
+    its trace, operators and propagator)."""
+    name, policy = THROTTLE_RUN
+    scale = RunScale.full()
+    graph = get_dataset(scale.dataset)
+    workload = scaled_workload(name, scale)
+    system = CoolPimSystem()
+    system.run(workload, graph, policy)
+    tally = {"solves": 0, "march_s": 0.0, "substeps": 0}
+    step = HmcThermalModel.step
+    march = ReducedPropagator.march
+
+    def counted(self, *args, **kwargs):
+        tally["solves"] += 1
+        return step(self, *args, **kwargs)
+
+    def timed(self, z0, coeffs):
+        t0 = time.perf_counter()
+        Z = march(self, z0, coeffs)
+        tally["march_s"] += time.perf_counter() - t0
+        tally["substeps"] += coeffs.shape[1]
+        return Z
+
+    with monkeypatch.context() as m:
+        m.setattr(HmcThermalModel, "step", counted)
+        m.setattr(ReducedPropagator, "march", timed)
+        system.run(workload, graph, policy)
+    return {
+        "exact_solves": tally["solves"],
+        "march_us_per_substep": (
+            tally["march_s"] / max(1, tally["substeps"]) * 1e6
+        ),
+    }
+
+
 def _emit(rows, aggregate_speedup, macro_steps_per_s, serve_us, layers):
     payload = {
         "benchmark": "simulator_macro_vs_stepped",
@@ -220,7 +269,8 @@ def test_macro_engine_speedup(benchmark, fig10_setup, monkeypatch):
     total_steps = sum(r["control_steps"] for r in rows.values())
     steps_per_s = total_steps / macro_total
     _emit(rows, aggregate, steps_per_s, _serve_quantum_us(build, launch),
-          _macro_layers(build, launch, monkeypatch))
+          {**_macro_layers(build, launch, monkeypatch),
+           **_thermal_layers(monkeypatch)})
 
     # Anchor the pytest-benchmark table to the macro sweep itself.
     benchmark(lambda: [

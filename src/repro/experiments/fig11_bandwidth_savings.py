@@ -1,7 +1,8 @@
-"""Fig. 11 — bandwidth consumption normalized to the baseline.
+"""Fig. 11 — off-chip link traffic normalized to the baseline.
 
-Average off-chip link bandwidth of each configuration divided by the
-non-offloading baseline's. The paper's counterintuitive observation:
+Total link bytes each configuration moves divided by the
+non-offloading baseline's: the bandwidth an offloading policy saves on
+the same kernel. The paper's counterintuitive observation:
 naïve offloading achieves the *largest* bandwidth savings (up to 39 % on
 sssp-dwc) yet the *worst* performance on the hot benchmarks — bandwidth
 saved is useless when the thermal phase derates the memory.
@@ -25,29 +26,21 @@ POLICIES = ["non-offloading", "naive-offloading", "coolpim-sw", "coolpim-hw"]
 @dataclass
 class BandwidthResult:
     matrix: EvaluationMatrix
-    #: [workload][policy] → avg link bandwidth / baseline avg link bandwidth.
-    consumption_ratio: Dict[str, Dict[str, float]]
     #: [workload][policy] → total link bytes / baseline link bytes.
     traffic_ratio: Dict[str, Dict[str, float]]
 
 
 def run(scale: Optional[RunScale] = None) -> BandwidthResult:
     matrix = run_matrix(scale)
-    consumption: Dict[str, Dict[str, float]] = {}
     traffic: Dict[str, Dict[str, float]] = {}
     for wl in matrix.workloads:
         base = matrix.baseline(wl)
-        consumption[wl] = {
-            p: matrix.results[wl][p].bandwidth_ratio(base) for p in POLICIES
-        }
         traffic[wl] = {
             p: (matrix.results[wl][p].link_bytes / base.link_bytes
                 if base.link_bytes else 0.0)
             for p in POLICIES
         }
-    return BandwidthResult(
-        matrix=matrix, consumption_ratio=consumption, traffic_ratio=traffic
-    )
+    return BandwidthResult(matrix=matrix, traffic_ratio=traffic)
 
 
 def format_result(result: BandwidthResult) -> str:

@@ -44,7 +44,12 @@ outside a sample, pending-fraction applications — fall back to the
 scalar step. That step is not a copy: :class:`MacroEngine` subclasses
 the stepped engine's run driver
 (:class:`~repro.gpu.simulator.SteppedEngine`) and takes its
-``_scalar_step`` as is, after installing any cached reduced state.
+``_scalar_step`` as is but for one hook, ``_thermal_quantum``: the
+step's substeps are marched in the reduced basis as a burst's are, and
+kept when the temperature is decisive (``MARGIN_C`` from every phase
+and sensor threshold, not SHUTDOWN). Otherwise, and in a
+perturbed-sensor window, the cached reduced state is installed and the
+exact solver takes the step.
 Temperatures agree with the stepped engine's within 1e-9 °C; every other
 output, and every ``sim.*`` stat but the burst histogram, is bit-equal
 (``assert_engines_agree`` in ``tests/engines.py``).
@@ -71,7 +76,8 @@ from repro.thermal.operators import CONTROL_DT_S
 
 #: Minimum quanta worth committing as a burst; a zero-length validated
 #: prefix (the very next quantum crosses a threshold) falls back to the
-#: scalar step, which decides with the exact solver.
+#: scalar step, which takes the exact solver when its temperature is
+#: within ``MARGIN_C`` of a threshold.
 MIN_BURST = 1
 
 #: Speculation window bounds (quanta). The window starts small, grows
@@ -106,6 +112,28 @@ MAX_BACKOFF_STEPS = 8
 STEP_MEMO_MAX = 1 << 14
 
 
+def power_weights(es, amb_c, nsub, ext_gbs, int_gbs, pim_rate) -> np.ndarray:
+    """(6, Σ nsub) power-basis weights of thermal substeps for
+    :meth:`~repro.thermal.propagator.ReducedPropagator.march`.
+
+    Quantum k's traffic rates repeat over its ``nsub[k]`` substeps, in
+    the propagator's input order ``(1, s, ext, s·int, s·pim, T_amb)``
+    (:meth:`~repro.thermal.model.HmcThermalModel.propagator`) under DRAM
+    energy scale ``es`` and boundary temperature ``amb_c``.
+    """
+    rates = np.repeat(
+        np.array((ext_gbs, int_gbs, pim_rate), dtype=float),
+        np.asarray(nsub, dtype=np.int64), axis=1,
+    )
+    coeffs = np.empty((6, rates.shape[1]))
+    coeffs[0] = 1.0
+    coeffs[1] = es
+    coeffs[2:5] = rates
+    coeffs[3:5] *= es
+    coeffs[5] = amb_c
+    return coeffs
+
+
 class MacroEngine(SteppedEngine):
     """The stepped run driver plus vectorized bursts.
 
@@ -131,9 +159,10 @@ class MacroEngine(SteppedEngine):
         self._reader = None
         # Reduced-state cache: eigen-coordinates of the thermal state and
         # its peak DRAM temperature, valid while no exact solver step has
-        # touched the model since the last burst commit. While valid,
-        # bursts skip both the projection and the full-state
-        # reconstruction; the node state is materialized lazily.
+        # touched the model since the last burst commit or reduced scalar
+        # quantum. While valid, bursts and scalar quanta skip both the
+        # projection and the full-state reconstruction; the node state is
+        # materialized lazily.
         self._z = None
         self._z_peak = 0.0
 
@@ -155,13 +184,94 @@ class MacroEngine(SteppedEngine):
 
     def _advance(self) -> None:
         """A burst where one is provably equal to scalar steps, else one
-        scalar step on the materialized thermal state."""
+        scalar step (whose thermal quantum stays reduced when it can)."""
         if self.skip > 0:
             self.skip -= 1
         elif self._try_burst():
             return
-        self._materialize()
         self._scalar_step()
+
+    def _thermal_quantum(self, dt_s, traffic_point, energy_scale) -> float:
+        """The scalar step's thermal quantum, in the reduced basis when
+        that provably changes nothing.
+
+        The step's substeps are counted as the scalar loop counts them and
+        marched from :meth:`_reduced_start` as a burst marches them. The
+        result is kept when its temperature is :meth:`_decisive`: every
+        decision the step takes from it is then the exact solver's. Else
+        the cached state, if any, is installed and the exact solver takes
+        the step.
+        """
+        z, temp_c = self._reduced_start()
+        if z is not None:
+            debt = self.thermal_debt_s + dt_s
+            nsub = 0
+            while debt >= CONTROL_DT_S:
+                debt -= CONTROL_DT_S
+                nsub += 1
+            if nsub:
+                Z = self._prop.march(z, power_weights(
+                    energy_scale, self.sim.thermal.effective_ambient_c,
+                    (nsub,), (traffic_point.external_gbs,),
+                    (traffic_point.internal_dram_gbs,),
+                    (traffic_point.pim_rate_ops_ns,),
+                ))
+                z = Z[:, -1]
+                temp_c = float(self._reader.peaks(Z)[-1])
+            if self._decisive(temp_c):
+                self._z = z
+                self._z_peak = temp_c
+                self.thermal_debt_s = debt
+                self.thermal_solver_steps += nsub
+                return temp_c
+        self._materialize()
+        return super()._thermal_quantum(dt_s, traffic_point, energy_scale)
+
+    def _reduced_start(self) -> Tuple[Optional[np.ndarray], float]:
+        """``(z, peak)`` a reduced thermal quantum starts from, or
+        ``(None, 0.0)`` when the quantum must be exact: in a
+        perturbed-sensor window (each sample must be the oracle's) or
+        without a healthy basis (a failed projection marks it bad, as
+        in a burst).
+
+        The cached state when there is one; else a projection of the
+        exact state — one projection costs less than the exact solve the
+        next quantum would otherwise take.
+        """
+        scen = self.scen
+        if scen is not None and scen.sensor_perturbed():
+            return None, 0.0
+        if self._z is not None:
+            return self._z, self._z_peak
+        prop = self._prop
+        if prop is None or self._prop_bad or not prop.healthy:
+            return None, 0.0
+        thermal = self.sim.thermal
+        z, _resid = prop.project(thermal.state)
+        if z is None:
+            self._prop_bad = True
+        return z, thermal.peak_dram_c()
+
+    def _decisive(self, temp_c: float) -> bool:
+        """Whether every decision a scalar step takes from ``temp_c`` is
+        the exact solver's: the temperature is at least ``MARGIN_C`` from
+        each phase threshold and the sensor's warn and clear thresholds,
+        and not in the SHUTDOWN phase (whose recovery restarts the exact
+        state)."""
+        sim = self.sim
+        pol = sim.flow.policy
+        if pol.phase(temp_c) is TemperaturePhase.SHUTDOWN:
+            return False
+        sensor = sim.sensor
+        thresholds = (
+            (pol.conservative_shutdown_c,) if pol.conservative_shutdown
+            else pol.thresholds_c
+        )
+        return all(
+            abs(temp_c - t) >= MARGIN_C
+            for t in (*thresholds, sensor.warn_threshold_c,
+                      sensor.clear_threshold_c)
+        )
 
     # -- burst helpers ------------------------------------------------------
 
@@ -169,9 +279,9 @@ class MacroEngine(SteppedEngine):
         """Install the cached reduced state into the thermal model.
 
         Called before anything reads or advances the node-temperature
-        state directly (scalar steps, end of run). Afterwards the cache is
-        dropped: the exact solver is about to evolve the state, so the
-        next burst re-projects.
+        state directly (an exact scalar quantum, end of run). Afterwards
+        the cache is dropped: the exact solver is about to evolve the
+        state, so the next reduced quantum or burst re-projects.
         """
         if self._z is not None:
             self.sim.thermal.set_transient_state(
@@ -411,16 +521,9 @@ class MacroEngine(SteppedEngine):
                 return None
         if b.cum_sub == 0:
             return z0, t0_peak, None
-        es = b.es
-        nsub_arr = np.asarray(cols[3], dtype=np.int64)
-        coeffs = np.empty((6, b.cum_sub))
-        coeffs[0] = 1.0
-        coeffs[1] = es
-        coeffs[2] = np.repeat(np.asarray(rcols[9]), nsub_arr)
-        coeffs[3] = es * np.repeat(np.asarray(rcols[10]), nsub_arr)
-        coeffs[4] = es * np.repeat(np.asarray(rcols[11]), nsub_arr)
-        coeffs[5] = b.amb_forcing
-        return z0, t0_peak, coeffs
+        return z0, t0_peak, power_weights(
+            b.es, b.amb_forcing, cols[3], rcols[9], rcols[10], rcols[11]
+        )
 
     def _temps_of(self, b: "_Burst", cols, peaks, t0_peak) -> np.ndarray:
         """Per-step decision temperatures from the marched peaks.
@@ -481,19 +584,13 @@ class MacroEngine(SteppedEngine):
         if cand.size:
             f = int(cand[0])
             t_f = float(temps[f])
-            pol = flow.policy
-            new_phase = pol.phase(t_f)
             # A shutdown crossing needs the scalar step's recovery
             # branch; and a multi-band jump may land inside another
             # threshold's margin — guard every decision threshold.
-            decisive = new_phase is not TemperaturePhase.SHUTDOWN
-            if decisive and not pol.conservative_shutdown:
-                decisive = all(
-                    abs(t_f - t) >= MARGIN_C for t in pol.thresholds_c
-                )
-            if decisive:
+            if self._decisive(t_f):
                 j = f + 1
                 flip_stop = bool(flips[f])
+                new_phase = flow.policy.phase(t_f)
                 if new_phase is not b.phase0:
                     phase_stop = new_phase
             else:

@@ -114,11 +114,6 @@ class SimulationResult:
             raise ValueError("runtime must be positive for a speedup")
         return baseline.runtime_s / self.runtime_s
 
-    def bandwidth_ratio(self, baseline: "SimulationResult") -> float:
-        """Link-traffic bandwidth normalized to ``baseline`` (Fig. 11)."""
-        base = baseline.avg_link_bandwidth_gbs
-        return self.avg_link_bandwidth_gbs / base if base > 0 else 0.0
-
     def to_dict(self, include_timeline: bool = False) -> dict:
         """JSON-serializable summary of the run."""
         out = {
@@ -553,6 +548,28 @@ class SteppedEngine:
              int_gbs, pim_rate),
         )
 
+    def _thermal_quantum(
+        self, dt_s: float, traffic_point: TrafficPoint, energy_scale: float
+    ) -> float:
+        """Integrate one interval's traffic power; returns the peak DRAM
+        temperature (°C) the step's decisions read.
+
+        Steps run on the fixed control quantum (one cached LU);
+        sub-quantum intervals accumulate as debt and are flushed with the
+        current traffic point — at most one quantum of lag versus the
+        100 µs sensor period.
+        """
+        thermal = self.sim.thermal
+        self.thermal_debt_s += dt_s
+        temp_c = thermal.peak_dram_c()
+        while self.thermal_debt_s >= CONTROL_DT_S:
+            temp_c = thermal.step(
+                traffic_point, dram_energy_scale=energy_scale
+            )
+            self.thermal_debt_s -= CONTROL_DT_S
+            self.thermal_solver_steps += 1
+        return temp_c
+
     def _scalar_step(self) -> None:
         """One control quantum of the paper's loop: offload fraction →
         HMC traffic → thermal step → sensor sample → warning → throttle."""
@@ -583,25 +600,16 @@ class SteppedEngine:
          link_bytes, data_bytes, ext_gbs, int_gbs, pim_rate) = rec
         self.host_atomics_assigned += host_raw
 
-        # Thermal integration with this interval's traffic power. Steps
-        # run on the fixed control quantum (one cached LU); sub-quantum
-        # intervals accumulate as debt and are flushed with the current
-        # traffic point — at most one quantum of lag versus the 100 µs
-        # sensor period.
         if not exempt:
-            traffic_point = TrafficPoint(
-                external_gbs=ext_gbs,
-                internal_dram_gbs=int_gbs,
-                pim_rate_ops_ns=pim_rate,
+            temp_c = self._thermal_quantum(
+                dt_s,
+                TrafficPoint(
+                    external_gbs=ext_gbs,
+                    internal_dram_gbs=int_gbs,
+                    pim_rate_ops_ns=pim_rate,
+                ),
+                energy_scale,
             )
-            self.thermal_debt_s += dt_s
-            temp_c = sim.thermal.peak_dram_c()
-            while self.thermal_debt_s >= CONTROL_DT_S:
-                temp_c = sim.thermal.step(
-                    traffic_point, dram_energy_scale=energy_scale
-                )
-                self.thermal_debt_s -= CONTROL_DT_S
-                self.thermal_solver_steps += 1
             self.peak_temp = max(self.peak_temp, temp_c)
             phase = flow.update_phase(temp_c)
             warning = sim.sensor.observe(temp_c, self.now_s)

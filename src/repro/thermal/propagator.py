@@ -17,10 +17,11 @@ arithmetic in a small invariant subspace:
 - Build an orthonormal basis ``W`` from block-Krylov chains of the six
   forcing images ``D^{1/2} A⁻¹ v_i`` (batched multi-RHS LU solves), and
   eigendecompose the reduced operator ``S_r = WᵀSW = V Λ Vᵀ``.
-- A K-step trajectory then costs one (r×K) diagonal recurrence plus one
-  dense GEMM to read out per-step peak DRAM temperatures — microseconds
-  per quantum instead of a ~0.3 ms solve (2,432-node network, one BLAS
-  thread on a 2-vCPU Xeon).
+- A K-step trajectory then costs one (r×K) diagonal recurrence, run for
+  all modes at once as a log-step doubling scan (:func:`diagonal_scan`),
+  plus one dense GEMM to read out per-step peak DRAM temperatures —
+  microseconds per quantum instead of a ~0.3 ms solve (2,432-node
+  network, one BLAS thread on a 2-vCPU Xeon).
 
 States outside the span (a warm-start steady point after a shutdown,
 altered power constants) are detected by the projection residual and
@@ -59,16 +60,52 @@ CHAIN_DEPTH = 12
 #: 1e-3 °C).
 EXTEND_DEPTH = 32
 
+#: Rows per block of the march's doubling scan: 128 rows of a rank-48
+#: state are 48 KiB, so a block's passes stay in cache; measured ~1.7x
+#: faster than one unblocked scan at K = 4,096, no slower at K = 64-698.
+MARCH_BLOCK = 128
+
 #: Relative column-norm threshold below which a candidate Krylov
 #: direction is considered numerically contained in the basis.
 _DROP_TOL = 1e-10
+
+
+def diagonal_scan(Zt: np.ndarray, z0: np.ndarray, pows: List[np.ndarray]) -> None:
+    """Run ``z_k = Λ z_{k−1} + h_k`` from ``z_{−1} = z0`` in place: row k
+    of the (K, r) buffer ``Zt`` holds ``h_k`` on entry and ``z_k`` on
+    return.
+
+    Every mode's recurrence is independent, so all modes advance
+    together by a log-step doubling scan over rows: after the pass of
+    shift ``s`` row k holds ``Σ_{j<2s} Λ^j h_{k−j}``. The scan runs over
+    blocks of :data:`MARCH_BLOCK` rows, each seeded with the previous
+    block's last state, so its passes stay in cache. ``pows`` holds
+    ``Λ^(2^i)`` from ``[Λ]`` on; missing powers are squared and appended.
+    The scan reassociates the sequential recurrence's sums: the two agree
+    to rounding (~1e-15 relative to the state), not bit for bit.
+    """
+    lam = pows[0]
+    z = z0
+    for a in range(0, Zt.shape[0], MARCH_BLOCK):
+        blk = Zt[a:a + MARCH_BLOCK]
+        blk[0] += lam * z
+        s = 1
+        i = 0
+        while s < blk.shape[0]:
+            if i == len(pows):
+                pows.append(pows[-1] * pows[-1])
+            blk[s:] += pows[i] * blk[:-s]
+            s *= 2
+            i += 1
+        z = blk[-1]
 
 
 class ReducedPropagator:
     """Shared reduced-order propagator for one (network, LU, dt) triple.
 
     The object is cheap to *use* concurrently from many simulator runs
-    (projection/marching never mutate), while :meth:`project` may *extend*
+    (projection never mutates; marching only appends powers of Λ, the
+    same ones every time), while :meth:`project` may *extend*
     the basis in place — single-threaded per process, like the operator
     caches it lives beside.
     """
@@ -175,6 +212,8 @@ class ReducedPropagator:
         S_r = 0.5 * (S_r + S_r.T)
         lam, V = np.linalg.eigh(S_r)
         self._lam = lam
+        #: Λ^(2^i) for :func:`diagonal_scan`'s shift-2^i pass.
+        self._lam_pows = [lam]
         #: n×r map straight between node space and eigen-coordinates.
         self._WV = W @ V
         self._proj_in = self._WV.T @ self._forcing       # (r, n_inputs)
@@ -241,20 +280,14 @@ class ReducedPropagator:
 
         ``coeffs`` is (n_inputs, K): column k holds the power-basis
         weights of quantum k, so the forcing term is ``proj_in @ coeffs``
-        and each step is a diagonal update ``z ← Λz + h_k``. The steps
-        are written in place as contiguous rows of a (K, r) buffer. The
-        result is a contiguous copy of its transpose, not a view: the
-        peak readout's GEMM rounds differently on a transposed operand.
+        and each step is a diagonal update ``z ← Λz + h_k``, run on the
+        rows of a contiguous (K, r) buffer by :func:`diagonal_scan`. The
+        result is a contiguous copy of the buffer's transpose, not a
+        view: the peak readout's GEMM rounds differently on a transposed
+        operand.
         """
-        H = np.ascontiguousarray((self._proj_in @ coeffs).T)
-        Zt = np.empty((H.shape[0], self._lam.size))
-        z = z0
-        lam = self._lam
-        for k in range(H.shape[0]):
-            row = Zt[k]
-            np.multiply(lam, z, out=row)
-            np.add(row, H[k], out=row)
-            z = row
+        Zt = np.ascontiguousarray((self._proj_in @ coeffs).T)
+        diagonal_scan(Zt, z0, self._lam_pows)
         return np.ascontiguousarray(Zt.T)
 
     def dram_peaks(self, Z: np.ndarray) -> np.ndarray:
