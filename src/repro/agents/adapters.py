@@ -105,10 +105,8 @@ class AgentPolicy(OffloadPolicy):
                 # Warning observations forward the engine's temp_c
                 # verbatim; step observations read the latest sample.
                 temp_c = sim.sensor.last_temp_c
-            bandwidth = sim.flow.stats
         else:
             warning = kind == "warning"
-            bandwidth = None
         return Observation(
             kind=kind,
             now_s=now_s,
@@ -116,7 +114,6 @@ class AgentPolicy(OffloadPolicy):
             temp_c=temp_c,
             fraction=self._fraction,
             token_pool=getattr(self.agent, "pool", None),
-            bandwidth=bandwidth,
         )
 
     def _take(self, action: Action, now_s: float) -> None:

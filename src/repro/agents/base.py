@@ -69,9 +69,10 @@ class Observation:
     token_pool:
         The SW-DynT PIM token pool when the agent manages one, else
         ``None`` (exposed so pool-aware agents can read size/issued).
-    bandwidth:
-        Cumulative :class:`~repro.hmc.flow.FlowStats` counters of the
-        HMC flow model (``None`` when not bound to a simulator).
+
+    Served traffic is not observed: the engine keeps the one account of
+    it (:class:`~repro.gpu.simulator.SimulationResult` and the ``sim.*``
+    stats), which a run reports when it ends.
     """
 
     kind: str
@@ -80,7 +81,6 @@ class Observation:
     temp_c: Optional[float] = None
     fraction: float = 1.0
     token_pool: Optional[Any] = None
-    bandwidth: Optional[Any] = None
 
 
 class Agent:

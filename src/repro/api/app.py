@@ -89,6 +89,18 @@ def create_router(service: ApiService) -> Router:
                 404, f"unknown run {request.path_params['id']!r}"
             ) from None
 
+    def _enforceable(specs) -> None:
+        """Refuse a timeout the server cannot enforce: a job's SIGALRM
+        deadline is armed only on a main thread, which a pooled worker
+        process has and an executor thread does not."""
+        if not service.pool and any(s.timeout_s is not None for s in specs):
+            raise HttpError(
+                400,
+                "timeout_s is enforced only when jobs run on a process "
+                "pool (repro serve --pool)",
+                field="timeout_s",
+            )
+
     def _submit(spec, tenant: str) -> RunRecord:
         try:
             return service.submit(spec, tenant)
@@ -108,6 +120,7 @@ def create_router(service: ApiService) -> Router:
             spec = validate_run_request(body, service.allow_kinds)
         except ValidationError as exc:
             raise HttpError(400, exc.message, field=exc.field) from exc
+        _enforceable([spec])
         rec = _submit(spec, tenant)
         return json_response(
             {
@@ -127,6 +140,7 @@ def create_router(service: ApiService) -> Router:
             specs = validate_sweep_request(body, service.allow_kinds)
         except ValidationError as exc:
             raise HttpError(400, exc.message, field=exc.field) from exc
+        _enforceable(specs)
         try:
             sweep_id, records = service.submit_sweep(specs, tenant)
         except QuotaExceeded as exc:

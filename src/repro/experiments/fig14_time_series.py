@@ -97,10 +97,10 @@ def format_result(result: TimeSeriesResult) -> str:
         + (f"{w:.1f} ms" if w is not None else "never")
         for p, w in result.first_warning_ms.items()
     ]
-    from repro.viz import sparkline
+    from repro.viz import sparklines
 
-    sparks = [
-        f"  {p:18s} {sparkline([r for _t, r, _T in result.series[p]])}"
-        for p in POLICIES
-    ]
+    trends = sparklines({
+        p: [r for _t, r, _T in result.series[p]] for p in POLICIES
+    })
+    sparks = [f"  {p:18s} {trends[p]}" for p in POLICIES]
     return "\n".join([table, *notes, "  PIM-rate trend:", *sparks])

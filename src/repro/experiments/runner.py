@@ -110,8 +110,6 @@ def sweep_texts_parallel(
     jobs: Optional[int] = None,
     cache_dir: Optional[str] = None,
     use_cache: bool = True,
-    timeout_s: Optional[float] = None,
-    max_retries: int = 0,
 ):
     """Run experiments as pool jobs; returns ``(texts, report)``.
 
@@ -127,12 +125,7 @@ def sweep_texts_parallel(
     from repro.service.handlers import prewarm_worker
     from repro.service.store import default_cache_dir
 
-    specs = [
-        experiment_spec(
-            name, scale=scale, timeout_s=timeout_s, max_retries=max_retries,
-        )
-        for name in selected
-    ]
+    specs = [experiment_spec(name, scale=scale) for name in selected]
     root = cache_dir if cache_dir is not None else default_cache_dir()
     store = ResultStore(root=root)
     with JobJournal(store.root / "journal.jsonl") as journal:
@@ -150,8 +143,7 @@ def sweep_texts_parallel(
         else:
             failure = report.failure_for(spec)
             texts[name] = (
-                f"[job failed: {failure.reason} after {failure.attempts} "
-                f"attempt(s) — {failure.message}]"
+                f"[job failed: {failure.reason} — {failure.message}]"
                 if failure is not None
                 else "[job produced no result]"
             )

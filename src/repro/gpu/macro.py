@@ -34,8 +34,8 @@ sample points. This engine exploits that:
    warning instants), delivering each warning sample's policy callback
    for real and keeping the prefix only while the policy's fresh hints
    say the burst would start the same; then apply the kept prefix: bulk
-   integer aggregates, pre-accumulated float totals (energy, busy time,
-   phase time — simulated with the same sequential adds the scalar loop
+   integer aggregates, pre-accumulated float totals (energy and phase
+   time — simulated with the same sequential adds the scalar loop
    performs), and one reduced thermal state.
 
 Steps the burst cannot prove safe — ambiguous phase/threshold
@@ -71,14 +71,7 @@ from repro.gpu.simulator import (
     TIMELINE_DT_S, SimulationResult, SteppedEngine, SystemSimulator,
 )
 from repro.hmc.dram_timing import TemperaturePhase
-from repro.hmc.packet import PacketType
 from repro.thermal.operators import CONTROL_DT_S
-
-#: Minimum quanta worth committing as a burst; a zero-length validated
-#: prefix (the very next quantum crosses a threshold) falls back to the
-#: scalar step, which takes the exact solver when its temperature is
-#: within ``MARGIN_C`` of a threshold.
-MIN_BURST = 1
 
 #: Speculation window bounds (quanta). The window starts small, grows
 #: geometrically on fully-committed bursts, and collapses after a
@@ -101,10 +94,6 @@ MARGIN_C = 1e-6
 #: threshold the window tracks ~2× the last committed length, so failed
 #: speculation work stays proportional to committed work.
 SPEC_CAP_NEAR = 8
-
-#: Cap on scalar steps forced after a validation failure (exponential
-#: backoff while the trajectory hugs a threshold).
-MAX_BACKOFF_STEPS = 8
 
 #: Entry bound of the per-run step memo (~1.2 KB an entry). A run that
 #: fills it starts it afresh; values never depend on the memo's history,
@@ -149,8 +138,6 @@ class MacroEngine(SteppedEngine):
         super().__init__(sim)
         # Burst machinery.
         self.spec_cap = SPEC_CAP_MIN
-        self.skip = 0
-        self.fail_streak = 0
         self._prop = None
         self._prop_bad = False
         #: Per-run certified peak readout (created with the propagator).
@@ -185,11 +172,8 @@ class MacroEngine(SteppedEngine):
     def _advance(self) -> None:
         """A burst where one is provably equal to scalar steps, else one
         scalar step (whose thermal quantum stays reduced when it can)."""
-        if self.skip > 0:
-            self.skip -= 1
-        elif self._try_burst():
-            return
-        self._scalar_step()
+        if not self._try_burst():
+            self._scalar_step()
 
     def _thermal_quantum(self, dt_s, traffic_point, energy_scale) -> float:
         """The scalar step's thermal quantum, in the reduced basis when
@@ -396,10 +380,10 @@ class MacroEngine(SteppedEngine):
         Each quantum's traffic is :meth:`_serve_quantum`, the scalar
         step's own function, memoized per run (``self._memo``) on its key:
         the epoch's fluid state and the burst constants. Only the time,
-        debt, sample and energy/busy/phase-time accumulators are
+        debt, sample and energy/phase-time accumulators are
         replayed here, sequentially, exactly as the scalar loop adds
         them. Each step records ``(rec, t_start, t_end, nsub, tidx,
-        sflag, tlf, pkg_acc, busy_acc, pt_acc, debt, next_tl, value)``,
+        sflag, tlf, pkg_acc, pt_acc, debt, next_tl, value)``,
         where ``value`` is the :meth:`_serve_quantum` value (its entries
         3..11 are the post-step epoch state) and ``rec`` its per-step
         traffic record.
@@ -430,7 +414,6 @@ class MacroEngine(SteppedEngine):
         nsamp = sim.sensor._last_sample_time
         next_tl = self.next_sample
         pkg_acc = self.package_energy_j
-        busy_acc = sim.flow.stats.busy_ns
         pt_acc = b.pt0
         cap = b.cap
         entries = b.entries
@@ -486,7 +469,6 @@ class MacroEngine(SteppedEngine):
                 sflag = False
 
             pkg_acc += e_inc
-            busy_acc += dt_ns
             pt_acc += dt_s
             t_start = tnow
             tnow = tnow + dt_s
@@ -496,7 +478,7 @@ class MacroEngine(SteppedEngine):
 
             steps.append((
                 rec, t_start, tnow, nsub, tidx, sflag, tlf,
-                pkg_acc, busy_acc, pt_acc, debt, next_tl, value,
+                pkg_acc, pt_acc, debt, next_tl, value,
             ))
 
         b.cum_sub = cum_sub
@@ -713,21 +695,20 @@ class MacroEngine(SteppedEngine):
             st = self.state
             (st.reads, st.writes, st.atomics, st.atomics_ret,
              st.compute_cycles, self.rem_reads, self.rem_writes,
-             self.rem_atomics, self.wb_carry) = cols[12][j - 1][3:12]
+             self.rem_atomics, self.wb_carry) = cols[11][j - 1][3:12]
 
         self.now_s = end_now
         self.package_energy_j = cols[7][j - 1]
-        flow.stats.busy_ns = cols[8][j - 1]
         if phase_stop is not None:
             # The crossing step's dt accrues to the *new* phase (the
             # oracle bills phase time after updating the phase).
             self.phase_time[b.phase0.name] = (
-                cols[9][j - 2] if j > 1 else b.pt0
+                cols[8][j - 2] if j > 1 else b.pt0
             )
         else:
-            self.phase_time[b.phase0.name] = cols[9][j - 1]
-        self.thermal_debt_s = cols[10][j - 1]
-        self.next_sample = cols[11][j - 1]
+            self.phase_time[b.phase0.name] = cols[8][j - 1]
+        self.thermal_debt_s = cols[9][j - 1]
+        self.next_sample = cols[10][j - 1]
 
         sh_sum = sum(rcols[3][:j])
         sp_sum = sum(rcols[4][:j])
@@ -751,25 +732,14 @@ class MacroEngine(SteppedEngine):
             self.frac_tw.update(fraction, b.t0)
         self.dts.extend(rcols[0][:j])
 
-        fs = flow.stats
-        fs.pim_ops += sp_sum + spr_sum
-        fs.host_atomics += sh_sum
-        ledger = fs.ledger
-        ledger.record(PacketType.READ64, sum(rcols[1][:j]) + sh_sum)
-        ledger.record(PacketType.WRITE64, sum(rcols[2][:j]) + sh_sum)
-        ledger.record(PacketType.PIM, sp_sum)
-        ledger.record(PacketType.PIM_RET, spr_sum)
-
         if phase_stop is not None:
             flow.phase = phase_stop
             self.phase_time[phase_stop.name] += rcols[0][j - 1] * 1e-9
-        if flip_stop:
-            flow.set_thermal_warning(not warning)
-            if not warning:
-                # Newly-set warning: deliver the flip step's callback (the
-                # sample walk updated the sensor), exactly as the scalar
-                # loop would at that step.
-                policy.on_thermal_warning(steps[j - 1][1], sim.sensor.last_temp_c)
+        if flip_stop and not warning:
+            # Newly-set warning: deliver the flip step's callback (the
+            # sample walk updated the sensor), exactly as the scalar
+            # loop would at that step.
+            policy.on_thermal_warning(steps[j - 1][1], sim.sensor.last_temp_c)
 
         if not self._epoch_pending():
             self._close_epoch(self.now_s)
@@ -840,16 +810,12 @@ class MacroEngine(SteppedEngine):
             temps = self._temps_of(b, cols, peaks, t0_peak)
             j, flip_stop, phase_stop = self._validate(b, cols, temps)
 
-        if j < MIN_BURST:
+        if j == 0:
+            # The very next quantum is too close to a threshold: the
+            # scalar step takes it, and the next window starts small.
             self.launch_trace.seek(b.pos0)
-            if j < K:
-                # Validation truncation: the trajectory is riding a
-                # threshold — stop re-speculating every scalar step.
-                self.fail_streak += 1
-                self.skip = min(MAX_BACKOFF_STEPS, 2 ** self.fail_streak)
-                self.spec_cap = SPEC_CAP_NEAR
+            self.spec_cap = SPEC_CAP_NEAR
             return 0
-        self.fail_streak = 0
         if flip_stop:
             b.stop = "flip"
         elif phase_stop is not None:

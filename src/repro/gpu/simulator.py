@@ -31,9 +31,7 @@ from repro.gpu.kernel import KernelLaunch
 from repro.gpu.sm import SmArray
 from repro.hmc.config import HMC_2_0, HmcConfig
 from repro.hmc.dram_timing import TemperaturePhase
-from repro.hmc.flow import (
-    HmcFlowModel, TrafficDemand, demand_bytes, demand_time_ns, rates_of,
-)
+from repro.hmc.flow import HmcFlowModel, demand_bytes, demand_time_ns, rates_of
 from repro.obs.tracer import get_tracer
 from repro.sim.stats import Counter, StatRegistry, linear_bounds
 from repro.sim.trace import OpBatch
@@ -248,7 +246,6 @@ class SteppedEngine:
         if not exempt:
             sim.thermal.warm_start(WARM_START)
         sim.flow.phase = TemperaturePhase.NORMAL
-        sim.flow.set_thermal_warning(False)
 
         policy.bind(sim)
         policy.begin(launch, now_s=0.0)
@@ -596,7 +593,7 @@ class SteppedEngine:
             fraction,
             *flow.capacities(), energy_scale,
         ))
-        (_, s_reads, s_writes, s_host, s_pim, s_pimr, host_raw,
+        (_, _, _, s_host, s_pim, s_pimr, host_raw,
          link_bytes, data_bytes, ext_gbs, int_gbs, pim_rate) = rec
         self.host_atomics_assigned += host_raw
 
@@ -612,9 +609,7 @@ class SteppedEngine:
             )
             self.peak_temp = max(self.peak_temp, temp_c)
             phase = flow.update_phase(temp_c)
-            warning = sim.sensor.observe(temp_c, self.now_s)
-            flow.set_thermal_warning(warning)
-            if warning:
+            if sim.sensor.observe(temp_c, self.now_s):
                 self.thermal_warnings += 1
                 if traced:
                     self.tracer.instant(
@@ -640,20 +635,12 @@ class SteppedEngine:
                 sim.thermal.warm_start(TrafficPoint.idle())
                 flow.phase = TemperaturePhase.NORMAL
                 sim.sensor.reset()
-                flow.set_thermal_warning(False)
             self.last_temp_c = temp_c
         else:
             phase = TemperaturePhase.NORMAL
             temp_c = sim.thermal.ambient_c
 
         self.package_energy_j += energy_j
-        flow.record(
-            TrafficDemand(
-                reads=s_reads, writes=s_writes, host_atomics=s_host,
-                pim_ops=s_pim, pim_ops_ret=s_pimr,
-            ),
-            dt_ns,
-        )
         self.link_bytes += link_bytes
         self.data_bytes += data_bytes
         self.pim_ops += s_pim + s_pimr

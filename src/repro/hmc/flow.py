@@ -27,12 +27,12 @@ dataclass per quantum: this module is the one copy of that arithmetic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Tuple
 
 from repro.hmc.config import HMC_2_0, HmcConfig
 from repro.hmc.dram_timing import TemperaturePhase, TemperaturePhasePolicy
-from repro.hmc.packet import FLIT_BYTES, FlitLedger, PacketType, flit_cost
+from repro.hmc.packet import FLIT_BYTES, PacketType, flit_cost
 
 #: (request, response) FLITs of each transaction a demand is made of,
 #: read once from Table I.
@@ -185,14 +185,6 @@ class TrafficDemand:
         return self.pim_ops + self.pim_ops_ret
 
 
-@dataclass
-class FlowStats:
-    busy_ns: float = 0.0
-    pim_ops: int = 0
-    host_atomics: int = 0
-    ledger: FlitLedger = field(default_factory=FlitLedger)
-
-
 class HmcFlowModel:
     """Bottleneck-based service-time model with thermal derating.
 
@@ -232,8 +224,6 @@ class HmcFlowModel:
         self._fu_rate_per_vault_gops = fu_rate_per_vault_gops
         self._caps: dict = {}
         self.phase = TemperaturePhase.NORMAL
-        self.stats = FlowStats()
-        self._thermal_warning = False
         #: Scenario-injection knob: fraction of nominal vault service
         #: capacity available (per-vault derating — failed/slowed vaults
         #: shrink both internal DRAM bandwidth and the FU pool). 1.0 is
@@ -262,14 +252,6 @@ class HmcFlowModel:
         """Set the operating phase from the current peak DRAM temperature."""
         self.phase = self.policy.phase(peak_dram_temp_c)
         return self.phase
-
-    def set_thermal_warning(self, active: bool) -> None:
-        """Warning bit stamped into responses (drives CoolPIM feedback)."""
-        self._thermal_warning = active
-
-    @property
-    def thermal_warning(self) -> bool:
-        return self._thermal_warning
 
     @property
     def is_shutdown(self) -> bool:
@@ -342,14 +324,3 @@ class HmcFlowModel:
         zero time. Raises if the device is shut down.
         """
         return demand_time_ns(*demand.counts, *self.capacities())
-
-    def record(self, demand: TrafficDemand, elapsed_ns: float) -> None:
-        """Account served traffic for statistics and power integration."""
-        s = self.stats
-        s.busy_ns += elapsed_ns
-        s.pim_ops += demand.total_pim
-        s.host_atomics += demand.host_atomics
-        s.ledger.record(PacketType.READ64, demand.reads + demand.host_atomics)
-        s.ledger.record(PacketType.WRITE64, demand.writes + demand.host_atomics)
-        s.ledger.record(PacketType.PIM, demand.pim_ops)
-        s.ledger.record(PacketType.PIM_RET, demand.pim_ops_ret)

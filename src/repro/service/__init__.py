@@ -7,7 +7,7 @@ content-addressed job:
   :class:`JobResult` / :class:`JobFailure` outcome records, job-kind
   handler registry.
 - :mod:`repro.service.scheduler` — :class:`JobScheduler`: process-pool
-  execution with per-job timeouts, retry-with-backoff, and crash-tolerant
+  execution without retries, with per-job timeouts and crash-tolerant
   pool rebuilds.
 - :mod:`repro.service.store` — :class:`ResultStore`: on-disk JSON cache
   keyed by content hash, invalidated by code fingerprint.
@@ -47,7 +47,7 @@ from repro.service.jobs import (
     unregister_handler,
 )
 from repro.service.journal import JobJournal
-from repro.service.scheduler import JobScheduler, SweepReport, run_jobs
+from repro.service.scheduler import JobScheduler, SweepReport
 from repro.service.store import (
     CachedResult,
     ResultStore,
@@ -76,7 +76,6 @@ __all__ = [
     "register_handler",
     "resolve_handler",
     "run_experiment_job",
-    "run_jobs",
     "run_simulation_job",
     "simulation_spec",
     "store_stats_payload",

@@ -40,7 +40,6 @@ def experiment_spec(
     quick: bool = False,
     seed: int = 0,
     timeout_s: Optional[float] = None,
-    max_retries: int = 0,
 ) -> JobSpec:
     """Spec for one figure/table experiment (see ``repro.experiments``).
 
@@ -56,7 +55,6 @@ def experiment_spec(
         params={"experiment": name, "scale": scale.to_dict()},
         seed=scale.seed,
         timeout_s=timeout_s,
-        max_retries=max_retries,
         tags=("experiment",),
     )
 
@@ -73,7 +71,6 @@ def simulation_spec(
     scenario: Optional[str] = None,
     scenario_seed: int = 0,
     timeout_s: Optional[float] = None,
-    max_retries: int = 0,
 ) -> JobSpec:
     """Spec for one (workload × policy × dataset × cooling) simulation.
 
@@ -112,7 +109,6 @@ def simulation_spec(
         params=params,
         seed=seed,
         timeout_s=timeout_s,
-        max_retries=max_retries,
         tags=("simulation",),
     )
 

@@ -5,9 +5,9 @@ Every unit of work the job service runs — a figure experiment, a single
 described by an immutable :class:`JobSpec`. The spec's *identity fields*
 (kind, name, params, seed) are hashed into a canonical content key, which
 is the job's address in the on-disk :class:`~repro.service.store.ResultStore`
-and in the :class:`~repro.service.journal.JobJournal`. Execution knobs
-(timeout, retry budget) deliberately do **not** enter the key: changing
-how patiently we run a job must not invalidate its cached result.
+and in the :class:`~repro.service.journal.JobJournal`. The execution knob
+(timeout) deliberately does **not** enter the key: changing how patiently
+we run a job must not invalidate its cached result.
 
 Outcomes are plain dataclasses (:class:`JobResult` / :class:`JobFailure`)
 whose payloads are JSON-serializable dictionaries, so they cross process
@@ -105,8 +105,8 @@ def canonical_json(obj: Any) -> str:
 class JobSpec:
     """One declarative unit of work.
 
-    Identity = (kind, name, params, seed); execution knobs (timeout,
-    retries) are carried along but excluded from :attr:`key`.
+    Identity = (kind, name, params, seed); the execution knob (timeout)
+    is carried along but excluded from :attr:`key`. No job is retried.
     Construction keeps a canonical copy of ``params`` and hashes it once,
     so later changes to the caller's mapping reach neither.
     """
@@ -116,7 +116,6 @@ class JobSpec:
     params: Mapping[str, Any] = field(default_factory=dict)
     seed: int = 0
     timeout_s: Optional[float] = None
-    max_retries: int = 0
     tags: Tuple[str, ...] = ()
     #: Canonical content hash — the job's cache/journal address.
     key: str = field(init=False, repr=False, compare=False)
@@ -143,19 +142,19 @@ class JobSpec:
             "params": _canonical(self.params),
             "seed": self.seed,
             "timeout_s": self.timeout_s,
-            "max_retries": self.max_retries,
             "tags": list(self.tags),
         }
 
     @classmethod
     def from_dict(cls, d: Mapping[str, Any]) -> "JobSpec":
+        """The spec ``d`` describes. Keys it does not know, such as the
+        retry budget older documents carry, are ignored."""
         return cls(
             kind=d["kind"],
             name=d["name"],
             params=dict(d.get("params", {})),
             seed=d.get("seed", 0),
             timeout_s=d.get("timeout_s"),
-            max_retries=d.get("max_retries", 0),
             tags=tuple(d.get("tags", ())),
         )
 
@@ -186,7 +185,7 @@ class JobResult:
 
 @dataclass
 class JobFailure:
-    """A job that exhausted its retry budget.
+    """A job whose one run failed.
 
     ``reason`` is one of ``"error"`` (handler raised), ``"timeout"``
     (per-job deadline fired), or ``"crash"`` (the worker process died).

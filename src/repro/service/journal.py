@@ -1,6 +1,6 @@
 """Append-only JSONL journal — the job service's observability layer.
 
-Every lifecycle transition (submitted, cache hit, completed, retrying,
+Every lifecycle transition (submitted, cache hit, completed, quarantined,
 failed, sweep start/end) is one JSON line with a wall-clock timestamp.
 The journal is append-only across invocations, so it doubles as the audit
 trail for resumability: after a killed sweep, the second run's

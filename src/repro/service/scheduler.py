@@ -1,4 +1,4 @@
-"""Process-pool job scheduler with caching, retries, and graceful failure.
+"""Process-pool job scheduler with caching and graceful failure.
 
 The :class:`JobScheduler` turns a list of :class:`~repro.service.jobs.JobSpec`
 into a :class:`SweepReport`:
@@ -12,26 +12,23 @@ into a :class:`SweepReport`:
    job kinds work in workers). Per-job timeouts are enforced *inside* the
    worker via ``SIGALRM``, which frees the pool slot immediately and
    never breaks the pool.
-3. **Degradation** — a handler exception or timeout consumes one attempt
-   and is retried with exponential backoff up to ``spec.max_retries``;
-   a worker process that dies outright (segfault, ``os._exit``) breaks
-   the pool, which the scheduler rebuilds. Every terminal failure becomes
+3. **Degradation** — nothing is retried: a handler exception or timeout
+   ends its job; a worker process that dies outright (segfault, ``os._exit``)
+   breaks the pool, which the scheduler rebuilds. Every failure becomes
    a structured :class:`~repro.service.jobs.JobFailure` record — one bad
    job never kills the sweep.
 
 Crash attribution: ``concurrent.futures`` cannot say *which* job killed
-a broken pool, so workers touch a ``<key>.a<attempt>.started`` marker in
+a broken pool, so workers touch a ``<key>.started`` marker in
 a per-run scratch directory on entry. After a break, jobs that never
-started are simply re-queued (no attempt consumed), while every
-started-but-unresolved job is **quarantined**: re-run alone in a
-single-worker pool, where a repeat crash is unambiguously its own doing
-(→ ``JobFailure(reason="crash")`` once retries are exhausted) and an
-innocent bystander of someone else's crash completes normally.
+started are simply re-queued, while every started-but-unresolved job is
+**quarantined**: re-run alone in a single-worker pool, where a repeat
+crash is unambiguously its own doing (→ ``JobFailure(reason="crash")``)
+and an innocent bystander of someone else's crash completes normally.
 """
 
 from __future__ import annotations
 
-import heapq
 import multiprocessing
 import os
 import shutil
@@ -44,7 +41,7 @@ from concurrent.futures import wait as futures_wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from repro.obs.tracer import get_tracer
 from repro.service.jobs import (
@@ -56,12 +53,6 @@ from repro.service.jobs import (
 )
 from repro.service.journal import JobJournal
 from repro.service.store import ResultStore
-
-#: First-retry backoff; attempt ``n`` waits ``backoff * 2**(n-1)`` seconds.
-DEFAULT_BACKOFF_S = 0.05
-
-#: Poll interval of the dispatch loop (s).
-_TICK_S = 0.02
 
 
 def _worker_start(initializer: Optional[Any] = None) -> None:
@@ -82,20 +73,19 @@ def _worker_start(initializer: Optional[Any] = None) -> None:
 
 def _worker_run(
     spec_dict: Dict[str, Any],
-    attempt: int = 1,
     scratch_dir: Optional[str] = None,
     collect_telemetry: bool = False,
 ) -> Dict[str, Any]:
-    """Execute one job attempt (module-level: must be picklable).
+    """Execute one job (module-level: must be picklable).
 
     Runs in a pool worker (or inline in serial mode). Arms a ``SIGALRM``
     timer for the spec's timeout so a hung job raises
     :class:`JobTimeoutError` instead of wedging its pool slot forever.
 
-    ``collect_telemetry`` is set on *pooled* attempts only: the worker
+    ``collect_telemetry`` is set on *pooled* runs only: the worker
     flushes its process-local telemetry registry deltas into the result
     dict, and the parent merges them into its own series — the
-    worker→parent half of the ``GET /metrics`` pipe. Serial attempts
+    worker→parent half of the ``GET /metrics`` pipe. Serial runs
     record straight into the parent registry, so flushing there would
     double-count.
     """
@@ -103,7 +93,7 @@ def _worker_run(
     if scratch_dir:
         # Start marker: lets the parent attribute pool breakage to jobs
         # that actually began executing.
-        marker = Path(scratch_dir) / f"{spec.key}.a{attempt}.started"
+        marker = Path(scratch_dir) / f"{spec.key}.started"
         try:
             marker.touch()
         except OSError:
@@ -181,7 +171,7 @@ class SweepReport:
 
 
 class JobScheduler:
-    """Runs job specs over a process pool with caching and retries.
+    """Runs job specs over a process pool with caching; no retries.
 
     Parameters
     ----------
@@ -197,8 +187,6 @@ class JobScheduler:
     use_cache:
         Set ``False`` to force re-execution while still writing fresh
         results back to the store.
-    backoff_s:
-        Base of the exponential retry backoff.
     worker_initializer:
         Optional zero-argument callable run once in every pool worker
         (and, under a fork start method, once in the parent before the
@@ -216,7 +204,6 @@ class JobScheduler:
         max_workers: Optional[int] = None,
         serial: bool = False,
         use_cache: bool = True,
-        backoff_s: float = DEFAULT_BACKOFF_S,
         worker_initializer: Optional[Any] = None,
     ) -> None:
         self.store = store
@@ -224,7 +211,6 @@ class JobScheduler:
         self.max_workers = max_workers
         self.serial = serial
         self.use_cache = use_cache
-        self.backoff_s = backoff_s
         self.worker_initializer = worker_initializer
         # queued_at[key] = perf_counter at submission; lets completion
         # spans cover the full queue→start→done lifecycle.
@@ -326,14 +312,13 @@ class JobScheduler:
     # -- shared bookkeeping -----------------------------------------------
 
     def _record_success(
-        self, report: SweepReport, spec: JobSpec, out: Dict[str, Any], attempt: int
+        self, report: SweepReport, spec: JobSpec, out: Dict[str, Any]
     ) -> None:
         result = JobResult(
             key=spec.key,
             name=spec.name,
             payload=out["payload"],
             elapsed_s=out["elapsed_s"],
-            attempts=attempt,
             cached=False,
             worker_pid=out.get("pid"),
         )
@@ -366,9 +351,9 @@ class JobScheduler:
             key=spec.key,
             name=spec.name,
             elapsed_s=result.elapsed_s,
-            attempts=attempt,
+            attempts=1,
             duration_s=result.elapsed_s,
-            attempt=attempt,
+            attempt=1,
             pid=result.worker_pid,
         )
         tracer = get_tracer()
@@ -379,7 +364,7 @@ class JobScheduler:
             # execution reconstructed from the worker-reported elapsed time.
             tracer.complete(
                 "scheduler.job", queued, done, cat="scheduler",
-                job=spec.name, kind=spec.kind, attempts=attempt,
+                job=spec.name, kind=spec.kind, attempts=1,
                 queue_s=max(0.0, done - result.elapsed_s - queued),
             )
             tracer.complete(
@@ -393,14 +378,13 @@ class JobScheduler:
         spec: JobSpec,
         reason: str,
         message: str,
-        attempts: int,
     ) -> None:
         failure = JobFailure(
             key=spec.key,
             name=spec.name,
             reason=reason,
             message=message,
-            attempts=attempts,
+            attempts=1,
         )
         report.failures[spec.key] = failure
         self._job_metric("failed", spec)
@@ -410,56 +394,35 @@ class JobScheduler:
             name=spec.name,
             reason=reason,
             message=message,
-            attempts=attempts,
-            attempt=attempts,
+            attempts=1,
+            attempt=1,
         )
         get_tracer().instant(
             "scheduler.job_failed", cat="scheduler",
-            job=spec.name, reason=reason, attempts=attempts,
+            job=spec.name, reason=reason, attempts=1,
         )
 
-    def _backoff_delay(self, attempt: int) -> float:
-        return self.backoff_s * (2 ** (attempt - 1))
-
-    def _note_retry(
-        self, spec: JobSpec, attempt: int, reason: str, delay: float
+    def _settle(
+        self, report: SweepReport, spec: JobSpec, outcome: Callable[[], Any]
     ) -> None:
-        self._log(
-            "retrying",
-            key=spec.key,
-            name=spec.name,
-            attempt=attempt,
-            reason=reason,
-            backoff_s=delay,
-        )
-        get_tracer().instant(
-            "scheduler.retry", cat="scheduler",
-            job=spec.name, attempt=attempt, reason=reason,
-        )
+        """Record the job's one run: ``outcome()`` returns its
+        :func:`_worker_run` output or raises what the run raised."""
+        try:
+            out = outcome()
+        except JobTimeoutError as exc:
+            self._record_failure(report, spec, "timeout", str(exc))
+        except Exception as exc:  # noqa: BLE001 — degrade, don't die
+            self._record_failure(
+                report, spec, "error", f"{type(exc).__name__}: {exc}"
+            )
+        else:
+            self._record_success(report, spec, out)
 
     # -- serial execution -------------------------------------------------
 
     def _run_serial(self, pending: Sequence[JobSpec], report: SweepReport) -> None:
         for spec in pending:
-            attempt = 1
-            while True:
-                try:
-                    out = _worker_run(spec.to_dict(), attempt)
-                except JobTimeoutError as exc:
-                    reason, message = "timeout", str(exc)
-                except Exception as exc:  # noqa: BLE001 — degrade, don't die
-                    reason, message = "error", f"{type(exc).__name__}: {exc}"
-                else:
-                    self._record_success(report, spec, out, attempt)
-                    break
-                if attempt <= spec.max_retries:
-                    delay = self._backoff_delay(attempt)
-                    self._note_retry(spec, attempt, reason, delay)
-                    time.sleep(delay)
-                    attempt += 1
-                    continue
-                self._record_failure(report, spec, reason, message, attempt)
-                break
+            self._settle(report, spec, lambda: _worker_run(spec.to_dict()))
 
     # -- pooled execution -------------------------------------------------
 
@@ -485,131 +448,59 @@ class JobScheduler:
     def _run_pool(self, pending: Sequence[JobSpec], report: SweepReport) -> None:
         ctx = self._mp_context()
         scratch = tempfile.mkdtemp(prefix="repro-jobs-")
-
-        # (not_before, tiebreak, spec, attempt)
-        waiting: List[Tuple[float, int, JobSpec, int]] = []
-        tiebreak = 0
-
-        def requeue(spec: JobSpec, attempt: int, delay: float) -> None:
-            nonlocal tiebreak
-            heapq.heappush(
-                waiting, (time.monotonic() + delay, tiebreak, spec, attempt)
-            )
-            tiebreak += 1
-
-        for spec in pending:
-            requeue(spec, 1, 0.0)
-
-        in_flight: Dict[Any, Tuple[JobSpec, int]] = {}
+        queued: List[JobSpec] = list(pending)
+        in_flight: Dict[Any, JobSpec] = {}
         executor = self._new_executor(ctx, len(pending))
 
-        def started(spec: JobSpec, attempt: int) -> bool:
-            return (Path(scratch) / f"{spec.key}.a{attempt}.started").exists()
+        def started(spec: JobSpec) -> bool:
+            return (Path(scratch) / f"{spec.key}.started").exists()
 
-        def handle_attempt_error(
-            spec: JobSpec, attempt: int, reason: str, message: str
-        ) -> bool:
-            """Retry if budget remains; else record the failure. Returns
-            whether a retry was queued."""
-            if attempt <= spec.max_retries:
-                delay = self._backoff_delay(attempt)
-                self._note_retry(spec, attempt, reason, delay)
-                requeue(spec, attempt + 1, delay)
-                return True
-            self._record_failure(report, spec, reason, message, attempt)
-            return False
-
-        def run_quarantined(spec: JobSpec, attempt: int) -> None:
+        def run_quarantined(spec: JobSpec) -> None:
             """Re-run a crash suspect alone in a one-worker pool.
 
             In isolation a repeat pool break is unambiguously this job's
             own crash; anything else resolves normally.
             """
-            self._log(
-                "quarantined", key=spec.key, name=spec.name, attempt=attempt
-            )
+            self._log("quarantined", key=spec.key, name=spec.name, attempt=1)
             get_tracer().instant(
                 "scheduler.quarantined", cat="scheduler",
-                job=spec.name, attempt=attempt,
+                job=spec.name, attempt=1,
             )
-            while True:
-                qexec = ProcessPoolExecutor(
-                    max_workers=1, mp_context=ctx, initializer=_worker_start,
-                )
-                try:
-                    fut = qexec.submit(
-                        _worker_run, spec.to_dict(), attempt, scratch,
-                        True,
+            qexec = ProcessPoolExecutor(
+                max_workers=1, mp_context=ctx, initializer=_worker_start,
+            )
+            try:
+                fut = qexec.submit(_worker_run, spec.to_dict(), scratch, True)
+                if isinstance(fut.exception(), BrokenProcessPool):
+                    self._record_failure(
+                        report, spec, "crash", "worker process died"
                     )
-                    try:
-                        out = fut.result()
-                    except BrokenProcessPool:
-                        reason, message = (
-                            "crash",
-                            f"worker process died (attempt {attempt})",
-                        )
-                    except JobTimeoutError as exc:
-                        reason, message = "timeout", str(exc)
-                    except Exception as exc:  # noqa: BLE001
-                        reason, message = (
-                            "error",
-                            f"{type(exc).__name__}: {exc}",
-                        )
-                    else:
-                        self._record_success(report, spec, out, attempt)
-                        return
-                finally:
-                    qexec.shutdown(wait=False, cancel_futures=True)
-                if attempt <= spec.max_retries:
-                    delay = self._backoff_delay(attempt)
-                    self._note_retry(spec, attempt, reason, delay)
-                    time.sleep(delay)
-                    attempt += 1
-                    continue
-                self._record_failure(report, spec, reason, message, attempt)
-                return
+                else:
+                    self._settle(report, spec, fut.result)
+            finally:
+                qexec.shutdown(wait=False, cancel_futures=True)
 
         try:
-            while waiting or in_flight:
-                now = time.monotonic()
-                while waiting and waiting[0][0] <= now:
-                    _, _, spec, attempt = heapq.heappop(waiting)
+            while queued or in_flight:
+                for spec in queued:
                     fut = executor.submit(
-                        _worker_run, spec.to_dict(), attempt, scratch,
-                        True,
+                        _worker_run, spec.to_dict(), scratch, True
                     )
-                    in_flight[fut] = (spec, attempt)
-
-                if not in_flight:
-                    # Only backed-off retries remain; sleep until the first
-                    # one is due.
-                    time.sleep(max(min(waiting[0][0] - now, 0.25), 0.001))
-                    continue
+                    in_flight[fut] = spec
+                queued.clear()
 
                 done, _ = futures_wait(
-                    list(in_flight), timeout=_TICK_S, return_when=FIRST_COMPLETED
+                    list(in_flight), return_when=FIRST_COMPLETED
                 )
                 pool_broken = False
-                quarantine: List[Tuple[JobSpec, int]] = []
+                quarantine: List[JobSpec] = []
                 for fut in done:
-                    spec, attempt = in_flight.pop(fut)
-                    try:
-                        out = fut.result()
-                    except BrokenProcessPool:
+                    spec = in_flight.pop(fut)
+                    if isinstance(fut.exception(), BrokenProcessPool):
                         pool_broken = True
-                        if started(spec, attempt):
-                            quarantine.append((spec, attempt))
-                        else:
-                            requeue(spec, attempt, 0.0)
-                    except JobTimeoutError as exc:
-                        handle_attempt_error(spec, attempt, "timeout", str(exc))
-                    except Exception as exc:  # noqa: BLE001
-                        handle_attempt_error(
-                            spec, attempt, "error",
-                            f"{type(exc).__name__}: {exc}",
-                        )
+                        (quarantine if started(spec) else queued).append(spec)
                     else:
-                        self._record_success(report, spec, out, attempt)
+                        self._settle(report, spec, fut.result)
 
                 if pool_broken:
                     # Everything still in flight is doomed with the pool:
@@ -617,45 +508,17 @@ class JobScheduler:
                     # (queued only), rebuild the executor, and resolve the
                     # suspects in isolation.
                     executor.shutdown(wait=False, cancel_futures=True)
-                    for fut, (spec, attempt) in list(in_flight.items()):
-                        if started(spec, attempt):
-                            quarantine.append((spec, attempt))
-                        else:
-                            requeue(spec, attempt, 0.0)
+                    for spec in in_flight.values():
+                        (quarantine if started(spec) else queued).append(spec)
                     in_flight.clear()
-                    self._log("pool_rebuilt", pending=len(waiting))
+                    self._log("pool_rebuilt", pending=len(queued))
                     get_tracer().instant(
                         "scheduler.pool_rebuilt", cat="scheduler",
-                        pending=len(waiting),
+                        pending=len(queued),
                     )
-                    executor = self._new_executor(ctx, len(waiting) or 1)
-                    for spec, attempt in quarantine:
-                        run_quarantined(spec, attempt)
+                    executor = self._new_executor(ctx, len(queued) or 1)
+                    for spec in quarantine:
+                        run_quarantined(spec)
         finally:
             executor.shutdown(wait=False, cancel_futures=True)
             shutil.rmtree(scratch, ignore_errors=True)
-
-
-def run_jobs(
-    specs: Sequence[JobSpec],
-    store: Optional[Union[ResultStore, str, Path]] = None,
-    journal: Optional[Union[JobJournal, str, Path]] = None,
-    **scheduler_kwargs: Any,
-) -> SweepReport:
-    """One-call convenience wrapper around :class:`JobScheduler`.
-
-    ``store``/``journal`` accept ready-made objects or bare paths.
-    """
-    if store is not None and not isinstance(store, ResultStore):
-        store = ResultStore(root=store)
-    own_journal = False
-    if journal is not None and not isinstance(journal, JobJournal):
-        journal = JobJournal(journal)
-        own_journal = True
-    try:
-        return JobScheduler(
-            store=store, journal=journal, **scheduler_kwargs
-        ).run(specs)
-    finally:
-        if own_journal and journal is not None:
-            journal.close()

@@ -20,13 +20,12 @@ is actually due.
 
 Sample flow control (the downsampling budget):
 
-- ``interval_s`` — sim-time spacing between samples (the engine-side
-  gate via ``next_due_s``).
-- ``min_wall_interval_s`` — wall-clock coalescing: samples arriving
-  faster than this are held back, **last value wins**.
+- :data:`INTERVAL_S` — sim-time spacing between samples (the
+  engine-side gate via ``next_due_s``), the result timeline's grid.
 - ``max_samples`` — hard budget per run; once spent, later samples only
-  replace the pending one, so the event log stays bounded at
-  ``max_samples + 1`` (``close()`` flushes the final pending sample).
+  replace the pending one, **last value wins**, so the event log stays
+  bounded at ``max_samples + 1`` (``close()`` flushes the final pending
+  sample).
 
 Sinks are installed **thread-local** (:func:`run_telemetry`): the API
 service executes each job in its own executor thread, so concurrent
@@ -38,15 +37,14 @@ from __future__ import annotations
 
 import math
 import threading
-import time
 from typing import Any, Callable, Dict, Iterator, Optional
 from contextlib import contextmanager
 
 #: Default per-run sample budget (the service event-log bound).
 DEFAULT_MAX_SAMPLES = 64
 
-#: Default sim-time spacing between samples (the timeline grid).
-DEFAULT_INTERVAL_S = 250e-6
+#: Sim-time spacing between samples (the timeline grid).
+INTERVAL_S = 250e-6
 
 
 class RunTelemetrySink:
@@ -56,45 +54,29 @@ class RunTelemetrySink:
         self,
         emit: Callable[[Dict[str, Any]], None],
         max_samples: int = DEFAULT_MAX_SAMPLES,
-        interval_s: float = DEFAULT_INTERVAL_S,
-        min_wall_interval_s: float = 0.0,
-        clock: Callable[[], float] = time.monotonic,
     ) -> None:
         if max_samples < 1:
             raise ValueError(f"max_samples must be >= 1: {max_samples}")
-        if interval_s <= 0:
-            raise ValueError(f"interval_s must be positive: {interval_s}")
         self._emit = emit
         self.max_samples = max_samples
-        self.interval_s = interval_s
-        self.min_wall_interval_s = min_wall_interval_s
-        self._clock = clock
         #: Sim-time the engines compare against inline; the first sample
         #: is due immediately so even sub-millisecond runs emit one.
         self.next_due_s = 0.0
         self.emitted = 0
         self.coalesced = 0
         self._pending: Optional[Dict[str, Any]] = None
-        self._last_wall = -math.inf
         self._closed = False
 
     def emit_sample(self, sample: Dict[str, Any]) -> None:
         """Offer one sample (engine-side, sim-time gated by the caller)."""
         if self._closed:
             return
-        self.next_due_s = float(sample.get("t_s", 0.0)) + self.interval_s
+        self.next_due_s = float(sample.get("t_s", 0.0)) + INTERVAL_S
         if self.emitted >= self.max_samples:
             # Budget spent: keep the freshest sample, drop the rest.
             self._pending = sample
             self.coalesced += 1
             return
-        now = self._clock()
-        if now - self._last_wall < self.min_wall_interval_s:
-            self._pending = sample
-            self.coalesced += 1
-            return
-        self._pending = None
-        self._last_wall = now
         self.emitted += 1
         self._emit(sample)
 

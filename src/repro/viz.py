@@ -24,6 +24,10 @@ _SPARK = "▁▂▃▄▅▆▇█"
 _SNAP_DECIMALS = 9
 
 
+#: Relative span below which :func:`sparklines` draws every value flat.
+_FLAT_SPAN_REL = 1e-9
+
+
 def _scale(value: float, lo: float, hi: float, steps: int) -> int:
     """Cell index of ``value`` on ``steps`` cells spanning ``[lo, hi]``.
 
@@ -37,13 +41,21 @@ def _scale(value: float, lo: float, hi: float, steps: int) -> int:
     return min(steps - 1, max(0, math.floor(pos + 0.5)))
 
 
-def sparkline(values: Sequence[float]) -> str:
-    """One-line trend, e.g. ``▁▂▅▇█▆``."""
-    vals = list(values)
-    if not vals:
-        return ""
-    lo, hi = min(vals), max(vals)
-    return "".join(_SPARK[_scale(v, lo, hi, len(_SPARK))] for v in vals)
+def sparklines(series: Dict[str, Sequence[float]]) -> Dict[str, str]:
+    """One-line trend per series, e.g. ``▁▂▅▇█▆``, on one scale spanning
+    every series, so one value draws one bar whichever series it is in.
+
+    A span no wider than :data:`_FLAT_SPAN_REL` of the values is
+    last-bit noise of equal values, and draws flat.
+    """
+    flat = [v for values in series.values() for v in values]
+    lo, hi = (min(flat), max(flat)) if flat else (0.0, 0.0)
+    if hi - lo <= _FLAT_SPAN_REL * max(abs(lo), abs(hi)):
+        hi = lo
+    return {
+        name: "".join(_SPARK[_scale(v, lo, hi, len(_SPARK))] for v in values)
+        for name, values in series.items()
+    }
 
 
 def line_chart(

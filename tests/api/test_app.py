@@ -7,6 +7,8 @@ requests execute in milliseconds; the real simulation path is covered by
 
 import http.client
 import json
+import multiprocessing
+import signal
 import threading
 import time
 
@@ -195,6 +197,42 @@ class TestValidationOverHttp:
             "POST", "/runs", {"kind": "apitest", "params": {}}
         )
         assert status == 400 and doc["field"] == "tenant"
+
+
+class TestTimeouts:
+    """A job's ``timeout_s`` is a SIGALRM deadline, which only a main
+    thread can arm: a server running jobs in executor threads refuses
+    it, and a ``--pool`` server, whose jobs run in worker processes,
+    enforces it."""
+
+    def test_refused_when_jobs_run_in_threads(self, client):
+        status, doc = client.request("POST", "/runs", {
+            "kind": "apitest", "params": {"sleep_s": 1.0}, "timeout_s": 0.2,
+        })
+        assert status == 400 and doc["field"] == "timeout_s"
+        status, doc = client.request("POST", "/sweeps", {
+            "kind": "apitest", "items": [{"params": {}, "timeout_s": 0.2}],
+        })
+        assert status == 400 and doc["field"] == "timeout_s"
+        assert _CALLS == []
+
+    @pytest.mark.skipif(
+        not hasattr(signal, "SIGALRM")
+        or "fork" not in multiprocessing.get_all_start_methods(),
+        reason="needs SIGALRM and fork-started pool workers",
+    )
+    def test_enforced_under_pool(self, tmp_path):
+        service = ApiService(store=ResultStore(tmp_path / "cache"),
+                             workers=1, pool=True, allow_kinds=("apitest",))
+        handle = start_server_thread(service)
+        try:
+            client = ApiClient(handle.host, handle.port)
+            done = submit_and_wait(client, kind="apitest",
+                                   params={"sleep_s": 1.0}, timeout_s=0.2)
+        finally:
+            handle.stop()
+        assert done["status"] == "failed"
+        assert "timeout" in done["error"]
 
 
 class TestQuota:

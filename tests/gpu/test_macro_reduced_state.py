@@ -10,6 +10,12 @@ path installs (and clears) it first. These tests watch every
 exact-solver call in runs that mix bursts, scalar steps and shutdown
 recoveries, and put a forced scalar step's temperature next to each
 threshold to see it take the exact path.
+
+The engine itself takes a scalar step only where a burst cannot start
+or its first quantum is ambiguous, and such a step is mostly exact. The
+run tests therefore also force one scalar step every
+:data:`FORCED_EVERY` advances (:func:`force_scalar_steps`), so each run
+mixes decisive scalar steps, which stay reduced, between its bursts.
 """
 
 import numpy as np
@@ -57,6 +63,24 @@ def watch_thermal(monkeypatch, engine):
     return calls, installs
 
 
+#: Every how many advances :func:`force_scalar_steps` skips the burst.
+FORCED_EVERY = 2
+
+
+def force_scalar_steps(monkeypatch):
+    """Make every :data:`FORCED_EVERY`-th advance a scalar step: its
+    burst attempt returns 0 without speculating."""
+    original = MacroEngine._try_burst
+    advances = iter(range(1, 1 << 62))
+
+    def try_burst(self):
+        if next(advances) % FORCED_EVERY == 0:
+            return 0
+        return original(self)
+
+    monkeypatch.setattr(MacroEngine, "_try_burst", try_burst)
+
+
 def watch_quanta(monkeypatch):
     """Record every scalar step's thermal quantum as ``(sensor perturbed,
     reduced)``: reduced when it left a cached state behind."""
@@ -85,6 +109,7 @@ def test_exact_solver_never_sees_a_cached_state(monkeypatch, policy,
     engine = MacroEngine(build_sim("macro", cooling=cooling))
     calls, installs = watch_thermal(monkeypatch, engine)
     quanta = watch_quanta(monkeypatch)
+    force_scalar_steps(monkeypatch)
 
     result = engine.run(hot_launch(n_epochs), make_policy(policy))
 

@@ -1,4 +1,4 @@
-"""Flow model: bottleneck service times, derating, traffic accounting."""
+"""Flow model: bottleneck service times, derating, traffic rates."""
 
 import pytest
 
@@ -157,19 +157,3 @@ class TestRatesAndRecording:
     def test_zero_elapsed(self):
         link, _, dram = demand_bytes(1, 0, 0, 0, 0)
         assert rates_of(link, dram, 0, 0.0) == (0, 0, 0)
-
-    def test_record_accumulates_ledger(self, flow):
-        d = TrafficDemand(reads=2, writes=1, host_atomics=1, pim_ops=3)
-        flow.record(d, 100.0)
-        from repro.hmc.packet import PacketType
-
-        led = flow.stats.ledger
-        assert led.transactions[PacketType.READ64] == 3  # reads + host atomic
-        assert led.transactions[PacketType.WRITE64] == 2
-        assert led.transactions[PacketType.PIM] == 3
-        assert flow.stats.pim_ops == 3
-        assert flow.stats.host_atomics == 1
-
-    def test_warning_flag(self, flow):
-        flow.set_thermal_warning(True)
-        assert flow.thermal_warning

@@ -57,8 +57,8 @@ class TestCacheKey:
         assert spec().key != spec(**change).key
 
     def test_execution_knobs_do_not_change_hash(self):
-        # Retuning timeouts/retries must not invalidate cached results.
-        assert spec().key == spec(timeout_s=5.0, max_retries=3).key
+        # Retuning timeouts must not invalidate cached results.
+        assert spec().key == spec(timeout_s=5.0).key
 
     def test_nested_params_hash_canonically(self):
         a = spec(params={"scale": {"dataset": "ldbc", "seed": 1}})
@@ -84,7 +84,7 @@ class TestCacheKey:
     def test_replace_rehashes(self):
         s = spec()
         assert replace(s, seed=7).key == spec(seed=7).key
-        assert replace(s, max_retries=2).key == s.key
+        assert replace(s, timeout_s=2.0).key == s.key
 
     def test_pickle_round_trip_keeps_the_key(self):
         s = spec(timeout_s=1.0, tags=("x",))
@@ -96,10 +96,17 @@ class TestCacheKey:
 
 class TestSerialization:
     def test_round_trip_preserves_identity(self):
-        s = spec(timeout_s=2.5, max_retries=1, tags=("a", "b"))
+        s = spec(timeout_s=2.5, tags=("a", "b"))
         restored = JobSpec.from_dict(s.to_dict())
         assert restored == s
         assert restored.key == s.key
+
+    def test_from_dict_ignores_a_retry_budget(self):
+        """Specs written when jobs could retry still load, as the same
+        job."""
+        s = spec(timeout_s=2.5)
+        old = dict(s.to_dict(), max_retries=3)
+        assert JobSpec.from_dict(old) == s
 
     def test_canonical_json_is_deterministic(self):
         assert canonical_json({"b": 1, "a": [1, 2]}) == '{"a":[1,2],"b":1}'

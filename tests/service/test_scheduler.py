@@ -1,4 +1,4 @@
-"""Scheduler: pool execution, caching/resume, retries, timeouts, crashes.
+"""Scheduler: pool execution, caching/resume, run-once, timeouts, crashes.
 
 Test job kinds are registered at import time; pooled tests rely on the
 fork start method (workers inherit the registry), so they are skipped on
@@ -114,22 +114,22 @@ class TestSerialExecution:
         assert "induced failure" in failure.message
         assert failure.attempts == 1
 
-    def test_retry_then_succeed(self, tmp_path):
-        spec = JobSpec(
-            kind="t-fail-until", name="flaky",
-            params={"counter_dir": str(tmp_path / "c"), "attempts_needed": 3},
-            max_retries=3,
-        )
+    def test_failed_job_runs_once(self, tmp_path):
+        """A job that would pass on a second call fails: nothing re-runs
+        it."""
+        counter = tmp_path / "c"
+        spec = JobSpec(kind="t-fail-until", name="flaky",
+                       params={"counter_dir": str(counter),
+                               "attempts_needed": 2})
         journal_path = tmp_path / "journal.jsonl"
         with JobJournal(journal_path) as journal:
-            report = JobScheduler(serial=True, journal=journal,
-                                  backoff_s=0.001).run([spec])
-        assert report.ok
-        result = report.result_for(spec)
-        assert result.payload["succeeded_on_call"] == 3
-        assert result.attempts == 3
+            report = JobScheduler(serial=True, journal=journal).run([spec])
+        assert report.failure_for(spec).attempts == 1
+        assert len(list(counter.iterdir())) == 1
         counts = JobJournal.summary(journal_path)
-        assert counts["retrying"] == 2 and counts["completed"] == 1
+        assert counts["failed"] == 1 and set(counts) == {
+            "sweep_start", "submitted", "failed", "sweep_end",
+        }
 
     def test_completed_events_carry_both_timing_spellings(self, tmp_path):
         # New readers use duration_s/attempt; old readers still find
@@ -157,16 +157,6 @@ class TestSerialExecution:
         assert names.count("scheduler.job") == 2
         assert names.count("scheduler.job.run") == 2
         assert "scheduler.sweep" in names
-
-    def test_retries_exhausted_fails_with_attempt_count(self, tmp_path):
-        spec = JobSpec(
-            kind="t-fail-until", name="doomed",
-            params={"counter_dir": str(tmp_path / "c"), "attempts_needed": 99},
-            max_retries=2,
-        )
-        report = JobScheduler(serial=True, backoff_s=0.001).run([spec])
-        failure = report.failure_for(spec)
-        assert failure is not None and failure.attempts == 3
 
     @needs_alarm
     def test_serial_timeout(self, tmp_path):
@@ -280,15 +270,16 @@ class TestPooledExecution:
         assert failure is not None and failure.reason == "timeout"
         assert len(report.results) == 3
 
-    def test_pool_retry_then_succeed(self, tmp_path):
-        spec = JobSpec(
-            kind="t-fail-until", name="flaky",
-            params={"counter_dir": str(tmp_path / "c"), "attempts_needed": 2},
-            max_retries=2,
-        )
-        report = JobScheduler(max_workers=2, backoff_s=0.001).run([spec])
-        assert report.ok
-        assert report.result_for(spec).payload["succeeded_on_call"] == 2
+    def test_pool_failed_job_runs_once(self, tmp_path):
+        counter = tmp_path / "c"
+        spec = JobSpec(kind="t-fail-until", name="flaky",
+                       params={"counter_dir": str(counter),
+                               "attempts_needed": 2})
+        report = JobScheduler(max_workers=2).run([spec, *ok_specs(2)])
+        failure = report.failure_for(spec)
+        assert failure.reason == "error" and failure.attempts == 1
+        assert len(list(counter.iterdir())) == 1
+        assert len(report.results) == 2
 
     def test_worker_telemetry_deltas_merge_into_parent(self, tmp_path):
         """The worker→parent pipe: forked workers flush registry deltas

@@ -2,8 +2,8 @@
 
 ``JobSpec.key`` addresses the result store, so every argument that
 changes a simulation payload must change the key, and nothing else may:
-the default ``engine="macro"`` keys like an omitted engine, execution
-knobs (``timeout_s``, ``max_retries``) never enter the key, and
+the default ``engine="macro"`` keys like an omitted engine, the
+execution knob ``timeout_s`` never enters the key, and
 ``scenario_seed`` matters only when a scenario is set.
 """
 
@@ -58,10 +58,7 @@ def test_default_engine_keys_like_an_omitted_engine(base):
 @given(
     base=configs,
     timeout_s=st.none() | st.floats(0.1, 1e4),
-    max_retries=st.integers(0, 10),
 )
-def test_execution_knobs_stay_out_of_the_key(base, timeout_s, max_retries):
-    knobbed = simulation_spec(
-        **base, timeout_s=timeout_s, max_retries=max_retries
-    )
+def test_execution_knobs_stay_out_of_the_key(base, timeout_s):
+    knobbed = simulation_spec(**base, timeout_s=timeout_s)
     assert knobbed.key == simulation_spec(**base).key

@@ -5,6 +5,7 @@ import threading
 import pytest
 
 from repro.telemetry.live import (
+    INTERVAL_S,
     RunTelemetrySink,
     get_run_sink,
     run_telemetry,
@@ -26,9 +27,9 @@ class TestBudget:
 
     def test_next_due_advances_by_interval(self):
         out = []
-        sink = make_sink(out, interval_s=0.5)
+        sink = make_sink(out)
         sink.emit_sample({"t_s": 1.0})
-        assert sink.next_due_s == pytest.approx(1.5)
+        assert sink.next_due_s == 1.0 + INTERVAL_S
 
     def test_max_samples_caps_emissions_last_value_wins(self):
         out = []
@@ -41,23 +42,6 @@ class TestBudget:
         # close() flushes the freshest pending sample: bound is N+1.
         assert len(out) == 4
         assert out[-1]["i"] == 9
-
-    def test_wall_clock_coalescing(self):
-        clock = [0.0]
-        out = []
-        sink = RunTelemetrySink(
-            emit=out.append, min_wall_interval_s=1.0,
-            clock=lambda: clock[0],
-        )
-        sink.emit_sample({"t_s": 0.0, "i": 0})
-        sink.emit_sample({"t_s": 1.0, "i": 1})  # too soon: held back
-        sink.emit_sample({"t_s": 2.0, "i": 2})  # replaces pending
-        assert [s["i"] for s in out] == [0]
-        clock[0] = 2.0
-        sink.emit_sample({"t_s": 3.0, "i": 3})
-        assert [s["i"] for s in out] == [0, 3]
-        sink.close()
-        assert [s["i"] for s in out] == [0, 3]  # pending was consumed
 
     def test_close_is_idempotent_and_seals(self):
         out = []
@@ -72,8 +56,6 @@ class TestBudget:
     def test_invalid_parameters_rejected(self):
         with pytest.raises(ValueError):
             RunTelemetrySink(emit=lambda s: None, max_samples=0)
-        with pytest.raises(ValueError):
-            RunTelemetrySink(emit=lambda s: None, interval_s=0.0)
 
 
 class TestThreadLocalInstall:

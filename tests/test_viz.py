@@ -8,21 +8,28 @@ import pytest
 from repro import viz
 from repro.experiments.common import RunScale
 from repro.experiments.runner import run_experiment
-from repro.viz import bar_chart, line_chart, sparkline
+from repro.viz import bar_chart, line_chart, sparklines
 
 
 class TestSparkline:
     def test_trend_shape(self):
-        s = sparkline([0, 1, 2, 3])
+        s = sparklines({"s": [0, 1, 2, 3]})["s"]
         assert len(s) == 4
         assert s[0] == "▁" and s[-1] == "█"
 
     def test_flat_series(self):
-        s = sparkline([5, 5, 5])
+        s = sparklines({"s": [5, 5, 5]})["s"]
         assert len(s) == 3
 
     def test_empty(self):
-        assert sparkline([]) == ""
+        assert sparklines({"s": []}) == {"s": ""}
+        assert sparklines({}) == {}
+
+    def test_series_share_one_scale(self):
+        """A flat high series draws high bars, a flat low one low bars,
+        and a series between them spans the bars between."""
+        s = sparklines({"hi": [2, 2], "lo": [0, 0], "mid": [0, 1, 2]})
+        assert s == {"hi": "██", "lo": "▁▁", "mid": "▁▅█"}
 
 
 class TestLineChart:
@@ -140,7 +147,7 @@ def drawn_charts():
     with pytest.MonkeyPatch.context() as mp:
         for name in CHARTED:
             charts = drawn[name] = []
-            for fn in (line_chart, bar_chart, sparkline):
+            for fn in (line_chart, bar_chart, sparklines):
                 mp.setattr(viz, fn.__name__, _recording(fn, charts))
             run_experiment(name, RunScale.quick(seed=0))
     return drawn
