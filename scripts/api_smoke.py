@@ -7,8 +7,9 @@ identical body and asserts the second submission is served from the
 cache without re-executing, submits two identical uncached bodies back
 to back and asserts the second attaches to the first (``coalesced_into``)
 and the job executes once, checks the leaderboard and admin endpoints,
-then shuts the server down gracefully and verifies the journal recorded
-the whole story.
+submits from a second ``X-Tenant`` and checks that ``/admin/tenants``
+counts each tenant's dispatched runs, then shuts the server down
+gracefully and verifies the journal recorded the whole story.
 
 Usage: PYTHONPATH=src python scripts/api_smoke.py [cache_dir]
 """
@@ -34,6 +35,12 @@ BASELINE_BODY = dict(RUN_BODY, policy="non-offloading")
 TWIN_BODY = dict(
     RUN_BODY, dataset="ldbc", policy="coolpim-sw", workload_scale=1.0
 )
+#: Fresh work from two tenants, queued together in the tenant section.
+TENANT_BODIES = {
+    "ci": [dict(RUN_BODY, policy="coolpim-sw")],
+    "ci-b": [dict(RUN_BODY, policy="naive-offloading"),
+             dict(RUN_BODY, policy="ideal-thermal")],
+}
 
 
 def fail(message):
@@ -53,6 +60,11 @@ def completed_jobs(client):
         for name, labels, value in parse_exposition(text)["samples"]
         if name == "repro_jobs_total" and labels.get("status") == "completed"
     )
+
+
+def fresh(doc):
+    """A submission that entered the queue (neither cached nor coalesced)."""
+    return not doc["cached"] and doc["coalesced_into"] is None
 
 
 def main():
@@ -151,6 +163,29 @@ def main():
         if executed != 1 or entries != 3:
             fail(f"twins must execute once (executed={executed:g}, "
                  f"cache entries={entries})")
+
+        # --- two tenants: each one's fresh runs are dispatched ---------
+        expected = {"ci": sum(map(fresh, (first, second, base, leader, twin)))}
+        pending = []
+        for tenant, bodies in TENANT_BODIES.items():
+            tclient = ApiClient(host, port, tenant=tenant)
+            for body in bodies:
+                doc = tclient.submit_run(**body)
+                expected[tenant] = expected.get(tenant, 0) + fresh(doc)
+                pending.append(doc["run_id"])
+        for run_id in pending:
+            client.wait_for_run(run_id, timeout_s=120.0)
+        status, tenants = client.request("GET", "/admin/tenants")
+        print(f"admin/tenants → HTTP {status}: {tenants}")
+        if status != 200 or sorted(tenants) != sorted(expected):
+            fail(f"/admin/tenants must list {sorted(expected)}")
+        for tenant, count in expected.items():
+            entry = tenants[tenant]
+            if entry["dispatched"] != count or entry["queued"] != 0:
+                fail(f"tenant {tenant!r}: {count} fresh submission(s), "
+                     f"stats {entry}")
+            if "weight" in entry or "max_running" in entry:
+                fail(f"tenant {tenant!r} entry has scheduling knobs: {entry}")
     finally:
         proc.send_signal(signal.SIGINT)
         try:

@@ -8,8 +8,8 @@ subsystem so many concurrent clients share one worker fleet:
 - :mod:`repro.api.schemas` — request validation mapping JSON bodies onto
   the same :class:`~repro.service.jobs.JobSpec` content keys the CLI
   produces (HTTP and CLI submissions share one cache).
-- :mod:`repro.api.fairness` — per-tenant weighted queues with priority
-  aging and quotas between the HTTP layer and the scheduler.
+- :mod:`repro.api.fairness` — per-tenant FIFO queues served round
+  robin under one queue quota, between the HTTP layer and the scheduler.
 - :mod:`repro.api.service` — the async run registry: cache dedupe,
   in-flight coalescing of identical submissions, dispatch, event streams.
 - :mod:`repro.api.leaderboard` — throttling-policy ranking over the
@@ -29,7 +29,7 @@ See ``docs/SERVICE.md`` for the full endpoint and wire-format reference.
 
 from repro.api.app import ApiServer, ServerHandle, create_router, start_server_thread
 from repro.api.client import ApiClient, ApiClientError
-from repro.api.fairness import FairQueue, QuotaExceeded, TenantPolicy
+from repro.api.fairness import FairQueue, QuotaExceeded
 from repro.api.http import (
     HttpError,
     HttpServer,
@@ -71,7 +71,6 @@ __all__ = [
     "ServerHandle",
     "ServiceClosed",
     "StreamResponse",
-    "TenantPolicy",
     "UnknownRun",
     "ValidationError",
     "build_leaderboard",

@@ -14,7 +14,7 @@ Endpoint map (full reference in ``docs/SERVICE.md``)::
     GET  /sweeps/{id}                 sweep status summary
     GET  /leaderboard                 policy ranking over cached scenarios
     GET  /admin/cache                 store/journal stats (repro cache --json shape)
-    GET  /admin/tenants               fairness-layer stats
+    GET  /admin/tenants               per-tenant queue counters
     GET  /healthz                     liveness + counters
     GET  /readyz                      readiness (503 while draining/saturated)
     GET  /metrics                     Prometheus text exposition (process-wide)
@@ -389,12 +389,13 @@ def create_router(service: ApiService) -> Router:
 
     async def get_run_telemetry(request: Request):
         rec = _get_run(request)
+        samples = rec.telemetry_samples()
         return json_response(
             {
                 "run_id": rec.id,
                 "status": rec.status,
-                "samples": list(rec.telemetry),
-                "count": len(rec.telemetry),
+                "samples": samples,
+                "count": len(samples),
             }
         )
 
@@ -425,10 +426,9 @@ class ApiServer:
         service: ApiService,
         host: str = "127.0.0.1",
         port: int = 0,
-        debug: bool = False,
     ) -> None:
         self.service = service
-        self.http = HttpServer(create_router(service), host, port, debug=debug)
+        self.http = HttpServer(create_router(service), host, port)
 
     @property
     def host(self) -> str:
@@ -495,13 +495,12 @@ def start_server_thread(
     host: str = "127.0.0.1",
     port: int = 0,
     drain_timeout_s: float = 10.0,
-    debug: bool = False,
 ) -> ServerHandle:
     """Boot an :class:`ApiServer` on its own thread + event loop.
 
     Returns once the listener is bound (``handle.port`` is real).
     """
-    server = ApiServer(service, host=host, port=port, debug=debug)
+    server = ApiServer(service, host=host, port=port)
     ready = threading.Event()
     box: Dict[str, Any] = {}
 

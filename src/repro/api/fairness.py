@@ -1,26 +1,20 @@
-"""Multi-tenant fair queueing: weighted stride scheduling + priority aging.
+"""Multi-tenant queueing: per-tenant FIFOs served round robin, one quota.
 
 This layer sits between the HTTP submission endpoints and the worker
-fleet. Each tenant owns a FIFO queue; the dispatcher asks :meth:`FairQueue.pop`
-which tenant goes next. Selection is **stride scheduling**: every tenant
-carries a virtual time that advances by ``1 / weight`` per dispatched
-job, and the runnable tenant with the smallest virtual time wins — over a
-window, tenants therefore receive service proportional to their weights
-regardless of how fast they submit.
+fleet. Each tenant owns a FIFO queue; the dispatcher asks
+:meth:`FairQueue.pop` for the next item. Tenants with queued work form a
+ring in the order they became active, and each pop serves the ring's
+head and moves it to the back while it still has work — so a tenant
+with queued work waits at most one item per other active tenant, however
+fast the others submit. A tenant that goes idle leaves the ring and
+rejoins at its back (served within one round), banking no credit.
 
-Two guards keep one tenant from starving or flooding the pool:
-
-- **Priority aging** — a queued head item earns ``aging_rate`` virtual
-  seconds of credit per wall second it waits, so even a weight-0.1 tenant
-  behind a firehose tenant is served eventually (its effective virtual
-  time sinks below the flood's).
-- **Quotas** — ``max_queued`` bounds a tenant's backlog (submission past
-  it raises :class:`QuotaExceeded` → HTTP 429) and ``max_running``
-  optionally caps its concurrently executing jobs.
+One quota, ``max_queued``, bounds every tenant's backlog: a submission
+past it raises :class:`QuotaExceeded` (→ HTTP 429). With a single tenant
+the queue is plain FIFO.
 
 The queue is plain synchronous code driven from the service's event loop
-(single-threaded access); it takes an injectable ``clock`` so tests can
-freeze aging.
+(single-threaded access).
 """
 
 from __future__ import annotations
@@ -28,7 +22,7 @@ from __future__ import annotations
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Callable, Deque, Dict, List, Mapping, Optional, Tuple
+from typing import Any, Deque, Dict, List, Optional, Tuple
 
 
 class QuotaExceeded(Exception):
@@ -42,83 +36,46 @@ class QuotaExceeded(Exception):
         self.limit = limit
 
 
-@dataclass(frozen=True)
-class TenantPolicy:
-    """Per-tenant scheduling parameters."""
-
-    #: Relative service share (stride = 1/weight).
-    weight: float = 1.0
-    #: Maximum queued (not yet running) jobs; submissions past it → 429.
-    max_queued: int = 64
-    #: Optional cap on concurrently running jobs for this tenant.
-    max_running: Optional[int] = None
-
-    def __post_init__(self) -> None:
-        if self.weight <= 0:
-            raise ValueError("tenant weight must be positive")
-        if self.max_queued < 1:
-            raise ValueError("max_queued must be >= 1")
-
-
 @dataclass
 class _TenantState:
-    policy: TenantPolicy
     queue: Deque[Tuple[Any, float]] = field(default_factory=deque)
-    #: Stride-scheduling virtual time (advances 1/weight per dispatch).
-    vtime: float = 0.0
     submitted: int = 0
     dispatched: int = 0
     rejected: int = 0
 
 
 class FairQueue:
-    """Weighted multi-tenant queue with aging and quotas."""
+    """Round-robin multi-tenant queue under one per-tenant quota."""
 
-    def __init__(
-        self,
-        policies: Optional[Mapping[str, TenantPolicy]] = None,
-        default_policy: Optional[TenantPolicy] = None,
-        aging_rate: float = 0.05,
-        clock: Callable[[], float] = time.monotonic,
-    ) -> None:
-        self.default_policy = default_policy or TenantPolicy()
-        self.aging_rate = aging_rate
-        self.clock = clock
+    def __init__(self, max_queued: int = 64) -> None:
+        if max_queued < 1:
+            raise ValueError("max_queued must be >= 1")
+        #: Maximum queued (not yet running) jobs per tenant.
+        self.max_queued = max_queued
         self._tenants: Dict[str, _TenantState] = {}
-        for name, policy in (policies or {}).items():
-            self._tenants[name] = _TenantState(policy=policy)
-        #: Smallest vtime ever dispatched; newly active tenants join here
-        #: so an idle tenant cannot bank unbounded credit.
-        self._global_vtime = 0.0
-
-    # -- tenant bookkeeping ------------------------------------------------
+        #: Tenants with queued work, in service order.
+        self._active: Deque[str] = deque()
 
     def _state(self, tenant: str) -> _TenantState:
         state = self._tenants.get(tenant)
         if state is None:
-            state = _TenantState(policy=self.default_policy)
-            self._tenants[tenant] = state
+            state = self._tenants[tenant] = _TenantState()
         return state
-
-    def policy_for(self, tenant: str) -> TenantPolicy:
-        return self._state(tenant).policy
 
     def oldest_wait_s(self, tenant: str) -> float:
         """Seconds the tenant's queue head has been waiting (0 if empty).
 
-        The ``/metrics`` wait-age gauge: a rising value under steady
-        dispatch means the tenant is being out-weighted.
+        The ``/metrics`` wait-age gauge.
         """
         state = self._tenants.get(tenant)
         if state is None or not state.queue:
             return 0.0
         _, enqueued = state.queue[0]
-        return max(0.0, self.clock() - enqueued)
+        return max(0.0, time.monotonic() - enqueued)
 
     def capacity_for(self, tenant: str) -> int:
         """Remaining queue slots before the tenant's quota trips."""
-        state = self._state(tenant)
-        return max(0, state.policy.max_queued - len(state.queue))
+        return max(0, self.max_queued - len(self._state(tenant).queue))
 
     def __len__(self) -> int:
         return sum(len(s.queue) for s in self._tenants.values())
@@ -132,53 +89,24 @@ class FairQueue:
         (the item is **not** queued).
         """
         state = self._state(tenant)
-        if len(state.queue) >= state.policy.max_queued:
+        if len(state.queue) >= self.max_queued:
             state.rejected += 1
-            raise QuotaExceeded(tenant, state.policy.max_queued)
+            raise QuotaExceeded(tenant, self.max_queued)
         if not state.queue:
-            # Re-activating tenant: join at the current virtual time so
-            # idleness doesn't accumulate into a service burst.
-            state.vtime = max(state.vtime, self._global_vtime)
-        state.queue.append((item, self.clock()))
+            self._active.append(tenant)
+        state.queue.append((item, time.monotonic()))
         state.submitted += 1
         return len(state.queue) - 1
 
-    def _effective_vtime(self, state: _TenantState, now: float) -> float:
-        _, enqueued = state.queue[0]
-        aged = self.aging_rate * max(0.0, now - enqueued)
-        return state.vtime - aged
-
-    def pop(
-        self, running_by_tenant: Optional[Mapping[str, int]] = None
-    ) -> Optional[Tuple[str, Any]]:
-        """Dispatch the next item, or ``None`` when nothing is runnable.
-
-        ``running_by_tenant`` (tenant → currently running jobs) enforces
-        per-tenant ``max_running`` caps.
-        """
-        running = running_by_tenant or {}
-        now = self.clock()
-        best: Optional[Tuple[float, str]] = None
-        for name in sorted(self._tenants):  # sorted → deterministic ties
-            state = self._tenants[name]
-            if not state.queue:
-                continue
-            cap = state.policy.max_running
-            if cap is not None and running.get(name, 0) >= cap:
-                continue
-            score = self._effective_vtime(state, now)
-            if best is None or score < best[0]:
-                best = (score, name)
-        if best is None:
+    def pop(self) -> Optional[Tuple[str, Any]]:
+        """Dispatch the next item, or ``None`` when nothing is queued."""
+        if not self._active:
             return None
-        name = best[1]
+        name = self._active.popleft()
         state = self._tenants[name]
         item, _ = state.queue.popleft()
-        # The winner's pre-dispatch vtime is the current service front:
-        # tenants re-activating later join there, not behind everyone's
-        # accumulated totals.
-        self._global_vtime = max(self._global_vtime, state.vtime)
-        state.vtime += 1.0 / state.policy.weight
+        if state.queue:
+            self._active.append(name)
         state.dispatched += 1
         return name, item
 
@@ -190,22 +118,19 @@ class FairQueue:
             while state.queue:
                 item, _ = state.queue.popleft()
                 drained.append((name, item))
+        self._active.clear()
         return drained
 
     # -- introspection -----------------------------------------------------
 
-    def stats(self) -> Dict[str, Dict[str, Any]]:
+    def stats(self) -> Dict[str, Dict[str, int]]:
         """Per-tenant counters for the admin endpoint."""
-        out: Dict[str, Dict[str, Any]] = {}
-        for name in sorted(self._tenants):
-            state = self._tenants[name]
-            out[name] = {
-                "weight": state.policy.weight,
-                "max_queued": state.policy.max_queued,
-                "max_running": state.policy.max_running,
+        return {
+            name: {
                 "queued": len(state.queue),
                 "submitted": state.submitted,
                 "dispatched": state.dispatched,
                 "rejected": state.rejected,
             }
-        return out
+            for name, state in sorted(self._tenants.items())
+        }

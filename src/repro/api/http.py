@@ -11,8 +11,7 @@ and makes streams naturally delimited by EOF.
 
 Handlers are ``async def handler(request) -> Response | StreamResponse``.
 Raise :class:`HttpError` for structured error replies; anything else
-becomes a 500 with the exception type (and a traceback on stderr when the
-server runs with ``debug=True``).
+becomes a 500 with the exception type, and its traceback goes to stderr.
 """
 
 from __future__ import annotations
@@ -171,12 +170,10 @@ class HttpServer:
         router: Router,
         host: str = "127.0.0.1",
         port: int = 0,
-        debug: bool = False,
     ) -> None:
         self.router = router
         self.host = host
         self.port = port
-        self.debug = debug
         self._server: Optional[asyncio.AbstractServer] = None
         self._conn_tasks: set = set()
 
@@ -248,8 +245,7 @@ class HttpServer:
         except HttpError as exc:
             result = _error_response(exc)
         except Exception as exc:  # noqa: BLE001 — a handler bug is a 500
-            if self.debug:
-                traceback.print_exc(file=sys.stderr)
+            traceback.print_exc(file=sys.stderr)
             result = json_response(
                 {"error": "internal server error",
                  "exception": type(exc).__name__},

@@ -14,7 +14,7 @@ owns:
   processes the store dedupes;
 - the **fairness layer** — leaders enter the
   :class:`~repro.api.fairness.FairQueue`; the dispatcher coroutine pulls
-  tenant-fairly whenever a worker slot frees up;
+  from it round robin over tenants whenever a worker slot frees up;
 - **execution** — each dispatched run executes on a thread of the worker
   pool via a :class:`~repro.service.scheduler.JobScheduler` sharing the
   service's store/journal;
@@ -39,12 +39,12 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.api.fairness import FairQueue
+from repro.api.fairness import FairQueue, QuotaExceeded
 from repro.service.jobs import JobFailure, JobResult, JobSpec
 from repro.service.journal import JobJournal
 from repro.service.scheduler import JobScheduler
 from repro.service.store import ResultStore
-from repro.telemetry.live import DEFAULT_MAX_SAMPLES, RunTelemetrySink, run_telemetry
+from repro.telemetry.live import RunTelemetrySink, run_telemetry
 from repro.telemetry.registry import get_registry
 
 #: Run states; the last three are terminal.
@@ -53,6 +53,8 @@ COMPLETED, FAILED, DRAINED = "completed", "failed", "drained"
 TERMINAL_STATES = frozenset({COMPLETED, FAILED, DRAINED})
 #: Run records kept; a submission past it drops the oldest terminal runs.
 MAX_RUNS = 10_000
+#: The fields :meth:`ApiService._emit` puts on every event.
+_EVENT_FIELDS = frozenset({"seq", "event", "run_id", "ts"})
 
 
 class ServiceClosed(Exception):
@@ -83,14 +85,18 @@ class RunRecord:
     elapsed_s: Optional[float] = None
     error: Optional[str] = None
     events: List[Dict[str, Any]] = field(default_factory=list)
-    #: In-flight telemetry samples (bounded copy of the ``telemetry``
-    #: events, kept separately so ``GET /telemetry/runs/{id}`` can serve
-    #: the series without scanning the event log).
-    telemetry: List[Dict[str, Any]] = field(default_factory=list)
 
     @property
     def key(self) -> str:
         return self.spec.key
+
+    def telemetry_samples(self) -> List[Dict[str, Any]]:
+        """The in-flight samples, read back out of the ``telemetry``
+        events without the fields :meth:`ApiService._emit` adds."""
+        return [
+            {k: v for k, v in e.items() if k not in _EVENT_FIELDS}
+            for e in self.events if e["event"] == "telemetry"
+        ]
 
     def to_dict(self, include_payload: bool = True) -> Dict[str, Any]:
         doc: Dict[str, Any] = {
@@ -156,33 +162,25 @@ class ApiService:
         self,
         store: Optional[ResultStore] = None,
         journal: Optional[JobJournal] = None,
-        queue: Optional[FairQueue] = None,
         workers: int = 2,
         pool: bool = False,
         use_cache: bool = True,
         allow_kinds: Sequence[str] = (),
-        ready_backlog: Optional[int] = None,
+        tenant_quota: int = 64,
     ) -> None:
         self.store = store
         self.journal = journal
-        # Not `queue or FairQueue()`: an empty FairQueue has len() == 0
-        # and would be discarded as falsy.
-        self.queue = queue if queue is not None else FairQueue()
+        self.queue = FairQueue(max_queued=tenant_quota)
         self.workers = max(1, workers)
-        #: ``True`` → each job runs on a process pool inside its executor
-        #: thread (full parallelism for real sweeps); ``False`` → the job
-        #: executes serially in the thread (cheap, right for tests/CI).
+        #: ``True`` → each job runs in a freshly forked one-worker process
+        #: pool (a main thread for ``timeout_s``, crash isolation; nothing
+        #: warm carries to the next job); ``False`` → the job executes
+        #: serially in its executor thread.
         self.pool = pool
         self.use_cache = use_cache
         self.allow_kinds = frozenset(allow_kinds)
         #: Queue depth beyond which ``/readyz`` reports saturated (503).
-        self.ready_backlog = (
-            ready_backlog
-            if ready_backlog is not None
-            else max(16, 8 * self.workers)
-        )
-        #: Per-run live-telemetry budget (``telemetry`` event cap).
-        self.telemetry_max_samples = DEFAULT_MAX_SAMPLES
+        self.ready_backlog = max(16, 8 * self.workers)
 
         self.runs: Dict[str, RunRecord] = {}
         self.sweeps: Dict[str, Dict[str, Any]] = {}
@@ -191,7 +189,6 @@ class ApiService:
         self._leaders: Dict[str, str] = {}  # spec key → leader run id
         self._followers: Dict[str, List[str]] = {}
         self._running = 0
-        self._running_by_tenant: Counter = Counter()
         self._sse_subscribers = 0
         self._closing = False
         self._loop: Optional[asyncio.AbstractEventLoop] = None
@@ -296,7 +293,6 @@ class ApiService:
         """
         if rec.status in TERMINAL_STATES:
             return
-        rec.telemetry.append(sample)
         self._emit(rec, "telemetry", **sample)
 
     # -- process-wide telemetry (GET /metrics) -----------------------------
@@ -404,7 +400,7 @@ class ApiService:
         #    leaves no trace beyond the counter).
         try:
             position = self.queue.submit(tenant, rid)
-        except Exception:
+        except QuotaExceeded:
             self._metric_count("rejected", tenant)
             self._journal(
                 "api_rejected", tenant=tenant, key=spec.key, name=spec.name
@@ -429,14 +425,10 @@ class ApiService:
         Quota is pre-checked for the whole batch (conservatively assuming
         every spec is fresh work), so a sweep is all-or-nothing.
         """
-        from repro.api.fairness import QuotaExceeded
-
         if len(specs) > self.queue.capacity_for(tenant):
             self._metric_count("rejected", tenant)
             self._journal("api_rejected", tenant=tenant, jobs=len(specs))
-            raise QuotaExceeded(
-                tenant, self.queue.policy_for(tenant).max_queued
-            )
+            raise QuotaExceeded(tenant, self.queue.max_queued)
         sweep_id = uuid.uuid4().hex[:12]
         records = [
             self.submit(spec, tenant, sweep_id=sweep_id) for spec in specs
@@ -495,7 +487,7 @@ class ApiService:
         while not self._closing:
             flag = self._flag
             while self._running < self.workers:
-                popped = self.queue.pop(self._running_by_tenant)
+                popped = self.queue.pop()
                 if popped is None:
                     break
                 _tenant, rid = popped
@@ -508,7 +500,6 @@ class ApiService:
         rec.status = RUNNING
         rec.started_unix = time.time()
         self._running += 1
-        self._running_by_tenant[rec.tenant] += 1
         self._emit(rec, "started", tenant=rec.tenant)
         future = self._loop.run_in_executor(
             self._executor, self._execute, rec
@@ -551,7 +542,6 @@ class ApiService:
             emit=lambda sample: loop.call_soon_threadsafe(
                 self._emit_telemetry, rec, sample
             ),
-            max_samples=self.telemetry_max_samples,
         )
         with run_telemetry(sink):
             return run_spec()
@@ -559,7 +549,6 @@ class ApiService:
     def _on_done(self, rec: RunRecord, future: Any) -> None:
         """Executor-future callback (runs on the loop)."""
         self._running -= 1
-        self._running_by_tenant[rec.tenant] -= 1
         self._leaders.pop(rec.key, None)
         try:
             outcome = future.result()
@@ -690,9 +679,9 @@ class ApiService:
         """Readiness verdict for ``GET /readyz``.
 
         Not ready while draining (load balancers should stop routing
-        here the moment shutdown starts) or while the fair queue is
-        saturated past ``ready_backlog`` (shed load before the quota
-        layer starts rejecting).
+        here the moment shutdown starts) or while the queue holds
+        ``ready_backlog`` runs or more (shed load before the quota layer
+        starts rejecting).
         """
         if self._closing:
             return False, "draining"

@@ -231,7 +231,6 @@ def cmd_serve(args) -> int:
     import signal as signal_mod
 
     from repro.api import ApiServer, ApiService
-    from repro.api.fairness import FairQueue, TenantPolicy
     from repro.service import JobJournal, ResultStore
 
     store = None
@@ -247,12 +246,10 @@ def cmd_serve(args) -> int:
     service = ApiService(
         store=store,
         journal=journal,
-        queue=FairQueue(
-            default_policy=TenantPolicy(max_queued=args.tenant_quota)
-        ),
         workers=args.workers,
         pool=args.pool,
         use_cache=not args.no_cache,
+        tenant_quota=args.tenant_quota,
     )
     server = ApiServer(service, host=args.host, port=args.port)
 

@@ -504,7 +504,7 @@ class MacroEngine(SteppedEngine):
         if b.cum_sub == 0:
             return z0, t0_peak, None
         return z0, t0_peak, power_weights(
-            b.es, b.amb_forcing, cols[3], rcols[9], rcols[10], rcols[11]
+            b.es, b.amb_forcing, cols[3], rcols[7], rcols[8], rcols[9]
         )
 
     def _temps_of(self, b: "_Burst", cols, peaks, t0_peak) -> np.ndarray:
@@ -620,7 +620,7 @@ class MacroEngine(SteppedEngine):
                 )
             if stp[6]:
                 self.timeline.append(
-                    (stp[2], float(temps[k]), stp[0][11], fraction)
+                    (stp[2], float(temps[k]), stp[0][9], fraction)
                 )
             if deliver and stp[5] and not flipped:
                 policy.on_thermal_warning(t_k, sensor.last_temp_c)
@@ -710,14 +710,14 @@ class MacroEngine(SteppedEngine):
         self.thermal_debt_s = cols[9][j - 1]
         self.next_sample = cols[10][j - 1]
 
-        sh_sum = sum(rcols[3][:j])
-        sp_sum = sum(rcols[4][:j])
-        spr_sum = sum(rcols[5][:j])
-        self.link_bytes += sum(rcols[7][:j])
-        self.data_bytes += sum(rcols[8][:j])
+        sh_sum = sum(rcols[1][:j])
+        sp_sum = sum(rcols[2][:j])
+        spr_sum = sum(rcols[3][:j])
+        self.link_bytes += sum(rcols[5][:j])
+        self.data_bytes += sum(rcols[6][:j])
         self.pim_ops += sp_sum + spr_sum
         self.host_atomics += sh_sum
-        self.host_atomics_assigned += sum(rcols[6][:j])
+        self.host_atomics_assigned += sum(rcols[4][:j])
         self.control_steps += j
         self.thermal_solver_steps += committed_sub
         if flip_stop:

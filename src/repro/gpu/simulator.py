@@ -451,10 +451,10 @@ class SteppedEngine:
         rem_reads, rem_writes, rem_atomics, wb_carry, rec)`` — the
         interval, its package energy, the post-step fluid state, ledgers
         and writeback remainder — where
-        ``rec`` is the served traffic ``(dt_ns, reads, writes,
-        host_atomics, pim_ops, pim_ops_ret, host_raw, link_bytes,
-        data_bytes, ext_gbs, int_gbs, pim_rate)``; its ``writes`` include
-        the PEI writebacks of the served offloaded ops.
+        ``rec`` is the served traffic ``(dt_ns, host_atomics, pim_ops,
+        pim_ops_ret, host_raw, link_bytes, data_bytes, ext_gbs, int_gbs,
+        pim_rate)``; its byte counts include the PEI writebacks of the
+        served offloaded ops.
 
         Demand, service time, traffic rates and power come from the
         component models' count cores (:meth:`CacheModel.demand_counts`,
@@ -540,9 +540,8 @@ class SteppedEngine:
             rem_reads - served_reads, rem_writes - served_writes,
             rem_atomics - (served_pim_all + host_raw),
             wb_carry,
-            (dt_ns, served_reads, served_all_writes, served_host, served_pim,
-             served_pim_ret, host_raw, link_bytes, data_bytes, ext_gbs,
-             int_gbs, pim_rate),
+            (dt_ns, served_host, served_pim, served_pim_ret, host_raw,
+             link_bytes, data_bytes, ext_gbs, int_gbs, pim_rate),
         )
 
     def _thermal_quantum(
@@ -593,7 +592,7 @@ class SteppedEngine:
             fraction,
             *flow.capacities(), energy_scale,
         ))
-        (_, _, _, s_host, s_pim, s_pimr, host_raw,
+        (_, s_host, s_pim, s_pimr, host_raw,
          link_bytes, data_bytes, ext_gbs, int_gbs, pim_rate) = rec
         self.host_atomics_assigned += host_raw
 

@@ -25,6 +25,7 @@ started are simply re-queued, while every started-but-unresolved job is
 **quarantined**: re-run alone in a single-worker pool, where a repeat
 crash is unambiguously its own doing (→ ``JobFailure(reason="crash")``)
 and an innocent bystander of someone else's crash completes normally.
+Either way the job ran twice, and its outcome records ``attempts=2``.
 """
 
 from __future__ import annotations
@@ -312,7 +313,8 @@ class JobScheduler:
     # -- shared bookkeeping -----------------------------------------------
 
     def _record_success(
-        self, report: SweepReport, spec: JobSpec, out: Dict[str, Any]
+        self, report: SweepReport, spec: JobSpec, out: Dict[str, Any],
+        attempts: int,
     ) -> None:
         result = JobResult(
             key=spec.key,
@@ -320,6 +322,7 @@ class JobScheduler:
             payload=out["payload"],
             elapsed_s=out["elapsed_s"],
             cached=False,
+            attempts=attempts,
             worker_pid=out.get("pid"),
         )
         report.results[spec.key] = result
@@ -351,9 +354,9 @@ class JobScheduler:
             key=spec.key,
             name=spec.name,
             elapsed_s=result.elapsed_s,
-            attempts=1,
+            attempts=attempts,
             duration_s=result.elapsed_s,
-            attempt=1,
+            attempt=attempts,
             pid=result.worker_pid,
         )
         tracer = get_tracer()
@@ -364,7 +367,7 @@ class JobScheduler:
             # execution reconstructed from the worker-reported elapsed time.
             tracer.complete(
                 "scheduler.job", queued, done, cat="scheduler",
-                job=spec.name, kind=spec.kind, attempts=1,
+                job=spec.name, kind=spec.kind, attempts=attempts,
                 queue_s=max(0.0, done - result.elapsed_s - queued),
             )
             tracer.complete(
@@ -378,13 +381,14 @@ class JobScheduler:
         spec: JobSpec,
         reason: str,
         message: str,
+        attempts: int,
     ) -> None:
         failure = JobFailure(
             key=spec.key,
             name=spec.name,
             reason=reason,
             message=message,
-            attempts=1,
+            attempts=attempts,
         )
         report.failures[spec.key] = failure
         self._job_metric("failed", spec)
@@ -394,29 +398,31 @@ class JobScheduler:
             name=spec.name,
             reason=reason,
             message=message,
-            attempts=1,
-            attempt=1,
+            attempts=attempts,
+            attempt=attempts,
         )
         get_tracer().instant(
             "scheduler.job_failed", cat="scheduler",
-            job=spec.name, reason=reason, attempts=1,
+            job=spec.name, reason=reason, attempts=attempts,
         )
 
     def _settle(
-        self, report: SweepReport, spec: JobSpec, outcome: Callable[[], Any]
+        self, report: SweepReport, spec: JobSpec, outcome: Callable[[], Any],
+        attempts: int = 1,
     ) -> None:
-        """Record the job's one run: ``outcome()`` returns its
+        """Record the job's last run: ``outcome()`` returns its
         :func:`_worker_run` output or raises what the run raised."""
         try:
             out = outcome()
         except JobTimeoutError as exc:
-            self._record_failure(report, spec, "timeout", str(exc))
+            self._record_failure(report, spec, "timeout", str(exc), attempts)
         except Exception as exc:  # noqa: BLE001 — degrade, don't die
             self._record_failure(
-                report, spec, "error", f"{type(exc).__name__}: {exc}"
+                report, spec, "error", f"{type(exc).__name__}: {exc}",
+                attempts,
             )
         else:
-            self._record_success(report, spec, out)
+            self._record_success(report, spec, out, attempts)
 
     # -- serial execution -------------------------------------------------
 
@@ -461,10 +467,10 @@ class JobScheduler:
             In isolation a repeat pool break is unambiguously this job's
             own crash; anything else resolves normally.
             """
-            self._log("quarantined", key=spec.key, name=spec.name, attempt=1)
+            self._log("quarantined", key=spec.key, name=spec.name, attempt=2)
             get_tracer().instant(
                 "scheduler.quarantined", cat="scheduler",
-                job=spec.name, attempt=1,
+                job=spec.name, attempt=2,
             )
             qexec = ProcessPoolExecutor(
                 max_workers=1, mp_context=ctx, initializer=_worker_start,
@@ -473,10 +479,10 @@ class JobScheduler:
                 fut = qexec.submit(_worker_run, spec.to_dict(), scratch, True)
                 if isinstance(fut.exception(), BrokenProcessPool):
                     self._record_failure(
-                        report, spec, "crash", "worker process died"
+                        report, spec, "crash", "worker process died", 2
                     )
                 else:
-                    self._settle(report, spec, fut.result)
+                    self._settle(report, spec, fut.result, attempts=2)
             finally:
                 qexec.shutdown(wait=False, cancel_futures=True)
 

@@ -15,7 +15,6 @@ import time
 import pytest
 
 from repro.api import ApiClient, ApiClientError, ApiService, start_server_thread
-from repro.api.fairness import FairQueue, TenantPolicy
 from repro.service.journal import JobJournal
 from repro.service.jobs import JobSpec, register_handler
 from repro.service.store import ResultStore
@@ -48,7 +47,7 @@ def server(tmp_path):
     service = ApiService(
         store=store,
         journal=journal,
-        queue=FairQueue(default_policy=TenantPolicy(max_queued=2)),
+        tenant_quota=2,
         workers=1,
         allow_kinds=("apitest",),
     )
@@ -197,6 +196,20 @@ class TestValidationOverHttp:
             "POST", "/runs", {"kind": "apitest", "params": {}}
         )
         assert status == 400 and doc["field"] == "tenant"
+
+    def test_handler_exception_is_500_with_traceback(self, server, client,
+                                                     capsys):
+        async def explode(request):
+            raise KeyError("boom")
+
+        server.server.http.router.get("/explode", explode)
+        status, doc = client.request("GET", "/explode")
+        assert status == 500
+        assert doc == {"error": "internal server error",
+                       "exception": "KeyError"}
+        err = capsys.readouterr().err
+        assert "Traceback (most recent call last)" in err
+        assert "in explode" in err and "KeyError: 'boom'" in err
 
 
 class TestTimeouts:
@@ -431,7 +444,7 @@ class TestShutdownDrain:
             service = ApiService(
                 store=ResultStore(tmp_path / "cache"),
                 journal=journal,
-                queue=FairQueue(default_policy=TenantPolicy(max_queued=2)),
+                tenant_quota=2,
                 workers=1,
                 allow_kinds=("apitest",),
             )

@@ -1,119 +1,137 @@
-"""FairQueue: stride weights, aging, quotas, drain — frozen clock."""
+"""FairQueue: per-tenant FIFOs served round robin under one quota."""
+
+from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.api.fairness import FairQueue, QuotaExceeded, TenantPolicy
-
-
-class FakeClock:
-    def __init__(self, now: float = 0.0) -> None:
-        self.now = now
-
-    def __call__(self) -> float:
-        return self.now
-
-
-def make_queue(aging_rate=0.0, **policies):
-    clock = FakeClock()
-    queue = FairQueue(
-        policies={k: v for k, v in policies.items()},
-        aging_rate=aging_rate,
-        clock=clock,
-    )
-    return queue, clock
+from repro.api import fairness
+from repro.api.fairness import FairQueue, QuotaExceeded
 
 
 class TestBasics:
     def test_fifo_within_one_tenant(self):
-        queue, _ = make_queue()
+        queue = FairQueue()
         for i in range(3):
             queue.submit("a", i)
         assert [queue.pop()[1] for _ in range(3)] == [0, 1, 2]
         assert queue.pop() is None
 
     def test_len_counts_all_tenants(self):
-        queue, _ = make_queue()
+        queue = FairQueue()
         queue.submit("a", 1)
         queue.submit("b", 2)
         assert len(queue) == 2
 
-    def test_deterministic_tie_break_on_name(self):
-        queue, _ = make_queue()
-        queue.submit("zed", "z")
-        queue.submit("abe", "a")
-        # Equal vtime (both fresh) → lexicographically first tenant wins.
-        assert queue.pop()[0] == "abe"
+    def test_served_in_activation_order(self):
+        queue = FairQueue()
+        queue.submit("zed", "z1")
+        queue.submit("zed", "z2")
+        queue.submit("abe", "a1")
+        # The tenant that became active first goes first, then they
+        # alternate; names play no part.
+        assert [queue.pop() for _ in range(3)] == [
+            ("zed", "z1"), ("abe", "a1"), ("zed", "z2"),
+        ]
 
 
-class TestWeights:
-    def test_weighted_share_is_proportional(self):
-        queue, _ = make_queue(
-            heavy=TenantPolicy(weight=2.0, max_queued=100),
-            light=TenantPolicy(weight=1.0, max_queued=100),
-        )
-        for i in range(30):
-            queue.submit("heavy", i)
-            queue.submit("light", i)
-        first_12 = [queue.pop()[0] for _ in range(12)]
-        # Stride scheduling: over any window the 2:1 weights yield a 2:1
-        # service ratio (8 heavy, 4 light in 12 dispatches).
-        assert first_12.count("heavy") == 8
-        assert first_12.count("light") == 4
-
+class TestRoundRobin:
     def test_reactivating_tenant_joins_at_service_front(self):
-        queue, _ = make_queue()
+        queue = FairQueue()
         for i in range(10):
             queue.submit("busy", i)
         for _ in range(10):
             queue.pop()
-        # "idle" never queued while busy accumulated vtime; when it joins
-        # it must not get a 10-dispatch catch-up burst — it starts at the
-        # current front and alternates fairly.
+        # "idle" never queued while busy was served; when it joins it
+        # gets no catch-up burst — the two alternate.
         for i in range(4):
             queue.submit("busy", f"b{i}")
             queue.submit("idle", f"i{i}")
         first_4 = [queue.pop()[0] for _ in range(4)]
-        assert first_4.count("idle") == 2
-        assert first_4.count("busy") == 2
+        assert first_4 == ["busy", "idle", "busy", "idle"]
 
+    # One op: ("submit", tenant) or ("pop", None).
+    OPS = st.lists(
+        st.one_of(
+            st.tuples(st.just("submit"), st.integers(0, 2)),
+            st.tuples(st.just("pop"), st.none()),
+        ),
+        max_size=60,
+    )
 
-class TestAging:
-    def test_waiting_head_gains_priority(self):
-        queue, clock = make_queue(
-            aging_rate=0.5,
-            flood=TenantPolicy(weight=10.0, max_queued=1000),
-            meek=TenantPolicy(weight=0.1, max_queued=10),
-        )
-        queue.submit("meek", "m")
-        for i in range(50):
-            queue.submit("flood", i)
-        # Without aging the weight-0.1 tenant would wait ~100 dispatches;
-        # after 30 wall-seconds its head has 15 vtime of credit and wins.
-        assert queue.pop()[0] in ("flood", "meek")
-        clock.now += 30.0
-        winners = [queue.pop()[0] for _ in range(3)]
-        assert "meek" in winners
+    @settings(max_examples=300, deadline=None)
+    @given(n_tenants=st.integers(2, 3), quota=st.integers(1, 4), ops=OPS)
+    def test_interleavings_against_a_model(self, n_tenants, quota, ops):
+        """Any interleaving of submissions and pops over 2-3 tenants:
 
-    def test_no_aging_with_zero_rate(self):
-        queue, clock = make_queue(
-            aging_rate=0.0,
-            flood=TenantPolicy(weight=10.0, max_queued=1000),
-            meek=TenantPolicy(weight=0.1, max_queued=10),
-        )
-        queue.submit("meek", "m1")
-        queue.submit("meek", "m2")
-        for i in range(20):
-            queue.submit("flood", i)
-        clock.now += 1000.0  # wall time alone earns no credit
-        winners = [queue.pop()[0] for _ in range(21)]
-        # One meek dispatch costs 10 vtime (weight 0.1); with zero aging
-        # its second item waits out the entire flood backlog.
-        assert winners.count("meek") == 1
+        - a tenant with queued work is never passed over twice while
+          another tenant is served twice;
+        - a tenant that goes idle and comes back is served within one
+          round (before any other tenant is served twice);
+        - each tenant's items leave in submission order;
+        - a submission past the quota raises :class:`QuotaExceeded` and
+          queues nothing.
+        """
+        tenants = "abc"[:n_tenants]
+        queue = FairQueue(max_queued=quota)
+        backlog = {t: [] for t in tenants}  # model: queued items
+        served_since = {}  # waiting tenant -> others served meanwhile
+        rejected = Counter()
+        seq = 0
+        for op, tenant in ops:
+            if op == "submit":
+                tenant = tenants[tenant % n_tenants]
+                seq += 1
+                if len(backlog[tenant]) >= quota:
+                    with pytest.raises(QuotaExceeded) as exc:
+                        queue.submit(tenant, seq)
+                    assert (exc.value.tenant, exc.value.limit) == (tenant, quota)
+                    rejected[tenant] += 1
+                    continue
+                if not backlog[tenant]:
+                    served_since[tenant] = Counter()  # (re)joins the ring
+                assert queue.submit(tenant, seq) == len(backlog[tenant])
+                backlog[tenant].append(seq)
+            else:
+                popped = queue.pop()
+                if not any(backlog.values()):
+                    assert popped is None
+                    continue
+                name, item = popped
+                assert item == backlog[name].pop(0)  # per-tenant FIFO
+                for waiting, others in served_since.items():
+                    if waiting != name:
+                        others[name] += 1
+                        assert others[name] <= 1, (waiting, name)
+                del served_since[name]
+                if backlog[name]:
+                    served_since[name] = Counter()
+            assert len(queue) == sum(map(len, backlog.values()))
+        stats = queue.stats()
+        for t, doc in stats.items():
+            assert doc["queued"] == len(backlog[t])
+            assert doc["rejected"] == rejected[t]
+            assert doc["submitted"] == doc["queued"] + doc["dispatched"]
+
+    @settings(max_examples=100, deadline=None)
+    @given(ops=st.lists(st.booleans(), max_size=40))
+    def test_single_tenant_is_fifo(self, ops):
+        queue = FairQueue(max_queued=1000)
+        submitted, served = [], []
+        for is_submit in ops:
+            if is_submit:
+                submitted.append(len(submitted))
+                queue.submit("solo", submitted[-1])
+            elif (popped := queue.pop()) is not None:
+                served.append(popped[1])
+        served += [item for _, item in queue.drain()]
+        assert served == submitted
 
 
 class TestQuotas:
     def test_max_queued_raises_and_drops_item(self):
-        queue, _ = make_queue(a=TenantPolicy(max_queued=2))
+        queue = FairQueue(max_queued=2)
         queue.submit("a", 1)
         queue.submit("a", 2)
         with pytest.raises(QuotaExceeded) as exc:
@@ -123,56 +141,48 @@ class TestQuotas:
         assert queue.stats()["a"]["rejected"] == 1
 
     def test_capacity_for_tracks_backlog(self):
-        queue, _ = make_queue(a=TenantPolicy(max_queued=3))
+        queue = FairQueue(max_queued=3)
         assert queue.capacity_for("a") == 3
         queue.submit("a", 1)
         assert queue.capacity_for("a") == 2
 
-    def test_max_running_cap_skips_tenant(self):
-        queue, _ = make_queue(
-            capped=TenantPolicy(max_running=1),
-            free=TenantPolicy(),
-        )
-        queue.submit("capped", "c")
-        queue.submit("free", "f")
-        tenant, item = queue.pop({"capped": 1})
-        assert tenant == "free"
-        # Once the cap frees up, the capped tenant is runnable again.
-        tenant, item = queue.pop({"capped": 0})
-        assert tenant == "capped"
-
-    def test_all_capped_pops_none(self):
-        queue, _ = make_queue(capped=TenantPolicy(max_running=1))
-        queue.submit("capped", "c")
-        assert queue.pop({"capped": 1}) is None
-
 
 class TestPolicyValidation:
-    def test_bad_weight_rejected(self):
-        with pytest.raises(ValueError):
-            TenantPolicy(weight=0.0)
-
     def test_bad_quota_rejected(self):
         with pytest.raises(ValueError):
-            TenantPolicy(max_queued=0)
+            FairQueue(max_queued=0)
 
 
 class TestDrainAndStats:
     def test_drain_empties_everything(self):
-        queue, _ = make_queue()
+        queue = FairQueue()
         queue.submit("b", 1)
         queue.submit("a", 2)
         queue.submit("a", 3)
         drained = queue.drain()
         assert drained == [("a", 2), ("a", 3), ("b", 1)]
         assert len(queue) == 0
+        assert queue.pop() is None
 
     def test_stats_shape(self):
-        queue, _ = make_queue(a=TenantPolicy(weight=2.0))
+        queue = FairQueue()
         queue.submit("a", 1)
         queue.pop()
-        stats = queue.stats()
-        assert stats["a"]["weight"] == 2.0
-        assert stats["a"]["submitted"] == 1
-        assert stats["a"]["dispatched"] == 1
-        assert stats["a"]["queued"] == 0
+        assert queue.stats() == {
+            "a": {"queued": 0, "submitted": 1, "dispatched": 1, "rejected": 0}
+        }
+
+    def test_oldest_wait_tracks_the_head(self, monkeypatch):
+        now = [10.0]
+        monkeypatch.setattr(fairness.time, "monotonic", lambda: now[0])
+        queue = FairQueue()
+        assert queue.oldest_wait_s("a") == 0.0
+        queue.submit("a", 1)
+        now[0] = 11.0
+        queue.submit("a", 2)
+        now[0] = 12.5
+        assert queue.oldest_wait_s("a") == 2.5
+        queue.pop()
+        assert queue.oldest_wait_s("a") == 1.5
+        queue.pop()
+        assert queue.oldest_wait_s("a") == 0.0

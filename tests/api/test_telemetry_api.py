@@ -18,6 +18,7 @@ from repro.service.journal import JobJournal
 from repro.service.jobs import register_handler
 from repro.service.store import ResultStore
 from repro.telemetry import parse_exposition
+from repro.telemetry.live import DEFAULT_MAX_SAMPLES
 from repro.telemetry.registry import TelemetryRegistry, set_registry
 
 _GATE = threading.Event()
@@ -64,7 +65,6 @@ def service(tmp_path):
         journal=journal,
         workers=2,
         allow_kinds=("teletest",),
-        ready_backlog=4,
     )
     yield svc
     journal.close()
@@ -91,8 +91,9 @@ class TestReadyz:
         assert ok and body["ready"] and body["reason"] == "ok"
 
     def test_saturated_queue_reports_503(self, server, client):
-        # Fill both workers plus the ready_backlog=4 queue slots.
-        for i in range(6):
+        # Fill both workers plus the max(16, 8 x 2) = 16 queue slots.
+        assert server.server.service.ready_backlog == 16
+        for i in range(2 + 16):
             client.submit_run(
                 kind="teletest", params={"gate": True, "value": i}
             )
@@ -124,14 +125,14 @@ class TestLiveTelemetryEvents:
         assert telemetry[0]["dram_c"] == 70.0
         assert telemetry[0]["engine"] == "teletest"
 
-    def test_budget_caps_event_count(self, service, server):
-        service.telemetry_max_samples = 2
-        client = ApiClient(server.host, server.port)
-        doc = client.submit_run(kind="teletest", params={"samples": 50})
+    def test_budget_caps_event_count(self, client):
+        doc = client.submit_run(
+            kind="teletest", params={"samples": DEFAULT_MAX_SAMPLES + 50}
+        )
         events = list(client.stream_events(doc["run_id"]))
         telemetry = [e for e in events if e["event"] == "telemetry"]
         # budget + the close() flush of the freshest pending sample
-        assert 1 <= len(telemetry) <= 3
+        assert len(telemetry) == DEFAULT_MAX_SAMPLES + 1
         assert telemetry[-1]["progress"] == 1.0  # last value won
 
     def test_telemetry_series_endpoint(self, client):
@@ -141,7 +142,13 @@ class TestLiveTelemetryEvents:
         assert series["run_id"] == doc["run_id"]
         assert series["status"] == "completed"
         assert series["count"] == len(series["samples"]) == 2
-        assert series["samples"][0]["dram_c"] == 70.0
+        # The samples exactly as the handler emitted them: no event-log
+        # fields (seq, event, run_id, ts) leak into the series.
+        assert series["samples"] == [
+            {"t_s": i * 1e-3, "progress": (i + 1) / 2, "dram_c": 70.0 + i,
+             "pim_fraction": 1.0, "engine": "teletest"}
+            for i in range(2)
+        ]
 
     def test_telemetry_unknown_run_404(self, client):
         status, _ = client.request("GET", "/telemetry/runs/nope")

@@ -53,7 +53,7 @@ def test_ledger_clamp_cuts_host_accounting_first():
     value = serve(engine, (1e6, 0.0, 1000.0, 0.0, 0.0), (1_000_000, 0, 10))
     dt_ns, rec = value[0], value[-1]
     assert dt_ns == CONTROL_DT_S * 1e9  # not the last quantum
-    s_pim, s_pimr, h_raw = rec[4], rec[5], rec[6]
+    s_pim, s_pimr, h_raw = rec[2], rec[3], rec[4]
     assert s_pim + s_pimr + h_raw == 10
     assert h_raw == 0 < s_pim
     assert value[10] == 0
@@ -68,13 +68,13 @@ def test_final_step_flush_serves_the_ledgers():
     assert value[0] < CONTROL_DT_S * 1e9
     assert value[3:11] == (0.0,) * 5 + (0, 0, 0)
     rec = value[-1]
-    # All 3 ledger writes, plus round(2 * 0.3) = 1 PEI writeback for the
-    # 2 offloaded ops; the rounding remainder is carried.
-    assert rec[4] + rec[5] == 2
-    assert rec[1:3] == (5, 3 + 1)
+    # All 5 ledger reads and 3 ledger writes, plus round(2 * 0.3) = 1 PEI
+    # writeback for the 2 offloaded ops; the rounding remainder is carried.
+    assert rec[2] + rec[3] == 2
+    assert rec[6] == 64 * (5 + 3 + 1 + 2 * rec[1]) + 16 * rec[3]
     assert value[11] == pytest.approx(0.6 - 1)
     # Work conservation: every ledger atomic is offloaded or host-assigned.
-    assert rec[4] + rec[5] + rec[6] == 4
+    assert rec[2] + rec[3] + rec[4] == 4
     assert value[2] > 0.0  # the interval's package energy
 
 
@@ -87,8 +87,9 @@ def test_writeback_carry_is_key_and_post_state():
     fluid, ledgers = (0.0, 0.0, 2.0, 0.0, 0.0), (0, 0, 2)
     fresh = serve(engine, fluid, ledgers, fraction=1.0)
     carried = serve(engine, fluid, ledgers, fraction=1.0, wb_carry=0.4)
-    assert fresh[-1][4] == carried[-1][4] == 2
-    assert fresh[-1][2] == carried[-1][2] == 1
+    assert fresh[-1][2] == carried[-1][2] == 2
+    # No reads, writes or host atomics: the payload is the one writeback.
+    assert fresh[-1][6] == carried[-1][6] == 64
     assert fresh[11] == pytest.approx(-0.4)
     assert carried[11] == pytest.approx(0.0)
     assert fresh[3:11] == carried[3:11]
@@ -97,7 +98,7 @@ def test_writeback_carry_is_key_and_post_state():
 def test_bypass_carries_no_writebacks():
     engine = make_engine()
     value = serve(engine, (0.0, 0.0, 2.0, 0.0, 0.0), (0, 0, 2), fraction=1.0)
-    assert value[-1][2] == 0 and value[11] == 0.0
+    assert value[-1][6] == 0 and value[11] == 0.0
 
 
 def test_zero_dram_capacity_serves_nothing():
@@ -108,7 +109,7 @@ def test_zero_dram_capacity_serves_nothing():
     # Host execution only: with no vaults the FU pool is empty too.
     value = serve(engine, fluid, ledgers, fraction=0.0)
     assert value[0] == CONTROL_DT_S * 1e9
-    assert value[-1][1:7] == (0, 0, 0, 0, 0, 0)
+    assert value[-1][1:7] == (0, 0, 0, 0, 0, 0)  # ops and bytes
     assert value[3:12] == (*fluid, *ledgers, 0.0)
 
 

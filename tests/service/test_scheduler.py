@@ -253,8 +253,13 @@ class TestPooledExecution:
         assert len(report.results) == 5
         (failure,) = report.failures.values()
         assert failure.name == "crasher" and failure.reason == "crash"
+        # It crashed once in the shared pool and once more in quarantine.
+        assert failure.attempts == 2
         counts = JobJournal.summary(journal_path)
         assert counts["failed"] == 1 and counts["completed"] == 5
+        (failed,) = [e for e in JobJournal.read(journal_path)
+                     if e["event"] == "failed"]
+        assert failed["attempts"] == failed["attempt"] == 2
 
     @needs_alarm
     def test_timeout_produces_jobfailure_and_frees_the_pool(self, tmp_path):
