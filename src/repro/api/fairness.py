@@ -26,10 +26,15 @@ from typing import Any, Deque, Dict, List, Optional, Tuple
 
 
 class QuotaExceeded(Exception):
-    """A tenant tried to queue past its ``max_queued`` quota."""
+    """A tenant tried to queue past its ``max_queued`` quota: one job
+    with the backlog full, or a sweep of ``sweep_jobs`` jobs that does
+    not fit the room left."""
 
-    def __init__(self, tenant: str, limit: int) -> None:
+    def __init__(self, tenant: str, limit: int, sweep_jobs: int = 0) -> None:
         super().__init__(
+            f"sweep of {sweep_jobs} job(s) exceeds the quota of {limit} "
+            f"queued job(s) of tenant {tenant!r}"
+            if sweep_jobs else
             f"tenant {tenant!r} has {limit} queued job(s), quota reached"
         )
         self.tenant = tenant
@@ -76,6 +81,14 @@ class FairQueue:
     def capacity_for(self, tenant: str) -> int:
         """Remaining queue slots before the tenant's quota trips."""
         return max(0, self.max_queued - len(self._state(tenant).queue))
+
+    def admit_sweep(self, tenant: str, jobs: int) -> None:
+        """Refuse a sweep of ``jobs`` jobs that does not fit the tenant's
+        remaining quota (all-or-nothing): counts the refusal in the
+        tenant's ``rejected`` and raises :class:`QuotaExceeded`."""
+        if jobs > self.capacity_for(tenant):
+            self._state(tenant).rejected += 1
+            raise QuotaExceeded(tenant, self.max_queued, sweep_jobs=jobs)
 
     def __len__(self) -> int:
         return sum(len(s.queue) for s in self._tenants.values())

@@ -423,12 +423,15 @@ class ApiService:
         """Submit a batch under one sweep id.
 
         Quota is pre-checked for the whole batch (conservatively assuming
-        every spec is fresh work), so a sweep is all-or-nothing.
+        every spec is fresh work), so a sweep is all-or-nothing; a
+        refused sweep counts once in the tenant's ``rejected``.
         """
-        if len(specs) > self.queue.capacity_for(tenant):
+        try:
+            self.queue.admit_sweep(tenant, len(specs))
+        except QuotaExceeded:
             self._metric_count("rejected", tenant)
             self._journal("api_rejected", tenant=tenant, jobs=len(specs))
-            raise QuotaExceeded(tenant, self.queue.max_queued)
+            raise
         sweep_id = uuid.uuid4().hex[:12]
         records = [
             self.submit(spec, tenant, sweep_id=sweep_id) for spec in specs

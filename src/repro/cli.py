@@ -207,7 +207,7 @@ def cmd_cache(args) -> int:
             stale = "" if record.get("fingerprint") == store.fingerprint else " [stale]"
             print(
                 f"{record.get('key', '?')[:12]}  "
-                f"{spec.get('kind', '?'):10s}  {spec.get('name', '?'):24s}  "
+                f"{spec.get('kind', '?'):10s}  {spec.get('name', '?'):30s}  "
                 f"seed={spec.get('seed', 0)}  "
                 f"{record.get('elapsed_s', 0.0):8.2f}s{stale}"
             )

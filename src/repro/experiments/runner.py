@@ -8,7 +8,8 @@ Usage::
 ``--seed`` makes the whole sweep reproducible end to end. ``--jobs N``
 runs the selected experiments as jobs on the :mod:`repro.service`
 process pool (with result caching when ``--cache-dir`` points at a
-store); the default remains the classic serial in-process sweep.
+store; the figures that read the evaluation matrix share one job); the
+default remains the classic serial in-process sweep.
 EXPERIMENTS.md records one full run of this script.
 """
 
@@ -44,26 +45,32 @@ from repro.experiments import (
 from repro.experiments.common import RunScale
 
 
-#: Experiment id → its module, in sweep order; the flag marks the
-#: modules whose ``run`` takes the evaluation ``scale``.
+#: What an experiment module's ``run`` reads: the evaluation ``scale``,
+#: or the scale and the Sec. V-B matrix ``run_matrix(scale)``, which
+#: each process builds once and caches.
+SCALE, MATRIX = "scale", "matrix"
+
+#: Experiment id → ``(module, what its run reads)``, in sweep order
+#: (``None``: a fixed set-up). A pooled sweep runs the selected
+#: ``MATRIX`` experiments as one job, so it builds the matrix once.
 _MODULES = {
-    "fig1": (fig1_prototype, False),
-    "fig2": (fig2_validation, False),
-    "fig3": (fig3_heatmap, False),
-    "fig4": (fig4_bandwidth, False),
-    "fig5": (fig5_pim_rate, False),
-    "fig8": (fig8_delays, True),
-    "fig10": (fig10_speedup, True),
-    "fig11": (fig11_bandwidth_savings, True),
-    "fig12": (fig12_pim_rate_avg, True),
-    "fig13": (fig13_peak_temp, True),
-    "fig14": (fig14_time_series, True),
+    "fig1": (fig1_prototype, None),
+    "fig2": (fig2_validation, None),
+    "fig3": (fig3_heatmap, None),
+    "fig4": (fig4_bandwidth, None),
+    "fig5": (fig5_pim_rate, None),
+    "fig8": (fig8_delays, SCALE),
+    "fig10": (fig10_speedup, MATRIX),
+    "fig11": (fig11_bandwidth_savings, MATRIX),
+    "fig12": (fig12_pim_rate_avg, MATRIX),
+    "fig13": (fig13_peak_temp, MATRIX),
+    "fig14": (fig14_time_series, SCALE),
     # Extensions beyond the paper's figures (DESIGN.md §6):
-    "energy": (energy, True),
-    "management": (management, True),
-    "sensitivity": (sensitivity, True),
-    "hotspot": (hotspot, False),
-    "cooling-sweep": (cooling_sweep, True),
+    "energy": (energy, MATRIX),
+    "management": (management, SCALE),
+    "sensitivity": (sensitivity, SCALE),
+    "hotspot": (hotspot, None),
+    "cooling-sweep": (cooling_sweep, SCALE),
 }
 
 
@@ -74,8 +81,8 @@ def experiment_catalog(
     computes it at ``scale``, and ``format_result`` renders the text the
     runner prints and writes to ``results/<id>.txt``."""
     catalog = {"tables": (tables.all_tables, str)}
-    for name, (module, scaled) in _MODULES.items():
-        run = partial(module.run, scale=scale) if scaled else module.run
+    for name, (module, reads) in _MODULES.items():
+        run = partial(module.run, scale=scale) if reads else module.run
         catalog[name] = (run, module.format_result)
     return catalog
 
@@ -87,8 +94,8 @@ EXPERIMENT_IDS: List[str] = list(experiment_catalog(RunScale.quick()))
 def run_experiment(name: str, scale: Optional[RunScale] = None) -> str:
     """Execute one experiment by id and return its formatted text.
 
-    This is the entry point the ``experiment`` job kind calls inside
-    pool workers (:func:`repro.service.handlers.run_experiment_job`).
+    The ``experiment`` job kind calls it inside pool workers, once per
+    id of the job (:func:`repro.service.handlers.run_experiment_job`).
     """
     scale = scale or RunScale.full()
     catalog = experiment_catalog(scale)
@@ -104,6 +111,22 @@ def run_experiment(name: str, scale: Optional[RunScale] = None) -> str:
         return format_result(run())
 
 
+def job_groups(selected: List[str]) -> List[List[str]]:
+    """The pool jobs a sweep of ``selected`` runs, as lists of ids.
+
+    The selected ``MATRIX`` experiments form one job, so one worker
+    builds the evaluation matrix and each of them reads it from that
+    process's cache; every other experiment is a job of its own. Jobs
+    and their members follow catalog order (of a job's first member).
+    """
+    groups: Dict[str, List[str]] = {}
+    for name in EXPERIMENT_IDS:
+        if name in selected:
+            shared = _MODULES.get(name, (None, None))[1] == MATRIX
+            groups.setdefault(MATRIX if shared else name, []).append(name)
+    return list(groups.values())
+
+
 def sweep_texts_parallel(
     selected: List[str],
     scale: RunScale,
@@ -111,10 +134,11 @@ def sweep_texts_parallel(
     cache_dir: Optional[str] = None,
     use_cache: bool = True,
 ):
-    """Run experiments as pool jobs; returns ``(texts, report)``.
+    """Run experiments as pool jobs (:func:`job_groups`); returns
+    ``(texts, report)``.
 
-    ``texts`` maps experiment id → formatted output (or an error note for
-    failed jobs) in the requested order.
+    ``texts`` maps each experiment id to its formatted output, or to
+    the failure note of the job that ran it.
     """
     from repro.service import (
         JobJournal,
@@ -122,31 +146,31 @@ def sweep_texts_parallel(
         ResultStore,
         experiment_spec,
     )
-    from repro.service.handlers import prewarm_worker
     from repro.service.store import default_cache_dir
 
-    specs = [experiment_spec(name, scale=scale) for name in selected]
+    groups = job_groups(selected)
+    specs = [experiment_spec(group, scale=scale) for group in groups]
     root = cache_dir if cache_dir is not None else default_cache_dir()
     store = ResultStore(root=root)
     with JobJournal(store.root / "journal.jsonl") as journal:
         scheduler = JobScheduler(
             store=store, journal=journal, max_workers=jobs, use_cache=use_cache,
-            worker_initializer=prewarm_worker,
         )
         report = scheduler.run(specs)
 
     texts: Dict[str, str] = {}
-    for name, spec in zip(selected, specs):
+    for group, spec in zip(groups, specs):
         result = report.result_for(spec)
         if result is not None:
-            texts[name] = result.payload.get("text", "")
-        else:
-            failure = report.failure_for(spec)
-            texts[name] = (
-                f"[job failed: {failure.reason} — {failure.message}]"
-                if failure is not None
-                else "[job produced no result]"
-            )
+            texts.update(result.payload["texts"])
+            continue
+        failure = report.failure_for(spec)
+        note = (
+            f"[job failed: {failure.reason} — {failure.message}]"
+            if failure is not None
+            else "[job produced no result]"
+        )
+        texts.update((name, note) for name in group)
     return texts, report
 
 
@@ -241,7 +265,11 @@ def main(argv: list[str] | None = None) -> int:
             print(texts[name])
             if out_dir is not None:
                 (out_dir / f"{name}.txt").write_text(texts[name] + "\n")
-        print(f"\n[sweep: {report.summary_line()}]")
+        print(
+            f"\n[sweep: {len(texts)} experiments in "
+            f"{len(report.results) + len(report.failures)} jobs: "
+            f"{report.summary_line()}]"
+        )
         write_manifest(report.ok)
         return 0 if report.ok else 1
 

@@ -22,7 +22,10 @@ Quickstart::
 
     from repro.service import JobScheduler, ResultStore, experiment_spec
 
-    specs = [experiment_spec(n, quick=True) for n in ("fig5", "fig10")]
+    # A job runs its experiments in turn in one process: fig10 and
+    # fig11 read one evaluation matrix, which that process builds once.
+    specs = [experiment_spec(["fig5"], quick=True),
+             experiment_spec(["fig10", "fig11"], quick=True)]
     report = JobScheduler(store=ResultStore()).run(specs)
     print(report.summary_line())
 """
@@ -30,7 +33,6 @@ Quickstart::
 from repro.service.fingerprint import code_fingerprint
 from repro.service.handlers import (
     experiment_spec,
-    prewarm_worker,
     run_experiment_job,
     run_simulation_job,
     simulation_spec,
@@ -72,7 +74,6 @@ __all__ = [
     "code_fingerprint",
     "default_cache_dir",
     "experiment_spec",
-    "prewarm_worker",
     "register_handler",
     "resolve_handler",
     "run_experiment_job",

@@ -8,51 +8,34 @@ JSON-serializable payload dict.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional
+from typing import Any, Dict, Optional, Sequence
 
 from repro.experiments.common import RunScale
 from repro.service.jobs import JobSpec
 
 
-def prewarm_worker() -> None:
-    """Warm process-level caches a sweep worker will need.
-
-    Assembles the shared thermal operators (RC network + steady LU +
-    control-quantum step LU, :mod:`repro.thermal.operators`) for the
-    default HMC 2.0 package under every Table II cooling solution, so
-    the first job on each worker skips network assembly and
-    factorization entirely. Passed to
-    :class:`~repro.service.scheduler.JobScheduler` as
-    ``worker_initializer``; under a fork start method the scheduler runs
-    it once in the parent and workers inherit the warm cache.
-    """
-    from repro.hmc.config import HMC_2_0
-    from repro.thermal.cooling import COOLING_SOLUTIONS
-    from repro.thermal.operators import prewarm
-
-    for cooling in COOLING_SOLUTIONS.values():
-        prewarm(HMC_2_0, cooling)
-
-
 def experiment_spec(
-    name: str,
+    names: Sequence[str],
     scale: Optional[RunScale] = None,
     quick: bool = False,
     seed: int = 0,
     timeout_s: Optional[float] = None,
 ) -> JobSpec:
-    """Spec for one figure/table experiment (see ``repro.experiments``).
+    """Spec for one job that runs the figure/table experiments ``names``
+    in turn, in one process (see ``repro.experiments``).
 
-    The full :class:`RunScale` enters the params (and therefore the cache
-    key), so sweeps at different datasets, scales, or seeds never collide
-    in the result store.
+    The ids and the full :class:`RunScale` enter the params (and
+    therefore the cache key), so sweeps of other groupings, datasets,
+    scales, or seeds never collide in the result store.
     """
+    if isinstance(names, str):
+        raise TypeError("experiment_spec takes a list of experiment ids")
     if scale is None:
         scale = RunScale.quick(seed=seed) if quick else RunScale.full(seed=seed)
     return JobSpec(
         kind="experiment",
-        name=name,
-        params={"experiment": name, "scale": scale.to_dict()},
+        name="+".join(names),
+        params={"experiments": list(names), "scale": scale.to_dict()},
         seed=scale.seed,
         timeout_s=timeout_s,
         tags=("experiment",),
@@ -114,13 +97,18 @@ def simulation_spec(
 
 
 def run_experiment_job(spec: JobSpec) -> Dict[str, Any]:
-    """Execute one experiment module and return its formatted output."""
+    """Run the spec's experiments in turn and return ``{"texts": {id:
+    formatted output}}``; those that read the evaluation matrix share
+    this process's cached copy."""
     from repro.experiments import runner
 
     scale = RunScale.from_dict(spec.params["scale"])
-    name = spec.params["experiment"]
-    text = runner.run_experiment(name, scale)
-    return {"experiment": name, "scale": scale.to_dict(), "text": text}
+    return {
+        "texts": {
+            name: runner.run_experiment(name, scale)
+            for name in spec.params["experiments"]
+        }
+    }
 
 
 def run_simulation_job(spec: JobSpec) -> Dict[str, Any]:

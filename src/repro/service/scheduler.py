@@ -56,20 +56,17 @@ from repro.service.journal import JobJournal
 from repro.service.store import ResultStore
 
 
-def _worker_start(initializer: Optional[Any] = None) -> None:
+def _worker_start() -> None:
     """Pool worker start-up, before any job.
 
     A forked worker inherits the parent's telemetry series, and those
     belong to the parent: advance the flush watermarks past them so a
     worker's deltas carry only its own increments (else every worker
-    would re-ship the parent's counts). Then run the scheduler's
-    ``worker_initializer``, if any.
+    would re-ship the parent's counts).
     """
     from repro.telemetry import get_registry
 
     get_registry().flush_deltas()
-    if initializer is not None:
-        initializer()
 
 
 def _worker_run(
@@ -188,14 +185,6 @@ class JobScheduler:
     use_cache:
         Set ``False`` to force re-execution while still writing fresh
         results back to the store.
-    worker_initializer:
-        Optional zero-argument callable run once in every pool worker
-        (and, under a fork start method, once in the parent before the
-        pool is created, so forked workers inherit any warmed
-        process-level caches — e.g.
-        :func:`repro.service.handlers.prewarm_worker`, which assembles
-        the shared thermal operators). Must be picklable
-        (module-level) for spawn-based pools.
     """
 
     def __init__(
@@ -205,14 +194,12 @@ class JobScheduler:
         max_workers: Optional[int] = None,
         serial: bool = False,
         use_cache: bool = True,
-        worker_initializer: Optional[Any] = None,
     ) -> None:
         self.store = store
         self.journal = journal
         self.max_workers = max_workers
         self.serial = serial
         self.use_cache = use_cache
-        self.worker_initializer = worker_initializer
         # queued_at[key] = perf_counter at submission; lets completion
         # spans cover the full queue→start→done lifecycle.
         self._queued_at: Dict[str, float] = {}
@@ -439,16 +426,8 @@ class JobScheduler:
 
     def _new_executor(self, ctx, n_jobs: int) -> ProcessPoolExecutor:
         workers = self.max_workers or min(os.cpu_count() or 2, max(n_jobs, 1))
-        if self.worker_initializer is not None:
-            # Under fork, warm process-level caches (shared thermal
-            # operators etc.) in the parent first: every worker then
-            # inherits the warmed state instead of rebuilding it.
-            method = ctx.get_start_method() if ctx else multiprocessing.get_start_method()
-            if method == "fork":
-                self.worker_initializer()
         return ProcessPoolExecutor(
-            max_workers=workers, mp_context=ctx,
-            initializer=_worker_start, initargs=(self.worker_initializer,),
+            max_workers=workers, mp_context=ctx, initializer=_worker_start,
         )
 
     def _run_pool(self, pending: Sequence[JobSpec], report: SweepReport) -> None:

@@ -15,10 +15,9 @@ the network matrices are never mutated, :class:`SteadySolver` is stateless
 after its LU, and the step LU, power bases and propagators are only ever
 *added*. Mutable integration state (``TransientSolver.T``) stays per-model.
 
-The job service forks its pool workers (where the platform allows), so
-operators warmed in the parent — see :func:`prewarm` and the scheduler's
-``worker_initializer`` — are inherited by every worker for free; under a
-spawn start method each worker warms its own cache on first use.
+Each process fills its cache on first use; a pool worker forked from a
+parent that already holds operators (see :func:`prewarm`) inherits
+them.
 """
 
 from __future__ import annotations
@@ -169,11 +168,8 @@ def get_operators(
 
 
 def prewarm(config: HmcConfig, cooling: CoolingSolution, **kwargs) -> ThermalOperators:
-    """Build operators ahead of use, including the control-quantum step LU.
-
-    Called in the job-service parent before the pool forks (and per worker
-    as the pool initializer) so simulation jobs start with a hot cache.
-    """
+    """Build operators ahead of use, including the control-quantum step LU
+    (what a first transient run would otherwise build on demand)."""
     ops = get_operators(config, cooling, **kwargs)
     ops.step_lu()
     return ops

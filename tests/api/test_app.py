@@ -14,7 +14,13 @@ import time
 
 import pytest
 
-from repro.api import ApiClient, ApiClientError, ApiService, start_server_thread
+from repro.api import (
+    ApiClient,
+    ApiClientError,
+    ApiService,
+    QuotaExceeded,
+    start_server_thread,
+)
 from repro.service.journal import JobJournal
 from repro.service.jobs import JobSpec, register_handler
 from repro.service.store import ResultStore
@@ -324,6 +330,24 @@ class TestQuota:
             if e["event"] == "api_rejected"
         ]
         assert [(e["tenant"], e["jobs"]) for e in records] == [("sweepy", 3)]
+
+
+    def test_refused_sweep_counts_in_tenant_stats(self):
+        # No server: the quota check runs before anything is queued.
+        service = ApiService(tenant_quota=2, allow_kinds=("apitest",))
+        specs = [
+            JobSpec(kind="apitest", name=f"v{n}", params={"value": n})
+            for n in range(3)
+        ]
+        with pytest.raises(QuotaExceeded) as exc:
+            service.submit_sweep(specs, "t")
+        assert str(exc.value) == (
+            "sweep of 3 job(s) exceeds the quota of 2 queued job(s) of "
+            "tenant 't'"
+        )
+        assert service.queue.stats()["t"] == {
+            "queued": 0, "submitted": 0, "dispatched": 0, "rejected": 1,
+        }
 
 
 class TestSweeps:
