@@ -8,14 +8,12 @@ fault-injection layer agents are evaluated against.
 from repro.agents.base import ACTION_NONE, Action, Agent, Observation
 from repro.agents.adapters import AgentPolicy, PolicyAgent, as_agent, as_policy
 from repro.agents.scripted import ScriptedAgent
-from repro.agents.search import HillClimbAgent
 
 __all__ = [
     "ACTION_NONE",
     "Action",
     "Agent",
     "AgentPolicy",
-    "HillClimbAgent",
     "Observation",
     "PolicyAgent",
     "ScriptedAgent",

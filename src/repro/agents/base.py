@@ -3,8 +3,8 @@
 The paper's policies are hardwired classes driven by two callbacks
 (``pim_fraction`` each control step, ``on_thermal_warning`` when the
 ERRSTAT bit arrives). This module opens that loop into an
-observe → act interface so scripted, search-based, or learned
-controllers plug into the same simulators:
+observe → act interface so scripted or learned controllers plug into
+the same simulators:
 
 - an :class:`Observation` packages what the GPU runtime can actually
   see at one instant — the clock, the sensed warning bit and last
@@ -21,8 +21,7 @@ engine's burst speculation relies on the same two purity hints the
 hardwired policies provide (:meth:`Agent.fraction_horizon`,
 :meth:`Agent.warning_noop_until`); the base defaults are maximally
 conservative — correct for any agent, at scalar-path speed. Override
-them to get burst speed back (see :class:`~repro.agents.scripted.ScriptedAgent`
-and :class:`~repro.agents.search.HillClimbAgent`).
+them to get burst speed back (see :class:`~repro.agents.scripted.ScriptedAgent`).
 """
 
 from __future__ import annotations

@@ -18,6 +18,7 @@ registered job handler — the production default accepts simulations only.
 
 from __future__ import annotations
 
+import math
 import re
 from typing import Any, Dict, FrozenSet, List, Mapping, Optional
 
@@ -110,8 +111,10 @@ def _timeout(body: Mapping[str, Any]) -> Optional[float]:
     timeout = body.get("timeout_s")
     if timeout is None:
         return None
+    # json.loads accepts NaN, Infinity and 1e400 (inf); the worker's
+    # interval timer rejects them, so they stop here.
     if isinstance(timeout, bool) or not isinstance(timeout, (int, float)) or (
-        timeout <= 0
+        not math.isfinite(timeout) or timeout <= 0
     ):
         raise ValidationError(
             f"timeout_s must be a positive number, got {timeout!r}",

@@ -26,7 +26,6 @@ from repro.core.policies import (
 )
 from repro.core.sw_dynt import SwDynT
 from repro.core.token_pool import PimTokenPool
-from repro.core.translation import cuda_atomic_for, pim_opcode_for_cuda
 
 __all__ = [
     "CoolPimSystem",
@@ -39,7 +38,5 @@ __all__ = [
     "PimTokenPool",
     "PtpInitializer",
     "SwDynT",
-    "cuda_atomic_for",
     "make_policy",
-    "pim_opcode_for_cuda",
 ]

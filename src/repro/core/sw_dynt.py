@@ -108,7 +108,7 @@ class SwDynT(OffloadPolicy):
         if now_s - self._last_action_s < self.delays.control_step_s:
             return
         self._last_action_s = now_s
-        self.pool.reduce(self.control_factor, now_s)
+        self.pool.reduce(self.control_factor)
         # Token drain: blocks finishing return tokens; issued converges to
         # the new size as the pool caps re-issue.
         self.pool.issued = min(self.pool.issued, max(self.pool.size, 0))

@@ -2,28 +2,25 @@
 
 The GPU runtime's offloading controller maintains a pool whose size is the
 maximum number of thread blocks allowed to run PIM-enabled code
-(Sec. IV-B). Blocks request a token at launch (FCFS); with a token they
-run the original PIM kernel, without one the shadow non-PIM kernel. The
-thermal interrupt handler shrinks the pool:
+(Sec. IV-B). Blocks holding a token run the original PIM kernel, the rest
+the shadow non-PIM kernel; :class:`repro.core.sw_dynt.SwDynT` models the
+holders as ``min(size, active blocks)``. The thermal interrupt handler
+shrinks the pool:
 
     PTP_size = min(PTP_size − CF, #issuedTokens)
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Tuple
+from dataclasses import dataclass
 
 
 @dataclass
 class PimTokenPool:
-    """FCFS token pool with interrupt-driven down-tuning."""
+    """Token pool with interrupt-driven down-tuning."""
 
     size: int
     issued: int = 0
-    grants: int = field(default=0, init=False)
-    denials: int = field(default=0, init=False)
-    resize_history: List[Tuple[float, int]] = field(default_factory=list, init=False)
 
     def __post_init__(self) -> None:
         if self.size < 0:
@@ -33,26 +30,7 @@ class PimTokenPool:
                 f"issued ({self.issued}) must be within [0, size={self.size}]"
             )
 
-    @property
-    def available(self) -> int:
-        return max(0, self.size - self.issued)
-
-    def request(self) -> bool:
-        """A launching block asks for a token; True → run PIM code."""
-        if self.issued < self.size:
-            self.issued += 1
-            self.grants += 1
-            return True
-        self.denials += 1
-        return False
-
-    def release(self) -> None:
-        """A PIM-enabled block finished; its token returns to the pool."""
-        if self.issued <= 0:
-            raise ValueError("release without an outstanding token")
-        self.issued -= 1
-
-    def reduce(self, control_factor: int, now_s: float = 0.0) -> int:
+    def reduce(self, control_factor: int) -> int:
         """Thermal-interrupt reduction (Sec. IV-B).
 
         ``PTP = min(PTP − CF, #issuedToken)`` — never below zero. Returns
@@ -61,7 +39,5 @@ class PimTokenPool:
         """
         if control_factor < 0:
             raise ValueError(f"control factor cannot be negative: {control_factor}")
-        new_size = max(0, min(self.size - control_factor, self.issued))
-        self.size = new_size
-        self.resize_history.append((now_s, new_size))
-        return new_size
+        self.size = max(0, min(self.size - control_factor, self.issued))
+        return self.size

@@ -5,7 +5,7 @@ extensions) has a corresponding CUDA atomic, so the compiler can generate
 the shadow non-PIM kernel (SW-DynT, Sec. IV-B) and the hardware frontend
 can dynamically translate PIM instructions back to regular atomics
 (HW-DynT, Sec. IV-C). The mapping is a simple AST/IR-level source-to-
-source substitution — represented here as a bidirectional table.
+source substitution — represented here as a table.
 """
 
 from __future__ import annotations
@@ -28,45 +28,3 @@ PIM_TO_CUDA: Dict[PimOpcode, str] = {
     PimOpcode.FP_ADD_IMM: "atomicAdd",   # float overload
     PimOpcode.FP_MIN: "atomicMin",       # float extension [23]
 }
-
-#: Preferred CUDA → PIM direction (used by the offloading compiler pass).
-#: Where several opcodes share a CUDA atomic, the non-returning variant is
-#: preferred — it costs one fewer response FLIT (Table I).
-CUDA_TO_PIM: Dict[str, PimOpcode] = {
-    "atomicAdd": PimOpcode.ADD_IMM,
-    "atomicExch": PimOpcode.SWAP,
-    "atomicAnd": PimOpcode.AND_IMM,
-    "atomicOr": PimOpcode.OR_IMM,
-    "atomicCAS": PimOpcode.CAS_EQUAL,
-    "atomicMax": PimOpcode.CAS_GREATER,
-    "atomicMin": PimOpcode.CAS_LESS,
-}
-
-
-def cuda_atomic_for(opcode: PimOpcode) -> str:
-    """CUDA atomic that implements ``opcode`` on the host (Table III)."""
-    return PIM_TO_CUDA[opcode]
-
-
-def pim_opcode_for_cuda(cuda_name: str) -> PimOpcode:
-    """PIM opcode the compiler offloads a CUDA atomic to.
-
-    Raises :class:`KeyError` for atomics with no PIM equivalent.
-    """
-    try:
-        return CUDA_TO_PIM[cuda_name]
-    except KeyError:
-        raise KeyError(
-            f"no PIM mapping for {cuda_name!r}; offloadable atomics: "
-            f"{sorted(CUDA_TO_PIM)}"
-        ) from None
-
-
-def is_offloadable(cuda_name: str) -> bool:
-    """Whether a CUDA atomic can be converted into a PIM instruction."""
-    return cuda_name in CUDA_TO_PIM
-
-
-def roundtrip_consistent() -> bool:
-    """Every CUDA→PIM choice must map back to the same CUDA atomic."""
-    return all(PIM_TO_CUDA[op] == name for name, op in CUDA_TO_PIM.items())

@@ -1,17 +1,12 @@
-"""Detailed co-simulation: the event-level cube with the thermal loop.
+"""Detailed co-simulation: the event-level cube as the protocol oracle.
 
 The fluid simulator (:mod:`repro.gpu.simulator`) models traffic as rates;
 this mode expands each epoch's post-cache traffic into *individual
 transactions* against :class:`repro.hmc.cube.HmcCube` — real packets on
 real links, real bank occupancy, functional PIM execution — submitted one
-by one through :meth:`HmcCube.submit`, while coupling the same thermal
-model and temperature-phase management (frequency derating, refresh
-doubling, ERRSTAT warnings).
-
-The thermal model steps on the fluid simulator's fixed control quantum
-(:data:`repro.thermal.operators.CONTROL_DT_S`); time between thermal
-updates that does not fill a quantum is carried forward as debt, so a run
-factorizes at most one step LU.
+by one through :meth:`HmcCube.submit`. It checks the protocol and the
+flow model's bulk runtime; the thermal model belongs to the fluid
+engines alone.
 
 Addresses are synthesized per epoch: streaming reads/writes stride
 across vaults; atomics scatter over a property region sized by the
@@ -20,8 +15,8 @@ epoch's thread count, reproducing hub-style bank reuse on small regions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Optional, Tuple
 
 import numpy as np
 
@@ -31,17 +26,11 @@ if TYPE_CHECKING:
 from repro.gpu.caches import CacheModel
 from repro.gpu.config import GPU_DEFAULT, GpuConfig
 from repro.gpu.kernel import KernelLaunch
-from repro.gpu.simulator import WARM_START
 from repro.hmc.config import HMC_2_0, HmcConfig
 from repro.hmc.cube import HmcCube
-from repro.hmc.dram_timing import TemperaturePhase, TemperaturePhasePolicy
 from repro.hmc.isa import PimInstruction, PimOpcode
 from repro.hmc.packet import FLIT_BYTES, PacketType, Request
 from repro.sim.stats import StatRegistry, linear_bounds
-from repro.thermal.model import HmcThermalModel
-from repro.thermal.operators import CONTROL_DT_S
-from repro.thermal.power import TrafficPoint
-from repro.thermal.sensor import ThermalSensor
 
 #: Address-space layout (byte offsets into the cube).
 STREAM_REGION = 0
@@ -64,18 +53,10 @@ class DetailedResult:
     transactions: int
     pim_ops: int
     host_atomics: int
-    peak_dram_temp_c: float
-    thermal_warnings: int
     mean_latency_ns: float
     link_flits: int
     #: Achieved external-link bandwidth (all FLITs over the run time).
     ext_bandwidth_gbs: float = 0.0
-    #: Thermal steps of :data:`CONTROL_DT_S` the run took: 0 when its
-    #: device time is shorter than one quantum (the thermal state then
-    #: stays at the warm start).
-    thermal_steps: int = 0
-    #: (time_s, peak_temp_c) thermal samples.
-    thermal_trace: List[Tuple[float, float]] = field(default_factory=list)
 
 
 class DetailedSimulator:
@@ -86,22 +67,12 @@ class DetailedSimulator:
         gpu: GpuConfig = GPU_DEFAULT,
         hmc_config: HmcConfig = HMC_2_0,
         cache: Optional[CacheModel] = None,
-        thermal: Optional[HmcThermalModel] = None,
-        sensor: Optional[ThermalSensor] = None,
-        phase_policy: Optional[TemperaturePhasePolicy] = None,
-        thermal_update_txns: int = 256,
         max_transactions: int = 1_000_000,
         seed: int = 0,
     ) -> None:
-        if thermal_update_txns <= 0:
-            raise ValueError(f"update interval must be positive: {thermal_update_txns}")
         self.gpu = gpu
         self.hmc_config = hmc_config
         self.cache = cache or CacheModel(gpu)
-        self.thermal = thermal or HmcThermalModel(hmc_config)
-        self.sensor = sensor or ThermalSensor()
-        self.phase_policy = phase_policy or TemperaturePhasePolicy()
-        self.thermal_update_txns = thermal_update_txns
         self.max_transactions = max_transactions
         self.seed = seed
         #: Per-simulator stat registry (``detailed.*`` scope); each run()
@@ -157,14 +128,9 @@ class DetailedSimulator:
     def run(self, launch: KernelLaunch, policy: "OffloadPolicy") -> DetailedResult:
         """Run the launch transaction-by-transaction."""
         launch.trace.rewind()
-        self.sensor.reset()
         rng = np.random.default_rng(self.seed)
         cube = HmcCube(self.hmc_config)
-        cube.apply_temperature_phase(TemperaturePhase.NORMAL)
-        self.thermal.warm_start(WARM_START)
-
         policy.begin(launch, now_s=0.0)
-        exempt = policy.thermal_exempt
 
         stats = self.stats.scoped("detailed")
         batch_hist = stats.histogram(
@@ -176,52 +142,7 @@ class DetailedSimulator:
         txns = 0
         pim_total = 0
         host_members = 0  # submitted host-atomic member transactions
-        warnings = 0
         latency_sum = 0.0
-        peak_temp = self.thermal.peak_dram_c() if not exempt else self.thermal.ambient_c
-        thermal_trace: List[Tuple[float, float]] = []
-        thermal_debt_s = 0.0
-        thermal_steps = 0
-        last_update_ns = 0.0
-        last_flits = 0
-
-        def thermal_update(completed_ns: float) -> None:
-            nonlocal last_update_ns, last_flits, peak_temp, warnings
-            nonlocal thermal_debt_s, thermal_steps
-            if exempt:
-                return
-            dt_ns = completed_ns - last_update_ns
-            if dt_ns <= 0:
-                return
-            flits = cube.links.total_flits()
-            ext = (flits - last_flits) * 16 * (2.0 / 3.0) / dt_ns
-            internal = ext  # event mode: payload-equivalent approximation
-            pim_rate = 0.0  # FU power folded into the internal estimate
-            traffic = TrafficPoint(external_gbs=ext, internal_dram_gbs=internal,
-                                   pim_rate_ops_ns=pim_rate)
-            # Fixed-quantum stepping (one cached step LU): the interval
-            # joins the debt, and each whole quantum of debt is stepped
-            # with the current traffic point.
-            thermal_debt_s += dt_ns * 1e-9
-            temp = self.thermal.peak_dram_c()
-            while thermal_debt_s >= CONTROL_DT_S:
-                temp = self.thermal.step(traffic)
-                thermal_debt_s -= CONTROL_DT_S
-                thermal_steps += 1
-            peak_temp = max(peak_temp, temp)
-            thermal_trace.append((completed_ns * 1e-9, temp))
-            phase = self.phase_policy.phase(temp)
-            if phase is TemperaturePhase.SHUTDOWN:
-                cube.shutdown()
-                return
-            cube.apply_temperature_phase(phase)
-            warning = self.sensor.observe(temp, completed_ns * 1e-9)
-            cube.set_thermal_warning(warning)
-            if warning:
-                warnings += 1
-                policy.on_thermal_warning(completed_ns * 1e-9, temp)
-            last_update_ns = completed_ns
-            last_flits = flits
 
         while txns < self.max_transactions:
             batch = launch.trace.next()
@@ -240,7 +161,7 @@ class DetailedSimulator:
             epoch_end = now_ns
             for kind, a, host in zip(kinds.tolist(), addrs.tolist(),
                                      is_host.tolist()):
-                if txns >= self.max_transactions or cube.is_shutdown:
+                if txns >= self.max_transactions:
                     break
                 if kind == _PIM:
                     inst = PimInstruction(PimOpcode.ADD_IMM, address=a, immediate=1)
@@ -260,29 +181,20 @@ class DetailedSimulator:
                 latency_sum += rsp.latency_ns
                 epoch_end = max(epoch_end, rsp.complete_time_ns)
                 txns += 1
-                if txns % self.thermal_update_txns == 0:
-                    thermal_update(epoch_end)
             now_ns = max(now_ns, epoch_end)
-            if cube.is_shutdown:
-                break
 
-        thermal_update(now_ns)
         return DetailedResult(
             workload=launch.name,
             policy=policy.name,
             runtime_s=now_ns * 1e-9,
             transactions=txns,
             pim_ops=pim_total,
-            # Count whole pairs actually submitted: a cap or shutdown can
-            # truncate mid-epoch, so the offered demand overstates them.
+            # Count whole pairs actually submitted: a cap can truncate
+            # mid-epoch, so the offered demand overstates them.
             host_atomics=host_members // 2,
-            peak_dram_temp_c=peak_temp,
-            thermal_warnings=warnings,
             mean_latency_ns=latency_sum / txns if txns else 0.0,
             link_flits=cube.links.total_flits(),
             ext_bandwidth_gbs=(
                 cube.links.total_flits() * FLIT_BYTES / now_ns if now_ns > 0 else 0.0
             ),
-            thermal_steps=thermal_steps,
-            thermal_trace=thermal_trace,
         )

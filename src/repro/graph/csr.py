@@ -87,12 +87,6 @@ class CSRGraph:
         """Destination vertices of ``v``'s out-edges (a view)."""
         return self.indices[self.indptr[v] : self.indptr[v + 1]]
 
-    def edge_weights(self, v: int) -> np.ndarray:
-        """Weights of ``v``'s out-edges; requires a weighted graph."""
-        if self.weights is None:
-            raise ValueError("graph is unweighted")
-        return self.weights[self.indptr[v] : self.indptr[v + 1]]
-
     # -- constructors -------------------------------------------------------
 
     @classmethod

@@ -1,11 +1,9 @@
-"""Graph persistence: whitespace edge lists and NumPy archives.
+"""Graph persistence: whitespace edge lists.
 
 Lets users bring their own graphs (SNAP/KONECT-style edge lists) to the
-workloads, and cache generated graphs to disk:
+workloads:
 
     g = load_edge_list("soc-live.txt")
-    save_npz("cache.npz", g)
-    g = load_npz("cache.npz")
 
 Edge-list format: one ``src dst [weight]`` triple per line; ``#`` or ``%``
 lines are comments. Vertex ids may be arbitrary non-negative integers —
@@ -87,18 +85,3 @@ def save_edge_list(path: PathLike, graph: CSRGraph) -> None:
     else:
         for s, d in zip(src, graph.indices):
             path.write(f"{s} {d}\n")
-
-
-def save_npz(path: Union[str, Path], graph: CSRGraph) -> None:
-    """Binary CSR archive (fast reload of generated graphs)."""
-    arrays = {"indptr": graph.indptr, "indices": graph.indices}
-    if graph.weights is not None:
-        arrays["weights"] = graph.weights
-    np.savez_compressed(path, **arrays)
-
-
-def load_npz(path: Union[str, Path]) -> CSRGraph:
-    """Load a :func:`save_npz` archive."""
-    with np.load(path) as data:
-        weights = data["weights"] if "weights" in data.files else None
-        return CSRGraph(data["indptr"], data["indices"], weights)

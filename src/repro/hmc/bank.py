@@ -8,8 +8,7 @@ to the same bank cannot be serviced").
 
 Timing is simplified to a per-bank serial resource: a request arriving at
 time ``t`` starts at ``max(t, bank_ready)`` and occupies the bank for the
-access latency. A temperature-phase frequency scale stretches all timing
-(20 % frequency loss → ×1.25 latency).
+access latency.
 """
 
 from __future__ import annotations
@@ -24,7 +23,7 @@ ROW_BYTES = 2048
 
 #: Distributed-refresh parameters: one refresh command per tREFI, each
 #: occupying the bank for tRFC. 8192 rows per 64 ms window → tREFI
-#: 7.8 µs; doubling the refresh rate (above 85 °C) halves tREFI.
+#: 7.8 µs.
 BASE_TREFI_NS = 64e6 / 8192
 TRFC_NS = 350.0
 
@@ -49,26 +48,8 @@ class DramBank:
         self.bank_id = bank_id
         self.open_row: Optional[int] = None
         self.ready_at = 0.0          # earliest start for the next command
-        self.freq_scale = 1.0        # temperature derating (1.0 = nominal)
-        self.refresh_multiplier = 1  # 2x per phase above 85 C (JEDEC)
         self._next_refresh_ns = BASE_TREFI_NS
         self.stats = BankStats()
-
-    def set_frequency_scale(self, scale: float) -> None:
-        """Apply temperature-phase derating; latencies scale by 1/scale."""
-        if not 0.0 < scale <= 1.0:
-            raise ValueError(f"frequency scale must be in (0,1], got {scale}")
-        self.freq_scale = scale
-
-    def set_refresh_multiplier(self, multiplier: int) -> None:
-        """Refresh-rate multiplier (1 = normal; 2/4 in hot phases)."""
-        if multiplier < 1:
-            raise ValueError(f"multiplier must be >= 1, got {multiplier}")
-        self.refresh_multiplier = multiplier
-
-    @property
-    def trefi_ns(self) -> float:
-        return BASE_TREFI_NS / self.refresh_multiplier
 
     def _catch_up_refreshes(self, now: float) -> None:
         """Execute any refresh commands due before ``now`` (or pending at
@@ -77,25 +58,23 @@ class DramBank:
         # Long-idle fast path: refreshes during idle time don't delay
         # anything — account them in bulk and only loop near the horizon.
         idle_gap = now - max(self.ready_at, self._next_refresh_ns)
-        if idle_gap > 100 * self.trefi_ns:
-            bulk = int(idle_gap // self.trefi_ns) - 1
-            duration = TRFC_NS / self.freq_scale
+        if idle_gap > 100 * BASE_TREFI_NS:
+            bulk = int(idle_gap // BASE_TREFI_NS) - 1
             self.stats.refreshes += bulk
-            self.stats.refresh_ns += bulk * duration
-            self.stats.busy_ns += bulk * duration
+            self.stats.refresh_ns += bulk * TRFC_NS
+            self.stats.busy_ns += bulk * TRFC_NS
             self.open_row = None
-            self._next_refresh_ns += bulk * self.trefi_ns
+            self._next_refresh_ns += bulk * BASE_TREFI_NS
 
         horizon = max(now, self.ready_at)
         while self._next_refresh_ns <= horizon:
             start = max(self._next_refresh_ns, self.ready_at)
-            duration = TRFC_NS / self.freq_scale
-            self.ready_at = start + duration
+            self.ready_at = start + TRFC_NS
             self.open_row = None
             self.stats.refreshes += 1
-            self.stats.refresh_ns += duration
-            self.stats.busy_ns += duration
-            self._next_refresh_ns += self.trefi_ns
+            self.stats.refresh_ns += TRFC_NS
+            self.stats.busy_ns += TRFC_NS
+            self._next_refresh_ns += BASE_TREFI_NS
             horizon = max(now, self.ready_at)
 
     def _row_of(self, address: int) -> int:
@@ -115,7 +94,7 @@ class DramBank:
             lat = t.read_miss_latency()
             self.stats.row_misses += 1
         self.open_row = row
-        return lat / self.freq_scale
+        return lat
 
     def _occupy(self, start: float, duration: float) -> float:
         """Reserve the bank for [start, start+duration); return finish time."""
@@ -152,13 +131,7 @@ class DramBank:
         start = max(now, self.ready_at)
         read_lat = self._access_latency(address)
         # Write-back hits the row the read just opened.
-        write_lat = self.timing.read_hit_latency() / self.freq_scale
+        write_lat = self.timing.read_hit_latency()
         self.stats.pim_ops += 1
         self.stats.row_hits += 1
         return self._occupy(start, read_lat + fu_latency_ns + write_lat)
-
-    def utilization(self, elapsed_ns: float) -> float:
-        """Fraction of elapsed time the bank was busy."""
-        if elapsed_ns <= 0:
-            return 0.0
-        return min(1.0, self.stats.busy_ns / elapsed_ns)

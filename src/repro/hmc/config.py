@@ -30,11 +30,6 @@ class DramTiming:
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
 
-    @property
-    def tRC(self) -> float:
-        """Row cycle time: activate-to-activate on one bank."""
-        return self.tRAS + self.tRP
-
     def read_hit_latency(self) -> float:
         """Column access on an already-open row."""
         return self.tCL
@@ -81,15 +76,6 @@ class HmcConfig:
     def peak_link_bandwidth_gbs(self) -> float:
         """Aggregate raw link bandwidth (headers included), GB/s."""
         return self.num_links * self.link_bandwidth_gbs
-
-    @property
-    def peak_data_bandwidth_gbs(self) -> float:
-        """Peak payload (data) bandwidth over all links, GB/s."""
-        return self.num_links * self.link_data_bandwidth_gbs
-
-    @property
-    def vault_area_mm2(self) -> float:
-        return self.die_area_mm2 / self.num_vaults
 
     @property
     def capacity_bytes(self) -> int:

@@ -35,7 +35,6 @@ class Crossbar:
     traversal_ns: float = 1.5
     port_bandwidth_gbs: float = 32.0
     _port_ready: Dict[int, float] = field(default_factory=dict)
-    _port_busy_ns: Dict[int, float] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if self.traversal_ns < 0:
@@ -62,13 +61,4 @@ class Crossbar:
         duration = flits * FLIT_BYTES / self.port_bandwidth_gbs
         finish = start + duration
         self._port_ready[vault_id] = finish
-        self._port_busy_ns[vault_id] = (
-            self._port_busy_ns.get(vault_id, 0.0) + duration
-        )
         return finish
-
-    def port_utilization(self, vault_id: int, elapsed_ns: float) -> float:
-        """Busy fraction of one vault's ingress port."""
-        if elapsed_ns <= 0:
-            return 0.0
-        return min(1.0, self._port_busy_ns.get(vault_id, 0.0) / elapsed_ns)

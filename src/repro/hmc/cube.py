@@ -9,14 +9,16 @@ device with a transaction-level API:
 Each :meth:`submit` returns the completed :class:`Response` with its
 end-to-end latency; internally the request is serialized on a link,
 traverses the crossbar, occupies a DRAM bank (locking it for RMWs), and the
-response serializes back. A thermal-warning flag, set by the thermal sensor
-via :meth:`set_thermal_warning`, is stamped into every response's ERRSTAT
-field (Sec. II-A: ERRSTAT[6:0] = 0x01).
+response serializes back. A thermal-warning flag, raised and cleared by
+the caller via :meth:`set_thermal_warning` (the device's sensor has no
+model here), is stamped into every response's ERRSTAT field (Sec. II-A:
+ERRSTAT[6:0] = 0x01).
 
 This model is used for protocol/micro-level validation, the bank-level
-benchmarks and the transaction-level co-simulation
-(:mod:`repro.gpu.detailed`); the full-system co-simulation uses the flow
-model (:mod:`repro.hmc.flow`) for speed.
+benchmarks and the transaction-level protocol oracle
+(:mod:`repro.gpu.detailed`). Temperature phases (derating, refresh
+doubling, shutdown) live only in the flow model (:mod:`repro.hmc.flow`),
+which the full-system co-simulation uses.
 """
 
 from __future__ import annotations
@@ -64,58 +66,13 @@ class HmcCube:
         self.crossbar = Crossbar()
         self.stats = CubeStats()
         self._thermal_warning = False
-        self._shutdown = False
         self._next_tag = 0
 
-    # -- thermal / management ------------------------------------------------
+    # -- thermal warning -------------------------------------------------------
 
     def set_thermal_warning(self, active: bool) -> None:
         """Raise/clear the thermal warning carried in response ERRSTAT."""
         self._thermal_warning = active
-
-    @property
-    def thermal_warning(self) -> bool:
-        return self._thermal_warning
-
-    def shutdown(self) -> None:
-        """Conservative overheat policy observed on the HMC 1.1 prototype:
-        stop completely; contents are lost."""
-        self._shutdown = True
-        self.store = BackingStore(self.config.capacity_bytes)
-        for vault in self.vaults:
-            vault.store = self.store
-
-    def recover(self) -> None:
-        """Re-enable after cooling (recovery takes tens of seconds of wall
-        time on the prototype; the caller accounts that delay)."""
-        self._shutdown = False
-
-    @property
-    def is_shutdown(self) -> bool:
-        return self._shutdown
-
-    def set_frequency_scale(self, scale: float) -> None:
-        """Temperature-phase DRAM derating across all vaults."""
-        for vault in self.vaults:
-            vault.set_frequency_scale(scale)
-
-    def set_refresh_multiplier(self, multiplier: int) -> None:
-        """Hot-phase refresh doubling across all vaults (JEDEC extended
-        temperature range)."""
-        for vault in self.vaults:
-            vault.set_refresh_multiplier(multiplier)
-
-    def apply_temperature_phase(self, phase) -> None:
-        """Configure frequency and refresh for a temperature phase."""
-        from repro.hmc.dram_timing import TemperaturePhase, TemperaturePhasePolicy
-
-        policy = TemperaturePhasePolicy()
-        scale = policy.frequency_scale(phase)
-        if scale == 0.0:
-            self.shutdown()
-            return
-        self.set_frequency_scale(scale)
-        self.set_refresh_multiplier(2 ** int(phase))
 
     # -- functional access (no timing) ----------------------------------------
 
@@ -144,9 +101,6 @@ class HmcCube:
         The request's ``tag`` is overwritten with a device-allocated tag
         (monotonic over the cube's lifetime) and echoed in the response.
         """
-        if self._shutdown:
-            raise RuntimeError("HMC is shut down (overheated); call recover() first")
-
         req.tag = self.allocate_tag()
         link = self.links.pick()
         at_cube = link.send_request(req.ptype, now)
@@ -179,14 +133,3 @@ class HmcCube:
         if rsp.thermal_warning:
             self.stats.thermal_warnings_sent += 1
         return rsp
-
-    # -- derived metrics ---------------------------------------------------------
-
-    def total_fu_energy_j(self) -> float:
-        return sum(v.pim_unit.stats.energy_j for v in self.vaults)
-
-    def total_pim_ops(self) -> int:
-        return sum(v.pim_unit.stats.ops for v in self.vaults)
-
-    def link_data_bytes(self) -> int:
-        return self.links.merged_ledger().data_payload_bytes()

@@ -85,10 +85,6 @@ class TemperaturePhasePolicy:
             return 0.0
         return (1.0 - self.freq_reduction_per_phase) ** int(phase)
 
-    def bandwidth_scale(self, temp_c: float) -> float:
-        """Convenience: frequency scale straight from a temperature."""
-        return self.frequency_scale(self.phase(temp_c))
-
     def refresh_interval_ms(self, phase: TemperaturePhase) -> float:
         """Refresh window: halves per phase above NORMAL (JEDEC extended
         temperature range doubles the refresh rate)."""
@@ -122,11 +118,3 @@ class TemperaturePhasePolicy:
         if phase is TemperaturePhase.SHUTDOWN:
             return 0.0
         return (1.0, 1.6, 2.2)[int(phase)]
-
-    def warning_threshold_c(self) -> float:
-        """Temperature at which the device raises ERRSTAT thermal warnings.
-
-        CoolPIM's goal is to stay in the NORMAL phase, so the warning fires
-        at the first boundary (85 °C).
-        """
-        return self.thresholds_c[0]

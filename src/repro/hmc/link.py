@@ -57,14 +57,6 @@ class SerialLink:
         self.stats.response_busy_ns += dur
         return start + dur
 
-    def utilization(self, elapsed_ns: float) -> float:
-        """Mean of the two directions' busy fractions."""
-        if elapsed_ns <= 0:
-            return 0.0
-        req = min(1.0, self.stats.request_busy_ns / elapsed_ns)
-        rsp = min(1.0, self.stats.response_busy_ns / elapsed_ns)
-        return (req + rsp) / 2.0
-
 
 class LinkGroup:
     """All links of a package with round-robin request striping."""
@@ -83,9 +75,3 @@ class LinkGroup:
 
     def total_flits(self) -> int:
         return sum(l.ledger.total_flits for l in self.links)
-
-    def merged_ledger(self) -> FlitLedger:
-        out = FlitLedger()
-        for l in self.links:
-            out.merge(l.ledger)
-        return out

@@ -85,8 +85,3 @@ class BackingStore:
         new, flag = execute_semantics(old, inst)
         self.write(inst.address, encode_operand(new, inst.opcode, nb))
         return raw_old, flag
-
-    @property
-    def resident_bytes(self) -> int:
-        """Bytes actually allocated (diagnostic)."""
-        return len(self._pages) * _PAGE_SIZE

@@ -165,17 +165,3 @@ class FlitLedger:
     @property
     def total_bytes(self) -> int:
         return self.total_flits * FLIT_BYTES
-
-    def data_payload_bytes(self) -> int:
-        """Useful data moved (64 B per read/write, operand per PIM-ret)."""
-        return (
-            64 * self.transactions[PacketType.READ64]
-            + 64 * self.transactions[PacketType.WRITE64]
-            + 16 * self.transactions[PacketType.PIM_RET]
-        )
-
-    def merge(self, other: "FlitLedger") -> None:
-        self.request_flits += other.request_flits
-        self.response_flits += other.response_flits
-        for t, c in other.transactions.items():
-            self.transactions[t] += c

@@ -74,16 +74,6 @@ class VaultController:
         self.pim_unit = PimUnit(fu_energy_per_bit_j, vault_id=vault_id)
         self.stats = VaultStats()
 
-    def set_frequency_scale(self, scale: float) -> None:
-        """Propagate temperature derating to all banks."""
-        for bank in self.banks:
-            bank.set_frequency_scale(scale)
-
-    def set_refresh_multiplier(self, multiplier: int) -> None:
-        """Propagate hot-phase refresh-rate multiplier to all banks."""
-        for bank in self.banks:
-            bank.set_refresh_multiplier(multiplier)
-
     def service(self, req: Request, bank_id: int, local_addr: int, now: float) -> Response:
         """Service one request; returns the response with completion time.
 

@@ -154,32 +154,3 @@ class JobJournal:
                 continue
             counts[record.get("event", "?")] += 1
         return counts
-
-    @staticmethod
-    def time_report(path: Union[str, Path]) -> Dict[str, Dict[str, Any]]:
-        """Where the sweep's time went, per job name.
-
-        Aggregates ``completed``/``failed`` events into
-        ``{name: {"duration_s": total, "attempts": n, "runs": k}}``.
-        Journals written before the ``duration_s``/``attempt`` fields
-        existed are handled via the legacy ``elapsed_s``/``attempts``
-        keys, so old journals still load.
-        """
-        report: Dict[str, Dict[str, Any]] = {}
-        for record in JobJournal.iter_events(path):
-            event = record.get("event")
-            if event not in ("completed", "failed"):
-                continue
-            name = record.get("name", "?")
-            row = report.setdefault(
-                name, {"duration_s": 0.0, "attempts": 0, "runs": 0, "failed": 0}
-            )
-            duration = record.get("duration_s", record.get("elapsed_s", 0.0))
-            row["duration_s"] += float(duration or 0.0)
-            row["attempts"] += int(
-                record.get("attempt", record.get("attempts", 1)) or 1
-            )
-            row["runs"] += 1
-            if event == "failed":
-                row["failed"] += 1
-        return report

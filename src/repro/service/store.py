@@ -123,11 +123,6 @@ class ResultStore:
             spec=record.get("spec", {}),
         )
 
-    def contains(
-        self, spec_or_key: Union[JobSpec, str], check_fingerprint: bool = True
-    ) -> bool:
-        return self.get(spec_or_key, check_fingerprint=check_fingerprint) is not None
-
     # -- write path -------------------------------------------------------
 
     def put(
@@ -167,15 +162,6 @@ class ResultStore:
         return path
 
     # -- maintenance ------------------------------------------------------
-
-    def invalidate(self, spec_or_key: Union[JobSpec, str]) -> bool:
-        """Drop one record. Returns whether anything was deleted."""
-        path = self.path_for(self._key_of(spec_or_key))
-        try:
-            path.unlink()
-            return True
-        except FileNotFoundError:
-            return False
 
     def clear(self) -> int:
         """Drop every record. Returns the number deleted."""

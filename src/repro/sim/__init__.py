@@ -1,9 +1,8 @@
 """Simulation kernel: statistics and operation traces.
 
 This subpackage provides the substrate shared by the transaction-level
-HMC co-simulation (:mod:`repro.gpu.detailed`) and the time-stepped
-full-system co-simulation (:mod:`repro.gpu.simulator`). Both advance time
-by closed-form arithmetic on the control quantum:
+protocol oracle (:mod:`repro.gpu.detailed`) and the time-stepped
+full-system co-simulation (:mod:`repro.gpu.simulator`):
 
 - :class:`~repro.sim.stats.StatRegistry` — hierarchical per-run counters,
   histograms, and time-weighted averages on the metrics core.

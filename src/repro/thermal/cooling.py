@@ -40,10 +40,6 @@ class CoolingSolution:
         if self.fan_power_relative < 0:
             raise ValueError(f"fan power cannot be negative: {self}")
 
-    @property
-    def is_passive(self) -> bool:
-        return self.fan_power_relative == 0.0
-
     def fan_power_w(self) -> float:
         """Absolute fan power, anchored at 13 W for the 380× high-end fan."""
         return self.fan_power_relative * _WATTS_PER_UNIT

@@ -169,11 +169,6 @@ class HmcThermalModel:
         """Peak DRAM-die temperature at steady state (Fig. 4/5 metric)."""
         return self._peak_dram(self.steady_state(traffic, vault_weights))
 
-    def steady_peak_logic_c(self, traffic: TrafficPoint) -> float:
-        T = self.steady_state(traffic)
-        net = self.network
-        return float(net.layer_temps(T, net.layer_index["logic"]).max())
-
     def steady_surface_c(self, traffic: TrafficPoint) -> float:
         """Package-surface (spreader-top) temperature — what a thermal
         camera sees in the prototype experiments (Fig. 1/2)."""
@@ -193,11 +188,6 @@ class HmcThermalModel:
     @property
     def state(self) -> np.ndarray:
         return self._transient.T
-
-    def reset_transient(self, temp_c: Optional[float] = None) -> None:
-        self._transient.T = np.full(
-            self.network.num_nodes, self.ambient_c if temp_c is None else temp_c
-        )
 
     # -- scenario injection ------------------------------------------------------
 

@@ -42,10 +42,10 @@ from repro.thermal.propagator import ReducedPropagator
 from repro.thermal.solver import SteadySolver, factorize_step
 from repro.thermal.stack import StackSpec, build_stack
 
-#: Control quantum (s) of both co-simulators (the fluid
-#: :class:`~repro.gpu.simulator.SystemSimulator` and the transaction-level
-#: :class:`~repro.gpu.detailed.DetailedSimulator`), and the step size of
-#: every thermal transient: one step LU per bundle serves every run.
+#: Control quantum (s) of the co-simulator
+#: (:class:`~repro.gpu.simulator.SystemSimulator`, both engines) and the
+#: step size of every thermal transient: one step LU per bundle serves
+#: every run.
 CONTROL_DT_S = 25e-6
 
 #: (config, cooling, sub, interface_scale, ambient, board_resistance).

@@ -88,16 +88,6 @@ class TrafficPoint:
         return cls(external_gbs=data_gbs, internal_dram_gbs=data_gbs)
 
     @classmethod
-    def with_pim(cls, data_gbs: float, pim_rate_ops_ns: float) -> "TrafficPoint":
-        """External payload plus PIM ops (2 × 16 B internal each)."""
-        internal = data_gbs + pim_rate_ops_ns * 32.0
-        return cls(
-            external_gbs=data_gbs,
-            internal_dram_gbs=internal,
-            pim_rate_ops_ns=pim_rate_ops_ns,
-        )
-
-    @classmethod
     def pim_saturated(cls, pim_rate_ops_ns: float) -> "TrafficPoint":
         """Fig. 5 operating point: links saturated by PIM + regular mix.
 

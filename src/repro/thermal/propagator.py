@@ -304,12 +304,6 @@ class ReducedPropagator:
         """A fresh per-run certified peak readout over this basis."""
         return PeakReader(self)
 
-    def dram_peak_of(self, z: np.ndarray) -> float:
-        """Peak DRAM temperature of a single eigen-coordinate state."""
-        return float((self._out @ z).max())
-
-
-
 
 class PeakReader:
     """Per-run certified truncated-mode peak readout over a shared basis.

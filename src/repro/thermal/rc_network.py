@@ -62,10 +62,6 @@ class RcNetwork:
     def num_nodes(self) -> int:
         return self.C.size
 
-    @property
-    def cells_per_layer(self) -> int:
-        return self.floorplan.num_cells
-
     def node(self, layer: int, ix: int, iy: int) -> int:
         """Flat node index of (layer, cell)."""
         fp = self.floorplan

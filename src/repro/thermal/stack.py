@@ -35,27 +35,8 @@ class StackSpec:
     die_area_mm2: float = 68.0
 
     @property
-    def die_area_m2(self) -> float:
-        return self.die_area_mm2 * 1e-6
-
-    @property
     def num_layers(self) -> int:
         return len(self.layers)
-
-    def powered_layer_indices(self) -> List[int]:
-        return [i for i, l in enumerate(self.layers) if l.powered]
-
-    def dram_layer_indices(self) -> List[int]:
-        return [
-            i for i, l in enumerate(self.layers) if l.powered and l.name.startswith("dram")
-        ]
-
-    @property
-    def logic_layer_index(self) -> int:
-        for i, l in enumerate(self.layers):
-            if l.name == "logic":
-                return i
-        raise ValueError(f"stack {self.name} has no logic layer")
 
 
 def build_stack(config: HmcConfig) -> StackSpec:

@@ -4,8 +4,8 @@ The contract locked here: wrapping any paper policy as an agent
 (``AgentPolicy(PolicyAgent(policy))``) and running it through either
 engine produces a **bit-identical** ``SimulationResult`` to running the
 bare policy — same aggregates, same event counts, same timelines. The
-non-policy agents (scripted schedule, hill climbing) must themselves
-agree between the macro and stepped engines.
+non-policy agent (a scripted schedule) must itself agree between the
+macro and stepped engines.
 """
 
 import pytest
@@ -14,7 +14,6 @@ from repro.agents import (
     ACTION_NONE,
     Action,
     AgentPolicy,
-    HillClimbAgent,
     Observation,
     PolicyAgent,
     ScriptedAgent,
@@ -99,53 +98,6 @@ class TestScriptedAgent:
     def test_rejects_bad_fraction(self):
         with pytest.raises(ValueError):
             ScriptedAgent([(0.0, 1.5)])
-
-
-class TestHillClimbAgent:
-    def test_engines_agree_on_hot_trace(self):
-        assert_engines_agree(
-            *run_both(
-                hot_launch(),
-                lambda: as_policy(HillClimbAgent()),
-                cooling=LOW_END_ACTIVE,
-            )
-        )
-
-    def test_throttles_under_sustained_warnings(self):
-        sim = build_sim("stepped", cooling=LOW_END_ACTIVE)
-        policy = as_policy(HillClimbAgent())
-        result = sim.run(hot_launch(), policy)
-        assert result.thermal_warnings > 0
-        assert policy.fraction_history  # it actually acted
-        assert min(f for _, f in policy.fraction_history) < 1.0
-
-    def test_factor_doubles_on_repeated_warnings(self):
-        agent = HillClimbAgent(control_factor=0.125, act_period_s=1.0)
-        a1 = agent.observe(Observation("warning", 0.0, warning=True))
-        assert a1.fraction == pytest.approx(0.875)
-        # Inside the rate-limit window: no-op.
-        assert agent.observe(Observation("warning", 0.5, warning=True)) is ACTION_NONE
-        # Next warning after the window: the last action was a cut that
-        # failed to clear the warning, so the factor doubles to 0.25.
-        a2 = agent.observe(Observation("warning", 1.5, warning=True))
-        assert a2.fraction == pytest.approx(0.875 - 0.25)
-
-    def test_quiet_stretch_relaxes(self):
-        agent = HillClimbAgent(recover_period_s=1.0, recover_step=0.0625)
-        agent.observe(Observation("warning", 0.0, warning=True))
-        # Too soon, and warning still latched: hold.
-        assert agent.observe(Observation("step", 0.5)) is ACTION_NONE
-        assert (
-            agent.observe(Observation("step", 2.0, warning=True)) is ACTION_NONE
-        )
-        act = agent.observe(Observation("step", 2.0))
-        assert act.fraction == pytest.approx(1.0 - 0.125 + 0.0625)
-
-    def test_rejects_bad_config(self):
-        with pytest.raises(ValueError):
-            HillClimbAgent(initial_fraction=1.5)
-        with pytest.raises(ValueError):
-            HillClimbAgent(control_factor=0.6, max_factor=0.5)
 
 
 class TestAdapterPlumbing:

@@ -252,7 +252,7 @@ class TestPoolServer:
             )
             done = client.wait_for_run(run["run_id"])
             assert done["status"] == "completed" and not done["cached"]
-            assert store.contains(run["key"])
+            assert store.get(run["key"]) is not None
             samples = parse_exposition(client.metrics())["samples"]
         finally:
             handle.stop()

@@ -1,5 +1,7 @@
 """Request validation: acceptance, rejection, and CLI key parity."""
 
+import json
+
 import pytest
 
 from repro.api.schemas import (
@@ -140,6 +142,21 @@ class TestRunRequest:
                 "scenario_seed": -1,
             })
         assert exc.value.field == "scenario_seed"
+
+
+@pytest.mark.parametrize("wire", ["NaN", "Infinity", "1e400"])
+@pytest.mark.parametrize("body,validate", [
+    ('{"workload": "pagerank"', validate_run_request),
+    ('{"workloads": ["pagerank"]', validate_sweep_request),
+    ('{"kind": "toy", "params": {}',
+     lambda b: validate_run_request(b, allow_kinds=frozenset({"toy"}))),
+], ids=["run", "sweep", "custom"])
+def test_non_finite_timeout_rejected(wire, body, validate):
+    # The JSON wire admits these spellings; none is a usable timeout.
+    with pytest.raises(ValidationError) as exc:
+        validate(json.loads(f'{body}, "timeout_s": {wire}}}'))
+    assert exc.value.field == "timeout_s"
+    assert "timeout_s must be a positive number" in exc.value.message
 
 
 class TestSweepRequest:

@@ -1,31 +1,8 @@
-"""PIM token pool: FCFS issue, release, interrupt-driven reduction."""
+"""PIM token pool: interrupt-driven reduction."""
 
 import pytest
 
 from repro.core.token_pool import PimTokenPool
-
-
-class TestIssue:
-    def test_grants_until_exhausted(self):
-        pool = PimTokenPool(size=2)
-        assert pool.request() and pool.request()
-        assert not pool.request()
-        assert pool.grants == 2 and pool.denials == 1
-
-    def test_release_enables_reissue(self):
-        pool = PimTokenPool(size=1)
-        pool.request()
-        pool.release()
-        assert pool.request()
-
-    def test_release_without_issue_raises(self):
-        with pytest.raises(ValueError):
-            PimTokenPool(size=1).release()
-
-    def test_available(self):
-        pool = PimTokenPool(size=3)
-        pool.request()
-        assert pool.available == 2
 
 
 class TestReduction:
@@ -43,15 +20,8 @@ class TestReduction:
     def test_outstanding_tokens_not_revoked(self):
         pool = PimTokenPool(size=10, issued=10)
         pool.reduce(6)
-        # issued stays at 10 until blocks drain; no new grants meanwhile.
+        # issued stays at 10 until blocks drain.
         assert pool.issued == 10
-        assert not pool.request()
-
-    def test_resize_history(self):
-        pool = PimTokenPool(size=10, issued=10)
-        pool.reduce(2, now_s=1.0)
-        pool.reduce(2, now_s=2.0)
-        assert pool.resize_history == [(1.0, 8), (2.0, 6)]
 
     def test_negative_cf_rejected(self):
         with pytest.raises(ValueError):

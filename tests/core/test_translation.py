@@ -1,15 +1,6 @@
-"""Table III mapping: bidirectional PIM ⇄ CUDA atomic translation."""
+"""Table III mapping: PIM → CUDA atomic translation."""
 
-import pytest
-
-from repro.core.translation import (
-    CUDA_TO_PIM,
-    PIM_TO_CUDA,
-    cuda_atomic_for,
-    is_offloadable,
-    pim_opcode_for_cuda,
-    roundtrip_consistent,
-)
+from repro.core.translation import PIM_TO_CUDA
 from repro.hmc.isa import PimOpcode
 
 
@@ -17,19 +8,19 @@ class TestTableIII:
     """The exact Table III examples."""
 
     def test_arithmetic_add_maps_to_atomicadd(self):
-        assert cuda_atomic_for(PimOpcode.ADD_IMM) == "atomicAdd"
+        assert PIM_TO_CUDA[PimOpcode.ADD_IMM] == "atomicAdd"
 
     def test_bitwise_swap_maps_to_atomicexch(self):
-        assert cuda_atomic_for(PimOpcode.SWAP) == "atomicExch"
-        assert cuda_atomic_for(PimOpcode.BIT_WRITE) == "atomicExch"
+        assert PIM_TO_CUDA[PimOpcode.SWAP] == "atomicExch"
+        assert PIM_TO_CUDA[PimOpcode.BIT_WRITE] == "atomicExch"
 
     def test_boolean_and_or(self):
-        assert cuda_atomic_for(PimOpcode.AND_IMM) == "atomicAnd"
-        assert cuda_atomic_for(PimOpcode.OR_IMM) == "atomicOr"
+        assert PIM_TO_CUDA[PimOpcode.AND_IMM] == "atomicAnd"
+        assert PIM_TO_CUDA[PimOpcode.OR_IMM] == "atomicOr"
 
     def test_comparison_cas_and_max(self):
-        assert cuda_atomic_for(PimOpcode.CAS_EQUAL) == "atomicCAS"
-        assert cuda_atomic_for(PimOpcode.CAS_GREATER) == "atomicMax"
+        assert PIM_TO_CUDA[PimOpcode.CAS_EQUAL] == "atomicCAS"
+        assert PIM_TO_CUDA[PimOpcode.CAS_GREATER] == "atomicMax"
 
 
 class TestCompleteness:
@@ -38,19 +29,3 @@ class TestCompleteness:
         # instruction" — required for dynamic translation.
         for opcode in PimOpcode:
             assert opcode in PIM_TO_CUDA
-
-    def test_roundtrip_consistency(self):
-        assert roundtrip_consistent()
-
-    def test_compiler_prefers_no_return_variants(self):
-        # atomicAdd maps to ADD_IMM (3 FLITs), not ADD_IMM_RET (4 FLITs).
-        assert CUDA_TO_PIM["atomicAdd"] is PimOpcode.ADD_IMM
-
-    def test_offloadable_detection(self):
-        assert is_offloadable("atomicAdd")
-        assert not is_offloadable("atomicXor_unsupported")
-
-    def test_unknown_cuda_atomic_raises_with_hint(self):
-        with pytest.raises(KeyError) as exc:
-            pim_opcode_for_cuda("atomicNope")
-        assert "atomicAdd" in str(exc.value)

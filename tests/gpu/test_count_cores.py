@@ -4,7 +4,7 @@
 cores on plain counts (:func:`repro.hmc.flow.demand_flits` /
 ``demand_bytes`` / ``demand_time_ns`` / ``rates_of``,
 :meth:`CacheModel.filter_counts` / ``demand_counts``,
-:meth:`PowerModel.package_w`); the detailed engine, the experiments and
+:meth:`PowerModel.package_w`); the event oracle, the experiments and
 the examples call the dataclass methods that wrap them
 (:meth:`CacheModel.filter` / ``demand``, :meth:`PowerModel.package_total_w`).
 Both paths must give the same numbers bit for bit (``==``, never

@@ -2,14 +2,11 @@
 
 import pytest
 
-from repro.core.policies import IdealThermal, NaiveOffloading, NonOffloading
-from repro.gpu import detailed
+from repro.core.policies import NaiveOffloading, NonOffloading
 from repro.gpu.detailed import DetailedSimulator
 from repro.gpu.kernel import KernelLaunch
 from repro.gpu.simulator import SystemSimulator
 from repro.sim.trace import OpBatch, TraceCursor
-from repro.thermal.operators import cache_stats
-from repro.thermal.power import TrafficPoint
 
 
 def launch_of(batches):
@@ -64,16 +61,6 @@ class TestBasics:
         )
         assert r1.runtime_s == pytest.approx(r2.runtime_s)
         assert r1.link_flits == r2.link_flits
-
-    def test_ideal_thermal_stays_cold(self):
-        sim = DetailedSimulator(seed=1)
-        res = sim.run(launch_of(small_batches()), IdealThermal())
-        assert res.peak_dram_temp_c <= sim.thermal.ambient_c + 1e-6
-        assert res.thermal_warnings == 0
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            DetailedSimulator(thermal_update_txns=0)
 
     def test_reports_bandwidth(self):
         res = DetailedSimulator(seed=1).run(
@@ -131,63 +118,3 @@ class TestCrossFidelity:
         detailed = DetailedSimulator(seed=3).run(launch, NonOffloading())
         fluid = SystemSimulator().run(launch, NonOffloading())
         assert detailed.runtime_s > 1.3 * fluid.runtime_s
-
-    def test_thermal_trace_recorded(self):
-        sim = DetailedSimulator(seed=1, thermal_update_txns=64)
-        res = sim.run(launch_of(small_batches()), NaiveOffloading())
-        assert len(res.thermal_trace) >= 2
-        times = [t for t, _ in res.thermal_trace]
-        assert times == sorted(times)
-
-
-def step_lus_added(sim, launch, policy):
-    """Run ``sim`` and return (result, step LUs factorized by the run)."""
-    before = cache_stats()["step_lus"]
-    res = sim.run(launch, policy)
-    return res, cache_stats()["step_lus"] - before
-
-
-class TestThermalCoupling:
-    """The thermal model steps on one fixed quantum, so a run reuses one
-    step LU instead of factorizing one per thermal update."""
-
-    def test_coupled_run_factorizes_at_most_one_step_lu(self):
-        launch = launch_of(small_batches(n=2, reads=8000, writes=8000, atomics=0))
-        sim = DetailedSimulator(seed=3, max_transactions=40_000)
-        _, lus = step_lus_added(sim, launch, NonOffloading())
-        assert lus <= 1
-
-    @pytest.fixture(scope="class")
-    def long_run(self):
-        """225,000 transactions: ~58 us of device time, two quanta."""
-        batches = small_batches(n=80, reads=2000, writes=1500, atomics=1500)
-        sim = DetailedSimulator(seed=5, max_transactions=225_000)
-        sim.thermal.warm_start(TrafficPoint.streaming(240.0))
-        warm_c = sim.thermal.peak_dram_c()
-        res, lus = step_lus_added(sim, launch_of(batches), NaiveOffloading())
-        return res, lus, warm_c
-
-    def test_run_longer_than_a_quantum_moves_temperature(self, long_run):
-        res, lus, warm_c = long_run
-        assert res.runtime_s > detailed.CONTROL_DT_S
-        assert lus <= 1
-        temps = [t for _, t in res.thermal_trace]
-        assert max(abs(t - warm_c) for t in temps) > 1e-3
-
-    def test_run_shorter_than_a_quantum_takes_no_thermal_step(self):
-        # 40,000 transactions cover ~10 us of device time, under one
-        # 25 us quantum: the thermal state stays at the warm start.
-        launch = launch_of(small_batches(n=13, reads=2000, writes=1500,
-                                         atomics=1500))
-        sim = DetailedSimulator(seed=5, max_transactions=40_000)
-        res = sim.run(launch, NaiveOffloading())
-        assert res.transactions == 40_000
-        assert res.runtime_s < detailed.CONTROL_DT_S
-        assert res.thermal_steps == 0
-
-    def test_thermal_steps_count_whole_quanta(self, long_run):
-        res = long_run[0]
-        quanta = res.runtime_s / detailed.CONTROL_DT_S
-        assert quanta > 1
-        assert res.thermal_steps > 0
-        assert abs(res.thermal_steps - quanta) <= 1

@@ -4,7 +4,6 @@ import pytest
 
 from repro.gpu.config import GPU_DEFAULT
 from repro.gpu.sm import DIVERGENCE_SERIALIZATION, SmArray
-from repro.sim.trace import OpBatch
 
 
 @pytest.fixture
@@ -14,36 +13,18 @@ def sm():
 
 class TestComputeTime:
     def test_zero_compute_is_instant(self, sm):
-        assert sm.compute_time_ns(OpBatch(1, 1, 1, compute_cycles=0)) == 0.0
+        assert sm.issue_time_ns(0, 0.0) == 0.0
 
     def test_scales_with_instructions(self, sm):
-        t1 = sm.compute_time_ns(OpBatch(0, 0, 0, compute_cycles=1000))
-        t2 = sm.compute_time_ns(OpBatch(0, 0, 0, compute_cycles=2000))
+        t1 = sm.issue_time_ns(1000, 0.0)
+        t2 = sm.issue_time_ns(2000, 0.0)
         assert t2 == pytest.approx(2 * t1)
 
     def test_peak_issue_rate(self, sm):
-        t = sm.compute_time_ns(OpBatch(0, 0, 0, compute_cycles=44800))
+        t = sm.issue_time_ns(44800, 0.0)
         assert t == pytest.approx(1000.0)  # 44.8 warp-instr/ns
 
     def test_divergence_inflates(self, sm):
-        base = sm.compute_time_ns(OpBatch(0, 0, 0, compute_cycles=1000))
-        div = sm.compute_time_ns(
-            OpBatch(0, 0, 0, compute_cycles=1000, divergent_warp_ratio=1.0)
-        )
+        base = sm.issue_time_ns(1000, 0.0)
+        div = sm.issue_time_ns(1000, divergent_warp_ratio=1.0)
         assert div == pytest.approx(base * DIVERGENCE_SERIALIZATION)
-
-
-class TestOccupancy:
-    def test_full_gpu(self, sm):
-        assert sm.occupancy_limit(GPU_DEFAULT.max_concurrent_blocks) == 1.0
-
-    def test_partial(self, sm):
-        cap = GPU_DEFAULT.max_concurrent_blocks
-        assert sm.occupancy_limit(cap // 2) == pytest.approx(0.5)
-
-    def test_oversubscribed_caps_at_one(self, sm):
-        assert sm.occupancy_limit(10_000) == 1.0
-
-    def test_negative_rejected(self, sm):
-        with pytest.raises(ValueError):
-            sm.occupancy_limit(-1)

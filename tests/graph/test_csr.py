@@ -73,13 +73,7 @@ class TestWeights:
             np.array([0, 1]),
             weights=np.array([9.0, 3.0]),
         )
-        assert g.edge_weights(0)[0] == 3.0
-        assert g.edge_weights(1)[0] == 9.0
-
-    def test_edge_weights_requires_weighted(self):
-        with pytest.raises(ValueError):
-            small_graph().edge_weights(0)
-
+        assert g.weights.tolist() == [3.0, 9.0]
 
 class TestTransforms:
     def test_reversed_flips_edges(self):

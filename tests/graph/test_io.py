@@ -5,8 +5,8 @@ import io
 import numpy as np
 import pytest
 
-from repro.graph.generators import grid_graph, ldbc_like_graph
-from repro.graph.io import load_edge_list, load_npz, save_edge_list, save_npz
+from repro.graph.generators import grid_graph
+from repro.graph.io import load_edge_list, save_edge_list
 
 
 def graphs_equal(a, b):
@@ -29,7 +29,7 @@ class TestEdgeList:
     def test_parse_weighted_autodetect(self):
         g = load_edge_list(io.StringIO("0 1 2.5\n1 0 4\n"))
         assert g.is_weighted
-        assert g.edge_weights(0)[0] == 2.5
+        assert g.weights[g.indptr[0]] == 2.5
 
     def test_comments_and_blanks_skipped(self):
         text = "# header\n% konect style\n\n0 1\n"
@@ -86,19 +86,3 @@ class TestEdgeList:
         buf.seek(0)
         g2 = load_edge_list(buf)
         assert g2.num_vertices == 2
-
-
-class TestNpz:
-    def test_roundtrip_weighted(self, tmp_path):
-        g = ldbc_like_graph(scale=6, edge_factor=4, seed=4)
-        path = tmp_path / "g.npz"
-        save_npz(path, g)
-        assert graphs_equal(g, load_npz(path))
-
-    def test_roundtrip_unweighted(self, tmp_path):
-        g = ldbc_like_graph(scale=5, edge_factor=4, seed=4, weighted=False)
-        path = tmp_path / "g.npz"
-        save_npz(path, g)
-        g2 = load_npz(path)
-        assert graphs_equal(g, g2)
-        assert not g2.is_weighted

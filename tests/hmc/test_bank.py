@@ -68,26 +68,7 @@ class TestPimRmw:
             bank.access_pim_rmw(0, fu_latency_ns=-1.0, now=0.0)
 
 
-class TestDerating:
-    def test_derating_stretches_latency(self, bank):
-        bank.set_frequency_scale(0.8)
-        done = bank.access_read(0, now=0.0)
-        assert done == pytest.approx((T.tRCD + T.tCL) / 0.8)
-
-    def test_scale_bounds(self, bank):
-        with pytest.raises(ValueError):
-            bank.set_frequency_scale(0.0)
-        with pytest.raises(ValueError):
-            bank.set_frequency_scale(1.2)
-
-
 class TestStats:
-    def test_utilization(self, bank):
-        bank.access_read(0, now=0.0)
-        busy = bank.stats.busy_ns
-        assert bank.utilization(busy * 2) == pytest.approx(0.5)
-        assert bank.utilization(0.0) == 0.0
-
     def test_counters(self, bank):
         bank.access_read(0, 0.0)
         bank.access_write(0, 0.0)

@@ -38,13 +38,6 @@ class TestPortSerialization:
         t2 = xbar.forward_to_vault(5, flits=2, now=0.0)
         assert t1 == pytest.approx(t2)
 
-    def test_utilization(self):
-        xbar = Crossbar(port_bandwidth_gbs=16.0)
-        end = xbar.forward_to_vault(3, flits=4, now=0.0)
-        assert xbar.port_utilization(3, end) > 0.0
-        assert xbar.port_utilization(9, end) == 0.0
-        assert xbar.port_utilization(3, 0.0) == 0.0
-
     def test_zero_flits_rejected(self):
         with pytest.raises(ValueError):
             Crossbar().forward_to_vault(0, flits=0, now=0.0)

@@ -27,9 +27,6 @@ class TestPhases:
     def test_phase_boundaries(self, policy, temp, phase):
         assert policy.phase(temp) is phase
 
-    def test_warning_threshold_is_first_boundary(self, policy):
-        assert policy.warning_threshold_c() == 85.0
-
     def test_threshold_validation(self):
         with pytest.raises(ValueError):
             TemperaturePhasePolicy(thresholds_c=(95, 85, 105))
@@ -43,9 +40,6 @@ class TestFrequency:
         assert policy.frequency_scale(TemperaturePhase.EXTENDED) == pytest.approx(0.8)
         assert policy.frequency_scale(TemperaturePhase.CRITICAL) == pytest.approx(0.64)
         assert policy.frequency_scale(TemperaturePhase.SHUTDOWN) == 0.0
-
-    def test_bandwidth_scale_from_temperature(self, policy):
-        assert policy.bandwidth_scale(90.0) == pytest.approx(0.8)
 
     def test_reduction_bounds(self):
         with pytest.raises(ValueError):

@@ -37,12 +37,6 @@ class TestSerialLink:
         link.send_response(PacketType.READ64, now=10.0)
         assert link.ledger.transactions[PacketType.READ64] == 1
 
-    def test_utilization(self):
-        link = SerialLink(0, 120.0)
-        end = link.send_request(PacketType.READ64, now=0.0)
-        u = link.utilization(end)
-        assert 0.0 < u <= 0.5  # only request lane was busy
-
     def test_invalid_bandwidth(self):
         with pytest.raises(ValueError):
             SerialLink(0, 0.0)
@@ -59,12 +53,6 @@ class TestLinkGroup:
         group.pick().send_request(PacketType.READ64, 0.0)
         group.pick().send_request(PacketType.PIM, 0.0)
         assert group.total_flits() == 6 + 3
-
-    def test_merged_ledger(self):
-        group = LinkGroup(2, 120.0)
-        group.pick().send_request(PacketType.READ64, 0.0)
-        group.pick().send_request(PacketType.READ64, 0.0)
-        assert group.merged_ledger().transactions[PacketType.READ64] == 2
 
     def test_empty_group_rejected(self):
         with pytest.raises(ValueError):

@@ -33,12 +33,6 @@ class TestReadWrite:
         with pytest.raises(ValueError):
             BackingStore(0)
 
-    def test_sparse_allocation(self):
-        store = BackingStore(8 << 30)  # 8 GB costs nothing until written
-        assert store.resident_bytes == 0
-        store.write(4 << 30, b"x")
-        assert store.resident_bytes == 4096
-
 
 class TestPimExecution:
     def test_add_updates_memory(self):

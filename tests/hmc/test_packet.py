@@ -90,22 +90,6 @@ class TestLedger:
         assert led.response_flits == 2 * 5 + 1
         assert led.total_bytes == led.total_flits * 16
 
-    def test_data_payload(self):
-        led = FlitLedger()
-        led.record(PacketType.READ64)
-        led.record(PacketType.WRITE64)
-        led.record(PacketType.PIM)       # no payload
-        led.record(PacketType.PIM_RET)   # 16 B returned operand
-        assert led.data_payload_bytes() == 64 + 64 + 16
-
-    def test_merge(self):
-        a, b = FlitLedger(), FlitLedger()
-        a.record(PacketType.READ64)
-        b.record(PacketType.WRITE64, 3)
-        a.merge(b)
-        assert a.transactions[PacketType.WRITE64] == 3
-        assert a.transactions[PacketType.READ64] == 1
-
     def test_negative_count_rejected(self):
         with pytest.raises(ValueError):
             FlitLedger().record(PacketType.READ64, -1)

@@ -2,11 +2,8 @@
 
 import pytest
 
-from repro.hmc.bank import BASE_TREFI_NS, ROW_BYTES, TRFC_NS, DramBank
-from repro.hmc.config import DramTiming, HMC_2_0
-from repro.hmc.cube import HmcCube
-from repro.hmc.dram_timing import TemperaturePhase
-from repro.hmc.packet import PacketType, Request
+from repro.hmc.bank import BASE_TREFI_NS, TRFC_NS, DramBank
+from repro.hmc.config import DramTiming
 
 
 @pytest.fixture
@@ -54,40 +51,3 @@ class TestRefreshTiming:
             now = bank.access_read(int(now) % (1 << 20) * 64, now)
         frac = bank.stats.refresh_ns / now
         assert frac == pytest.approx(TRFC_NS / BASE_TREFI_NS, rel=0.2)
-
-
-class TestHotPhaseRefresh:
-    def test_doubled_rate_doubles_refreshes(self):
-        cool = DramBank(DramTiming())
-        hot = DramBank(DramTiming())
-        hot.set_refresh_multiplier(2)
-        horizon = 20 * BASE_TREFI_NS
-        cool.access_read(0, now=horizon)
-        hot.access_read(0, now=horizon)
-        assert hot.stats.refreshes == pytest.approx(2 * cool.stats.refreshes,
-                                                    abs=2)
-
-    def test_multiplier_validation(self, bank):
-        with pytest.raises(ValueError):
-            bank.set_refresh_multiplier(0)
-
-
-class TestCubePhaseApplication:
-    def test_extended_phase_configures_banks(self):
-        cube = HmcCube(HMC_2_0)
-        cube.apply_temperature_phase(TemperaturePhase.EXTENDED)
-        bank = cube.vaults[0].banks[0]
-        assert bank.freq_scale == pytest.approx(0.8)
-        assert bank.refresh_multiplier == 2
-
-    def test_shutdown_phase_stops_cube(self):
-        cube = HmcCube(HMC_2_0)
-        cube.apply_temperature_phase(TemperaturePhase.SHUTDOWN)
-        assert cube.is_shutdown
-
-    def test_normal_phase_is_nominal(self):
-        cube = HmcCube(HMC_2_0)
-        cube.apply_temperature_phase(TemperaturePhase.NORMAL)
-        bank = cube.vaults[0].banks[0]
-        assert bank.freq_scale == 1.0
-        assert bank.refresh_multiplier == 1

@@ -97,10 +97,6 @@ class TestVaultService:
         with pytest.raises(ValueError):
             vault.service(Request(PacketType.READ64, 0), 99, 0, 0.0)
 
-    def test_derating_propagates_to_banks(self, vault):
-        vault.set_frequency_scale(0.8)
-        assert all(b.freq_scale == 0.8 for b in vault.banks)
-
     def test_stats_accumulate(self, vault):
         vault.service(Request(PacketType.READ64, 0), 0, 0, 0.0)
         vault.service(Request(PacketType.WRITE64, 0), 1, 0, 0.0)

@@ -127,36 +127,3 @@ class TestRotation:
             JobJournal(tmp_path / "j.jsonl", max_bytes=0)
         with pytest.raises(ValueError):
             JobJournal(tmp_path / "j.jsonl", max_bytes=10, keep=0)
-
-
-class TestTimeReport:
-    def test_aggregates_duration_and_attempts(self, tmp_path):
-        path = tmp_path / "journal.jsonl"
-        with JobJournal(path) as j:
-            j.append("completed", name="a", duration_s=1.0, attempt=1)
-            j.append("completed", name="a", duration_s=2.0, attempt=2)
-            j.append("failed", name="b", duration_s=0.5, attempt=3)
-            j.append("submitted", name="c")  # non-terminal: ignored
-        report = JobJournal.time_report(path)
-        assert report["a"] == {
-            "duration_s": 3.0, "attempts": 3, "runs": 2, "failed": 0,
-        }
-        assert report["b"]["failed"] == 1 and report["b"]["attempts"] == 3
-        assert "c" not in report
-
-    def test_old_journal_without_new_fields_still_loads(self, tmp_path):
-        # Journals written before duration_s/attempt existed carry only
-        # elapsed_s/attempts; the reader must fall back to those.
-        path = tmp_path / "old.jsonl"
-        with JobJournal(path) as j:
-            j.append("completed", name="legacy", elapsed_s=4.0, attempts=2)
-            j.append("completed", name="bare")  # neither spelling
-        report = JobJournal.time_report(path)
-        assert report["legacy"]["duration_s"] == 4.0
-        assert report["legacy"]["attempts"] == 2
-        assert report["bare"] == {
-            "duration_s": 0.0, "attempts": 1, "runs": 1, "failed": 0,
-        }
-
-    def test_missing_file_is_empty_report(self, tmp_path):
-        assert JobJournal.time_report(tmp_path / "nope.jsonl") == {}

@@ -15,7 +15,6 @@ class TestHitMiss:
     def test_miss_on_empty_store(self, tmp_path):
         store = ResultStore(root=tmp_path, fingerprint="fp1")
         assert store.get(spec()) is None
-        assert not store.contains(spec())
 
     def test_put_then_get_round_trips_payload(self, tmp_path):
         store = ResultStore(root=tmp_path, fingerprint="fp1")
@@ -68,7 +67,7 @@ class TestFingerprintInvalidation:
         store.put(spec("b"), {})
         assert store.prune_stale() == 1
         assert store.stats().entries == 1
-        assert store.contains(spec("b"))
+        assert store.get(spec("b")) is not None
 
     def test_real_fingerprint_changes_with_source(self, tmp_path):
         pkg = tmp_path / "pkg"
@@ -88,13 +87,11 @@ class TestFingerprintInvalidation:
 
 
 class TestMaintenance:
-    def test_invalidate_and_clear(self, tmp_path):
+    def test_clear(self, tmp_path):
         store = ResultStore(root=tmp_path, fingerprint="fp")
         store.put(spec("a"), {})
         store.put(spec("b"), {})
-        assert store.invalidate(spec("a")) is True
-        assert store.invalidate(spec("a")) is False
-        assert store.clear() == 1
+        assert store.clear() == 2
         assert store.stats().entries == 0
 
     def test_entries_iterates_records(self, tmp_path):

@@ -34,11 +34,6 @@ class TestTableII:
         assert set(COOLING_SOLUTIONS) == {"passive", "low-end", "commodity",
                                           "high-end"}
 
-    def test_passive_flag(self):
-        assert PASSIVE.is_passive
-        assert not LOW_END_ACTIVE.is_passive
-
-
 class TestFanCurve:
     def test_reproduces_low_end_point(self):
         assert relative_fan_power(2.0) == pytest.approx(1.0, rel=0.02)

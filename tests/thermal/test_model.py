@@ -65,11 +65,6 @@ class TestSpatialStructure:
         d7 = model.heatmap("dram7").max()
         assert d0 > d7
 
-    def test_logic_hotter_than_dram(self, model):
-        t_logic = model.steady_peak_logic_c(TrafficPoint.streaming(320.0))
-        t_dram = model.steady_peak_dram_c(TrafficPoint.streaming(320.0))
-        assert t_logic > t_dram
-
     def test_surface_cooler_than_die(self, model):
         traffic = TrafficPoint.streaming(320.0)
         assert model.steady_surface_c(traffic) < model.steady_peak_dram_c(traffic)
@@ -122,13 +117,6 @@ class TestTransient:
         m = HmcThermalModel()
         with pytest.raises(ValueError):
             m.step(TrafficPoint.idle(), dram_energy_scale=-1.0)
-
-    def test_reset_transient(self):
-        m = HmcThermalModel()
-        m.warm_start(TrafficPoint.streaming(320.0))
-        m.reset_transient()
-        assert m.peak_dram_c() == pytest.approx(m.ambient_c)
-
 
 class TestDramIndex:
     def test_one_index_serves_peaks_and_propagator(self, model):

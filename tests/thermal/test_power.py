@@ -31,10 +31,6 @@ class TestTrafficPoint:
         t = TrafficPoint.streaming(100.0)
         assert t.internal_dram_gbs == 100.0 and t.pim_rate_ops_ns == 0.0
 
-    def test_with_pim_adds_internal(self):
-        t = TrafficPoint.with_pim(100.0, 2.0)
-        assert t.internal_dram_gbs == pytest.approx(100.0 + 64.0)
-
     def test_pim_saturated_line(self):
         t0 = TrafficPoint.pim_saturated(0.0)
         assert t0.external_gbs == pytest.approx(320.0)
@@ -85,7 +81,8 @@ class TestScalarPowers:
 class TestMaps:
     def test_maps_conserve_total_power(self, pm):
         fp = Floorplan.for_config(HMC_2_0)
-        t = TrafficPoint.with_pim(200.0, 1.5)
+        t = TrafficPoint(external_gbs=200.0, internal_dram_gbs=248.0,
+                         pim_rate_ops_ns=1.5)
         maps = pm.layer_power_maps(fp, t)
         total = sum(float(g.sum()) for g in maps.values())
         assert total == pytest.approx(pm.package_total_w(t))

@@ -142,7 +142,7 @@ class TestAgainstExactStepper:
         assert resid < 1e-6
         back = prop.reconstruct(z)
         assert float(np.abs(back - model.state).max()) < 1e-6
-        assert prop.dram_peak_of(z) == pytest.approx(
+        assert prop.dram_peaks(z[:, None])[0] == pytest.approx(
             model.peak_dram_c(), abs=1e-6
         )
 

@@ -20,7 +20,7 @@ def network():
 class TestStructure:
     def test_node_count(self, network):
         layers = network.stack.num_layers
-        assert network.num_nodes == layers * network.cells_per_layer
+        assert network.num_nodes == layers * network.floorplan.num_cells
 
     def test_node_indexing(self, network):
         fp = network.floorplan
@@ -63,7 +63,7 @@ class TestMatrixProperties:
         assert np.all(network.C > 0)
 
     def test_boundary_on_top_and_bottom_only(self, network):
-        n_cells = network.cells_per_layer
+        n_cells = network.floorplan.num_cells
         top = network.stack.num_layers - 1
         interior = network.B[n_cells : top * n_cells]
         assert np.all(interior == 0)
@@ -72,7 +72,7 @@ class TestMatrixProperties:
 
     def test_sink_conductance_total(self, network):
         top = network.stack.num_layers - 1
-        g_sink = network.B[top * network.cells_per_layer :].sum()
+        g_sink = network.B[top * network.floorplan.num_cells :].sum()
         assert g_sink == pytest.approx(1.0 / 0.5)
 
 

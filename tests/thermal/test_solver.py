@@ -46,7 +46,7 @@ class TestSteady:
         solver = SteadySolver(network)
         P = np.zeros(network.num_nodes)
         sl = network.layer_slice(0)
-        P[sl] = 10.0 / network.cells_per_layer
+        P[sl] = 10.0 / network.floorplan.num_cells
         T = solver.solve(P)
         layer_means = [
             network.layer_temps(T, l).mean() for l in range(network.stack.num_layers)
@@ -62,7 +62,7 @@ class TestSteady:
 class TestTransient:
     def test_converges_to_steady_state(self, network):
         P = np.zeros(network.num_nodes)
-        P[network.layer_slice(0)] = 20.0 / network.cells_per_layer
+        P[network.layer_slice(0)] = 20.0 / network.floorplan.num_cells
         steady = SteadySolver(network).solve(P)
         trans = TransientSolver(network, 1e-3)
         for _ in range(500):
